@@ -14,7 +14,6 @@ from .analysis import Report, analyze, fuzz_equivalence
 from .count_matroid import (
     Decomposition,
     RankCertificate,
-    check_counts,
     fhat,
     fhat_bruteforce,
     is_independent,
@@ -51,7 +50,6 @@ __all__ = [
     "VertexKind",
     "analyze",
     "build_graph",
-    "check_counts",
     "expand_f",
     "f_value",
     "fhat",

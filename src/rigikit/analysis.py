@@ -3,17 +3,16 @@
 analyze() runs both engines on one graph and fills a Report; the linear
 side is sampled over a number of trials and its best rank compared to the
 combinatorial rank.  fuzz_equivalence() hammers the matroid equalities on
-random graphs: for every case the per-trial linear rank must stay at or
-below the combinatorial rank (a violation is an immediate hard failure),
-and the best-of-trials rank must reach it.  A single unlucky sample never
-fails a run: trials escalate (to 10) before a case is declared a
-counterexample, and counterexamples are dumped as replayable documents.
+random graphs.  Both go through run_trials: every per-trial linear rank
+must stay at or below the combinatorial rank, and every flat-family rank
+at or below fhat (a violation is an immediate EngineDisagreement).  A
+single unlucky sample never fails a run: trials escalate (to 10) before a
+fuzz case is declared a counterexample, and counterexamples are dumped as
+replayable documents.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,7 +20,7 @@ from . import count_matroid as cm
 from . import rigidity as rg
 from .documents import graph_document
 from .field import SplitMix64, check_prime, DEFAULT_PRIME
-from .graph import CountProfile, Multigraph, VertexKind, build_graph, expand_f
+from .graph import CountProfile, Multigraph, VertexKind, build_graph, expand_f, f_value
 
 ESCALATED_TRIALS = 10
 FUZZ_MAX_VERTICES = 8
@@ -29,6 +28,8 @@ FUZZ_MAX_EDGES = 24
 SUBSET_CHECK_EDGES = 6  # full polymatroid equality is checked below this size
 
 BAR_MODELS = ("body-bar", "rod-bar", "body-rod-bar")
+# bar models with rods: they report fhat and the ranks of the edge flats
+ROD_MODELS = ("rod-bar", "body-rod-bar")
 
 
 class EngineDisagreement(RuntimeError):
@@ -39,18 +40,42 @@ class EngineDisagreement(RuntimeError):
         self.dump = dump
 
 
-def _model_profile(model: str, d: int) -> CountProfile:
-    if model == "direction":
-        return CountProfile.direction(d)
-    return CountProfile.body_rod_bar(d)
-
-
 def _check_model_dimension(model: str, d: int) -> None:
     if model in ("rod-bar", "body-rod-bar", "body-hinge") and d < 3:
         raise ValueError(
             "model %s needs dimension >= 3; d=2 is supported only for "
             "body-bar and direction frameworks" % model
         )
+
+
+def _check_run_settings(model: str, d: int, prime: int, trials: int) -> None:
+    check_prime(prime)
+    _check_model_dimension(model, d)
+    if trials < 1:
+        raise ValueError("trials must be at least 1, got %d" % trials)
+
+
+def count_host(graph: Multigraph, model: str, d: int):
+    """(profile, host graph) of the model's count polymatroid.
+
+    Bar and direction models count on the graph itself; body-hinge counts
+    each hinge as a rod, as rigidity.expand_hinge does on the linear side.
+    """
+    _check_model_dimension(model, d)
+    if model == "direction":
+        return CountProfile.direction(d), graph
+    if model in BAR_MODELS:
+        return CountProfile.body_rod_bar(d), graph
+    if model == "body-hinge":
+        rekinded = build_graph(
+            [
+                (v, VertexKind.ROD if graph.kinds[v] == VertexKind.HINGE else VertexKind.BODY)
+                for v in graph.vertex_ids
+            ],
+            [(e.u, e.v, e.id) for e in graph.edges],
+        )
+        return CountProfile.body_rod_bar(d), rekinded
+    raise ValueError("unknown model %r" % model)
 
 
 @dataclass(frozen=True)
@@ -73,46 +98,16 @@ class CountSide:
 
 
 def count_side(graph: Multigraph, model: str, d: int) -> CountSide:
-    prof = _model_profile(model, d)
-    if model in BAR_MODELS:
-        return CountSide(
-            profile=prof,
-            count_graph=graph,
-            copies=None,
-            rank=cm.rank_value(graph, None, prof),
-            target=cm.global_count_target(graph, prof),
-        )
-    if model == "body-hinge":
-        rekinded = build_graph(
-            [
-                (
-                    v,
-                    VertexKind.ROD
-                    if graph.kinds[v] == VertexKind.HINGE
-                    else VertexKind.BODY,
-                )
-                for v in graph.vertex_ids
-            ],
-            [(e.u, e.v, e.id) for e in graph.edges],
-        )
-        expanded, copies = expand_f(rekinded, prof)
-        return CountSide(
-            profile=prof,
-            count_graph=expanded,
-            copies=copies,
-            rank=cm.rank_value(expanded, None, prof),
-            target=cm.global_count_target(rekinded, prof),
-        )
-    if model == "direction":
-        expanded, copies = expand_f(graph, prof)
-        return CountSide(
-            profile=prof,
-            count_graph=expanded,
-            copies=copies,
-            rank=cm.rank_value(expanded, None, prof),
-            target=cm.global_count_target(graph, prof),
-        )
-    raise ValueError("unknown model %r" % model)
+    """The model's count matroid: on the host graph for bar models, else on its f-expansion."""
+    prof, host = count_host(graph, model, d)
+    count_graph, copies = (host, None) if model in BAR_MODELS else expand_f(host, prof)
+    return CountSide(
+        profile=prof,
+        count_graph=count_graph,
+        copies=copies,
+        rank=cm.rank_value(count_graph, None, prof),
+        target=cm.global_count_target(host, prof),
+    )
 
 
 @dataclass
@@ -120,11 +115,11 @@ class LinearTrial:
     rank: int
     trivial_checked: int
     trivial_violations: int
-    flat_rank: Optional[int] = None
-    graphic_union_rank: Optional[int] = None
-    matrix: Optional[rg.RigidityMatrix] = None
+    matrix: rg.RigidityMatrix
     rods: Optional[rg.RodConfig] = None
     joints: Optional[dict] = None
+    flat_rank: Optional[int] = None
+    graphic_union_rank: Optional[int] = None
 
 
 def linear_trial(
@@ -134,50 +129,124 @@ def linear_trial(
     p: int,
     rng: SplitMix64,
     joints=None,
-    keep_matrix: bool = False,
-    with_flats: bool = True,
 ) -> LinearTrial:
     """Sample one configuration and measure the matrix ranks for it."""
+    rods = None
     if model == "direction":
         if joints is None:
             joints = rg.sample_joints(graph, d, rng.spawn(2), p)
         m = rg.matrix_direction(graph, joints, d, p, seed=rng.seed)
-        checked, bad = rg.verify_trivial_motions(m, joints=joints)
-        return LinearTrial(
-            rank=m.rank(),
-            trivial_checked=checked,
-            trivial_violations=bad,
-            matrix=m if keep_matrix else None,
-            joints=joints,
-        )
-    if model == "body-hinge":
+    elif model == "body-hinge":
         exp = rg.expand_hinge(graph, d, rng, p)
-        m = rg.matrix_body_rod_bar(exp.graph, exp.rods, exp.bars, seed=rng.seed)
-        checked, bad = rg.verify_trivial_motions(m, rods=exp.rods)
-        return LinearTrial(
-            rank=m.rank(),
-            trivial_checked=checked,
-            trivial_violations=bad,
-            matrix=m if keep_matrix else None,
-            rods=exp.rods,
-        )
-    rods = rg.sample_rod_config(graph, d, rng.spawn(0), p)
-    bars = rg.sample_bar_config(graph, rods, rng.spawn(1), p)
-    m = rg.matrix_body_rod_bar(graph, rods, bars, seed=rng.seed)
-    checked, bad = rg.verify_trivial_motions(m, rods=rods)
+        rods = exp.rods
+        m = rg.matrix_body_rod_bar(exp.graph, rods, exp.bars, seed=rng.seed)
+    else:
+        rods = rg.sample_rod_config(graph, d, rng.spawn(0), p)
+        bars = rg.sample_bar_config(graph, rods, rng.spawn(1), p)
+        m = rg.matrix_body_rod_bar(graph, rods, bars, seed=rng.seed)
+    checked, bad = rg.verify_trivial_motions(m, rods=rods, joints=joints)
     trial = LinearTrial(
         rank=m.rank(),
         trivial_checked=checked,
         trivial_violations=bad,
-        matrix=m if keep_matrix else None,
+        matrix=m,
         rods=rods,
+        joints=joints,
     )
-    if with_flats and model in ("rod-bar", "body-rod-bar"):
+    if model in ROD_MODELS:
         trial.flat_rank = rg.matrix_edge_flats(graph, rods, p).rank()
-    if model == "body-bar":
+    elif model == "body-bar":
         dg = rg.matrix_graphic_union(graph, d, rng.spawn(3), p)
         trial.graphic_union_rank = dg.rank()
     return trial
+
+
+@dataclass
+class TrialRun:
+    """The linear trials of one instance, as run_trials leaves them."""
+
+    ranks: list = field(default_factory=list)
+    flat_ranks: list = field(default_factory=list)
+    graphic_union_ranks: list = field(default_factory=list)
+    trivial_checked: int = 0
+    trivial_violations: int = 0
+    escalated: bool = False
+    best: Optional[LinearTrial] = None  # first trial of the highest rank
+
+    def mismatches(self, count_rank: int, fhat_rank: Optional[int]) -> list:
+        """One message per best rank that misses its count; empty if all agree."""
+        out = []
+        if max(self.ranks) != count_rank:
+            out.append(
+                "max linear rank %d != combinatorial rank %d"
+                % (max(self.ranks), count_rank)
+            )
+        if self.flat_ranks and max(self.flat_ranks) != fhat_rank:
+            out.append(
+                "flat-family rank %d != polymatroid rank %d"
+                % (max(self.flat_ranks), fhat_rank)
+            )
+        if self.graphic_union_ranks and max(self.graphic_union_ranks) != count_rank:
+            out.append(
+                "graphic-union rank %d != combinatorial rank %d"
+                % (max(self.graphic_union_ranks), count_rank)
+            )
+        return out
+
+
+def run_trials(
+    graph: Multigraph,
+    model: str,
+    d: int,
+    prime: int,
+    rng: SplitMix64,
+    trials: int,
+    cs: CountSide,
+    fhat_rank: Optional[int],
+    joints=None,
+) -> TrialRun:
+    """Run, check and escalate the linear trials of one instance.
+
+    A trial rank above the combinatorial rank, or a flat-family rank above
+    fhat, cannot come from any sample and raises EngineDisagreement at
+    once.  When the requested trials end with some best rank short of its
+    count, the run escalates to ESCALATED_TRIALS before anything is judged.
+    """
+    run = TrialRun()
+    n_trials = trials
+    t = 0
+    while t < n_trials:
+        trial = linear_trial(graph, model, d, prime, rng.spawn(t), joints=joints)
+        run.trivial_checked += trial.trivial_checked
+        run.trivial_violations += trial.trivial_violations
+        run.ranks.append(trial.rank)
+        if trial.rank > cs.rank:
+            raise _disagreement(
+                graph, model, d, rng.seed, cs, run.ranks,
+                "per-trial linear rank %d exceeds combinatorial rank %d"
+                % (trial.rank, cs.rank),
+            )
+        if trial.flat_rank is not None:
+            if trial.flat_rank > fhat_rank:
+                raise _disagreement(
+                    graph, model, d, rng.seed, cs, run.ranks,
+                    "flat-family rank %d exceeds polymatroid rank %d"
+                    % (trial.flat_rank, fhat_rank),
+                )
+            run.flat_ranks.append(trial.flat_rank)
+        if trial.graphic_union_rank is not None:
+            run.graphic_union_ranks.append(trial.graphic_union_rank)
+        if run.best is None or trial.rank > run.best.rank:
+            run.best = trial
+        t += 1
+        if (
+            t == n_trials
+            and n_trials < ESCALATED_TRIALS
+            and run.mismatches(cs.rank, fhat_rank)
+        ):
+            n_trials = ESCALATED_TRIALS  # unlucky samples: escalate before judging
+            run.escalated = True
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +273,10 @@ class Report:
     flat_ranks: tuple
     fhat_rank: Optional[int]
     graphic_union_ranks: tuple
-    kernel_dim: Optional[int]
+    kernel_dim: int
     trivial_motion_count: int
-    trivial_span_dim: Optional[int]
-    nontrivial_dim: Optional[int]
+    trivial_span_dim: int
+    nontrivial_dim: int
     trivial_checked: int
     trivial_violations: int
     verdict: str
@@ -277,56 +346,30 @@ def analyze(
     oracle: bool = False,
 ) -> Report:
     """Run both engines on one instance and reconcile them into a Report."""
-    check_prime(prime)
-    _check_model_dimension(model, d)
-    prof = _model_profile(model, d)
+    _check_run_settings(model, d, prime, trials)
+    if joints is not None and model != "direction":
+        raise ValueError("joints are only meaningful for the direction model")
     D = d * (d + 1) // 2
     cs = count_side(graph, model, d)
-    cert = cm.rank(cs.count_graph, None, cs.profile)
-    pdec_graph = graph if model != "body-hinge" else _rekind_hinges(graph)
-    pdec = cm.p_components(pdec_graph, prof) if graph.edges else None
-
-    master = SplitMix64(seed)
-    ranks: list[int] = []
-    flat_ranks: list[int] = []
-    dg_ranks: list[int] = []
-    checked = violations = 0
-    best: Optional[LinearTrial] = None
-    n_trials = trials
-    t = 0
-    while t < n_trials:
-        trial = linear_trial(
-            graph, model, d, prime, master.spawn(t), joints=joints, keep_matrix=True
-        )
-        if trial.rank > cs.rank:
-            raise EngineDisagreement(
-                "linear rank %d exceeds combinatorial rank %d" % (trial.rank, cs.rank),
-                _dump(graph, model, d, seed, cs, ranks + [trial.rank]),
-            )
-        ranks.append(trial.rank)
-        if trial.flat_rank is not None:
-            flat_ranks.append(trial.flat_rank)
-        if trial.graphic_union_rank is not None:
-            dg_ranks.append(trial.graphic_union_rank)
-        checked += trial.trivial_checked
-        violations += trial.trivial_violations
-        if best is None or trial.rank > best.rank:
-            best = trial
-        t += 1
-        if t == n_trials and max(ranks) < cs.rank and n_trials < ESCALATED_TRIALS:
-            n_trials = ESCALATED_TRIALS  # unlucky samples: escalate before judging
-    max_rank = max(ranks) if ranks else 0
-
+    prof = cs.profile
+    cert = cm.rank(cs.count_graph, None, prof)
     fhat_rank = None
-    if model in ("rod-bar", "body-rod-bar"):
-        fhat_rank = cm.fhat(graph, None, prof)
+    if cs.copies is None:
+        # bar models: the P-components live on the graph's expansion, a second
+        # matroid, and p_components certifies fhat(E) as their sum of f
+        pdec = cm.p_components(graph, prof)
+        if model in ROD_MODELS:
+            fhat_rank = sum(f_value(graph, c, prof) for c in pdec.components)
+    else:
+        # the count matroid is the expansion itself: its certificate's
+        # M-components pull back to the P-components
+        pdec = cm.p_components_of_expansion((cs.count_graph, cs.copies), cert, prof)
 
-    kernel_dim = trivial_span = nontrivial = None
-    if best is not None and best.matrix is not None:
-        basis = rg.kernel_basis(best.matrix, rods=best.rods, joints=best.joints)
-        kernel_dim = basis.kernel_dim
-        trivial_span = basis.trivial_span_dim
-        nontrivial = basis.nontrivial_dim
+    run = run_trials(
+        graph, model, d, prime, SplitMix64(seed), trials, cs, fhat_rank, joints=joints
+    )
+    max_rank = max(run.ranks)
+    basis = rg.kernel_basis(run.best.matrix, rods=run.best.rods, joints=run.best.joints)
 
     nv = len(graph.vertex_ids)
     rigid = nv <= 1 or (max_rank == cs.target)
@@ -344,7 +387,7 @@ def analyze(
 
     oracle_result = None
     if oracle:
-        oracle_result = _run_oracle(graph, model, cs, prof)
+        oracle_result = _run_oracle(model, cs)
 
     if model == "direction":
         trivial_count = d + 1
@@ -363,24 +406,24 @@ def analyze(
         prime=prime,
         seed=seed,
         trials_requested=trials,
-        trials_run=len(ranks),
+        trials_run=len(run.ranks),
         graph_summary=_graph_summary(graph),
         count_rank=cs.rank,
         count_target=cs.target,
         certificate_free=cert.free_part,
         certificate_parts=cert.parts,
-        p_components=pdec.components if pdec else (),
-        linear_ranks=tuple(ranks),
+        p_components=pdec.components,
+        linear_ranks=tuple(run.ranks),
         max_linear_rank=max_rank,
-        flat_ranks=tuple(flat_ranks),
+        flat_ranks=tuple(run.flat_ranks),
         fhat_rank=fhat_rank,
-        graphic_union_ranks=tuple(dg_ranks),
-        kernel_dim=kernel_dim,
+        graphic_union_ranks=tuple(run.graphic_union_ranks),
+        kernel_dim=basis.kernel_dim,
         trivial_motion_count=trivial_count,
-        trivial_span_dim=trivial_span,
-        nontrivial_dim=nontrivial,
-        trivial_checked=checked,
-        trivial_violations=violations,
+        trivial_span_dim=basis.trivial_span_dim,
+        nontrivial_dim=basis.nontrivial_dim,
+        trivial_checked=run.trivial_checked,
+        trivial_violations=run.trivial_violations,
         verdict=verdict,
         minimal=minimal,
         agreement=(cs.rank == max_rank),
@@ -388,22 +431,7 @@ def analyze(
     )
 
 
-def _rekind_hinges(graph: Multigraph) -> Multigraph:
-    return build_graph(
-        [
-            (
-                v,
-                VertexKind.ROD
-                if graph.kinds[v] == VertexKind.HINGE
-                else graph.kinds[v],
-            )
-            for v in graph.vertex_ids
-        ],
-        [(e.u, e.v, e.id) for e in graph.edges],
-    )
-
-
-def _run_oracle(graph, model, cs: CountSide, prof) -> dict:
+def _run_oracle(model, cs: CountSide) -> dict:
     """Brute-force cross-checks, skipped (with a note) beyond the size limit."""
     n = len(cs.count_graph.edges)
     if n > cm.BRUTEFORCE_LIMIT:
@@ -525,18 +553,6 @@ class FuzzSummary:
         }
 
 
-def _thread_count(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("RIGIKIT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def fuzz_case(
     graph: Multigraph,
     model: str,
@@ -556,86 +572,37 @@ def fuzz_case(
     }
     cs = count_side(graph, model, d)
     prof = cs.profile
-
-    ranks: list[int] = []
-    flat_ranks: list[int] = []
-    dg_ranks: list[int] = []
-    n_trials = trials
-    t = 0
-    fhat_total = None
-    if model in ("rod-bar", "body-rod-bar"):
-        fhat_total = cm.fhat(graph, None, prof)
-    while t < n_trials:
-        trial = linear_trial(graph, model, d, prime, case_rng.spawn(t))
-        out["trivial_checked"] += trial.trivial_checked
-        out["trivial_violations"] += trial.trivial_violations
-        if trial.rank > cs.rank:
-            out["agrees"] = False
-            out["failure"] = _failure_dump(
-                graph, model, d, case_rng.seed, cs, ranks + [trial.rank],
-                "per-trial linear rank exceeds combinatorial rank",
-            )
-            return out
-        ranks.append(trial.rank)
-        if trial.flat_rank is not None:
-            if trial.flat_rank > fhat_total:
-                out["agrees"] = False
-                out["failure"] = _failure_dump(
-                    graph, model, d, case_rng.seed, cs, ranks,
-                    "flat-family rank exceeds polymatroid rank",
-                )
-                return out
-            flat_ranks.append(trial.flat_rank)
-        if trial.graphic_union_rank is not None:
-            dg_ranks.append(trial.graphic_union_rank)
-        t += 1
-        done_low = (
-            max(ranks) < cs.rank
-            or (flat_ranks and max(flat_ranks) < fhat_total)
-            or (dg_ranks and max(dg_ranks) < cs.rank)
-        )
-        if t == n_trials and done_low and n_trials < ESCALATED_TRIALS:
-            n_trials = ESCALATED_TRIALS
-            out["escalated"] = True
-
-    reasons = []
-    if max(ranks) != cs.rank:
-        reasons.append("max linear rank %d != combinatorial rank %d" % (max(ranks), cs.rank))
-    if flat_ranks and max(flat_ranks) != fhat_total:
-        reasons.append(
-            "flat-family rank %d != polymatroid rank %d" % (max(flat_ranks), fhat_total)
-        )
-    if dg_ranks and max(dg_ranks) != cs.rank:
-        reasons.append(
-            "graphic-union rank %d != combinatorial rank %d" % (max(dg_ranks), cs.rank)
-        )
-    if reasons:
-        out["agrees"] = False
-        out["failure"] = _failure_dump(
-            graph, model, d, case_rng.seed, cs, ranks, "; ".join(reasons)
-        )
-        return out
-
-    # small cases: full polymatroid equality against the partition oracle
-    if (
-        model in ("rod-bar", "body-rod-bar")
-        and 0 < len(graph.edges) <= SUBSET_CHECK_EDGES
-    ):
+    fhat_total = expansion = None
+    if model in ROD_MODELS:
         expansion = expand_f(graph, prof)
-        order = graph.edge_ids
-        n = len(order)
-        for mask in range(1, 1 << n):
-            F = [order[i] for i in range(n) if mask >> i & 1]
-            lhs = cm.fhat(graph, F, prof, expanded=expansion)
-            rhs = cm.fhat_bruteforce(graph, F, prof)
-            out["subset_checks"] += 1
-            if lhs != rhs:
-                out["agrees"] = False
-                out["failure"] = _failure_dump(
-                    graph, model, d, case_rng.seed, cs, ranks,
-                    "fhat(%r) = %d != brute force %d" % (F, lhs, rhs),
-                )
-                return out
+        fhat_total = cm.fhat(graph, None, prof, expanded=expansion)
+    try:
+        run = run_trials(graph, model, d, prime, case_rng, trials, cs, fhat_total)
+        out["escalated"] = run.escalated
+        out["trivial_checked"] = run.trivial_checked
+        out["trivial_violations"] = run.trivial_violations
+        reasons = run.mismatches(cs.rank, fhat_total)
+        if reasons:
+            raise _disagreement(
+                graph, model, d, case_rng.seed, cs, run.ranks, "; ".join(reasons)
+            )
+        # small cases: full polymatroid equality against the partition oracle
+        if expansion is not None and 0 < len(graph.edges) <= SUBSET_CHECK_EDGES:
+            order = graph.edge_ids
+            n = len(order)
+            for mask in range(1, 1 << n):
+                F = [order[i] for i in range(n) if mask >> i & 1]
+                lhs = cm.fhat(graph, F, prof, expanded=expansion)
+                rhs = cm.fhat_bruteforce(graph, F, prof)
+                out["subset_checks"] += 1
+                if lhs != rhs:
+                    raise _disagreement(
+                        graph, model, d, case_rng.seed, cs, run.ranks,
+                        "fhat(%r) = %d != brute force %d" % (F, lhs, rhs),
+                    )
+    except EngineDisagreement as exc:
+        out["agrees"] = False
+        out["failure"] = exc.dump
     return out
 
 
@@ -643,6 +610,12 @@ def _failure_dump(graph, model, d, seed, cs: CountSide, ranks, reason: str) -> d
     dump = _dump(graph, model, d, seed, cs, ranks)
     dump["reason"] = reason
     return dump
+
+
+def _disagreement(graph, model, d, seed, cs: CountSide, ranks, reason: str):
+    return EngineDisagreement(
+        reason, _failure_dump(graph, model, d, seed, cs, ranks, reason)
+    )
 
 
 def fuzz_equivalence(
@@ -654,32 +627,31 @@ def fuzz_equivalence(
     trials: int = 3,
     max_vertices: int = FUZZ_MAX_VERTICES,
     rod_bias: float = 0.5,
-    threads: Optional[int] = None,
 ) -> FuzzSummary:
-    """Random-instance equivalence run; see the module docstring for policy."""
-    check_prime(prime)
-    _check_model_dimension(model, d)
-    if max_vertices > FUZZ_MAX_VERTICES:
-        raise ValueError("fuzz is desk-scale: at most %d vertices" % FUZZ_MAX_VERTICES)
+    """Random-instance equivalence run; see the module docstring for policy.
+
+    Case i draws its graph and samples from master.spawn(i) alone, so it
+    depends only on (seed, i).
+    """
+    _check_run_settings(model, d, prime, trials)
+    if cases < 0:
+        raise ValueError("cases must be >= 0, got %d" % cases)
+    if not 2 <= max_vertices <= FUZZ_MAX_VERTICES:
+        raise ValueError(
+            "fuzz is desk-scale: max_vertices must be in [2, %d], got %d"
+            % (FUZZ_MAX_VERTICES, max_vertices)
+        )
+    if not 0 <= rod_bias <= 1:
+        raise ValueError("rod_bias must be in [0, 1], got %r" % rod_bias)
     master = SplitMix64(seed)
     summary = FuzzSummary(model=model, d=d, cases=cases, agreements=0, escalations=0,
                           trivial_checked=0, trivial_violations=0, subset_checks=0)
-
-    def run(i: int) -> dict:
+    for i in range(cases):
         case_rng = master.spawn(i)
         graph = random_multigraph(
             case_rng.spawn(10_000), model, max_vertices=max_vertices, rod_bias=rod_bias
         )
-        return fuzz_case(graph, model, d, prime, case_rng, trials)
-
-    n_threads = _thread_count(threads)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(run, range(cases)))
-    else:
-        results = [run(i) for i in range(cases)]
-
-    for i, res in enumerate(results):
+        res = fuzz_case(graph, model, d, prime, case_rng, trials)
         summary.agreements += 1 if res["agrees"] else 0
         summary.escalations += 1 if res["escalated"] else 0
         summary.trivial_checked += res["trivial_checked"]

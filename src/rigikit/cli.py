@@ -9,7 +9,7 @@ Subcommands:
 Reports go to stdout, diagnostics to stderr.  JSON output is canonical
 (sorted keys, fixed separators): identical argv, including --seed, gives
 byte-identical bytes.  Text output is human-oriented and not stable.
-Exit codes: 0 ok, 1 bad input/schema, 2 engine disagreement.
+Exit codes: 0 ok, 1 bad input, schema or usage, 2 engine disagreement.
 """
 
 from __future__ import annotations
@@ -23,14 +23,20 @@ from . import flats as fl
 from .analysis import (
     EngineDisagreement,
     analyze,
+    count_host,
     fuzz_equivalence,
 )
 from .documents import MODELS, SchemaError, parse_document
 from .field import DEFAULT_PRIME, SplitMix64, check_prime
-from .graph import CountProfile, GraphError
+from .graph import GraphError
 
-_MODEL_DIMS = {"body-bar": 2, "rod-bar": 3, "body-rod-bar": 3, "body-hinge": 3,
-               "direction": 2}
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit 1: exit 2 means engine disagreement."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -97,16 +103,7 @@ def _cmd_decompose(args) -> int:
     graph, model, d, _ = _load_document(args.file)
     if args.dim is not None:
         d = args.dim
-    if model == "direction":
-        prof = CountProfile.direction(d)
-        host = graph
-    else:
-        prof = CountProfile.body_rod_bar(d)
-        host = graph
-        if model == "body-hinge":
-            from .analysis import _rekind_hinges
-
-            host = _rekind_hinges(graph)
+    prof, host = count_host(graph, model, d)
     dec = cm.p_components(host, prof)
     payload = {
         "schema": 1,
@@ -133,7 +130,6 @@ def _cmd_fuzz(args) -> int:
         trials=args.trials,
         max_vertices=args.max_vertices,
         rod_bias=args.rod_bias,
-        threads=args.threads,
     )
     text = "%d/%d agree (%d escalated, %d trivial-motion checks, %d violations)\n" % (
         summary.agreements,
@@ -223,7 +219,7 @@ def _cmd_truncate_demo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rigikit",
         description="Rigidity of body/rod/hinge/direction frameworks, two ways: "
         "count matroids and exact randomized matrices.",
@@ -261,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-vertices", type=int, default=8)
     sp.add_argument("--rod-bias", type=float, default=0.5,
                     help="probability a vertex is a rod/hinge (default 0.5)")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="parallel cases (default: RIGIKIT_THREADS or 1)")
     common(sp)
     sp.set_defaults(func=_cmd_fuzz)
 

@@ -23,7 +23,6 @@ from typing import Iterable, Optional, Sequence
 
 from .graph import (
     CountProfile,
-    GraphError,
     Multigraph,
     VertexKind,
     build_graph,
@@ -291,11 +290,6 @@ def rank(graph: Multigraph, eids, prof: CountProfile) -> RankCertificate:
 # Polymatroid rank via expansion
 
 
-def expansion(graph: Multigraph, prof: CountProfile):
-    """(f-expanded graph, copy map); thin alias kept for callers that cache it."""
-    return expand_f(graph, prof)
-
-
 def fhat(graph: Multigraph, eids, prof: CountProfile, expanded=None) -> int:
     """Polymatroid rank: the matroid rank of the copies of F in the expansion."""
     _check_countable(graph, prof)
@@ -315,45 +309,49 @@ def p_components(graph: Multigraph, prof: CountProfile) -> Decomposition:
     """
     _check_countable(graph, prof)
     exp_graph, copies = expand_f(graph, prof)
-    basis, comps = _components_via_circuits(exp_graph, prof, exp_graph.edge_ids)
-    comp_of: dict[str, int] = {}
-    for i, comp in enumerate(comps):
-        for cid in comp:
-            comp_of[cid] = i
+    return p_components_of_expansion(
+        (exp_graph, copies), rank(exp_graph, None, prof), prof
+    )
 
+
+def p_components_of_expansion(expanded, cert: RankCertificate, prof: CountProfile):
+    """P-components of a graph, read from the rank certificate of its f-expansion.
+
+    expanded is expand_f's (expanded graph, copy map).  The certificate's
+    parts are the expansion's nontrivial M-components; each must be the
+    union of the copy sets of whole edges, and the sum of f over the
+    components must equal the certified fhat(E) = cert.value.
+    """
+    exp_graph, copies = expanded
+    part_of = {cid: i for i, part in enumerate(cert.parts) for cid in part}
     result: list[tuple[str, ...]] = []
-    assigned: set[str] = set()
-    comp_members: dict[int, list[str]] = {}
-    for e in graph.edge_ids:
-        idxs = {comp_of[cid] for cid in copies[e]}
-        nontrivial = {i for i in idxs if len(comps[i]) > 1}
-        if not nontrivial:
+    members: dict[int, list[str]] = {}
+    for e, ids in copies.items():
+        idxs = {part_of.get(cid) for cid in ids}
+        if idxs == {None}:
             result.append((e,))
-            assigned.add(e)
+        elif len(idxs) != 1:
+            raise RuntimeError("copies of edge %r straddle several M-components" % e)
         else:
-            if len(idxs) != 1:
-                raise RuntimeError(
-                    "copies of edge %r straddle several M-components" % e
-                )
-            comp_members.setdefault(idxs.pop(), []).append(e)
-    for i in sorted(comp_members):
-        members = comp_members[i]
-        if sorted(comps[i]) != sorted(
-            cid for e in members for cid in copies[e]
-        ):
+            members.setdefault(idxs.pop(), []).append(e)
+    for i, es in members.items():
+        if sorted(cert.parts[i]) != sorted(cid for e in es for cid in copies[e]):
             raise RuntimeError("M-component is not a union of whole copy sets")
-        result.append(tuple(members))
-        assigned.update(members)
+        result.append(tuple(es))
 
-    result.sort(key=lambda c: graph.edge_index[c[0]])
+    position = {e: k for k, e in enumerate(copies)}
+    result.sort(key=lambda c: position[c[0]])
     dec = Decomposition(kind="P", components=tuple(result))
 
-    if graph.edges:
-        total = sum(f_value(graph, comp, prof) for comp in dec.components)
-        if total != len(basis):
+    if copies:
+        total = sum(
+            f_value(exp_graph, [copies[e][0] for e in comp], prof)
+            for comp in dec.components
+        )
+        if total != cert.value:
             raise RuntimeError(
                 "P-component decomposition is not a minimizer: "
-                "sum f = %d but fhat(E) = %d" % (total, len(basis))
+                "sum f = %d but fhat(E) = %d" % (total, cert.value)
             )
     return dec
 
@@ -524,20 +522,7 @@ def _restricted_cost(fmask, keep_mask, n):
 
 
 # ---------------------------------------------------------------------------
-# Model-level count verdicts
-
-
-@dataclass(frozen=True)
-class CountVerdict:
-    model: str
-    target: int
-    n_edges: int
-    rank: int
-    verdict: str  # "trivially rigid" | "minimally rigid" | "rigid" | "flexible"
-
-    @property
-    def rigid(self) -> bool:
-        return self.verdict != "flexible"
+# Model-level count target
 
 
 def global_count_target(graph: Multigraph, prof: CountProfile) -> int:
@@ -545,33 +530,3 @@ def global_count_target(graph: Multigraph, prof: CountProfile) -> int:
     return (
         sum(prof.capacity_of(graph, v) for v in graph.vertex_ids) - prof.offset
     )
-
-
-def check_counts(graph: Multigraph, prof: CountProfile, model: str) -> CountVerdict:
-    """Rigidity verdict of the counting side for one structural model.
-
-    The subset inequalities are certified through rank(E): the edge set is
-    independent iff rank(E) == |E|, with no subset enumeration.
-    """
-    kinds = {graph.kinds[v] for v in graph.vertex_ids}
-    if model == "body-bar" and kinds - {VertexKind.BODY}:
-        raise GraphError("body-bar model admits body vertices only")
-    if model == "rod-bar" and kinds - {VertexKind.ROD}:
-        raise GraphError("rod-bar model admits rod vertices only")
-    if model == "body-rod-bar" and kinds - {VertexKind.BODY, VertexKind.ROD}:
-        raise GraphError("body-rod-bar model admits body and rod vertices only")
-    if model not in ("body-bar", "rod-bar", "body-rod-bar"):
-        raise ValueError("unknown count model %r" % model)
-
-    n_edges = len(graph.edges)
-    if len(graph.vertex_ids) <= 1:
-        return CountVerdict(model, 0, n_edges, 0, "trivially rigid")
-    target = global_count_target(graph, prof)
-    r = rank_value(graph, None, prof)
-    if r == target == n_edges:
-        verdict = "minimally rigid"
-    elif r == target:
-        verdict = "rigid"
-    else:
-        verdict = "flexible"
-    return CountVerdict(model, target, n_edges, r, verdict)

@@ -64,8 +64,8 @@ class SplitMix64:
     ``spawn(i)`` derives an independent child stream: the child seed is
     ``mix(seed + (i + 1) * golden)``.  This is the documented per-case /
     per-trial seed derivation used by the fuzz harness: case ``i`` of a
-    run with master seed ``s`` always sees the same stream, regardless
-    of how many worker threads execute the run.
+    run with master seed ``s`` always sees the same stream, whatever
+    other cases the run holds.
     """
 
     __slots__ = ("seed", "_state")

@@ -67,15 +67,9 @@ class Multigraph:
     def kind(self, vid: str) -> VertexKind:
         return self.kinds[vid]
 
-    def vertices_of_kind(self, kind: VertexKind) -> tuple[str, ...]:
-        return tuple(v for v in self.vertex_ids if self.kinds[v] == kind)
-
     def sorted_edge_ids(self, eids: Iterable[str]) -> tuple[str, ...]:
         """Edge ids in construction order (the deterministic order everywhere)."""
         return tuple(sorted(eids, key=self.edge_index.__getitem__))
-
-    def has_kind(self, kind: VertexKind) -> bool:
-        return any(k == kind for k in self.kinds.values())
 
 
 def build_graph(vertices: Sequence, edges: Sequence) -> Multigraph:

@@ -65,15 +65,3 @@ def nullspace(rows, ncols: int, p: int):
 
 def mat_vec(rows, vec, p: int):
     return [sum(a * b for a, b in zip(row, vec)) % p for row in rows]
-
-
-def in_row_span(rows, vec, p: int) -> bool:
-    """True iff vec is a linear combination of the given rows."""
-    base = rank(rows, p)
-    return rank(list(rows) + [list(vec)], p) == base
-
-
-def rank_extension(base_rows, extra_rows, p: int) -> int:
-    """Rank added by extra_rows on top of base_rows."""
-    base = rank(base_rows, p)
-    return rank(list(base_rows) + list(extra_rows), p) - base

@@ -15,7 +15,7 @@ incidence condition pairing(q_e, r_v) = 0 at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 from . import linalg
@@ -222,17 +222,7 @@ def matrix_body_rod_bar(
 ) -> RigidityMatrix:
     """Body-rod-bar matrix: body-bar row pattern over an incident bar config."""
     check_incidence(graph, rods, bars)
-    m = matrix_body_bar(graph, bars, seed=seed)
-    return RigidityMatrix(
-        model="body-rod-bar",
-        d=m.d,
-        p=m.p,
-        block=m.block,
-        vertex_order=m.vertex_order,
-        row_labels=m.row_labels,
-        rows=m.rows,
-        seed=seed,
-    )
+    return replace(matrix_body_bar(graph, bars, seed=seed), model="body-rod-bar")
 
 
 def matrix_edge_flats(
@@ -368,10 +358,6 @@ def matrix_direction(
 
 # ---------------------------------------------------------------------------
 # Rank, kernel, and trivial motions
-
-
-def rank_exact(m: RigidityMatrix) -> int:
-    return m.rank()
 
 
 @dataclass(frozen=True)

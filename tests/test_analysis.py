@@ -1,8 +1,13 @@
 import pytest
 
+from rigikit import count_matroid as cm
 from rigikit.analysis import (
+    BAR_MODELS,
+    ROD_MODELS,
     analyze,
+    count_host,
     count_side,
+    fuzz_case,
     fuzz_equivalence,
     random_multigraph,
 )
@@ -92,6 +97,56 @@ def test_analyze_rejects_d2_rod_models():
         analyze(two_rods(2), "rod-bar", 2)
     with pytest.raises(ValueError, match="d=2"):
         fuzz_equivalence("body-rod-bar", 2, 1)
+
+
+def test_analyze_rejects_malformed_settings():
+    with pytest.raises(ValueError, match="trials"):
+        analyze(two_rods(4), "rod-bar", 3, trials=0)
+    with pytest.raises(ValueError, match="direction"):
+        analyze(two_rods(4), "rod-bar", 3, joints={"r1": (0, 0, 0), "r2": (1, 0, 0)})
+
+
+MODELS = ("body-bar", "rod-bar", "body-rod-bar", "body-hinge", "direction")
+
+
+def test_analyze_matches_standalone_count_engine():
+    rng = SplitMix64(303)
+    for case in range(4):
+        for model in MODELS:
+            d = 2 + case % 2 if model in ("body-bar", "direction") else 3
+            g = random_multigraph(rng.spawn(case).spawn(len(model)), model, max_vertices=5)
+            rep = analyze(g, model, d, seed=case)
+            cs = count_side(g, model, d)
+            prof, host = count_host(g, model, d)
+            cert = cm.rank(cs.count_graph, None, prof)
+            assert (rep.certificate_free, rep.certificate_parts) == (cert.free_part, cert.parts)
+            assert rep.p_components == cm.p_components(host, prof).components
+            firsts = [g.edge_index[c[0]] for c in rep.p_components]
+            assert firsts == sorted(firsts)  # the report lists them in edge order
+            expected_fhat = cm.fhat(g, None, prof) if model in ROD_MODELS else None
+            assert rep.fhat_rank == expected_fhat
+
+
+def test_one_circuit_pass_per_matroid(monkeypatch):
+    calls = []
+    real = cm._components_via_circuits
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(cm, "_components_via_circuits", counted)
+    rng = SplitMix64(404)
+    for model in MODELS:
+        g = random_multigraph(rng.spawn(len(model)), model, max_vertices=5)
+        calls.clear()
+        analyze(g, model, 3, seed=1)
+        # bar models: the count matroid on the graph and the expansion's for
+        # the P-components; otherwise the expansion is the count matroid
+        assert len(calls) == (2 if model in BAR_MODELS else 1), model
+        calls.clear()
+        fuzz_equivalence(model, 3, 2, seed=1)
+        assert calls == []  # fuzz runs no circuit extraction
 
 
 def test_analyze_escalates_on_unlucky_samples():
@@ -211,11 +266,26 @@ def test_fuzz_small_runs_agree():
     assert s.subset_checks > 0
 
 
-def test_fuzz_deterministic_and_thread_invariant():
+def test_fuzz_deterministic_and_case_independent():
     a = fuzz_equivalence("body-rod-bar", 3, 8, seed=99)
     b = fuzz_equivalence("body-rod-bar", 3, 8, seed=99)
-    c = fuzz_equivalence("body-rod-bar", 3, 8, seed=99, threads=3)
-    assert a.to_json_dict() == b.to_json_dict() == c.to_json_dict()
+    assert a.to_json_dict() == b.to_json_dict()
+    # case i depends only on (seed, i): running the cases backwards adds up
+    # to the same summary
+    master = SplitMix64(99)
+    results = []
+    for i in reversed(range(8)):
+        case_rng = master.spawn(i)
+        g = random_multigraph(case_rng.spawn(10_000), "body-rod-bar")
+        results.append(fuzz_case(g, "body-rod-bar", 3, P, case_rng, 3))
+    for key, total in (
+        ("agrees", a.agreements),
+        ("escalated", a.escalations),
+        ("trivial_checked", a.trivial_checked),
+        ("trivial_violations", a.trivial_violations),
+        ("subset_checks", a.subset_checks),
+    ):
+        assert sum(r[key] for r in results) == total, key
 
 
 def test_fuzz_case_failure_dump_replayable():
@@ -258,19 +328,3 @@ def test_dump_document_replays_through_analyze():
     rep = analyze(graph, model, d, seed=dump["seed"])
     assert rep.count_rank == dump["count_rank"]
     assert rep.verdict == "minimally rigid"
-
-
-def test_threads_env_variable(monkeypatch):
-    from rigikit.analysis import _thread_count
-
-    monkeypatch.delenv("RIGIKIT_THREADS", raising=False)
-    assert _thread_count(None) == 1
-    monkeypatch.setenv("RIGIKIT_THREADS", "4")
-    assert _thread_count(None) == 4
-    assert _thread_count(2) == 2  # explicit argument wins
-    monkeypatch.setenv("RIGIKIT_THREADS", "junk")
-    assert _thread_count(None) == 1
-    summary = fuzz_equivalence("body-bar", 3, 4, seed=5)
-    monkeypatch.setenv("RIGIKIT_THREADS", "3")
-    summary_threaded = fuzz_equivalence("body-bar", 3, 4, seed=5)
-    assert summary.to_json_dict() == summary_threaded.to_json_dict()

@@ -112,6 +112,58 @@ def test_decompose(tmp_path, capsys):
     assert payload["components"] == [["e0", "e1", "e2"]]
 
 
+def test_decompose_checks_model_dimension(tmp_path, capsys):
+    doc = {
+        "schema": 1,
+        "model": "body-rod-bar",
+        "dimension": 3,
+        "vertices": [{"id": "a", "kind": "body"}, {"id": "r", "kind": "rod"}],
+        "edges": [["a", "r"]] * 5,
+    }
+    path = write_doc(tmp_path, doc)
+    for command in ("analyze", "decompose"):
+        code, out, err = run(capsys, [command, path, "--dim", "2"])
+        assert code == 1, command
+        assert out == "" and "needs dimension >= 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuzz", "--model", "nope"],
+        ["analyze"],
+        ["fuzz", "--model", "body-bar", "--cases", "x"],
+        ["fuzz", "--model", "body-bar", "--cases", "1", "--threads", "2"],
+        [],
+    ],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    # exit 2 is reserved for engine disagreement
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "DOC", "--trials", "0"], "trials must be at least 1"),
+        (["analyze", "DOC", "--trials", "-2"], "trials must be at least 1"),
+        (["fuzz", "--model", "body-bar", "--trials", "0"], "trials must be at least 1"),
+        (["fuzz", "--model", "body-bar", "--cases", "-3"], "cases must be >= 0"),
+        (["fuzz", "--model", "body-bar", "--max-vertices", "1"], "max_vertices"),
+        (["fuzz", "--model", "body-bar", "--rod-bias", "7"], "rod_bias"),
+    ],
+)
+def test_malformed_settings_exit_1(argv, message, tmp_path, capsys):
+    path = write_doc(tmp_path, two_rods_doc())
+    code, out, err = run(capsys, [path if a == "DOC" else a for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_fuzz_cli(capsys):
     code, out, _ = run(
         capsys,

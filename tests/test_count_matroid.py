@@ -10,7 +10,6 @@ import pytest
 
 from rigikit.count_matroid import (
     PebbleState,
-    check_counts,
     fhat,
     fhat_bruteforce,
     is_independent,
@@ -84,8 +83,6 @@ def test_two_rods_four_bars_minimal():
     g = parallel(4)
     cert = rank(g, None, PROF3)
     assert cert.value == 4 == 5 * 2 - 6
-    verdict = check_counts(g, PROF3, "rod-bar")
-    assert verdict.verdict == "minimally rigid"
 
 
 def test_hinge_vertex_rejected():
@@ -430,33 +427,6 @@ def test_simplified_star_copies_are_coloops():
         if done >= 5:
             break
     assert done >= 3
-
-
-# ---------------------------------------------------------------------------
-# check_counts
-
-
-def test_check_counts_models():
-    rod4 = parallel(4)
-    assert check_counts(rod4, PROF3, "rod-bar").verdict == "minimally rigid"
-
-    tree = build_graph(
-        [("a", "body"), ("b", "body"), ("c", "body")], [("a", "b"), ("b", "c")]
-    )
-    assert check_counts(tree, PROF3, "body-bar").verdict == "flexible"
-
-    mixed = build_graph([("b", "body"), ("r", "rod")], [("b", "r")] * 5)
-    v = check_counts(mixed, PROF3, "body-rod-bar")
-    assert v.verdict == "minimally rigid"
-    assert v.target == 6 + 5 - 6
-
-    single = build_graph([("a", "body")], [])
-    assert check_counts(single, PROF3, "body-bar").verdict == "trivially rigid"
-
-    with pytest.raises(GraphError):
-        check_counts(mixed, PROF3, "body-bar")
-    with pytest.raises(ValueError):
-        check_counts(mixed, PROF3, "panel-hinge")
 
 
 def test_rank_capped_by_size_and_f():

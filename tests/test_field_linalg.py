@@ -72,12 +72,6 @@ def test_rank_known_matrix():
     assert linalg.rank([], P) == 0
 
 
-def test_in_row_span():
-    rows = [[1, 0, 0], [0, 1, 0]]
-    assert linalg.in_row_span(rows, [5, 7, 0], P)
-    assert not linalg.in_row_span(rows, [0, 0, 1], P)
-
-
 def test_submasks():
     assert sorted(submasks(0b101)) == [0b001, 0b100, 0b101]
     assert list(submasks(0)) == []
