@@ -131,6 +131,8 @@ def generic_matroid_rank(fam: FlatFamily, ids=None, rng: SplitMix64 = None, tria
     sel = fam.subset(ids)
     if rng is None:
         raise ValueError("generic_matroid_rank needs an rng")
+    if trials < 1:
+        raise ValueError("trials must be at least 1, got %d" % trials)
     best = 0
     for t in range(trials):
         sub = rng.spawn(t)

@@ -1,13 +1,66 @@
 """Exact dense linear algebra over a prime field.
 
-Matrices are lists of row lists of ints in [0, p).  Everything is plain
-Gaussian elimination with a fixed pivot rule (leftmost column, topmost
-row), so results are deterministic for deterministic inputs.
+Vectors are sequences of ints (lists or tuples); matrices are sequences of
+such rows.  One primitive, ``Echelon``, answers every question: it grows a
+row echelon form one vector at a time.  Each stored row is monic at its
+pivot, zero left of it, and zero at the pivot of every row stored before
+it, so ``reduce`` clears the pivot columns in insertion order and only
+touches columns from each pivot onward.
+
+``rank`` is forward elimination alone.  ``rref`` adds one back-substitution
+and sorts the rows by pivot; the reduced row-echelon form of a row space is
+unique, so ``rref`` and ``nullspace`` do not depend on the order in which
+rows are given, and results are deterministic for deterministic inputs.
 """
 
 from __future__ import annotations
 
 from .field import mod_inv
+
+
+class Echelon:
+    """A row echelon basis over F_p, grown one vector at a time."""
+
+    __slots__ = ("p", "rows", "pivots")
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec) -> list[int]:
+        """A fresh copy of vec with every pivot column cleared; zero iff in the span."""
+        p = self.p
+        v = [x % p for x in vec]
+        for row, c in zip(self.rows, self.pivots):
+            m = v[c]
+            if m:
+                v[c:] = [(a - m * b) % p for a, b in zip(v[c:], row[c:])]
+        return v
+
+    def add(self, vec) -> bool:
+        """Store vec's residual if it is nonzero; True iff the rank grew."""
+        v = self.reduce(vec)
+        for c, x in enumerate(v):
+            if x:
+                inv = mod_inv(x, self.p)
+                v[c:] = [y * inv % self.p for y in v[c:]]
+                self.rows.append(v)
+                self.pivots.append(c)
+                return True
+        return False
+
+
+def rank(rows, p: int) -> int:
+    ech = Echelon(p)
+    for row in rows:
+        if ech.add(row) and ech.rank == len(row):
+            break
+    return ech.rank
 
 
 def rref(rows, p: int):
@@ -16,36 +69,18 @@ def rref(rows, p: int):
     Returns (R, pivot_cols).  R has the same shape as the input (possibly
     zero rows at the bottom); len(pivot_cols) is the rank.
     """
-    R = [[x % p for x in row] for row in rows]
-    if not R:
-        return R, []
-    ncols = len(R[0])
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = -1
-        for i in range(r, len(R)):
-            if R[i][c]:
-                pivot = i
-                break
-        if pivot < 0:
-            continue
-        R[r], R[pivot] = R[pivot], R[r]
-        inv = mod_inv(R[r][c], p)
-        R[r] = [x * inv % p for x in R[r]]
-        for i in range(len(R)):
-            if i != r and R[i][c]:
-                m = R[i][c]
-                R[i] = [(a - m * b) % p for a, b in zip(R[i], R[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(R):
-            break
+    ech = Echelon(p)
+    for row in rows:
+        ech.add(row)
+    # Back-substitution: re-adding the rows from the last pivot to the first
+    # clears every later pivot column from each row.
+    back = Echelon(p)
+    for i in sorted(range(ech.rank), key=ech.pivots.__getitem__, reverse=True):
+        back.add(ech.rows[i])
+    R, pivot_cols = back.rows[::-1], back.pivots[::-1]
+    if rows:
+        R.extend([0] * len(rows[0]) for _ in range(len(rows) - len(R)))
     return R, pivot_cols
-
-
-def rank(rows, p: int) -> int:
-    return len(rref(rows, p)[1])
 
 
 def nullspace(rows, ncols: int, p: int):

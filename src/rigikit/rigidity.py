@@ -130,13 +130,13 @@ class RigidityMatrix:
         return self.vertex_order.index(v) * self.block
 
     def rank(self) -> int:
-        return linalg.rank([list(r) for r in self.rows], self.p)
+        return linalg.rank(self.rows, self.p)
 
     def kernel_dim(self) -> int:
         return self.ncols - self.rank()
 
     def apply(self, vec) -> list[int]:
-        return linalg.mat_vec([list(r) for r in self.rows], list(vec), self.p)
+        return linalg.mat_vec(self.rows, vec, self.p)
 
 
 def _two_block_row(ncols: int, bu: int, bv: int, coords, p: int):
@@ -434,26 +434,21 @@ def kernel_basis(
     Raises if a formally trivial motion is not actually in the kernel:
     that can only happen on an invalid configuration.
     """
-    rows = [list(r) for r in m.rows]
-    kern = linalg.nullspace(rows, m.ncols, m.p)
+    kern = linalg.nullspace(m.rows, m.ncols, m.p)
     trivials = trivial_motions(m, rods=rods, joints=joints)
     for kind, vec in trivials:
         if any(m.apply(vec)):
             raise ConfigError("%s motion is not in the kernel" % kind)
-    span = [list(vec) for _, vec in trivials]
-    trivial_dim = linalg.rank(span, m.p)
+    span = linalg.Echelon(m.p)
+    for _, vec in trivials:
+        span.add(vec)
+    trivial_dim = span.rank
     entries = list(trivials)
-    current = [list(vec) for _, vec in trivials]
-    cur_rank = trivial_dim
     for vec in kern:
-        if cur_rank == len(kern):
+        if span.rank == len(kern):
             break
-        cand = current + [vec]
-        r = linalg.rank(cand, m.p)
-        if r > cur_rank:
+        if span.add(vec):
             entries.append(("nontrivial", tuple(vec)))
-            current = cand
-            cur_rank = r
     return MotionBasis(
         entries=tuple(entries),
         kernel_dim=len(kern),

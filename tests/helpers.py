@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from rigikit.field import SplitMix64
+from rigikit.field import SplitMix64, mod_inv
 from rigikit.graph import Multigraph, VertexKind, build_graph
 
 
@@ -47,3 +47,40 @@ def subsets_of(items):
     n = len(items)
     for mask in range(1 << n):
         yield [items[i] for i in range(n) if mask >> i & 1]
+
+
+def rref_reference(rows, p: int):
+    """Textbook Gauss-Jordan RREF (leftmost column, topmost row), the linalg reference.
+
+    Returns (R, pivot_cols) with R the same shape as the input.
+    """
+    R = [[x % p for x in row] for row in rows]
+    if not R:
+        return R, []
+    ncols = len(R[0])
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = -1
+        for i in range(r, len(R)):
+            if R[i][c]:
+                pivot = i
+                break
+        if pivot < 0:
+            continue
+        R[r], R[pivot] = R[pivot], R[r]
+        inv = mod_inv(R[r][c], p)
+        R[r] = [x * inv % p for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c]:
+                m = R[i][c]
+                R[i] = [(a - m * b) % p for a, b in zip(R[i], R[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == len(R):
+            break
+    return R, pivot_cols
+
+
+def rank_reference(rows, p: int) -> int:
+    return len(rref_reference(rows, p)[1])

@@ -154,6 +154,8 @@ def test_usage_errors_exit_1(argv, capsys):
         (["fuzz", "--model", "body-bar", "--cases", "-3"], "cases must be >= 0"),
         (["fuzz", "--model", "body-bar", "--max-vertices", "1"], "max_vertices"),
         (["fuzz", "--model", "body-bar", "--rod-bias", "7"], "rod_bias"),
+        (["truncate-demo", "--trials", "0"], "trials must be at least 1"),
+        (["truncate-demo", "--trials", "-2"], "trials must be at least 1"),
     ],
 )
 def test_malformed_settings_exit_1(argv, message, tmp_path, capsys):
