@@ -20,7 +20,15 @@ from . import count_matroid as cm
 from . import rigidity as rg
 from .documents import graph_document
 from .field import SplitMix64, check_prime, DEFAULT_PRIME
-from .graph import CountProfile, Multigraph, VertexKind, build_graph, expand_f, f_value
+from .graph import (
+    CountProfile,
+    Multigraph,
+    VertexKind,
+    build_graph,
+    expand_f,
+    f_value,
+    hinges_as_rods,
+)
 
 ESCALATED_TRIALS = 10
 FUZZ_MAX_VERTICES = 8
@@ -67,14 +75,7 @@ def count_host(graph: Multigraph, model: str, d: int):
     if model in BAR_MODELS:
         return CountProfile.body_rod_bar(d), graph
     if model == "body-hinge":
-        rekinded = build_graph(
-            [
-                (v, VertexKind.ROD if graph.kinds[v] == VertexKind.HINGE else VertexKind.BODY)
-                for v in graph.vertex_ids
-            ],
-            [(e.u, e.v, e.id) for e in graph.edges],
-        )
-        return CountProfile.body_rod_bar(d), rekinded
+        return CountProfile.body_rod_bar(d), hinges_as_rods(graph)
     raise ValueError("unknown model %r" % model)
 
 
@@ -135,15 +136,15 @@ def linear_trial(
     if model == "direction":
         if joints is None:
             joints = rg.sample_joints(graph, d, rng.spawn(2), p)
-        m = rg.matrix_direction(graph, joints, d, p, seed=rng.seed)
+        m = rg.matrix_direction(graph, joints, d, p)
     elif model == "body-hinge":
         exp = rg.expand_hinge(graph, d, rng, p)
         rods = exp.rods
-        m = rg.matrix_body_rod_bar(exp.graph, rods, exp.bars, seed=rng.seed)
+        m = rg.matrix_body_rod_bar(exp.graph, rods, exp.bars)
     else:
         rods = rg.sample_rod_config(graph, d, rng.spawn(0), p)
         bars = rg.sample_bar_config(graph, rods, rng.spawn(1), p)
-        m = rg.matrix_body_rod_bar(graph, rods, bars, seed=rng.seed)
+        m = rg.matrix_body_rod_bar(graph, rods, bars)
     checked, bad = rg.verify_trivial_motions(m, rods=rods, joints=joints)
     trial = LinearTrial(
         rank=m.rank(),
@@ -389,16 +390,6 @@ def analyze(
     if oracle:
         oracle_result = _run_oracle(model, cs)
 
-    if model == "direction":
-        trivial_count = d + 1
-    else:
-        n_rods = sum(
-            1
-            for v in graph.vertex_ids
-            if graph.kinds[v] in (VertexKind.ROD, VertexKind.HINGE)
-        )
-        trivial_count = D + n_rods
-
     return Report(
         model=model,
         d=d,
@@ -419,7 +410,7 @@ def analyze(
         fhat_rank=fhat_rank,
         graphic_union_ranks=tuple(run.graphic_union_ranks),
         kernel_dim=basis.kernel_dim,
-        trivial_motion_count=trivial_count,
+        trivial_motion_count=len(basis.entries) - basis.nontrivial_dim,
         trivial_span_dim=basis.trivial_span_dim,
         nontrivial_dim=basis.nontrivial_dim,
         trivial_checked=run.trivial_checked,

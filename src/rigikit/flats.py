@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from . import linalg
+from .exterior import random_point_in_span
 from .field import SplitMix64, mod_inv
 from .partitions import min_partition
 
@@ -138,22 +139,11 @@ def generic_matroid_rank(fam: FlatFamily, ids=None, rng: SplitMix64 = None, tria
         sub = rng.spawn(t)
         rows = []
         for fid in sel:
-            rows.append(list(_random_point(fam.flats[fid], sub, fam.p)))
+            flat = fam.flats[fid]
+            point = random_point_in_span(flat.basis, flat.ambient - 1, sub, fam.p)
+            rows.append(list(point))
         best = max(best, linalg.rank(rows, fam.p))
     return best
-
-
-def _random_point(flat: Flat, rng: SplitMix64, p: int):
-    for _ in range(MAX_HYPERPLANE_RETRIES):
-        point = [0] * flat.ambient
-        for vec in flat.basis:
-            c = rng.field_elem(p)
-            if c:
-                for i in range(flat.ambient):
-                    point[i] = (point[i] + c * vec[i]) % p
-        if any(point):
-            return tuple(point)
-    raise RuntimeError("could not sample a nonzero point of a flat")
 
 
 def generic_rank_bruteforce(fam: FlatFamily, ids=None) -> int:

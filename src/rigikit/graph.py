@@ -87,11 +87,10 @@ def build_graph(vertices: Sequence, edges: Sequence) -> Multigraph:
     for item in vertices:
         vid, kind = item
         vid = str(vid)
-        if isinstance(kind, str) and not isinstance(kind, VertexKind):
-            try:
-                kind = _KIND_BY_NAME[kind]
-            except KeyError:
+        if not isinstance(kind, VertexKind):
+            if not isinstance(kind, str) or kind not in _KIND_BY_NAME:
                 raise GraphError("vertex %r has unknown kind %r" % (vid, kind))
+            kind = _KIND_BY_NAME[kind]
         if vid in kinds:
             raise GraphError("duplicate vertex id %r" % vid)
         ids.append(vid)
@@ -147,7 +146,7 @@ class CountProfile:
         """Bodies get D = (d+1 choose 2) freedoms, rods D-1; offset D.
 
         Hinge vertices are deliberately absent: hinges must be converted to
-        rods (see rigidity.expand_hinge) before any counting happens.
+        rods (see hinges_as_rods) before any counting happens.
         """
         if not 2 <= d <= 6:
             raise ValueError("dimension d must be in [2, 6], got %d" % d)
@@ -235,3 +234,18 @@ def expand_f(graph: Multigraph, prof: CountProfile):
         [(v, graph.kinds[v]) for v in graph.vertex_ids], new_edges
     )
     return expanded, copies
+
+
+def hinges_as_rods(graph: Multigraph) -> Multigraph:
+    """The same vertices, edges and ids, with hinges made rods and the rest bodies.
+
+    This is how an identified body-hinge graph is counted (and realized):
+    each hinge is a rod, each body-hinge edge a rod-body bar edge.
+    """
+    kinds = [
+        VertexKind.ROD if graph.kinds[v] == VertexKind.HINGE else VertexKind.BODY
+        for v in graph.vertex_ids
+    ]
+    return build_graph(
+        list(zip(graph.vertex_ids, kinds)), [(e.u, e.v, e.id) for e in graph.edges]
+    )

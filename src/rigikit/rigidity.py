@@ -1,8 +1,12 @@
 """Exact prime-field rigidity matrices for each structural model.
 
-Rows follow the two-block pattern: the row of a bar e = uv carries the
-bar's degree-2 Pluecker coordinates q_e in the column block of u and -q_e
-in the block of v (block width D = (d+1 choose 2)).  Column blocks hold
+Every matrix is a graph plus a map from edge to vectors: two_block_matrix
+turns each vector alpha of an edge e = uv into one row with alpha in the
+column block of u and -alpha in the block of v.  The builders differ only
+in the vectors they contribute per edge: a free D-vector (graphic union),
+the bar's degree-2 Pluecker coordinates q_e (body-bar, body-rod-bar), a
+basis of the edge's bar flat (edge flats), or a basis of (p(u) - p(v))^perp
+(direction; block width d, else D = (d+1 choose 2)).  Column blocks hold
 motion vectors in the star-identified coordinates, so a block vector x_v
 represents the degree-(d-1) motion whose star image is x_v; under that
 identification row-times-motion is exactly the complementary pairing.
@@ -15,7 +19,7 @@ incidence condition pairing(q_e, r_v) = 0 at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from . import linalg
@@ -30,7 +34,14 @@ from .exterior import (
     wedge2,
 )
 from .field import SplitMix64
-from .graph import GraphError, Multigraph, VertexKind, build_graph
+from .graph import (
+    CountProfile,
+    GraphError,
+    Multigraph,
+    VertexKind,
+    expand_f,
+    hinges_as_rods,
+)
 
 
 class ConfigError(ValueError):
@@ -113,14 +124,11 @@ def _endpoint_point(v: str, rods: RodConfig, rng: SplitMix64, d: int, p: int):
 class RigidityMatrix:
     """Sparse-pattern row matrix over F_p, stored dense (desk-scale sizes)."""
 
-    model: str
-    d: int
     p: int
     block: int
     vertex_order: tuple[str, ...]
-    row_labels: tuple
+    row_labels: tuple  # (edge id, j): the j-th vector of that edge
     rows: tuple[tuple[int, ...], ...]
-    seed: Optional[int] = None
 
     @property
     def ncols(self) -> int:
@@ -139,44 +147,45 @@ class RigidityMatrix:
         return linalg.mat_vec(self.rows, vec, self.p)
 
 
-def _two_block_row(ncols: int, bu: int, bv: int, coords, p: int):
-    row = [0] * ncols
-    for j, c in enumerate(coords):
-        row[bu + j] = c % p
-        row[bv + j] = (-c) % p
-    return tuple(row)
+def two_block_matrix(
+    graph: Multigraph, block: int, p: int, vectors_of
+) -> RigidityMatrix:
+    """One row per vector alpha of each edge uv: +alpha in u's block, -alpha in v's.
+
+    vectors_of(e) gives the edge's vectors (each of length block); rows come
+    in edge order, then vector order, labelled (edge id, j).
+    """
+    order = graph.vertex_ids
+    pos = {v: i * block for i, v in enumerate(order)}
+    ncols = block * len(order)
+    rows = []
+    labels = []
+    for e in graph.edges:
+        bu, bv = pos[e.u], pos[e.v]
+        for j, alpha in enumerate(vectors_of(e)):
+            row = [0] * ncols
+            for k, c in enumerate(alpha):
+                row[bu + k] = c % p
+                row[bv + k] = (-c) % p
+            rows.append(tuple(row))
+            labels.append((e.id, j))
+    return RigidityMatrix(
+        p=p, block=block, vertex_order=order, row_labels=tuple(labels), rows=tuple(rows)
+    )
 
 
-def matrix_body_bar(graph: Multigraph, bars: BarConfig, seed=None) -> RigidityMatrix:
-    """|E| x D|V| matrix with the +q_e / -q_e block pattern.
+def matrix_body_bar(graph: Multigraph, bars: BarConfig) -> RigidityMatrix:
+    """|E| x D|V| matrix: one row per bar, its Pluecker vector q_e.
 
     Ignores rod incidence entirely; meant for all-body graphs (rod-aware
     construction is matrix_body_rod_bar).
     """
-    d, p = bars.d, bars.p
-    D = d * (d + 1) // 2
-    order = graph.vertex_ids
-    pos = {v: i * D for i, v in enumerate(order)}
-    rows = []
-    labels = []
-    for e in graph.edges:
-        q = bars.bars[e.id]
-        rows.append(_two_block_row(D * len(order), pos[e.u], pos[e.v], q.coords, p))
-        labels.append(e.id)
-    return RigidityMatrix(
-        model="body-bar",
-        d=d,
-        p=p,
-        block=D,
-        vertex_order=order,
-        row_labels=tuple(labels),
-        rows=tuple(rows),
-        seed=seed,
-    )
+    D = bars.d * (bars.d + 1) // 2
+    return two_block_matrix(graph, D, bars.p, lambda e: (bars.bars[e.id].coords,))
 
 
 def matrix_graphic_union(
-    graph: Multigraph, d: int, rng: SplitMix64, p: int, seed=None
+    graph: Multigraph, d: int, rng: SplitMix64, p: int
 ) -> RigidityMatrix:
     """Unconstrained D-copies-of-graphic-matroid realization.
 
@@ -185,23 +194,9 @@ def matrix_graphic_union(
     D copies of the graphic matroid.
     """
     D = d * (d + 1) // 2
-    order = graph.vertex_ids
-    pos = {v: i * D for i, v in enumerate(order)}
-    rows = []
-    labels = []
-    for idx, e in enumerate(graph.edges):
-        alpha = rng.spawn(idx).nonzero_vector(D, p)
-        rows.append(_two_block_row(D * len(order), pos[e.u], pos[e.v], alpha, p))
-        labels.append(e.id)
-    return RigidityMatrix(
-        model="graphic-union",
-        d=d,
-        p=p,
-        block=D,
-        vertex_order=order,
-        row_labels=tuple(labels),
-        rows=tuple(rows),
-        seed=seed,
+    idx = graph.edge_index
+    return two_block_matrix(
+        graph, D, p, lambda e: (rng.spawn(idx[e.id]).nonzero_vector(D, p),)
     )
 
 
@@ -218,47 +213,31 @@ def check_incidence(graph: Multigraph, rods: RodConfig, bars: BarConfig) -> None
 
 
 def matrix_body_rod_bar(
-    graph: Multigraph, rods: RodConfig, bars: BarConfig, seed=None
+    graph: Multigraph, rods: RodConfig, bars: BarConfig
 ) -> RigidityMatrix:
     """Body-rod-bar matrix: body-bar row pattern over an incident bar config."""
     check_incidence(graph, rods, bars)
-    return replace(matrix_body_bar(graph, bars, seed=seed), model="body-rod-bar")
+    return matrix_body_bar(graph, bars)
 
 
-def matrix_edge_flats(
-    graph: Multigraph, rods: RodConfig, p: int, seed=None
-) -> RigidityMatrix:
+def matrix_edge_flats(graph: Multigraph, rods: RodConfig, p: int) -> RigidityMatrix:
     """Stack a basis of each edge's whole bar space (f(e) rows per edge).
 
     The flat of edge uv is {alpha : pairing(alpha, r_u) = 0 = pairing(alpha,
     r_v)} placed two-block; its generic span rank over all edges is the
     polymatroid rank of the edge set (the Dilworth-truncation side).
     """
-    d = rods.d
-    D = d * (d + 1) // 2
-    order = graph.vertex_ids
-    pos = {v: i * D for i, v in enumerate(order)}
-    rows = []
-    labels = []
-    for e in graph.edges:
-        constraints = []
-        for v in (e.u, e.v):
-            if v in rods.plueckers:
-                constraints.append(list(hodge_star(rods.plueckers[v]).coords))
-        basis = linalg.nullspace(constraints, D, p)
-        for j, alpha in enumerate(basis):
-            rows.append(_two_block_row(D * len(order), pos[e.u], pos[e.v], alpha, p))
-            labels.append((e.id, j))
-    return RigidityMatrix(
-        model="body-rod-flats",
-        d=d,
-        p=p,
-        block=D,
-        vertex_order=order,
-        row_labels=tuple(labels),
-        rows=tuple(rows),
-        seed=seed,
-    )
+    D = rods.d * (rods.d + 1) // 2
+
+    def flat_basis(e):
+        constraints = [
+            list(hodge_star(rods.plueckers[v]).coords)
+            for v in (e.u, e.v)
+            if v in rods.plueckers
+        ]
+        return linalg.nullspace(constraints, D, p)
+
+    return two_block_matrix(graph, D, p, flat_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +249,6 @@ class HingeExpansion:
     graph: Multigraph  # hinge vertices re-kinded as rods, edges duplicated
     rods: RodConfig
     bars: BarConfig
-    copies: Mapping[str, tuple[str, ...]]  # original edge -> bar copies
 
 
 def expand_hinge(
@@ -279,10 +257,10 @@ def expand_hinge(
     """Convert an identified body-hinge graph to a body-rod-bar framework.
 
     Each hinge becomes a rod with a sampled (d-1)-subspace; each body-hinge
-    edge becomes D-1 parallel bars, every bar through a random point of the
-    hinge subspace and a random point of space.
+    edge becomes f(e) = D-1 parallel bars of the rod count (ids "<eid>~<k>"),
+    every bar through a random point of the hinge subspace and a random point
+    of space.  The bar graph is the one count_side counts on.
     """
-    D = d * (d + 1) // 2
     for e in graph.edges:
         ku, kv = graph.kinds[e.u], graph.kinds[e.v]
         if {ku, kv} != {VertexKind.BODY, VertexKind.HINGE}:
@@ -290,20 +268,10 @@ def expand_hinge(
                 "edge %r must join a body to a hinge, got %s-%s"
                 % (e.id, ku.value, kv.value)
             )
-    vertices = [
-        (v, VertexKind.ROD if graph.kinds[v] == VertexKind.HINGE else VertexKind.BODY)
-        for v in graph.vertex_ids
-    ]
-    edges = []
-    copies: dict[str, tuple[str, ...]] = {}
-    for e in graph.edges:
-        ids = tuple("%s~%d" % (e.id, k) for k in range(D - 1))
-        copies[e.id] = ids
-        edges.extend((e.u, e.v, cid) for cid in ids)
-    expanded = build_graph(vertices, edges)
+    expanded, _ = expand_f(hinges_as_rods(graph), CountProfile.body_rod_bar(d))
     rods = sample_rod_config(expanded, d, rng.spawn(0), p)
     bars = sample_bar_config(expanded, rods, rng.spawn(1), p)
-    return HingeExpansion(graph=expanded, rods=rods, bars=bars, copies=copies)
+    return HingeExpansion(graph=expanded, rods=rods, bars=bars)
 
 
 # ---------------------------------------------------------------------------
@@ -322,38 +290,22 @@ def sample_joints(graph: Multigraph, d: int, rng: SplitMix64, p: int):
     raise RuntimeError("could not sample distinct joints")
 
 
-def matrix_direction(
-    graph: Multigraph, joints, d: int, p: int, seed=None
-) -> RigidityMatrix:
+def matrix_direction(graph: Multigraph, joints, d: int, p: int) -> RigidityMatrix:
     """Direction matrix: d-1 rows per edge, blocks of width d.
 
     Each row places a basis vector of the orthogonal complement of
     p(u) - p(v) in block u and its negative in block v.
     """
-    order = graph.vertex_ids
-    pos = {v: i * d for i, v in enumerate(order)}
-    rows = []
-    labels = []
-    for e in graph.edges:
-        pu, pv = joints[e.u], joints[e.v]
-        delta = [(a - b) % p for a, b in zip(pu, pv)]
+
+    def complement(e):
+        delta = [(a - b) % p for a, b in zip(joints[e.u], joints[e.v])]
         if not any(delta):
             raise ConfigError(
                 "edge %r has coincident joints at %r and %r" % (e.id, e.u, e.v)
             )
-        for j, alpha in enumerate(linalg.nullspace([delta], d, p)):
-            rows.append(_two_block_row(d * len(order), pos[e.u], pos[e.v], alpha, p))
-            labels.append((e.id, j))
-    return RigidityMatrix(
-        model="direction",
-        d=d,
-        p=p,
-        block=d,
-        vertex_order=order,
-        row_labels=tuple(labels),
-        rows=tuple(rows),
-        seed=seed,
-    )
+        return linalg.nullspace([delta], d, p)
+
+    return two_block_matrix(graph, d, p, complement)
 
 
 # ---------------------------------------------------------------------------

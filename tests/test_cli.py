@@ -50,6 +50,12 @@ def test_analyze_schema_error(tmp_path, capsys):
     code, out, err = run(capsys, ["analyze", path])
     assert code == 1
     assert "unknown model" in err
+    for kind in (5, None, True, ["rod"]):
+        doc = two_rods_doc()
+        doc["vertices"][1]["kind"] = kind
+        code, out, err = run(capsys, ["analyze", write_doc(tmp_path, doc)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "'r2' has unknown kind" in err
 
 
 def test_analyze_loop_edge_rejected(tmp_path, capsys):

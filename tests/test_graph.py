@@ -44,8 +44,9 @@ def test_dangling_endpoint_rejected():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(GraphError, match="unknown kind"):
-        build_graph([("a", "panel")], [])
+    for kind in ("panel", 7, 5, None, True, ["rod"]):
+        with pytest.raises(GraphError, match="vertex 'a' has unknown kind"):
+            build_graph([("a", kind)], [])
 
 
 def test_profile_invariants():

@@ -3,7 +3,7 @@ import pytest
 from rigikit import linalg
 from rigikit.exterior import grassmann_check, hodge_star, pairing, proportional
 from rigikit.field import DEFAULT_PRIME, SplitMix64
-from rigikit.graph import CountProfile, GraphError, build_graph
+from rigikit.graph import CountProfile, GraphError, build_graph, f_edge
 from rigikit.rigidity import (
     ConfigError,
     check_incidence,
@@ -23,6 +23,7 @@ from rigikit.rigidity import (
 )
 
 from helpers import random_kinded_graph
+from rigikit.analysis import count_side, random_multigraph
 
 P = DEFAULT_PRIME
 PROF3 = CountProfile.body_rod_bar(3)
@@ -105,16 +106,33 @@ def row_blocks(m, row):
 
 
 def test_row_pattern_two_opposite_blocks():
+    # every builder: a row is +alpha in u's block, -alpha in v's, zero
+    # elsewhere, labelled (edge id, j) with j counting that edge's vectors
     rng = SplitMix64(5)
     for case in range(8):
         g = random_kinded_graph(rng.spawn(case), max_edges=6)
         rods, bars = sampled(g, seed=100 + case)
-        m = matrix_body_rod_bar(g, rods, bars)
-        for row in m.rows:
-            blocks = row_blocks(m, row)
-            assert len(blocks) == 2
-            (_, a), (_, b) = blocks
-            assert all((x + y) % P == 0 for x, y in zip(a, b))
+        joints = sample_joints(g, 3, rng.spawn(50 + case), P)
+        builds = [
+            (matrix_body_bar(g, bars), lambda e: 1),
+            (matrix_body_rod_bar(g, rods, bars), lambda e: 1),
+            (matrix_graphic_union(g, 3, rng.spawn(100 + case), P), lambda e: 1),
+            (matrix_edge_flats(g, rods, P), lambda e: f_edge(g, e.id, PROF3)),
+            (matrix_direction(g, joints, 3, P), lambda e: 2),
+        ]
+        for m, n_vectors in builds:
+            assert m.row_labels == tuple(
+                (e.id, j) for e in g.edges for j in range(n_vectors(e))
+            )
+            for (eid, _), row in zip(m.row_labels, m.rows):
+                e = g.edge(eid)
+                blocks = row_blocks(m, row)
+                assert [i for i, _ in blocks] == sorted(
+                    m.vertex_order.index(v) for v in (e.u, e.v)
+                )
+                bu, bv = m.block_of(e.u), m.block_of(e.v)
+                a, b = row[bu:bu + m.block], row[bv:bv + m.block]
+                assert all((x + y) % P == 0 for x, y in zip(a, b))
 
 
 def test_single_edge_rank_one():
@@ -205,9 +223,19 @@ def test_expand_hinge_counts():
     g = build_graph([("b", "body"), ("h", "hinge")], [("b", "h")])
     exp = expand_hinge(g, 3, SplitMix64(15), P)
     assert len(exp.graph.edges) == 5  # D - 1 parallel bars
-    assert len(exp.copies["e0"]) == 5
+    assert exp.graph.edge_ids == tuple("e0~%d" % k for k in range(5))
     assert exp.rods.rods == ("h",)
     check_incidence(exp.graph, exp.rods, exp.bars)
+    # the linear side realizes exactly the graph the count side counts on
+    rng = SplitMix64(18)
+    for d in (3, 4):
+        for case in range(6):
+            g = random_multigraph(rng.spawn(10 * d + case), "body-hinge")
+            bars = expand_hinge(g, d, rng.spawn(case), P).graph
+            counted = count_side(g, "body-hinge", d).count_graph
+            assert bars.vertex_ids == counted.vertex_ids
+            assert dict(bars.kinds) == dict(counted.kinds)
+            assert bars.edges == counted.edges
 
 
 def test_expand_hinge_rejects_nonbipartite():
