@@ -88,26 +88,26 @@ class CountSide:
     copies: Optional[dict]  # original edge -> copy ids (expanded models)
     rank: int
     target: int
+    state: cm.PebbleState  # the one game over every edge of count_graph
 
     def rank_without(self, original_edge: str) -> int:
-        if self.copies is None:
-            keep = [e for e in self.count_graph.edge_ids if e != original_edge]
-        else:
-            drop = set(self.copies[original_edge])
-            keep = [e for e in self.count_graph.edge_ids if e not in drop]
-        return cm.rank_value(self.count_graph, keep, self.profile)
+        """Rank of the count graph minus the original edge's copies."""
+        drop = [original_edge] if self.copies is None else self.copies[original_edge]
+        return self.state.rank_without(drop)
 
 
 def count_side(graph: Multigraph, model: str, d: int) -> CountSide:
     """The model's count matroid: on the host graph for bar models, else on its f-expansion."""
     prof, host = count_host(graph, model, d)
     count_graph, copies = (host, None) if model in BAR_MODELS else expand_f(host, prof)
+    state = cm.pebble_game(count_graph, None, prof)
     return CountSide(
         profile=prof,
         count_graph=count_graph,
         copies=copies,
-        rank=cm.rank_value(count_graph, None, prof),
+        rank=len(state.inserted),
         target=cm.global_count_target(host, prof),
+        state=state,
     )
 
 
@@ -353,7 +353,7 @@ def analyze(
     D = d * (d + 1) // 2
     cs = count_side(graph, model, d)
     prof = cs.profile
-    cert = cm.rank(cs.count_graph, None, prof)
+    cert = cm.certificate(cs.state, None)
     fhat_rank = None
     if cs.copies is None:
         # bar models: the P-components live on the graph's expansion, a second
@@ -376,9 +376,7 @@ def analyze(
     rigid = nv <= 1 or (max_rank == cs.target)
     minimal: Optional[bool] = None
     if nv > 1 and graph.edges:
-        minimal = rigid and all(
-            cs.rank_without(e) < cs.target for e in graph.edge_ids
-        )
+        minimal = rigid and all(cs.rank_without(e) < cs.target for e in graph.edge_ids)
     if nv <= 1:
         verdict = "trivially rigid"
     elif rigid:

@@ -14,12 +14,17 @@ The polymatroid rank fhat(F) (the partition minimum of sums of f) is
 computed by expanding each edge e into f(e) parallel copies and taking
 the matroid rank of the copies, which is an exact reduction.  P-connected
 components are pulled back from M-connected components of the expansion.
+One game per matroid answers every question about it.  Releasing an
+inserted edge gives its pebble back to the arc's tail, a valid state of
+the game over the other edges, so circuits and ranks after deletion are
+read off released copies of the final state instead of replays.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .graph import (
     CountProfile,
@@ -45,8 +50,9 @@ class PebbleState:
     """Mutable state of one pebble-game run.
 
     Invariant (checked by tests): pebbles[v] + outdegree(v) == capacity(v)
-    for every vertex touched so far.  A state is single-use: feed it edges
-    via try_insert and read off the inserted independent set.
+    for every vertex touched so far.  It keeps the inserted independent set
+    and each rejected edge with the reach region of its failed search; a
+    finished state is queried through released copies, never changed.
     """
 
     def __init__(self, graph: Multigraph, prof: CountProfile):
@@ -56,7 +62,7 @@ class PebbleState:
         self.pebbles: dict[str, int] = {}
         self.out: dict[str, dict[int, str]] = {}
         self.inserted: list[str] = []
-        self.last_reach: frozenset[str] = frozenset()
+        self.rejected: list[tuple[str, frozenset[str]]] = []
 
     def _touch(self, v: str) -> int:
         if v not in self.pebbles:
@@ -112,13 +118,46 @@ class PebbleState:
         while self.pebbles[e.u] + self.pebbles[e.v] < self.need:
             found, visited = self._find_pebble(e.u, e.v)
             if not found:
-                self.last_reach = frozenset(visited)
+                self.rejected.append((eid, frozenset(visited)))
                 return False
         tail = e.u if self.pebbles[e.u] > 0 else e.v
         self.pebbles[tail] -= 1
         self.out[tail][self.graph.edge_index[eid]] = e.other(tail)
         self.inserted.append(eid)
         return True
+
+    def released(self, eids: Iterable[str]) -> "PebbleState":
+        """A copy of the game over the inserted edges other than eids.
+
+        Each released arc gives its pebble back to its tail.
+        """
+        drop = set(eids)
+        new = copy.copy(self)
+        new.pebbles = dict(self.pebbles)
+        new.out = {v: dict(arcs) for v, arcs in self.out.items()}
+        new.inserted = [e for e in self.inserted if e not in drop]
+        new.rejected = []
+        for eid in drop:
+            e, idx = self.graph.edge(eid), self.graph.edge_index[eid]
+            tail = e.u if idx in new.out[e.u] else e.v
+            del new.out[tail][idx]
+            new.pebbles[tail] += 1
+        return new
+
+    def rank_without(self, eids: Iterable[str]) -> int:
+        """Rank of the offered edges other than eids.
+
+        Release eids and re-offer the rejected edges: by the greedy property
+        the grown independent set is a basis of the rest.
+        """
+        drop = set(eids)
+        state = self.released(e for e in self.inserted if e in drop)
+        for x, _ in self.rejected:
+            if len(state.inserted) == len(self.inserted):
+                break  # the rest cannot have a higher rank
+            if x not in drop:
+                state.try_insert(x)
+        return len(state.inserted)
 
     def check_invariant(self) -> None:
         for v, peb in self.pebbles.items():
@@ -127,37 +166,27 @@ class PebbleState:
                 raise RuntimeError("pebble invariant broken at vertex %r" % v)
 
 
-def _run_game(graph: Multigraph, prof: CountProfile, eids: Sequence[str]):
-    state = PebbleState(graph, prof)
-    basis: list[str] = []
-    rejected: list[tuple[str, frozenset[str]]] = []
-    for eid in eids:
-        if state.try_insert(eid):
-            basis.append(eid)
-        else:
-            rejected.append((eid, state.last_reach))
-    return basis, rejected
-
-
 def _edge_order(graph: Multigraph, eids: Optional[Iterable[str]]):
-    if eids is None:
-        return graph.edge_ids
-    return graph.sorted_edge_ids(eids)
+    return graph.edge_ids if eids is None else graph.sorted_edge_ids(eids)
 
 
 def is_independent(graph: Multigraph, eids, prof: CountProfile) -> bool:
     """|F'| <= f(F') for every nonempty F' of the given edge set?"""
+    return not pebble_game(graph, eids, prof).rejected
+
+
+def pebble_game(graph: Multigraph, eids, prof: CountProfile) -> PebbleState:
+    """The final state of one game over the edge set (None: every edge)."""
     _check_countable(graph, prof)
-    order = _edge_order(graph, eids)
     state = PebbleState(graph, prof)
-    return all(state.try_insert(e) for e in order)
+    for eid in _edge_order(graph, eids):
+        state.try_insert(eid)
+    return state
 
 
 def rank_value(graph: Multigraph, eids, prof: CountProfile) -> int:
     """Matroid rank of the edge set, without a certificate."""
-    _check_countable(graph, prof)
-    basis, _ = _run_game(graph, prof, _edge_order(graph, eids))
-    return len(basis)
+    return len(pebble_game(graph, eids, prof).inserted)
 
 
 # ---------------------------------------------------------------------------
@@ -199,90 +228,68 @@ class Decomposition:
         return tuple(c for c in self.components if len(c) > 1)
 
 
-def _independent_list(graph, prof, eids) -> bool:
-    state = PebbleState(graph, prof)
-    return all(state.try_insert(e) for e in eids)
-
-
-def _fundamental_circuit_rest(graph, prof, basis, x, reach):
+def _fundamental_circuit_rest(state: PebbleState, x, reach):
     """Basis part of the unique circuit in basis + x.
 
-    The circuit is confined to x plus the basis edges induced by the
-    failed search's reach region, so only those are tested.
+    The circuit lies in the failed search's reach region, so only the basis
+    edges it induces are tested: y is in it when x fits once y is released.
     """
-    candidates = []
-    for y in basis:
-        e = graph.edge(y)
-        if e.u in reach and e.v in reach:
-            candidates.append(y)
-    rest = []
-    basis_set = list(basis)
-    for y in candidates:
-        trial = [z for z in basis_set if z != y] + [x]
-        if _independent_list(graph, prof, trial):
-            rest.append(y)
-    return tuple(rest)
+    edge = state.graph.edge
+    return tuple(
+        y for y in state.inserted
+        if {edge(y).u, edge(y).v} <= reach and state.released([y]).try_insert(x)
+    )
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+def _components_via_circuits(state: PebbleState):
+    """M-components of the edges a finished game was offered, in edge order."""
+    graph = state.graph
+    order = graph.sorted_edge_ids(state.inserted + [x for x, _ in state.rejected])
+    parent = {e: e for e in order}
 
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
+    def find(e):  # union-find root, halving the path on the way
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def _components_via_circuits(graph, prof, order):
-    basis, rejected = _run_game(graph, prof, order)
-    uf = _UnionFind(order)
     circuit_cache: dict[tuple[str, str], tuple[str, ...]] = {}
-    for x, reach in rejected:
+    for x, reach in state.rejected:
         e = graph.edge(x)
         key = (e.u, e.v) if e.u < e.v else (e.v, e.u)
-        rest = circuit_cache.get(key)
-        if rest is None:
-            rest = _fundamental_circuit_rest(graph, prof, basis, x, reach)
-            circuit_cache[key] = rest
-        for y in rest:
-            uf.union(x, y)
+        if key not in circuit_cache:
+            circuit_cache[key] = _fundamental_circuit_rest(state, x, reach)
+        for y in circuit_cache[key]:
+            parent[find(y)] = find(x)
     groups: dict[str, list[str]] = {}
     for e in order:
-        groups.setdefault(uf.find(e), []).append(e)
+        groups.setdefault(find(e), []).append(e)
     comps = sorted(groups.values(), key=lambda g: graph.edge_index[g[0]])
-    return basis, tuple(tuple(c) for c in comps)
+    return tuple(tuple(c) for c in comps)
 
 
 def m_components(graph: Multigraph, eids, prof: CountProfile) -> Decomposition:
     """Partition of the edge set into M-connected components of the count matroid."""
-    _check_countable(graph, prof)
-    order = _edge_order(graph, eids)
-    _, comps = _components_via_circuits(graph, prof, order)
+    comps = _components_via_circuits(pebble_game(graph, eids, prof))
     return Decomposition(kind="M", components=comps)
 
 
 def rank(graph: Multigraph, eids, prof: CountProfile) -> RankCertificate:
-    """Matroid rank with a minimizing partition certificate.
+    """Matroid rank with a minimizing partition certificate."""
+    return certificate(pebble_game(graph, eids, prof), eids)
 
-    The certificate's free part collects the trivial M-components of the
-    query set; each nontrivial M-component becomes an f-counted part.  The
-    identity value == |F0| + sum f(Fi) is re-verified before returning.
+
+def certificate(state: PebbleState, eids) -> RankCertificate:
+    """Rank certificate of a finished game over the query set eids (None: all).
+
+    Trivial M-components form the free part, nontrivial ones the f-counted
+    parts; value == |F0| + sum f(Fi) and the partition of eids are re-verified.
     """
-    _check_countable(graph, prof)
-    order = _edge_order(graph, eids)
-    basis, comps = _components_via_circuits(graph, prof, order)
+    comps = _components_via_circuits(state)
     free = tuple(c[0] for c in comps if len(c) == 1)
     parts = tuple(c for c in comps if len(c) > 1)
-    cert = RankCertificate(value=len(basis), free_part=free, parts=parts)
-    cert.check(graph, prof, order)
+    cert = RankCertificate(value=len(state.inserted), free_part=free, parts=parts)
+    cert.check(state.graph, state.prof, eids)
     return cert
 
 
@@ -293,11 +300,8 @@ def rank(graph: Multigraph, eids, prof: CountProfile) -> RankCertificate:
 def fhat(graph: Multigraph, eids, prof: CountProfile, expanded=None) -> int:
     """Polymatroid rank: the matroid rank of the copies of F in the expansion."""
     _check_countable(graph, prof)
-    if expanded is None:
-        expanded = expand_f(graph, prof)
-    exp_graph, copies = expanded
-    order = _edge_order(graph, eids)
-    copy_ids = [cid for e in order for cid in copies[e]]
+    exp_graph, copies = expand_f(graph, prof) if expanded is None else expanded
+    copy_ids = [cid for e in _edge_order(graph, eids) for cid in copies[e]]
     return rank_value(exp_graph, copy_ids, prof)
 
 
@@ -308,10 +312,8 @@ def p_components(graph: Multigraph, prof: CountProfile) -> Decomposition:
     sum of f over the components (raises RuntimeError otherwise).
     """
     _check_countable(graph, prof)
-    exp_graph, copies = expand_f(graph, prof)
-    return p_components_of_expansion(
-        (exp_graph, copies), rank(exp_graph, None, prof), prof
-    )
+    expanded = expand_f(graph, prof)
+    return p_components_of_expansion(expanded, rank(expanded[0], None, prof), prof)
 
 
 def p_components_of_expansion(expanded, cert: RankCertificate, prof: CountProfile):

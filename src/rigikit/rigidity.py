@@ -228,14 +228,18 @@ def matrix_edge_flats(graph: Multigraph, rods: RodConfig, p: int) -> RigidityMat
     polymatroid rank of the edge set (the Dilworth-truncation side).
     """
     D = rods.d * (rods.d + 1) // 2
+    bases: dict = {}  # the flat depends only on the endpoints: one basis per pair
 
     def flat_basis(e):
-        constraints = [
-            list(hodge_star(rods.plueckers[v]).coords)
-            for v in (e.u, e.v)
-            if v in rods.plueckers
-        ]
-        return linalg.nullspace(constraints, D, p)
+        key = frozenset((e.u, e.v))
+        if key not in bases:
+            constraints = [
+                list(hodge_star(rods.plueckers[v]).coords)
+                for v in (e.u, e.v)
+                if v in rods.plueckers
+            ]
+            bases[key] = linalg.nullspace(constraints, D, p)
+        return bases[key]
 
     return two_block_matrix(graph, D, p, flat_basis)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from rigikit import count_matroid as cm
@@ -135,18 +137,78 @@ def test_one_circuit_pass_per_matroid(monkeypatch):
         calls.append(args[0])
         return real(*args)
 
+    rank_value_calls = []
+    real_rank_value = cm.rank_value
+    games = []
+    real_init = cm.PebbleState.__init__
+
+    def counted_rank_value(*args):
+        rank_value_calls.append(args)
+        return real_rank_value(*args)
+
+    def counted_init(self, *args):
+        games.append(args)
+        real_init(self, *args)
+
     monkeypatch.setattr(cm, "_components_via_circuits", counted)
+    monkeypatch.setattr(cm, "rank_value", counted_rank_value)
+    monkeypatch.setattr(cm.PebbleState, "__init__", counted_init)
     rng = SplitMix64(404)
     for model in MODELS:
         g = random_multigraph(rng.spawn(len(model)), model, max_vertices=5)
         calls.clear()
+        games.clear()
+        rank_value_calls.clear()
         analyze(g, model, 3, seed=1)
         # bar models: the count matroid on the graph and the expansion's for
         # the P-components; otherwise the expansion is the count matroid
         assert len(calls) == (2 if model in BAR_MODELS else 1), model
+        # one game each; certificate and minimality read that game's state
+        assert len(games) == len(calls), model
+        assert rank_value_calls == [], model
         calls.clear()
         fuzz_equivalence(model, 3, 2, seed=1)
         assert calls == []  # fuzz runs no circuit extraction
+
+
+def braced(g, model, copies):
+    """g's vertices joined by every pair the model allows (bar models: copies times)."""
+    order = g.vertex_ids
+    pairs = [
+        (u, v)
+        for i, u in enumerate(order)
+        for v in order[i + 1:]
+        if model != "body-hinge" or g.kinds[u] != g.kinds[v]
+    ]
+    vertices = [(v, g.kinds[v]) for v in order]
+    return build_graph(vertices, pairs * (copies if model in BAR_MODELS else 1))
+
+
+def test_rank_without_and_minimality_match_fresh_games():
+    # sparse random graphs and their overbraced completions, over all five
+    # models at every valid d: rank_without reads the one game's state
+    rng = SplitMix64(505)
+    verdicts = set()
+    for model in MODELS:
+        for d in (2, 3, 4) if model in ("body-bar", "direction") else (3, 4):
+            for case in range(2):
+                sparse = random_multigraph(rng.spawn(10 * d + case), model, max_vertices=4)
+                for g in (sparse, braced(sparse, model, 3)):
+                    cs = count_side(g, model, d)
+
+                    def fresh(e):  # a new game over the count graph minus e's copies
+                        drop = {e} if cs.copies is None else set(cs.copies[e])
+                        keep = [x for x in cs.count_graph.edge_ids if x not in drop]
+                        return rank_value(cs.count_graph, keep, cs.profile)
+
+                    without = {e: fresh(e) for e in g.edge_ids}
+                    assert {e: cs.rank_without(e) for e in g.edge_ids} == without
+                    rep = analyze(g, model, d, seed=case)
+                    rigid = rep.max_linear_rank == cs.target
+                    minimal = rigid and all(r < cs.target for r in without.values())
+                    assert rep.minimal == minimal, (model, d, case)
+                    verdicts.add(rep.verdict)
+    assert verdicts == {"flexible", "rigid", "minimally rigid"}
 
 
 def test_analyze_escalates_on_unlucky_samples():
@@ -292,13 +354,7 @@ def test_fuzz_case_failure_dump_replayable():
     # simulate a disagreement by lying about the combinatorial rank
     g = two_rods(4)
     cs = count_side(g, "rod-bar", 3)
-    fake = type(cs)(
-        profile=cs.profile,
-        count_graph=cs.count_graph,
-        copies=None,
-        rank=cs.rank + 1,  # unattainable: forces the mismatch path
-        target=cs.target,
-    )
+    fake = dataclasses.replace(cs, rank=cs.rank + 1)  # unattainable rank
     from rigikit.analysis import _failure_dump
 
     dump = _failure_dump(g, "rod-bar", 3, 5, fake, [4], "synthetic")

@@ -7,6 +7,8 @@ additive-bipartition signatures on fhat for P-components).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigikit.count_matroid import (
     PebbleState,
@@ -15,6 +17,7 @@ from rigikit.count_matroid import (
     is_independent,
     m_components,
     p_components,
+    pebble_game,
     rank,
     rank_bruteforce,
     rank_bruteforce_table,
@@ -134,11 +137,27 @@ def test_pebble_equals_bruteforce_randomized():
 def test_pebble_invariant_held():
     rng = SplitMix64(31)
     for case in range(10):
-        g = random_kinded_graph(rng.spawn(case))
-        state = PebbleState(g, PROF3)
+        sub = rng.spawn(case)
+        prof = (CountProfile.body_rod_bar(2 + case % 3), CountProfile.direction(2))[case % 2]
+        g = random_kinded_graph(sub, max_vertices=5, max_edges=16)
+        state = PebbleState(g, prof)
         for eid in g.edge_ids:
             state.try_insert(eid)
             state.check_invariant()
+        before = (dict(state.pebbles), {v: dict(a) for v, a in state.out.items()})
+        # copies with random subsets released: still valid states, and a
+        # retried edge fits exactly when a fresh game over the rest takes it
+        for _ in range(4):
+            drop = [e for e in state.inserted if sub.below(2)]
+            released = state.released(drop)
+            released.check_invariant()
+            assert released.inserted == [e for e in state.inserted if e not in drop]
+            for x in drop + [x for x, _ in state.rejected]:
+                retry = state.released(drop)
+                fits = retry.try_insert(x)
+                retry.check_invariant()
+                assert fits == is_independent(g, released.inserted + [x], prof)
+        assert (state.pebbles, state.out) == before  # copies leave the state as it was
 
 
 def test_rank_certificate_is_minimizer():
@@ -441,3 +460,49 @@ def test_rank_capped_by_size_and_f():
                 continue
             r = rank_value(g, F, prof)
             assert r <= min(len(F), f_value(g, F, prof))
+
+
+# ---------------------------------------------------------------------------
+# Matroid axioms of pebble rank, past the brute-force limit
+
+AXIOMS = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+
+
+@st.composite
+def count_matroids(draw):
+    """(graph, profile, ground set): 12-20 edges of a multigraph or its f-expansion."""
+    d = draw(st.integers(2, 4))
+    prof = draw(st.sampled_from((CountProfile.body_rod_bar(d), CountProfile.direction(d))))
+    nv = draw(st.integers(2, 7))
+    kinds = draw(st.lists(st.sampled_from(("body", "rod")), min_size=nv, max_size=nv))
+    pair = st.tuples(st.integers(0, nv - 1), st.integers(1, nv - 1))
+    pairs = draw(st.lists(pair, min_size=12, max_size=20))
+    g = build_graph(
+        [("v%d" % i, k) for i, k in enumerate(kinds)],
+        [("v%d" % u, "v%d" % ((u + k) % nv)) for u, k in pairs],
+    )
+    if draw(st.booleans()):
+        g, _ = expand_f(g, prof)  # the ground set is then the first copies
+    return g, prof, g.edge_ids[:20]
+
+
+@AXIOMS
+@given(count_matroids(), st.data())
+def test_pebble_rank_is_a_matroid_rank(case, data):
+    g, prof, ground = case
+    subset = st.lists(st.sampled_from(ground), unique=True)
+    A, B = set(data.draw(subset)), set(data.draw(subset))
+
+    def r(F):
+        return rank_value(g, F, prof)
+
+    assert r([]) == 0
+    assert 0 <= r(A) <= len(A)
+    for e in set(ground) - A:
+        assert r(A | {e}) - r(A) in (0, 1)
+    assert r(A & B) <= r(A) <= r(A | B)
+    assert r(A) + r(B) >= r(A | B) + r(A & B)
+    # the one game over the ground set answers the same by release and re-offer
+    full = pebble_game(g, ground, prof)
+    for F in (A, B, A & B, A | B):
+        assert full.rank_without(set(ground) - F) == r(F)

@@ -202,6 +202,30 @@ def test_edge_flats_rank_matches_f():
     assert m.rank() == 5
 
 
+def test_edge_flats_one_nullspace_per_endpoint_pair(monkeypatch):
+    # 10 edges over 2 endpoint pairs (some reversed): 2 bases, same rows
+    g = build_graph(
+        [("r1", "rod"), ("r2", "rod"), ("b", "body")],
+        [("r1", "r2"), ("r2", "r1")] * 3 + [("r1", "b"), ("b", "r1")] * 2,
+    )
+    rods, _ = sampled(g, seed=15)
+    real = linalg.nullspace
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    m = matrix_edge_flats(g, rods, P)
+    assert len(calls) == 2
+    vertices = [(v, g.kinds[v]) for v in g.vertex_ids]
+    for e in g.edges:  # each edge's rows, as a one-edge matrix computes them
+        own = tuple(r for r, (eid, _) in zip(m.rows, m.row_labels) if eid == e.id)
+        alone = matrix_edge_flats(build_graph(vertices, [(e.u, e.v)]), rods, P)
+        assert own == alone.rows
+
+
 def test_graphic_union_rank():
     g = build_graph([("a", "body"), ("b", "body")], [("a", "b")] * 8)
     m = matrix_graphic_union(g, 3, SplitMix64(13), P)
