@@ -114,8 +114,7 @@ def count_side(graph: Multigraph, model: str, d: int) -> CountSide:
 @dataclass
 class LinearTrial:
     rank: int
-    trivial_checked: int
-    trivial_violations: int
+    trivial: rg.TrivialCheck
     matrix: rg.RigidityMatrix
     rods: Optional[rg.RodConfig] = None
     joints: Optional[dict] = None
@@ -145,11 +144,9 @@ def linear_trial(
         rods = rg.sample_rod_config(graph, d, rng.spawn(0), p)
         bars = rg.sample_bar_config(graph, rods, rng.spawn(1), p)
         m = rg.matrix_body_rod_bar(graph, rods, bars)
-    checked, bad = rg.verify_trivial_motions(m, rods=rods, joints=joints)
     trial = LinearTrial(
         rank=m.rank(),
-        trivial_checked=checked,
-        trivial_violations=bad,
+        trivial=rg.verify_trivial_motions(m, rods=rods, joints=joints),
         matrix=m,
         rods=rods,
         joints=joints,
@@ -218,8 +215,8 @@ def run_trials(
     t = 0
     while t < n_trials:
         trial = linear_trial(graph, model, d, prime, rng.spawn(t), joints=joints)
-        run.trivial_checked += trial.trivial_checked
-        run.trivial_violations += trial.trivial_violations
+        run.trivial_checked += trial.trivial.checked
+        run.trivial_violations += trial.trivial.violations
         run.ranks.append(trial.rank)
         if trial.rank > cs.rank:
             raise _disagreement(
@@ -370,7 +367,8 @@ def analyze(
         graph, model, d, prime, SplitMix64(seed), trials, cs, fhat_rank, joints=joints
     )
     max_rank = max(run.ranks)
-    basis = rg.kernel_basis(run.best.matrix, rods=run.best.rods, joints=run.best.joints)
+    best = run.best
+    basis = rg.kernel_basis(best.matrix, rods=best.rods, joints=best.joints, check=best.trivial)
 
     nv = len(graph.vertex_ids)
     rigid = nv <= 1 or (max_rank == cs.target)

@@ -18,15 +18,33 @@ a fixed degree-dependent sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Optional, Sequence
 
 from .field import SplitMix64
 
 
+@cache
 def ksubsets(d: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Sorted k-subsets of {1..d+1} in lexicographic order."""
     return tuple(combinations(range(1, d + 2), k))
+
+
+@cache
+def _complements(d: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """Per k-subset I, in ksubsets order: (index of I^c among the
+    (d+1-k)-subsets, sign of the permutation I + I^c, pairing sign
+    (-1)^(k(k+1)/2 + sum I))."""
+    index = {s: i for i, s in enumerate(ksubsets(d, d + 1 - k))}
+    universe = set(range(1, d + 2))
+    base = k * (k + 1) // 2
+    out = []
+    for subset in ksubsets(d, k):
+        comp = tuple(sorted(universe - set(subset)))
+        pair_sign = -1 if (base + sum(subset)) % 2 else 1
+        out.append((index[comp], _perm_sign(subset + comp), pair_sign))
+    return tuple(out)
 
 
 def _perm_sign(seq: Sequence[int]) -> int:
@@ -117,14 +135,9 @@ def wedge2(a, b, d: int, p: Optional[int] = None) -> KVector:
 def hodge_star(x: KVector) -> KVector:
     """Linear star map to the complementary degree; involutive up to sign."""
     d, k = x.d, x.k
-    out_subsets = ksubsets(d, d + 1 - k)
-    out = [0] * len(out_subsets)
-    index = {s: i for i, s in enumerate(out_subsets)}
-    universe = set(range(1, d + 2))
-    for subset, c in zip(ksubsets(d, k), x.coords):
-        comp = tuple(sorted(universe - set(subset)))
-        sign = _perm_sign(subset + comp)
-        out[index[comp]] = _norm(sign * c, x.p)
+    out = [0] * len(x.coords)  # C(d+1, k) = C(d+1, d+1-k)
+    for (i, sign, _), c in zip(_complements(d, k), x.coords):
+        out[i] = _norm(sign * c, x.p)
     return KVector(d=d, k=d + 1 - k, coords=tuple(out), p=x.p)
 
 
@@ -137,15 +150,9 @@ def pairing(x: KVector, y: KVector):
         )
     if x.p != y.p:
         raise ValueError("pairing operands live over different scalars")
-    d, k = x.d, x.k
-    y_index = {s: i for i, s in enumerate(ksubsets(d, y.k))}
-    universe = set(range(1, d + 2))
-    base = k * (k + 1) // 2
     total = 0
-    for subset, c in zip(ksubsets(d, k), x.coords):
-        comp = tuple(sorted(universe - set(subset)))
-        sign = -1 if (base + sum(subset)) % 2 else 1
-        total += sign * c * y.coords[y_index[comp]]
+    for (i, _, sign), c in zip(_complements(x.d, x.k), x.coords):
+        total += sign * c * y.coords[i]
     return _norm(total, x.p)
 
 

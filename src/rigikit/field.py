@@ -19,7 +19,7 @@ def mod_inv(a: int, p: int) -> int:
     a %= p
     if a == 0:
         raise ZeroDivisionError("inverse of 0 mod %d" % p)
-    return pow(a, p - 2, p)
+    return pow(a, -1, p)
 
 
 def is_prime(n: int) -> bool:

@@ -72,7 +72,7 @@ def flat_family(ambient: int, p: int, items) -> FlatFamily:
                     "flat %r has a vector of length %d in ambient %d"
                     % (fid, len(vec), ambient)
                 )
-        if linalg.rank(rows, p) != len(rows):
+        if linalg.rank([linalg.sparse(r, p) for r in rows], p) != len(rows):
             raise FlatError("flat %r has a dependent basis" % fid)
         flats[fid] = Flat(ambient=ambient, basis=tuple(tuple(r) for r in rows))
         order.append(fid)
@@ -83,8 +83,8 @@ def span_rank(fam: FlatFamily, ids=None) -> int:
     """Rank of the union of the selected flats' basis vectors."""
     rows = []
     for fid in fam.subset(ids):
-        rows.extend(fam.flats[fid].basis)
-    return linalg.rank(rows, fam.p) if rows else 0
+        rows.extend(linalg.sparse(vec, fam.p) for vec in fam.flats[fid].basis)
+    return linalg.rank(rows, fam.p)
 
 
 def connectivity(fam: FlatFamily, ids=None):
@@ -141,7 +141,7 @@ def generic_matroid_rank(fam: FlatFamily, ids=None, rng: SplitMix64 = None, tria
         for fid in sel:
             flat = fam.flats[fid]
             point = random_point_in_span(flat.basis, flat.ambient - 1, sub, fam.p)
-            rows.append(list(point))
+            rows.append(linalg.sparse(point, fam.p))
         best = max(best, linalg.rank(rows, fam.p))
     return best
 

@@ -1,16 +1,20 @@
-"""Exact dense linear algebra over a prime field.
+"""Exact sparse linear algebra over a prime field.
 
-Vectors are sequences of ints (lists or tuples); matrices are sequences of
-such rows.  One primitive, ``Echelon``, answers every question: it grows a
-row echelon form one vector at a time.  Each stored row is monic at its
-pivot, zero left of it, and zero at the pivot of every row stored before
-it, so ``reduce`` clears the pivot columns in insertion order and only
-touches columns from each pivot onward.
+A row is a tuple of (column, value) pairs in increasing column order, with
+every value in [1, p); the zero row is the empty tuple.  ``sparse`` turns a
+dense vector into a row and ``dense`` turns it back.  One primitive,
+``Echelon``, answers every question: it grows a row echelon form one row
+at a time.  Each stored row is monic at its pivot (its first pair), has no
+pair left of it, and none at the pivot of any row stored before it, so
+``reduce`` clears the pivot columns in insertion order and only touches
+each stored row's own pairs.
 
-``rank`` is forward elimination alone.  ``rref`` adds one back-substitution
-and sorts the rows by pivot; the reduced row-echelon form of a row space is
-unique, so ``rref`` and ``nullspace`` do not depend on the order in which
-rows are given, and results are deterministic for deterministic inputs.
+``rank`` is forward elimination alone; a row equal to one already offered
+is skipped, since a multiset of rows has the rank of its set.  ``rref``
+takes and returns dense rows: it adds one back-substitution and sorts the
+rows by pivot.  The reduced row-echelon form of a row space is unique, so
+``rref`` and ``nullspace`` do not depend on the order in which rows are
+given, and results are deterministic for deterministic inputs.
 """
 
 from __future__ import annotations
@@ -18,73 +22,94 @@ from __future__ import annotations
 from .field import mod_inv
 
 
+def sparse(vec, p: int) -> tuple:
+    """The row of a dense vector: its nonzero entries mod p, as (column, value) pairs."""
+    return tuple((c, x % p) for c, x in enumerate(vec) if x % p)
+
+
+def dense(row, ncols: int) -> list[int]:
+    """The dense vector, ncols entries long, of a row."""
+    vec = [0] * ncols
+    for c, x in row:
+        vec[c] = x
+    return vec
+
+
 class Echelon:
-    """A row echelon basis over F_p, grown one vector at a time."""
+    """A row echelon basis over F_p, grown one row at a time."""
 
     __slots__ = ("p", "rows", "pivots")
 
     def __init__(self, p: int):
         self.p = p
-        self.rows: list[list[int]] = []
+        self.rows: list[tuple] = []
         self.pivots: list[int] = []
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec) -> list[int]:
-        """A fresh copy of vec with every pivot column cleared; zero iff in the span."""
+    def reduce(self, row) -> dict:
+        """row with every pivot column cleared, as {column: value}; empty iff in the span."""
         p = self.p
-        v = [x % p for x in vec]
-        for row, c in zip(self.rows, self.pivots):
-            m = v[c]
+        v = dict(row)
+        get = v.get
+        for c, stored in zip(self.pivots, self.rows):
+            m = get(c)
             if m:
-                v[c:] = [(a - m * b) % p for a, b in zip(v[c:], row[c:])]
+                for k, b in stored:
+                    x = (get(k, 0) - m * b) % p
+                    if x:
+                        v[k] = x
+                    else:
+                        del v[k]
         return v
 
-    def add(self, vec) -> bool:
-        """Store vec's residual if it is nonzero; True iff the rank grew."""
-        v = self.reduce(vec)
-        for c, x in enumerate(v):
-            if x:
-                inv = mod_inv(x, self.p)
-                v[c:] = [y * inv % self.p for y in v[c:]]
-                self.rows.append(v)
-                self.pivots.append(c)
-                return True
-        return False
+    def add(self, row) -> bool:
+        """Store row's residual if it is nonzero; True iff the rank grew."""
+        v = self.reduce(row)
+        if not v:
+            return False
+        p = self.p
+        c = min(v)
+        inv = mod_inv(v[c], p)
+        self.rows.append(tuple([(k, x * inv % p) for k, x in sorted(v.items())]))
+        self.pivots.append(c)
+        return True
 
 
 def rank(rows, p: int) -> int:
     ech = Echelon(p)
+    seen = set()
     for row in rows:
-        if ech.add(row) and ech.rank == len(row):
-            break
+        if row not in seen:
+            seen.add(row)
+            ech.add(row)
     return ech.rank
 
 
 def rref(rows, p: int):
-    """Reduced row-echelon form.
+    """Reduced row-echelon form of dense rows.
 
-    Returns (R, pivot_cols).  R has the same shape as the input (possibly
-    zero rows at the bottom); len(pivot_cols) is the rank.
+    Returns (R, pivot_cols).  R is dense with the same shape as the input
+    (possibly zero rows at the bottom); len(pivot_cols) is the rank.
     """
     ech = Echelon(p)
     for row in rows:
-        ech.add(row)
+        ech.add(sparse(row, p))
     # Back-substitution: re-adding the rows from the last pivot to the first
     # clears every later pivot column from each row.
     back = Echelon(p)
     for i in sorted(range(ech.rank), key=ech.pivots.__getitem__, reverse=True):
         back.add(ech.rows[i])
-    R, pivot_cols = back.rows[::-1], back.pivots[::-1]
-    if rows:
-        R.extend([0] * len(rows[0]) for _ in range(len(rows) - len(R)))
-    return R, pivot_cols
+    ncols = len(rows[0]) if rows else 0
+    R = [dense(row, ncols) for row in back.rows[::-1]]
+    R.extend([0] * ncols for _ in range(len(rows) - len(R)))
+    return R, back.pivots[::-1]
 
 
 def nullspace(rows, ncols: int, p: int):
-    """Basis of the right kernel {x : rows @ x = 0}, one vector per free column."""
+    """Basis of the right kernel {x : rows @ x = 0} of dense rows, one vector per free column."""
     R, pivots = rref(rows, p)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -99,4 +124,5 @@ def nullspace(rows, ncols: int, p: int):
 
 
 def mat_vec(rows, vec, p: int):
-    return [sum(a * b for a, b in zip(row, vec)) % p for row in rows]
+    """Each sparse row applied to the dense vector vec."""
+    return [sum([b * vec[c] for c, b in row]) % p for row in rows]

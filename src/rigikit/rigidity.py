@@ -122,13 +122,14 @@ def _endpoint_point(v: str, rods: RodConfig, rng: SplitMix64, d: int, p: int):
 
 @dataclass(frozen=True)
 class RigidityMatrix:
-    """Sparse-pattern row matrix over F_p, stored dense (desk-scale sizes)."""
+    """Row matrix over F_p with sparse rows (linalg's format): each row of an
+    edge uv has pairs only in u's and v's column blocks."""
 
     p: int
     block: int
     vertex_order: tuple[str, ...]
     row_labels: tuple  # (edge id, j): the j-th vector of that edge
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple  # sparse rows: tuples of (column, value) pairs
 
     @property
     def ncols(self) -> int:
@@ -144,6 +145,7 @@ class RigidityMatrix:
         return self.ncols - self.rank()
 
     def apply(self, vec) -> list[int]:
+        """The matrix times the dense vector vec; each row reads only its own pairs."""
         return linalg.mat_vec(self.rows, vec, self.p)
 
 
@@ -153,21 +155,20 @@ def two_block_matrix(
     """One row per vector alpha of each edge uv: +alpha in u's block, -alpha in v's.
 
     vectors_of(e) gives the edge's vectors (each of length block); rows come
-    in edge order, then vector order, labelled (edge id, j).
+    in edge order, then vector order, labelled (edge id, j).  Each row is
+    sparse: alpha's nonzero entries in both blocks, the lower block first.
     """
     order = graph.vertex_ids
     pos = {v: i * block for i, v in enumerate(order)}
-    ncols = block * len(order)
     rows = []
     labels = []
     for e in graph.edges:
         bu, bv = pos[e.u], pos[e.v]
         for j, alpha in enumerate(vectors_of(e)):
-            row = [0] * ncols
-            for k, c in enumerate(alpha):
-                row[bu + k] = c % p
-                row[bv + k] = (-c) % p
-            rows.append(tuple(row))
+            nonzero = [(k, c % p) for k, c in enumerate(alpha) if c % p]
+            plus = tuple((bu + k, c) for k, c in nonzero)
+            minus = tuple((bv + k, p - c) for k, c in nonzero)
+            rows.append(plus + minus if bu < bv else minus + plus)
             labels.append((e.id, j))
     return RigidityMatrix(
         p=p, block=block, vertex_order=order, row_labels=tuple(labels), rows=tuple(rows)
@@ -369,41 +370,59 @@ def trivial_motions(
     return out
 
 
+@dataclass(frozen=True)
+class TrivialCheck:
+    """The formal trivial family of one matrix, each motion applied to it once."""
+
+    motions: tuple  # (kind, vector) pairs, as trivial_motions lists them
+    missed: tuple  # kinds of the motions the matrix does not annihilate
+
+    @property
+    def checked(self) -> int:
+        return len(self.motions)
+
+    @property
+    def violations(self) -> int:
+        return len(self.missed)
+
+
 def verify_trivial_motions(
     m: RigidityMatrix,
     rods: Optional[RodConfig] = None,
     joints: Optional[Mapping] = None,
-):
-    """(number checked, number NOT in the kernel); the second must be zero."""
-    trivials = trivial_motions(m, rods=rods, joints=joints)
-    bad = sum(1 for _, vec in trivials if any(m.apply(vec)))
-    return len(trivials), bad
+) -> TrivialCheck:
+    """Apply every formal trivial motion to m; check.violations must be zero."""
+    trivials = tuple(trivial_motions(m, rods=rods, joints=joints))
+    missed = tuple(kind for kind, vec in trivials if any(m.apply(vec)))
+    return TrivialCheck(motions=trivials, missed=missed)
 
 
 def kernel_basis(
     m: RigidityMatrix,
     rods: Optional[RodConfig] = None,
     joints: Optional[Mapping] = None,
+    check: Optional[TrivialCheck] = None,
 ) -> MotionBasis:
     """Kernel of the matrix, classified against the trivial family.
 
     Raises if a formally trivial motion is not actually in the kernel:
-    that can only happen on an invalid configuration.
+    that can only happen on an invalid configuration.  check is m's own
+    verify_trivial_motions result, if the caller already has it.
     """
-    kern = linalg.nullspace(m.rows, m.ncols, m.p)
-    trivials = trivial_motions(m, rods=rods, joints=joints)
-    for kind, vec in trivials:
-        if any(m.apply(vec)):
-            raise ConfigError("%s motion is not in the kernel" % kind)
+    if check is None:
+        check = verify_trivial_motions(m, rods=rods, joints=joints)
+    if check.missed:
+        raise ConfigError("%s motion is not in the kernel" % check.missed[0])
+    kern = linalg.nullspace([linalg.dense(row, m.ncols) for row in m.rows], m.ncols, m.p)
     span = linalg.Echelon(m.p)
-    for _, vec in trivials:
-        span.add(vec)
+    for _, vec in check.motions:
+        span.add(linalg.sparse(vec, m.p))
     trivial_dim = span.rank
-    entries = list(trivials)
+    entries = list(check.motions)
     for vec in kern:
         if span.rank == len(kern):
             break
-        if span.add(vec):
+        if span.add(linalg.sparse(vec, m.p)):
             entries.append(("nontrivial", tuple(vec)))
     return MotionBasis(
         entries=tuple(entries),

@@ -84,3 +84,19 @@ def rref_reference(rows, p: int):
 
 def rank_reference(rows, p: int) -> int:
     return len(rref_reference(rows, p)[1])
+
+
+def dense_rows(m):
+    """A RigidityMatrix's sparse rows written out dense, m.ncols entries each."""
+    out = []
+    for row in m.rows:
+        vec = [0] * m.ncols
+        for c, x in row:
+            vec[c] = x
+        out.append(vec)
+    return out
+
+
+def mat_vec_reference(rows, vec, p: int):
+    """Dense rows times a dense vector."""
+    return [sum(a * b for a, b in zip(row, vec)) % p for row in rows]

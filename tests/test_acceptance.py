@@ -74,8 +74,8 @@ def hinge_cases():
         t = 0
         while t < trials:
             trial = linear_trial(graph, "body-hinge", 3, P, sub.spawn(100 + t))
-            checked += trial.trivial_checked
-            violations += trial.trivial_violations
+            checked += trial.trivial.checked
+            violations += trial.trivial.violations
             best = max(best, trial.rank)
             t += 1
             if t == trials and (best == cs.target) != count_rigid and trials < 10:
@@ -206,7 +206,7 @@ def test_criterion_7_dilworth_truncation():
             k = 1 + sub.below(min(3, ambient - 1))
             while True:
                 basis = [sub.vector(ambient, P) for _ in range(k)]
-                if linalg.rank([list(b) for b in basis], P) == k:
+                if linalg.rank([linalg.sparse(b, P) for b in basis], P) == k:
                     break
             items.append(("f%d" % i, basis))
         fam = flat_family(ambient, P, items)
@@ -247,9 +247,9 @@ def test_criterion_8_trivial_motions(body_rod_bar_runs, hinge_cases):
     rng = SplitMix64(40_001)
     rods = sample_rod_config(g, 3, rng.spawn(0), P)
     bars = sample_bar_config(g, rods, rng.spawn(1), P)
-    c, v = verify_trivial_motions(matrix_body_rod_bar(g, rods, bars), rods=rods)
-    checked += c
-    violations += v
+    check = verify_trivial_motions(matrix_body_rod_bar(g, rods, bars), rods=rods)
+    checked += check.checked
+    violations += check.violations
     report(
         8,
         checked > 0 and violations == 0,

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from rigikit import count_matroid as cm
+from rigikit import rigidity as rg
 from rigikit.analysis import (
     BAR_MODELS,
     ROD_MODELS,
@@ -219,6 +220,34 @@ def test_analyze_escalates_on_unlucky_samples():
     assert rep.linear_ranks[:3] == (2, 2, 2)
     assert rep.max_linear_rank == 3
     assert rep.agreement
+
+
+def test_trivial_family_applied_once_per_trial(monkeypatch):
+    # each trial applies the trivial family once; kernel_basis reuses the
+    # best trial's check instead of applying the family a second time
+    applied = []
+    real = rg.RigidityMatrix.apply
+
+    def counted(self, vec):
+        applied.append(vec)
+        return real(self, vec)
+
+    monkeypatch.setattr(rg.RigidityMatrix, "apply", counted)
+    rng = SplitMix64(405)
+    cases = [
+        (random_multigraph(rng.spawn(len(model)), model, max_vertices=5), model, 3, P, 1)
+        for model in MODELS
+    ]
+    # a tiny field escalates this one to 10 trials
+    cases.append((build_graph([("a", "body"), ("b", "body")], [("a", "b")] * 3),
+                  "body-bar", 2, 3, 22))
+    for g, model, d, prime, seed in cases:
+        applied.clear()
+        rep = analyze(g, model, d, prime=prime, seed=seed)
+        assert rep.trivial_motion_count > 0
+        assert len(applied) == rep.trivial_motion_count * rep.trials_run, model
+        assert rep.trivial_checked == len(applied)
+    assert rep.trials_run == 10
 
 
 def test_analyze_oracle_crosscheck():

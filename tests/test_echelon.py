@@ -1,7 +1,8 @@
 """The echelon primitive and the answers built on it, against kept references.
 
 ``rank``, ``rref`` and ``nullspace`` are compared exactly with a textbook
-Gauss-Jordan elimination (``helpers.rref_reference``); ``kernel_basis`` is
+Gauss-Jordan elimination on dense rows (``helpers.rref_reference``); sparse
+rows are checked against their dense expansion; ``kernel_basis`` is
 compared with the rank-per-vector classification it replaced.
 """
 
@@ -15,7 +16,7 @@ from rigikit.analysis import linear_trial, random_multigraph
 from rigikit.field import DEFAULT_PRIME, SplitMix64
 from rigikit.graph import build_graph
 
-from helpers import rank_reference, rref_reference
+from helpers import dense_rows, mat_vec_reference, rank_reference, rref_reference
 
 PRIMES = (2, 3, 7, 2**31 - 1)  # small primes hit zero pivots often
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -55,12 +56,13 @@ def nullspace_reference(rows, ncols, p):
 @given(matrices())
 def test_rank_rref_nullspace_match_reference(case):
     p, n, rows = case
-    assert linalg.rank(rows, p) == rank_reference(rows, p)
+    sparse = [linalg.sparse(row, p) for row in rows]
+    assert linalg.rank(sparse, p) == rank_reference(rows, p)
     assert linalg.rref(rows, p) == rref_reference(rows, p)
     kern = linalg.nullspace(rows, n, p)
     assert kern == nullspace_reference(rows, n, p)
     for vec in kern:
-        assert not any(linalg.mat_vec(rows, vec, p))
+        assert not any(linalg.mat_vec(sparse, vec, p))
 
 
 @PROPERTY
@@ -69,26 +71,60 @@ def test_add_is_false_exactly_on_the_span(case, data):
     p, n, rows = case
     ech = linalg.Echelon(p)
     for row in rows:
-        ech.add(row)
+        ech.add(linalg.sparse(row, p))
     for k, (row, c) in enumerate(zip(ech.rows, ech.pivots)):
-        assert row[c] == 1 and not any(row[:c])  # monic, zero left of the pivot
-        assert all(row[ech.pivots[j]] == 0 for j in range(k))
+        cols = [col for col, _ in row]
+        assert row[0] == (c, 1)  # monic at the pivot, nothing left of it
+        assert cols == sorted(set(cols)) and all(0 < x < p for _, x in row)
+        assert not set(cols) & set(ech.pivots[:k])
     if rows and data.draw(st.booleans()):
         vec = rows[data.draw(st.integers(0, len(rows) - 1))]
     else:
         vec = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
     in_span = rank_reference(rows + [vec], p) == rank_reference(rows, p)
-    before = ([list(r) for r in ech.rows], list(ech.pivots))
-    arg = tuple(vec)
-    assert (not any(ech.reduce(arg))) == in_span
+    before = (list(ech.rows), list(ech.pivots))
+    arg = linalg.sparse(vec, p)
+    assert (not ech.reduce(arg)) == in_span
     grew = ech.add(arg)
-    assert arg == tuple(vec)  # the input is never written to
     assert grew == (not in_span)
     if in_span:
         assert (ech.rows, ech.pivots) == before
     else:
         assert ech.rank == len(before[0]) + 1
-        assert not any(ech.reduce(vec))
+        assert not ech.reduce(arg)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(p, ncols, rows): zero, repeated and random sparse rows in linalg's format."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 9))
+    value = st.integers(1, p - 1)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(("zero", "repeat", "random")), max_size=8)):
+        if kind == "zero":
+            rows.append(())
+        elif kind == "repeat" and rows:
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+        else:
+            cols = draw(st.sets(st.integers(0, n - 1)))
+            rows.append(tuple((c, draw(value)) for c in sorted(cols)))
+    return p, n, rows
+
+
+@PROPERTY
+@given(sparse_matrices(), st.data())
+def test_sparse_rows_match_their_dense_expansion(case, data):
+    p, n, rows = case
+    m = rg.RigidityMatrix(
+        p=p, block=1, vertex_order=tuple("v%d" % i for i in range(n)),
+        row_labels=tuple(("e", j) for j in range(len(rows))), rows=tuple(rows),
+    )
+    dense = dense_rows(m)
+    assert [linalg.sparse(row, p) for row in dense] == rows
+    assert linalg.rank(rows, p) == rank_reference(dense, p)
+    vec = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    assert m.apply(vec) == mat_vec_reference(dense, vec, p)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +133,7 @@ def test_add_is_false_exactly_on_the_span(case, data):
 
 def kernel_basis_reference(m, rods=None, joints=None):
     """The classification by one full rank of the growing span per kernel vector."""
-    kern = nullspace_reference([list(r) for r in m.rows], m.ncols, m.p)
+    kern = nullspace_reference(dense_rows(m), m.ncols, m.p)
     trivials = rg.trivial_motions(m, rods=rods, joints=joints)
     current = [list(vec) for _, vec in trivials]
     trivial_dim = rank_reference(current, m.p)

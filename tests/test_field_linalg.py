@@ -56,19 +56,22 @@ def test_rref_rank_nullspace():
         m = 1 + rng.below(6)
         n = 1 + rng.below(8)
         rows = [[rng.field_elem(P) for _ in range(n)] for _ in range(m)]
-        r = linalg.rank(rows, P)
+        sparse = [linalg.sparse(row, P) for row in rows]
+        r = linalg.rank(sparse, P)
         kern = linalg.nullspace(rows, n, P)
         assert r + len(kern) == n
         for vec in kern:
-            assert all(x == 0 for x in linalg.mat_vec(rows, vec, P))
+            assert all(x == 0 for x in linalg.mat_vec(sparse, vec, P))
         # duplicating rows never changes the rank
-        assert linalg.rank(rows + rows, P) == r
+        assert linalg.rank(sparse + sparse, P) == r
 
 
 def test_rank_known_matrix():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    assert linalg.rank(rows, P) == 2
-    assert linalg.rank([[0, 0], [0, 0]], P) == 0
+    assert linalg.rank([linalg.sparse(row, P) for row in rows], P) == 2
+    assert linalg.sparse([0, 0], P) == ()
+    assert linalg.sparse([P, 2 * P + 3], P) == ((1, 3),)
+    assert linalg.rank([(), ()], P) == 0
     assert linalg.rank([], P) == 0
 
 

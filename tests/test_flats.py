@@ -34,7 +34,7 @@ def random_family(rng, n_flats=4, ambient=8, max_rank=3):
         k = 1 + rng.below(max_rank)
         while True:
             basis = [rng.vector(ambient, P) for _ in range(k)]
-            if linalg.rank([list(b) for b in basis], P) == k:
+            if linalg.rank([linalg.sparse(b, P) for b in basis], P) == k:
                 break
         items.append(("f%d" % i, basis))
     return flat_family(ambient, P, items)
@@ -56,7 +56,7 @@ def test_span_rank_examples():
     fam = three_hyperplanes_through_line(P)
     assert span_rank(fam) == 4
     for pair in (["A1", "A2"], ["A2", "A3"], ["A1", "A3"]):
-        stacked = [list(v) for fid in pair for v in fam.flats[fid].basis]
+        stacked = [linalg.sparse(v, P) for fid in pair for v in fam.flats[fid].basis]
         assert linalg.rank(stacked, P) == 4  # pairwise spans fill the space
     # pairwise intersections are the shared rank-2 line
     for fid in fam.order:
@@ -98,15 +98,15 @@ def test_generic_rank_upper_bound_any_points():
             k = 1 + sub.below(2)
             while True:
                 basis = [sub.vector(5, small_p) for _ in range(k)]
-                if linalg.rank([list(b) for b in basis], small_p) == k:
+                if linalg.rank([linalg.sparse(b, small_p) for b in basis], small_p) == k:
                     break
             items.append(("f%d" % i, basis))
         fam = flat_family(5, small_p, items)
         pts = []
         for fid in fam.order:
             flat = fam.flats[fid]
-            vec = list(flat.basis[0])  # worst case: always the first basis vector
-            pts.append(vec)
+            # worst case: always the first basis vector
+            pts.append(linalg.sparse(flat.basis[0], small_p))
         got = linalg.rank(pts, small_p)
         assert got <= generic_rank_bruteforce(fam)
 
@@ -162,7 +162,7 @@ def test_truncation_le_direction_any_hyperplane():
         cuts = [intersect_with_hyperplane(fam.flats[f], normal, P) for f in fam.order]
         if any(c is None for c in cuts):
             continue
-        rows = [list(v) for c in cuts for v in c.basis]
+        rows = [linalg.sparse(v, P) for c in cuts for v in c.basis]
         assert linalg.rank(rows, P) <= truncation_rhs_bruteforce(fam)
 
 

@@ -22,7 +22,7 @@ from rigikit.rigidity import (
     verify_trivial_motions,
 )
 
-from helpers import random_kinded_graph
+from helpers import dense_rows, random_kinded_graph, rank_reference
 from rigikit.analysis import count_side, random_multigraph
 
 P = DEFAULT_PRIME
@@ -107,7 +107,8 @@ def row_blocks(m, row):
 
 def test_row_pattern_two_opposite_blocks():
     # every builder: a row is +alpha in u's block, -alpha in v's, zero
-    # elsewhere, labelled (edge id, j) with j counting that edge's vectors
+    # elsewhere, labelled (edge id, j) with j counting that edge's vectors;
+    # stored sparse, its pairs sorted, nonzero and inside those two blocks
     rng = SplitMix64(5)
     for case in range(8):
         g = random_kinded_graph(rng.spawn(case), max_edges=6)
@@ -124,8 +125,13 @@ def test_row_pattern_two_opposite_blocks():
             assert m.row_labels == tuple(
                 (e.id, j) for e in g.edges for j in range(n_vectors(e))
             )
-            for (eid, _), row in zip(m.row_labels, m.rows):
+            for (eid, _), pairs, row in zip(m.row_labels, m.rows, dense_rows(m)):
                 e = g.edge(eid)
+                cols = [c for c, _ in pairs]
+                assert cols == sorted(set(cols))
+                assert all(0 < x < P for _, x in pairs)
+                ends = {m.vertex_order.index(v) for v in (e.u, e.v)}
+                assert {c // m.block for c in cols} <= ends
                 blocks = row_blocks(m, row)
                 assert [i for i, _ in blocks] == sorted(
                     m.vertex_order.index(v) for v in (e.u, e.v)
@@ -155,8 +161,8 @@ def test_constant_motions_in_kernel():
                     [("a", "b"), ("b", "c")])
     _, bars = sampled(g, seed=8)
     m = matrix_body_bar(g, bars)
-    checked, bad = verify_trivial_motions(m)
-    assert (checked, bad) == (6, 0)
+    check = verify_trivial_motions(m)
+    assert (check.checked, check.violations) == (6, 0)
 
 
 def test_body_rod_bar_rank_bound_and_kernel():
@@ -268,6 +274,23 @@ def test_expand_hinge_rejects_nonbipartite():
         expand_hinge(g, 3, SplitMix64(16), P)
 
 
+def test_kernel_basis_rejects_trivial_motions_outside_the_kernel():
+    # bars that miss the rods: the rods' spins are not in the kernel
+    g = two_rods(2)
+    rods, bars = sampled(g, seed=4)
+    bad_rods = sample_rod_config(two_rods(1), 3, SplitMix64(55), P)
+    m = matrix_body_bar(g, bars)
+    check = verify_trivial_motions(m, rods=bad_rods)
+    assert check.missed == ("rod-spin", "rod-spin")
+    with pytest.raises(ConfigError, match="rod-spin motion is not in the kernel"):
+        kernel_basis(m, rods=bad_rods)  # a standalone call checks on its own
+    with pytest.raises(ConfigError, match="rod-spin motion is not in the kernel"):
+        kernel_basis(m, rods=bad_rods, check=check)
+    good = verify_trivial_motions(m, rods=rods)
+    assert good.violations == 0
+    assert kernel_basis(m, rods=rods, check=good) == kernel_basis(m, rods=rods)
+
+
 def test_hinge_motion_constraint_equivalence():
     # kernel motions of the expanded framework satisfy
     # m(u) - m(v) in span(hinge) for bodies u, v sharing hinge w
@@ -282,7 +305,7 @@ def test_hinge_motion_constraint_equivalence():
     bu, bv = m.block_of("u"), m.block_of("v")
     for _, vec in basis.entries:
         diff = [(vec[bu + j] - vec[bv + j]) % P for j in range(6)]
-        assert linalg.rank([spin, diff], P) <= 1
+        assert linalg.rank([linalg.sparse(spin, P), linalg.sparse(diff, P)], P) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -360,5 +383,6 @@ def test_edge_flats_subset_ranks_match_polymatroid():
             if not F:
                 continue
             keep = set(F)
-            rows = [list(r) for r, (eid, _) in zip(m.rows, m.row_labels) if eid in keep]
-            assert linalg.rank(rows, P) == fhat(g, F, prof)
+            rows = [r for r, (eid, _) in zip(m.rows, m.row_labels) if eid in keep]
+            dense = [r for r, (eid, _) in zip(dense_rows(m), m.row_labels) if eid in keep]
+            assert linalg.rank(rows, P) == rank_reference(dense, P) == fhat(g, F, prof)
