@@ -96,6 +96,21 @@ class CountSide:
         return self.state.rank_without(drop)
 
 
+def _every_edge_needed(graph: Multigraph, cs: CountSide) -> bool:
+    """Does deleting any edge lower the count rank of a rigid instance?
+
+    Rigid means the count rank is the target.  With nothing rejected every
+    copy is in the basis, so each deletion lowers the rank.  When every edge
+    has one copy, a rejected edge's deletion keeps the basis and the rank.
+    Otherwise each edge's copies are released in turn.
+    """
+    if not cs.state.rejected:
+        return True
+    if cs.copies is None or all(len(c) == 1 for c in cs.copies.values()):
+        return False
+    return all(cs.rank_without(e) < cs.target for e in graph.edge_ids)
+
+
 def count_side(graph: Multigraph, model: str, d: int) -> CountSide:
     """The model's count matroid: on the host graph for bar models, else on its f-expansion."""
     prof, host = count_host(graph, model, d)
@@ -374,7 +389,7 @@ def analyze(
     rigid = nv <= 1 or (max_rank == cs.target)
     minimal: Optional[bool] = None
     if nv > 1 and graph.edges:
-        minimal = rigid and all(cs.rank_without(e) < cs.target for e in graph.edge_ids)
+        minimal = rigid and _every_edge_needed(graph, cs)
     if nv <= 1:
         verdict = "trivially rigid"
     elif rigid:

@@ -14,10 +14,13 @@ The polymatroid rank fhat(F) (the partition minimum of sums of f) is
 computed by expanding each edge e into f(e) parallel copies and taking
 the matroid rank of the copies, which is an exact reduction.  P-connected
 components are pulled back from M-connected components of the expansion.
-One game per matroid answers every question about it.  Releasing an
+One game per matroid answers every question about it.  The fundamental
+circuit of a rejected edge is read off the reach region of its failed
+search: the basis edges offered before it that the region induces (Lee
+and Streinu's closure step, for these mixed capacities).  Releasing an
 inserted edge gives its pebble back to the arc's tail, a valid state of
-the game over the other edges, so circuits and ranks after deletion are
-read off released copies of the final state instead of replays.
+the game over the other edges, so ranks after deletion are read off
+released copies of the final state instead of replays.
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ class PebbleState:
 
     Invariant (checked by tests): pebbles[v] + outdegree(v) == capacity(v)
     for every vertex touched so far.  It keeps the inserted independent set
-    and each rejected edge with the reach region of its failed search; a
-    finished state is queried through released copies, never changed.
+    in offer order and each rejected edge with the reach region of its
+    failed search, from which circuits are read.  A finished state is never
+    changed: ranks after deletion come from released copies.
     """
 
     def __init__(self, graph: Multigraph, prof: CountProfile):
@@ -229,16 +233,27 @@ class Decomposition:
 
 
 def _fundamental_circuit_rest(state: PebbleState, x, reach):
-    """Basis part of the unique circuit in basis + x.
+    """Basis part of the unique circuit in basis + x, read off the reach region.
 
-    The circuit lies in the failed search's reach region, so only the basis
-    edges it induces are tested: y is in it when x fits once y is released.
+    x = uv was rejected with u and v holding offset pebbles and no pebble
+    reachable, so the reach region R has no out-arcs and is tight.  A tight
+    set holding u and v has no out-arcs either and so contains R: R is the
+    minimal tight set containing u and v.  Hence every basis edge y that R
+    induces is in the circuit (a dependent basis - y + x would need a tight
+    set holding u and v but not y), and no other edge is.  The circuit lies
+    in the edges offered before x, so the walk stops at x.
     """
-    edge = state.graph.edge
-    return tuple(
-        y for y in state.inserted
-        if {edge(y).u, edge(y).v} <= reach and state.released([y]).try_insert(x)
-    )
+    graph = state.graph
+    stop = graph.edge_index[x]
+    rest = []
+    for y in state.inserted:
+        idx = graph.edge_index[y]
+        if idx > stop:
+            break
+        e = graph.edges[idx]
+        if e.u in reach and e.v in reach:
+            rest.append(y)
+    return tuple(rest)
 
 
 def _components_via_circuits(state: PebbleState):

@@ -33,7 +33,7 @@ from .exterior import (
     sample_span,
     wedge2,
 )
-from .field import SplitMix64
+from .field import SplitMix64, mod_inv
 from .graph import (
     CountProfile,
     GraphError,
@@ -299,16 +299,27 @@ def matrix_direction(graph: Multigraph, joints, d: int, p: int) -> RigidityMatri
     """Direction matrix: d-1 rows per edge, blocks of width d.
 
     Each row places a basis vector of the orthogonal complement of
-    p(u) - p(v) in block u and its negative in block v.
+    delta = p(u) - p(v) in block u and its negative in block v: the kernel
+    basis of the one row delta, whose reduced form is delta made monic at
+    its first nonzero column c, so free column j gives e_j - (delta_j / delta_c) e_c.
     """
 
     def complement(e):
         delta = [(a - b) % p for a, b in zip(joints[e.u], joints[e.v])]
-        if not any(delta):
+        c = next((k for k, x in enumerate(delta) if x), None)
+        if c is None:
             raise ConfigError(
                 "edge %r has coincident joints at %r and %r" % (e.id, e.u, e.v)
             )
-        return linalg.nullspace([delta], d, p)
+        inv = mod_inv(delta[c], p)
+        basis = []
+        for j in range(d):
+            if j != c:
+                vec = [0] * d
+                vec[j] = 1
+                vec[c] = -delta[j] * inv % p
+                basis.append(vec)
+        return basis
 
     return two_block_matrix(graph, d, p, complement)
 

@@ -100,3 +100,17 @@ def dense_rows(m):
 def mat_vec_reference(rows, vec, p: int):
     """Dense rows times a dense vector."""
     return [sum(a * b for a, b in zip(row, vec)) % p for row in rows]
+
+
+def fundamental_circuit_reference(state, x, reach):
+    """Basis part of the circuit in basis + x by candidate tests, the reference
+    for count_matroid's reach-region read.
+
+    Only the basis edges the reach region induces are tested: y is in the
+    circuit when x fits once y is released.
+    """
+    edge = state.graph.edge
+    return tuple(
+        y for y in state.inserted
+        if {edge(y).u, edge(y).v} <= reach and state.released([y]).try_insert(x)
+    )

@@ -6,6 +6,7 @@ from rigikit import count_matroid as cm
 from rigikit import rigidity as rg
 from rigikit.analysis import (
     BAR_MODELS,
+    CountSide,
     ROD_MODELS,
     analyze,
     count_host,
@@ -16,7 +17,7 @@ from rigikit.analysis import (
 )
 from rigikit.count_matroid import rank_value
 from rigikit.field import DEFAULT_PRIME, SplitMix64
-from rigikit.graph import CountProfile, VertexKind, build_graph
+from rigikit.graph import CountProfile, VertexKind, build_graph, expand_f
 from rigikit.rigidity import matrix_body_rod_bar, sample_bar_config, sample_rod_config
 
 P = DEFAULT_PRIME
@@ -183,6 +184,85 @@ def braced(g, model, copies):
     ]
     vertices = [(v, g.kinds[v]) for v in order]
     return build_graph(vertices, pairs * (copies if model in BAR_MODELS else 1))
+
+
+def rod_ring(n):
+    """n rods on a cycle: two bars to the next rod and one to the rod after it."""
+    edges = []
+    for i in range(n):
+        nxt, after = "r%d" % ((i + 1) % n), "r%d" % ((i + 2) % n)
+        edges += [("r%d" % i, nxt), ("r%d" % i, nxt), ("r%d" % i, after)]
+    return build_graph([("r%d" % i, "rod") for i in range(n)], edges)
+
+
+def test_circuit_pass_replays_nothing(monkeypatch):
+    # every circuit is read off a reach region: the certificate of a
+    # finished game makes no insertion attempt and no released copy
+    rng = SplitMix64(606)
+    prof = CountProfile.body_rod_bar(3)
+    # the rod ring's count matroid is free, its f-expansion is not
+    ring, _ = expand_f(rod_ring(32), prof)
+    states = [cm.pebble_game(ring, None, prof)]
+    for model in MODELS:
+        for k in range(20):  # the first overbraced instance of the model
+            g = braced(random_multigraph(rng.spawn(k), model, max_vertices=5), model, 3)
+            state = count_side(g, model, 3).state
+            if state.rejected:
+                break
+        states.append(state)
+    calls = []
+    for name in ("try_insert", "released"):
+        real = getattr(cm.PebbleState, name)
+
+        def counted(self, *args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(cm.PebbleState, name, counted)
+    for state in states:
+        assert state.rejected
+        cm.certificate(state, None)
+        assert calls == []
+
+
+def test_minimality_of_single_copy_matroids_needs_no_deletion(monkeypatch):
+    # bar models and d = 2 direction: each edge is one element of the count
+    # matroid, so minimality is read off the rejected edges alone
+    calls = []
+    real = CountSide.rank_without
+
+    def counted(self, e):
+        calls.append(e)
+        return real(self, e)
+
+    monkeypatch.setattr(CountSide, "rank_without", counted)
+
+    def pair(u, v, n):  # n parallel edges between u and v
+        return build_graph([u, v], [(u[0], v[0])] * n)
+
+    k4 = [(u, v) for i, u in enumerate("abcd") for v in "abcd"[i + 1:]]
+    bodies4 = [(v, "body") for v in "abcd"]
+    # (model, d, graph, minimally rigid?): each rigid, minimal or overbraced
+    cases = [
+        (model, d, pair(u, v, n), n == need)
+        for model, d, u, v, need in (
+            ("body-bar", 2, ("a", "body"), ("b", "body"), 3),
+            ("body-bar", 3, ("a", "body"), ("b", "body"), 6),
+            ("body-bar", 4, ("a", "body"), ("b", "body"), 10),
+            ("rod-bar", 3, ("r", "rod"), ("s", "rod"), 4),
+            ("rod-bar", 4, ("r", "rod"), ("s", "rod"), 8),
+            ("body-rod-bar", 3, ("a", "body"), ("r", "rod"), 5),
+        )
+        for n in (need, need + 1)
+    ]
+    cases += [("direction", 2, build_graph(bodies4, es), es is not k4) for es in (k4[:5], k4)]
+    for model, d, g, minimal in cases:
+        rep = analyze(g, model, d, seed=1)
+        assert rep.verdict == ("minimally rigid" if minimal else "rigid"), (model, d)
+    assert calls == []
+    # where an edge has several copies the deletions still run
+    rep = analyze(build_graph(bodies4, k4), "direction", 3, seed=1)
+    assert rep.verdict == "rigid" and calls
 
 
 def test_rank_without_and_minimality_match_fresh_games():

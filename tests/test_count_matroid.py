@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigikit.count_matroid import (
+    BRUTEFORCE_LIMIT,
     PebbleState,
+    _fundamental_circuit_rest,
     fhat,
     fhat_bruteforce,
     is_independent,
@@ -34,7 +36,12 @@ from rigikit.graph import (
     f_value,
 )
 
-from helpers import cube_graph, random_kinded_graph, subsets_of
+from helpers import (
+    cube_graph,
+    fundamental_circuit_reference,
+    random_kinded_graph,
+    subsets_of,
+)
 
 PROF3 = CountProfile.body_rod_bar(3)
 
@@ -506,3 +513,65 @@ def test_pebble_rank_is_a_matroid_rank(case, data):
     full = pebble_game(g, ground, prof)
     for F in (A, B, A & B, A | B):
         assert full.rank_without(set(ground) - F) == r(F)
+
+
+# ---------------------------------------------------------------------------
+# Fundamental circuits read off the reach region
+
+
+@st.composite
+def finished_games(draw):
+    """A finished game over a small multigraph or its f-expansion, either profile, d = 2..4."""
+    d = draw(st.integers(2, 4))
+    prof = draw(st.sampled_from((CountProfile.body_rod_bar(d), CountProfile.direction(d))))
+    nv = draw(st.integers(2, 5))
+    kinds = draw(st.lists(st.sampled_from(("body", "rod")), min_size=nv, max_size=nv))
+    pair = st.tuples(st.integers(0, nv - 1), st.integers(1, nv - 1))
+    pairs = draw(st.lists(pair, min_size=2, max_size=12))
+    g = build_graph(
+        [("v%d" % i, k) for i, k in enumerate(kinds)],
+        [("v%d" % u, "v%d" % ((u + k) % nv)) for u, k in pairs],
+    )
+    if draw(st.booleans()):
+        g, _ = expand_f(g, prof)
+    return pebble_game(g, None, prof)
+
+
+@AXIOMS
+@given(finished_games())
+def test_reach_region_circuits_match_candidate_tests(state):
+    checked = set()
+    for x, reach in state.rejected:
+        rest = _fundamental_circuit_rest(state, x, reach)
+        assert rest == fundamental_circuit_reference(state, x, reach)
+        circuit = rest + (x,)
+        if len(circuit) > BRUTEFORCE_LIMIT or frozenset(circuit) in checked:
+            continue
+        checked.add(frozenset(circuit))
+        # a circuit: dependent, and every one-element deletion independent
+        order, table = rank_bruteforce_table(state.graph, circuit, state.prof)
+        full = (1 << len(order)) - 1
+        assert table[full] < len(order)
+        assert all(table[full ^ (1 << i)] == len(order) - 1 for i in range(len(order)))
+
+
+@AXIOMS
+@given(finished_games())
+def test_fundamental_circuits_satisfy_elimination(state):
+    # distinct circuits C1, C2 sharing e: (C1 | C2) - e is dependent; one
+    # brute-force rank table per union of at most 8 edges answers every e
+    circuits = list({
+        frozenset(_fundamental_circuit_rest(state, x, reach) + (x,))
+        for x, reach in state.rejected
+    })
+    shared: dict[frozenset, set] = {}
+    for i, c1 in enumerate(circuits):
+        for c2 in circuits[i + 1:]:
+            if c1 & c2 and len(c1 | c2) <= 8:
+                shared.setdefault(c1 | c2, set()).update(c1 & c2)
+    for union, common in shared.items():
+        order, table = rank_bruteforce_table(state.graph, union, state.prof)
+        full = (1 << len(order)) - 1
+        for i, e in enumerate(order):
+            if e in common:
+                assert table[full ^ (1 << i)] < len(order) - 1
