@@ -1,14 +1,14 @@
 """Cross-validation harness: count engine vs exact randomized matrices.
 
 analyze() runs both engines on one graph and fills a Report; the linear
-side is sampled over a number of trials and its best rank compared to the
-combinatorial rank.  fuzz_equivalence() hammers the matroid equalities on
-random graphs.  Both go through run_trials: every per-trial linear rank
-must stay at or below the combinatorial rank, and every flat-family rank
-at or below fhat (a violation is an immediate EngineDisagreement).  A
-single unlucky sample never fails a run: trials escalate (to 10) before a
-fuzz case is declared a counterexample, and counterexamples are dumped as
-replayable documents.
+side is sampled over a number of trials and each of its best ranks is
+compared to its count by TrialRun.mismatches, the check fuzz applies too.
+fuzz_equivalence() hammers the matroid equalities on random graphs.  Both
+go through run_trials: every per-trial linear rank must stay at or below
+the combinatorial rank, and every flat-family rank at or below fhat (a
+violation is an immediate EngineDisagreement).  A single unlucky sample
+never fails a run: trials escalate (to 10) before a fuzz case is declared
+a counterexample, and counterexamples are dumped as replayable documents.
 """
 
 from __future__ import annotations
@@ -131,8 +131,6 @@ class LinearTrial:
     rank: int
     trivial: rg.TrivialCheck
     matrix: rg.RigidityMatrix
-    rods: Optional[rg.RodConfig] = None
-    joints: Optional[dict] = None
     flat_rank: Optional[int] = None
     graphic_union_rank: Optional[int] = None
 
@@ -163,8 +161,6 @@ def linear_trial(
         rank=m.rank(),
         trivial=rg.verify_trivial_motions(m, rods=rods, joints=joints),
         matrix=m,
-        rods=rods,
-        joints=joints,
     )
     if model in ROD_MODELS:
         trial.flat_rank = rg.matrix_edge_flats(graph, rods, p).rank()
@@ -383,7 +379,7 @@ def analyze(
     )
     max_rank = max(run.ranks)
     best = run.best
-    basis = rg.kernel_basis(best.matrix, rods=best.rods, joints=best.joints, check=best.trivial)
+    basis = rg.kernel_basis(best.matrix, best.rank, best.trivial)
 
     nv = len(graph.vertex_ids)
     rigid = nv <= 1 or (max_rank == cs.target)
@@ -421,14 +417,14 @@ def analyze(
         fhat_rank=fhat_rank,
         graphic_union_ranks=tuple(run.graphic_union_ranks),
         kernel_dim=basis.kernel_dim,
-        trivial_motion_count=len(basis.entries) - basis.nontrivial_dim,
+        trivial_motion_count=best.trivial.checked,
         trivial_span_dim=basis.trivial_span_dim,
         nontrivial_dim=basis.nontrivial_dim,
         trivial_checked=run.trivial_checked,
         trivial_violations=run.trivial_violations,
         verdict=verdict,
         minimal=minimal,
-        agreement=(cs.rank == max_rank),
+        agreement=not run.mismatches(cs.rank, fhat_rank),
         oracle=oracle_result,
     )
 

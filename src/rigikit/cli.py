@@ -15,6 +15,7 @@ Exit codes: 0 ok, 1 bad input, schema or usage, 2 engine disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -52,8 +53,8 @@ def _load_document(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise SchemaError("no such file: %s" % path)
+    except OSError as exc:
+        raise SchemaError("cannot read %s: %s" % (path, exc.strerror or exc))
     except json.JSONDecodeError as exc:
         raise SchemaError("%s is not valid JSON: %s" % (path, exc))
     return parse_document(doc)
@@ -218,7 +219,9 @@ def _cmd_truncate_demo(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args leaves it unchanged."""
     parser = _Parser(
         prog="rigikit",
         description="Rigidity of body/rod/hinge/direction frameworks, two ways: "

@@ -104,7 +104,7 @@ def parse_document(doc) -> tuple[Multigraph, str, int, Optional[dict]]:
                 raise SchemaError(
                     "joint %r needs %d integer coordinates, got %r" % (vid, d, coords)
                 )
-            if not all(isinstance(c, int) for c in coords):
+            if not all(isinstance(c, int) and not isinstance(c, bool) for c in coords):
                 raise SchemaError("joint %r has non-integer coordinates" % vid)
             joints[str(vid)] = tuple(coords)
         missing = [v for v in graph.vertex_ids if v not in joints]

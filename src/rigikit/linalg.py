@@ -12,9 +12,11 @@ each stored row's own pairs.
 ``rank`` is forward elimination alone; a row equal to one already offered
 is skipped, since a multiset of rows has the rank of its set.  ``rref``
 takes and returns dense rows: it adds one back-substitution and sorts the
-rows by pivot.  The reduced row-echelon form of a row space is unique, so
-``rref`` and ``nullspace`` do not depend on the order in which rows are
-given, and results are deterministic for deterministic inputs.
+rows by pivot.  It and ``nullspace`` serve small dense systems, such as
+the at most two constraints that cut out an edge's bar flat.  The reduced
+row-echelon form of a row space is unique, so ``rref`` and ``nullspace``
+do not depend on the order in which rows are given, and results are
+deterministic for deterministic inputs.
 """
 
 from __future__ import annotations

@@ -15,6 +15,10 @@ Configurations are sampled uniformly over F_p.  Incident bars are built by
 the shared-point rule: a bar at a rod endpoint passes through a random
 point of the rod's subspace, which guarantees both decomposability and the
 incidence condition pairing(q_e, r_v) = 0 at once.
+
+The motion space is read off the rank by rank-nullity: kernel_basis gives
+its dimension, ncols - rank, and the rank of the formal trivial family,
+once the trivial check has shown that family to lie in the kernel.
 """
 
 from __future__ import annotations
@@ -140,9 +144,6 @@ class RigidityMatrix:
 
     def rank(self) -> int:
         return linalg.rank(self.rows, self.p)
-
-    def kernel_dim(self) -> int:
-        return self.ncols - self.rank()
 
     def apply(self, vec) -> list[int]:
         """The matrix times the dense vector vec; each row reads only its own pairs."""
@@ -330,9 +331,9 @@ def matrix_direction(graph: Multigraph, joints, d: int, p: int) -> RigidityMatri
 
 @dataclass(frozen=True)
 class MotionBasis:
-    """Tagged kernel vectors: the formal trivial family plus a nontrivial completion."""
+    """The motion space's dimensions, with the formal trivial family behind them."""
 
-    entries: tuple  # (kind, vector) pairs; kinds: constant, rod-spin, dilation, nontrivial
+    entries: tuple  # (kind, vector) pairs; kinds: constant, rod-spin, dilation
     kernel_dim: int
     trivial_span_dim: int
 
@@ -408,37 +409,24 @@ def verify_trivial_motions(
     return TrivialCheck(motions=trivials, missed=missed)
 
 
-def kernel_basis(
-    m: RigidityMatrix,
-    rods: Optional[RodConfig] = None,
-    joints: Optional[Mapping] = None,
-    check: Optional[TrivialCheck] = None,
-) -> MotionBasis:
-    """Kernel of the matrix, classified against the trivial family.
+def kernel_basis(m: RigidityMatrix, rank: int, check: TrivialCheck) -> MotionBasis:
+    """The motion space of m by rank-nullity, given m's rank and its trivial check.
 
-    Raises if a formally trivial motion is not actually in the kernel:
-    that can only happen on an invalid configuration.  check is m's own
-    verify_trivial_motions result, if the caller already has it.
+    Raises if a formally trivial motion is not actually in the kernel: that
+    can only happen on an invalid configuration.  Otherwise the trivial
+    family spans a subspace of the kernel, and any completion to a kernel
+    basis adds kernel_dim - trivial_span_dim nontrivial vectors; none is
+    built.
     """
-    if check is None:
-        check = verify_trivial_motions(m, rods=rods, joints=joints)
     if check.missed:
         raise ConfigError("%s motion is not in the kernel" % check.missed[0])
-    kern = linalg.nullspace([linalg.dense(row, m.ncols) for row in m.rows], m.ncols, m.p)
     span = linalg.Echelon(m.p)
     for _, vec in check.motions:
         span.add(linalg.sparse(vec, m.p))
-    trivial_dim = span.rank
-    entries = list(check.motions)
-    for vec in kern:
-        if span.rank == len(kern):
-            break
-        if span.add(linalg.sparse(vec, m.p)):
-            entries.append(("nontrivial", tuple(vec)))
     return MotionBasis(
-        entries=tuple(entries),
-        kernel_dim=len(kern),
-        trivial_span_dim=trivial_dim,
+        entries=check.motions,
+        kernel_dim=m.ncols - rank,
+        trivial_span_dim=span.rank,
     )
 
 

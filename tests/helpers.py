@@ -86,6 +86,42 @@ def rank_reference(rows, p: int) -> int:
     return len(rref_reference(rows, p)[1])
 
 
+def nullspace_reference(rows, ncols, p):
+    """Kernel basis of dense rows from rref_reference, one vector per free column."""
+    R, pivots = rref_reference(rows, p)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = (-R[r][fc]) % p
+        basis.append(v)
+    return basis
+
+
+def kernel_basis_reference(m, trivials):
+    """(kernel_dim, trivial_span_dim, nontrivial_dim) of a RigidityMatrix, the
+    reference for rigidity.kernel_basis's rank-nullity read.
+
+    It classifies an explicit kernel basis: trivials, the formal trivial
+    family as (kind, vector) pairs, go first, then each kernel vector that
+    raises the rank of the growing span counts as nontrivial.
+    """
+    kern = nullspace_reference(dense_rows(m), m.ncols, m.p)
+    current = [list(vec) for _, vec in trivials]
+    trivial_dim = cur_rank = rank_reference(current, m.p)
+    nontrivial = 0
+    for vec in kern:
+        if cur_rank == len(kern):
+            break
+        cand = current + [vec]
+        r = rank_reference(cand, m.p)
+        if r > cur_rank:
+            current, cur_rank = cand, r
+            nontrivial += 1
+    return len(kern), trivial_dim, nontrivial
+
+
 def dense_rows(m):
     """A RigidityMatrix's sparse rows written out dense, m.ncols entries each."""
     out = []

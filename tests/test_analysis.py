@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from rigikit import analysis
 from rigikit import count_matroid as cm
 from rigikit import rigidity as rg
 from rigikit.analysis import (
@@ -300,6 +301,29 @@ def test_analyze_escalates_on_unlucky_samples():
     assert rep.linear_ranks[:3] == (2, 2, 2)
     assert rep.max_linear_rank == 3
     assert rep.agreement
+
+
+@pytest.mark.parametrize(
+    "model, d, field_name",
+    [("rod-bar", 3, "flat_rank"), ("body-bar", 2, "graphic_union_rank")],
+)
+def test_every_best_rank_decides_agreement(monkeypatch, model, d, field_name):
+    # the max linear rank still meets the count; a second rank falls one short
+    def short(*args, **kwargs):
+        trial = real(*args, **kwargs)
+        setattr(trial, field_name, getattr(trial, field_name) - 1)
+        return trial
+
+    real = analysis.linear_trial
+    g = two_rods(4) if model == "rod-bar" else build_graph(
+        [("a", "body"), ("b", "body"), ("c", "body")], [("a", "b"), ("b", "c"), ("c", "a")]
+    )
+    assert analyze(g, model, d, seed=3).agreement
+    monkeypatch.setattr(analysis, "linear_trial", short)
+    rep = analyze(g, model, d, seed=3)
+    assert rep.trials_run == 10
+    assert rep.max_linear_rank == rep.count_rank
+    assert not rep.agreement
 
 
 def test_trivial_family_applied_once_per_trial(monkeypatch):

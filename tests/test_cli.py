@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -43,6 +44,13 @@ def test_analyze_missing_file(capsys):
     code, out, err = run(capsys, ["analyze", "/nonexistent/graph.json"])
     assert code == 1
     assert "/nonexistent/graph.json" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "decompose"])
+def test_unreadable_document_exits_1(command, tmp_path, capsys):
+    code, out, err = run(capsys, [command, str(tmp_path)])  # a directory
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read %s" % tmp_path)
 
 
 def test_analyze_schema_error(tmp_path, capsys):
@@ -197,6 +205,26 @@ def test_fuzz_counterexample_exit_code(capsys, monkeypatch):
     assert "disagreement" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "DOC", "--seed", "7"],
+        ["fuzz", "--model", "body-bar", "--cases", "2"],
+        ["truncate-demo", "--seed", "5"],
+    ],
+)
+def test_warm_main_leaves_nothing_for_the_cycle_collector(argv, tmp_path, capsys):
+    argv = [write_doc(tmp_path, two_rods_doc()) if a == "DOC" else a for a in argv]
+    assert run(capsys, argv)[0] == 0  # warm-up: the parser is built here
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(capsys, argv)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_truncate_demo(capsys):
     code, out, _ = run(capsys, ["truncate-demo", "--seed", "5"])
     assert code == 0
@@ -248,6 +276,9 @@ def test_document_joint_validation():
         parse_document(doc)
     doc["joints"] = {"a": [0, 0], "b": [1]}
     with pytest.raises(Exception, match="coordinates"):
+        parse_document(doc)
+    doc["joints"] = {"a": [0, 0], "b": [True, False]}
+    with pytest.raises(Exception, match="'b' has non-integer coordinates"):
         parse_document(doc)
 
 

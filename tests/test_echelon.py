@@ -2,21 +2,30 @@
 
 ``rank``, ``rref`` and ``nullspace`` are compared exactly with a textbook
 Gauss-Jordan elimination on dense rows (``helpers.rref_reference``); sparse
-rows are checked against their dense expansion; ``kernel_basis`` is
-compared with the rank-per-vector classification it replaced.
+rows are checked against their dense expansion.  ``kernel_basis`` reads the
+motion space's dimensions off the rank by rank-nullity; its dimensions, and
+the ones a Report carries, are compared with an explicit kernel basis
+classified one vector at a time (``helpers.kernel_basis_reference``).
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigikit import linalg
+from rigikit import analysis, linalg
 from rigikit import rigidity as rg
 from rigikit.analysis import linear_trial, random_multigraph
 from rigikit.field import DEFAULT_PRIME, SplitMix64
 from rigikit.graph import build_graph
 
-from helpers import dense_rows, mat_vec_reference, rank_reference, rref_reference
+from helpers import (
+    dense_rows,
+    kernel_basis_reference,
+    mat_vec_reference,
+    nullspace_reference,
+    rank_reference,
+    rref_reference,
+)
 
 PRIMES = (2, 3, 7, 2**31 - 1)  # small primes hit zero pivots often
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -38,18 +47,6 @@ def matrices(draw):
     rows = base + combos
     order = draw(st.permutations(range(len(rows))))
     return p, n, [rows[i] for i in order]
-
-
-def nullspace_reference(rows, ncols, p):
-    R, pivots = rref_reference(rows, p)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-R[r][fc]) % p
-        basis.append(v)
-    return basis
 
 
 @PROPERTY
@@ -131,28 +128,6 @@ def test_sparse_rows_match_their_dense_expansion(case, data):
 # kernel_basis
 
 
-def kernel_basis_reference(m, rods=None, joints=None):
-    """The classification by one full rank of the growing span per kernel vector."""
-    kern = nullspace_reference(dense_rows(m), m.ncols, m.p)
-    trivials = rg.trivial_motions(m, rods=rods, joints=joints)
-    current = [list(vec) for _, vec in trivials]
-    trivial_dim = rank_reference(current, m.p)
-    entries = list(trivials)
-    cur_rank = trivial_dim
-    for vec in kern:
-        if cur_rank == len(kern):
-            break
-        cand = current + [vec]
-        r = rank_reference(cand, m.p)
-        if r > cur_rank:
-            entries.append(("nontrivial", tuple(vec)))
-            current = cand
-            cur_rank = r
-    return rg.MotionBasis(
-        entries=tuple(entries), kernel_dim=len(kern), trivial_span_dim=trivial_dim
-    )
-
-
 MODEL_DIMS = [
     ("body-bar", 2), ("body-bar", 3),
     ("rod-bar", 3),
@@ -162,32 +137,58 @@ MODEL_DIMS = [
 ]
 
 
+def dims(basis):
+    return basis.kernel_dim, basis.trivial_span_dim, basis.nontrivial_dim
+
+
+def check_report_dims(monkeypatch, g, model, d, p, seed):
+    """analyze's motion-space fields are the reference's on its best trial."""
+    trials = []
+
+    def recorded(*args, **kwargs):
+        trials.append(linear_trial(*args, **kwargs))
+        return trials[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(analysis, "linear_trial", recorded)
+        rep = analysis.analyze(g, model, d, prime=p, seed=seed)
+    best = max(trials, key=lambda t: t.rank)  # the first trial of the highest rank
+    ref = kernel_basis_reference(best.matrix, best.trivial.motions)
+    assert (rep.kernel_dim, rep.trivial_span_dim, rep.nontrivial_dim) == ref
+    assert rep.trivial_motion_count == len(best.trivial.motions)
+
+
 @pytest.mark.parametrize("model, d", MODEL_DIMS)
-def test_kernel_basis_matches_rank_per_vector(model, d):
+def test_kernel_basis_matches_rank_per_vector(monkeypatch, model, d):
     rng = SplitMix64(31)
     kinds = set()
+    nontrivial = 0
     for case in range(6):
         sub = rng.spawn(case)
         g = random_multigraph(sub.spawn(0), model, max_vertices=6, max_edges=10)
         t = linear_trial(g, model, d, DEFAULT_PRIME, sub.spawn(1))
-        basis = rg.kernel_basis(t.matrix, rods=t.rods, joints=t.joints)
-        assert basis == kernel_basis_reference(t.matrix, rods=t.rods, joints=t.joints)
+        basis = rg.kernel_basis(t.matrix, t.rank, t.trivial)
+        assert dims(basis) == kernel_basis_reference(t.matrix, t.trivial.motions)
         kinds.update(k for k, _ in basis.entries)
-    expected = {"constant", "nontrivial"}
+        nontrivial += basis.nontrivial_dim
+        check_report_dims(monkeypatch, g, model, d, DEFAULT_PRIME, 100 + case)
+    expected = {"constant"}
     expected |= {"dilation"} if model == "direction" else set()
     expected |= {"rod-spin"} if model in ("rod-bar", "body-rod-bar", "body-hinge") else set()
-    assert expected <= kinds
+    assert kinds == expected
+    assert nontrivial > 0
 
 
-def test_kernel_basis_small_prime_matches_rank_per_vector():
+def test_kernel_basis_small_prime_matches_rank_per_vector(monkeypatch):
     # over F_7 formal trivial motions coincide often, so the span check matters
     p = 7
     rng = SplitMix64(32)
     for case in range(20):
         g = random_multigraph(rng.spawn(case), "body-rod-bar", max_vertices=5, max_edges=6)
         t = linear_trial(g, "body-rod-bar", 3, p, rng.spawn(100 + case))
-        basis = rg.kernel_basis(t.matrix, rods=t.rods)
-        assert basis == kernel_basis_reference(t.matrix, rods=t.rods)
+        basis = rg.kernel_basis(t.matrix, t.rank, t.trivial)
+        assert dims(basis) == kernel_basis_reference(t.matrix, t.trivial.motions)
+        check_report_dims(monkeypatch, g, "body-rod-bar", 3, p, 200 + case)
 
 
 def mechanism(n_links):
@@ -203,7 +204,7 @@ def mechanism(n_links):
 @pytest.mark.parametrize("n_links", [1, 4])
 def test_kernel_basis_one_elimination(monkeypatch, n_links):
     t = linear_trial(mechanism(n_links), "body-rod-bar", 3, DEFAULT_PRIME, SplitMix64(33))
-    calls = {"rref": 0, "rank": 0}
+    calls = {"nullspace": 0, "rref": 0, "dense": 0, "rank": 0}
 
     def counting(name):
         orig = getattr(linalg, name)
@@ -216,6 +217,6 @@ def test_kernel_basis_one_elimination(monkeypatch, n_links):
 
     for name in calls:
         monkeypatch.setattr(linalg, name, counting(name))
-    basis = rg.kernel_basis(t.matrix, rods=t.rods)
+    basis = rg.kernel_basis(t.matrix, t.rank, t.trivial)
     assert basis.nontrivial_dim > 0
-    assert calls["rref"] <= 1 and calls["rank"] == 0
+    assert calls == {"nullspace": 0, "rref": 0, "dense": 0, "rank": 0}

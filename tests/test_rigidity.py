@@ -33,6 +33,11 @@ def two_rods(n_bars):
     return build_graph([("r1", "rod"), ("r2", "rod")], [("r1", "r2")] * n_bars)
 
 
+def motion_space(m, rods=None, joints=None):
+    """kernel_basis as a standalone caller runs it: m's rank and trivial check."""
+    return kernel_basis(m, m.rank(), verify_trivial_motions(m, rods=rods, joints=joints))
+
+
 def sampled(graph, d=3, seed=1):
     rng = SplitMix64(seed)
     rods = sample_rod_config(graph, d, rng.spawn(0), P)
@@ -170,7 +175,7 @@ def test_body_rod_bar_rank_bound_and_kernel():
     rods, bars = sampled(g, seed=9)
     m = matrix_body_rod_bar(g, rods, bars)
     assert m.rank() == 4 == required_rank_body(g, 3)
-    basis = kernel_basis(m, rods=rods)
+    basis = motion_space(m, rods=rods)
     assert basis.kernel_dim == 8  # D + |R| exactly
     assert basis.trivial_span_dim == 8
     assert basis.nontrivial_dim == 0
@@ -193,7 +198,7 @@ def test_lone_rod_motion_space():
     rods, bars = sampled(g, seed=11)
     m = matrix_body_rod_bar(g, rods, bars)
     assert len(m.rows) == 0
-    basis = kernel_basis(m, rods=rods)
+    basis = motion_space(m, rods=rods)
     assert basis.kernel_dim == 6  # whole block space
     assert len(basis.of_kind("constant")) == 6
     assert len(basis.of_kind("rod-spin")) == 1  # formal list keeps D + |R| entries
@@ -283,12 +288,10 @@ def test_kernel_basis_rejects_trivial_motions_outside_the_kernel():
     check = verify_trivial_motions(m, rods=bad_rods)
     assert check.missed == ("rod-spin", "rod-spin")
     with pytest.raises(ConfigError, match="rod-spin motion is not in the kernel"):
-        kernel_basis(m, rods=bad_rods)  # a standalone call checks on its own
-    with pytest.raises(ConfigError, match="rod-spin motion is not in the kernel"):
-        kernel_basis(m, rods=bad_rods, check=check)
+        kernel_basis(m, m.rank(), check)
     good = verify_trivial_motions(m, rods=rods)
     assert good.violations == 0
-    assert kernel_basis(m, rods=rods, check=good) == kernel_basis(m, rods=rods)
+    assert kernel_basis(m, m.rank(), good).kernel_dim == m.ncols - m.rank()
 
 
 def test_hinge_motion_constraint_equivalence():
@@ -300,10 +303,11 @@ def test_hinge_motion_constraint_equivalence():
     )
     exp = expand_hinge(g, 3, SplitMix64(17), P)
     m = matrix_body_rod_bar(exp.graph, exp.rods, exp.bars)
-    basis = kernel_basis(m, rods=exp.rods)
+    kern = linalg.nullspace(dense_rows(m), m.ncols, P)
+    assert len(kern) == motion_space(m, rods=exp.rods).kernel_dim
     spin = list(hodge_star(exp.rods.plueckers["w"]).coords)
     bu, bv = m.block_of("u"), m.block_of("v")
-    for _, vec in basis.entries:
+    for vec in kern:
         diff = [(vec[bu + j] - vec[bv + j]) % P for j in range(6)]
         assert linalg.rank([linalg.sparse(spin, P), linalg.sparse(diff, P)], P) <= 1
 
@@ -328,7 +332,7 @@ def test_direction_triangle_rigid():
     joints = {"a": (0, 0), "b": (1, 0), "c": (0, 1)}
     m = matrix_direction(g, joints, 2, P)
     assert m.rank() == 3 == required_rank_direction(g, 2)
-    basis = kernel_basis(m, joints=joints)
+    basis = motion_space(m, joints=joints)
     assert basis.kernel_dim == 3
     assert len(basis.of_kind("constant")) == 2
     assert len(basis.of_kind("dilation")) == 1
@@ -355,7 +359,7 @@ def test_zero_matrix_kernel():
     rods, bars = sampled(g, seed=19)
     m = matrix_body_bar(g, bars)
     assert m.rank() == 0
-    assert kernel_basis(m).kernel_dim == 12
+    assert motion_space(m).kernel_dim == 12
 
 
 def test_kernel_dim_at_least_trivial_count():
@@ -364,8 +368,8 @@ def test_kernel_dim_at_least_trivial_count():
         g = random_kinded_graph(rng.spawn(case), max_edges=10)
         rods, bars = sampled(g, seed=300 + case)
         m = matrix_body_rod_bar(g, rods, bars)
-        n_rods = len(rods.rods)
-        assert m.kernel_dim() >= 6 + n_rods
+        basis = motion_space(m, rods=rods)
+        assert basis.kernel_dim >= basis.trivial_span_dim == 6 + len(rods.rods)
 
 
 def test_edge_flats_subset_ranks_match_polymatroid():
