@@ -4,11 +4,11 @@ analyze() runs both engines on one graph and fills a Report; the linear
 side is sampled over a number of trials and each of its best ranks is
 compared to its count by TrialRun.mismatches, the check fuzz applies too.
 fuzz_equivalence() hammers the matroid equalities on random graphs.  Both
-go through run_trials: every per-trial linear rank must stay at or below
-the combinatorial rank, and every flat-family rank at or below fhat (a
-violation is an immediate EngineDisagreement).  A single unlucky sample
-never fails a run: trials escalate (to 10) before a fuzz case is declared
-a counterexample, and counterexamples are dumped as replayable documents.
+go through run_trials: no per-trial linear or graphic-union rank may pass
+the combinatorial rank, nor a flat-family rank fhat (a violation is an
+immediate EngineDisagreement).  A single unlucky sample never fails a
+run: trials escalate (to 10) before a fuzz case is declared a
+counterexample, and counterexamples are dumped as replayable documents.
 """
 
 from __future__ import annotations
@@ -216,10 +216,11 @@ def run_trials(
 ) -> TrialRun:
     """Run, check and escalate the linear trials of one instance.
 
-    A trial rank above the combinatorial rank, or a flat-family rank above
-    fhat, cannot come from any sample and raises EngineDisagreement at
-    once.  When the requested trials end with some best rank short of its
-    count, the run escalates to ESCALATED_TRIALS before anything is judged.
+    A trial or graphic-union rank above the combinatorial rank (D graphic
+    matroids unite to the body-bar count), or a flat-family rank above fhat,
+    cannot come from any sample and raises EngineDisagreement at once.  When
+    the requested trials end with some best rank short of its count, the
+    run escalates to ESCALATED_TRIALS before anything is judged.
     """
     run = TrialRun()
     n_trials = trials
@@ -229,19 +230,17 @@ def run_trials(
         run.trivial_checked += trial.trivial.checked
         run.trivial_violations += trial.trivial.violations
         run.ranks.append(trial.rank)
-        if trial.rank > cs.rank:
-            raise _disagreement(
-                graph, model, d, rng.seed, cs, run.ranks,
-                "per-trial linear rank %d exceeds combinatorial rank %d"
-                % (trial.rank, cs.rank),
-            )
-        if trial.flat_rank is not None:
-            if trial.flat_rank > fhat_rank:
+        for measured, bound, what in (
+            (trial.rank, cs.rank, "per-trial linear rank %d exceeds combinatorial rank %d"),
+            (trial.flat_rank, fhat_rank, "flat-family rank %d exceeds polymatroid rank %d"),
+            (trial.graphic_union_rank, cs.rank,
+             "graphic-union rank %d exceeds combinatorial rank %d"),
+        ):
+            if measured is not None and measured > bound:
                 raise _disagreement(
-                    graph, model, d, rng.seed, cs, run.ranks,
-                    "flat-family rank %d exceeds polymatroid rank %d"
-                    % (trial.flat_rank, fhat_rank),
+                    graph, model, d, rng.seed, cs, run.ranks, what % (measured, bound)
                 )
+        if trial.flat_rank is not None:
             run.flat_ranks.append(trial.flat_rank)
         if trial.graphic_union_rank is not None:
             run.graphic_union_ranks.append(trial.graphic_union_rank)
@@ -395,7 +394,7 @@ def analyze(
 
     oracle_result = None
     if oracle:
-        oracle_result = _run_oracle(model, cs)
+        oracle_result = _run_oracle(graph, model, d, seed, cs, run.ranks)
 
     return Report(
         model=model,
@@ -429,17 +428,16 @@ def analyze(
     )
 
 
-def _run_oracle(model, cs: CountSide) -> dict:
+def _run_oracle(graph, model, d, seed, cs: CountSide, ranks) -> dict:
     """Brute-force cross-checks, skipped (with a note) beyond the size limit."""
     n = len(cs.count_graph.edges)
     if n > cm.BRUTEFORCE_LIMIT:
         return {"checked": False, "reason": "edge count %d exceeds limit" % n}
     bf = cm.rank_bruteforce(cs.count_graph, None, cs.profile)
-    agrees = bf.value == cs.rank
-    if not agrees:
-        raise EngineDisagreement(
+    if bf.value != cs.rank:
+        raise _disagreement(
+            graph, model, d, seed, cs, ranks,
             "pebble rank %d != brute-force rank %d" % (cs.rank, bf.value),
-            {"model": model, "bruteforce": bf.value, "pebble": cs.rank},
         )
     return {"checked": True, "agrees": True, "bruteforce_rank": bf.value}
 

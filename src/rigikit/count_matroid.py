@@ -17,10 +17,10 @@ components are pulled back from M-connected components of the expansion.
 One game per matroid answers every question about it.  The fundamental
 circuit of a rejected edge is read off the reach region of its failed
 search: the basis edges offered before it that the region induces (Lee
-and Streinu's closure step, for these mixed capacities).  Releasing an
-inserted edge gives its pebble back to the arc's tail, a valid state of
-the game over the other edges, so ranks after deletion are read off
-released copies of the final state instead of replays.
+and Streinu's closure step, for these mixed capacities), once per class
+of parallel clones.  Releasing an inserted edge gives its pebble back to
+the arc's tail, a valid state of the game over the other edges, so ranks
+after deletion are read off released copies of the final state.
 """
 
 from __future__ import annotations
@@ -257,7 +257,12 @@ def _fundamental_circuit_rest(state: PebbleState, x, reach):
 
 
 def _components_via_circuits(state: PebbleState):
-    """M-components of the edges a finished game was offered, in edge order."""
+    """M-components of the edges a finished game was offered, in edge order.
+
+    A parallel class reads the circuit C of its first rejected edge x only.
+    Swapping clones is a matroid automorphism and f(e) >= 1 leaves no loop,
+    so a later rejected clone x' has circuit C - x + x' and joins x by one union.
+    """
     graph = state.graph
     order = graph.sorted_edge_ids(state.inserted + [x for x, _ in state.rejected])
     parent = {e: e for e in order}
@@ -268,13 +273,11 @@ def _components_via_circuits(state: PebbleState):
             e = parent[e]
         return e
 
-    circuit_cache: dict[tuple[str, str], tuple[str, ...]] = {}
+    first_rejected: dict[str, str] = {}  # parallel class -> its first rejected edge
     for x, reach in state.rejected:
-        e = graph.edge(x)
-        key = (e.u, e.v) if e.u < e.v else (e.v, e.u)
-        if key not in circuit_cache:
-            circuit_cache[key] = _fundamental_circuit_rest(state, x, reach)
-        for y in circuit_cache[key]:
+        head = first_rejected.setdefault(graph.first_parallel[x], x)
+        joined = (head,) if head != x else _fundamental_circuit_rest(state, x, reach)
+        for y in joined:
             parent[find(y)] = find(x)
     groups: dict[str, list[str]] = {}
     for e in order:

@@ -211,7 +211,7 @@ def sample_span(d: int, k: int, rng: SplitMix64, p: int):
         kv = wedge_list(vectors, d, p)
         if not kv.is_zero():
             return vectors, kv
-    raise RuntimeError("could not sample %d independent vectors" % k)
+    raise ValueError("could not sample %d independent vectors at prime %d" % (k, p))
 
 
 def sample_grassmannian(
@@ -222,7 +222,7 @@ def sample_grassmannian(
         _, kv = sample_span(d, k, rng, p)
         if all(not proportional(kv, other) for other in distinct_from):
             return kv
-    raise RuntimeError("could not sample a distinct Grassmannian point")
+    raise ValueError("could not sample a distinct Grassmannian point at prime %d" % p)
 
 
 def random_point_in_span(vectors, d: int, rng: SplitMix64, p: int):
@@ -236,4 +236,4 @@ def random_point_in_span(vectors, d: int, rng: SplitMix64, p: int):
                     point[i] = (point[i] + c * v[i]) % p
         if any(point):
             return tuple(point)
-    raise RuntimeError("could not sample a nonzero point in the span")
+    raise ValueError("could not sample a nonzero point in the span at prime %d" % p)

@@ -217,7 +217,7 @@ def dilworth_truncate(fam: FlatFamily, rng: SplitMix64 = None, normal=None):
         cut = _truncate_all(fam, cand)
         if cut is not None:
             return cut, cand
-    raise RuntimeError("could not find a hyperplane meeting every flat properly")
+    raise FlatError("no hyperplane met every flat properly at prime %d" % fam.p)
 
 
 def _truncate_all(fam: FlatFamily, normal) -> Optional[FlatFamily]:

@@ -48,14 +48,15 @@ class Multigraph:
     """Immutable loopless multigraph with kinded vertices.
 
     vertex_ids preserves construction order; edges preserve construction
-    order and carry unique ids so parallel edges stay distinguishable.
+    order and carry unique ids so parallel edges stay distinguishable, and
+    first_parallel maps each edge id to the first edge on its two endpoints.
     """
 
     vertex_ids: tuple[str, ...]
     kinds: Mapping[str, VertexKind]
     edges: tuple[Edge, ...]
     edge_index: Mapping[str, int] = field(repr=False)
-    incident: Mapping[str, tuple[str, ...]] = field(repr=False)
+    first_parallel: Mapping[str, str] = field(repr=False)
 
     @property
     def edge_ids(self) -> tuple[str, ...]:
@@ -98,7 +99,8 @@ def build_graph(vertices: Sequence, edges: Sequence) -> Multigraph:
 
     out_edges: list[Edge] = []
     edge_index: dict[str, int] = {}
-    incident: dict[str, list[str]] = {v: [] for v in ids}
+    first_parallel: dict[str, str] = {}
+    first_of_pair: dict[tuple[str, str], str] = {}
     for pos, item in enumerate(edges):
         if len(item) == 3:
             u, v, eid = item
@@ -115,15 +117,14 @@ def build_graph(vertices: Sequence, edges: Sequence) -> Multigraph:
             raise GraphError("edge %r is a loop at %r" % (eid, u))
         edge_index[eid] = len(out_edges)
         out_edges.append(Edge(eid, u, v))
-        incident[u].append(eid)
-        incident[v].append(eid)
+        first_parallel[eid] = first_of_pair.setdefault((min(u, v), max(u, v)), eid)
 
     return Multigraph(
         vertex_ids=tuple(ids),
         kinds=kinds,
         edges=tuple(out_edges),
         edge_index=edge_index,
-        incident={v: tuple(es) for v, es in incident.items()},
+        first_parallel=first_parallel,
     )
 
 

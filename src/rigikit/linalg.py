@@ -9,14 +9,14 @@ pair left of it, and none at the pivot of any row stored before it, so
 ``reduce`` clears the pivot columns in insertion order and only touches
 each stored row's own pairs.
 
-``rank`` is forward elimination alone; a row equal to one already offered
-is skipped, since a multiset of rows has the rank of its set.  ``rref``
-takes and returns dense rows: it adds one back-substitution and sorts the
-rows by pivot.  It and ``nullspace`` serve small dense systems, such as
-the at most two constraints that cut out an edge's bar flat.  The reduced
-row-echelon form of a row space is unique, so ``rref`` and ``nullspace``
-do not depend on the order in which rows are given, and results are
-deterministic for deterministic inputs.
+``rank`` is plain forward elimination, with no caller-specific shortcut:
+a builder that would repeat rows (parallel edge flats) emits them once.
+``rref`` takes and returns dense rows: it adds one back-substitution and
+sorts the rows by pivot.  It and ``nullspace`` serve small dense systems,
+such as the at most two constraints that cut out an edge's bar flat.  The
+reduced row-echelon form of a row space is unique, so ``rref`` and
+``nullspace`` do not depend on the order in which rows are given, and
+results are deterministic for deterministic inputs.
 """
 
 from __future__ import annotations
@@ -82,11 +82,8 @@ class Echelon:
 
 def rank(rows, p: int) -> int:
     ech = Echelon(p)
-    seen = set()
     for row in rows:
-        if row not in seen:
-            seen.add(row)
-            ech.add(row)
+        ech.add(row)
     return ech.rank
 
 

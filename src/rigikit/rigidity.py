@@ -5,11 +5,12 @@ turns each vector alpha of an edge e = uv into one row with alpha in the
 column block of u and -alpha in the block of v.  The builders differ only
 in the vectors they contribute per edge: a free D-vector (graphic union),
 the bar's degree-2 Pluecker coordinates q_e (body-bar, body-rod-bar), a
-basis of the edge's bar flat (edge flats), or a basis of (p(u) - p(v))^perp
-(direction; block width d, else D = (d+1 choose 2)).  Column blocks hold
-motion vectors in the star-identified coordinates, so a block vector x_v
-represents the degree-(d-1) motion whose star image is x_v; under that
-identification row-times-motion is exactly the complementary pairing.
+basis of the bar flat on an endpoint pair's first edge (edge flats), or a
+basis of (p(u) - p(v))^perp (direction; block width d, else D = (d+1
+choose 2)).  Column blocks hold motion vectors in the star-identified
+coordinates, so a block vector x_v represents the degree-(d-1) motion
+whose star image is x_v; under that identification row-times-motion is
+exactly the complementary pairing.
 
 Configurations are sampled uniformly over F_p.  Incident bars are built by
 the shared-point rule: a bar at a rod endpoint passes through a random
@@ -87,7 +88,7 @@ def sample_rod_config(graph: Multigraph, d: int, rng: SplitMix64, p: int) -> Rod
             if all(not proportional(kv, other) for other in taken):
                 break
         else:
-            raise RuntimeError("could not sample distinct rods")
+            raise ConfigError("could not sample distinct rods at prime %d" % p)
         spans[v] = vectors
         plueckers[v] = kv
         taken.append(kv)
@@ -110,7 +111,7 @@ def sample_bar_config(
                 bars[e.id] = q
                 break
         else:
-            raise RuntimeError("could not sample a bar for edge %r" % e.id)
+            raise ConfigError("could not sample a bar for edge %r at prime %d" % (e.id, p))
     return BarConfig(d=d, p=p, bars=bars)
 
 
@@ -223,25 +224,24 @@ def matrix_body_rod_bar(
 
 
 def matrix_edge_flats(graph: Multigraph, rods: RodConfig, p: int) -> RigidityMatrix:
-    """Stack a basis of each edge's whole bar space (f(e) rows per edge).
+    """Stack a basis of each endpoint pair's whole bar space (f(e) rows).
 
     The flat of edge uv is {alpha : pairing(alpha, r_u) = 0 = pairing(alpha,
     r_v)} placed two-block; its generic span rank over all edges is the
-    polymatroid rank of the edge set (the Dilworth-truncation side).
+    polymatroid rank of the edge set (the Dilworth-truncation side).  A
+    repeated flat adds nothing to a span, so later parallels get no rows.
     """
     D = rods.d * (rods.d + 1) // 2
-    bases: dict = {}  # the flat depends only on the endpoints: one basis per pair
 
     def flat_basis(e):
-        key = frozenset((e.u, e.v))
-        if key not in bases:
-            constraints = [
-                list(hodge_star(rods.plueckers[v]).coords)
-                for v in (e.u, e.v)
-                if v in rods.plueckers
-            ]
-            bases[key] = linalg.nullspace(constraints, D, p)
-        return bases[key]
+        if graph.first_parallel[e.id] != e.id:
+            return ()
+        constraints = [
+            list(hodge_star(rods.plueckers[v]).coords)
+            for v in (e.u, e.v)
+            if v in rods.plueckers
+        ]
+        return linalg.nullspace(constraints, D, p)
 
     return two_block_matrix(graph, D, p, flat_basis)
 
@@ -293,7 +293,7 @@ def sample_joints(graph: Multigraph, d: int, rng: SplitMix64, p: int):
         }
         if all(joints[e.u] != joints[e.v] for e in graph.edges):
             return joints
-    raise RuntimeError("could not sample distinct joints")
+    raise ConfigError("could not sample distinct joints at prime %d" % p)
 
 
 def matrix_direction(graph: Multigraph, joints, d: int, p: int) -> RigidityMatrix:

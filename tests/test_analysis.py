@@ -326,6 +326,44 @@ def test_every_best_rank_decides_agreement(monkeypatch, model, d, field_name):
     assert not rep.agreement
 
 
+def test_graphic_union_rank_above_count_raises_at_once(monkeypatch):
+    # the union of D graphic matroids has the body-bar count's rank, so no
+    # sample can exceed it: the first such trial is a disagreement
+    def over(*args, **kwargs):
+        trial = real(*args, **kwargs)
+        trial.graphic_union_rank += 1
+        return trial
+
+    real = analysis.linear_trial
+    g = build_graph(
+        [("a", "body"), ("b", "body"), ("c", "body")], [("a", "b"), ("b", "c"), ("c", "a")]
+    )
+    monkeypatch.setattr(analysis, "linear_trial", over)
+    with pytest.raises(analysis.EngineDisagreement) as info:
+        analyze(g, "body-bar", 2, seed=3)
+    assert str(info.value) == "graphic-union rank 4 exceeds combinatorial rank 3"
+    assert info.value.dump["linear_ranks"] == [3]
+
+
+def test_oracle_disagreement_dumps_a_replayable_document(monkeypatch):
+    def off_by_one(*args):
+        cert = real(*args)
+        return dataclasses.replace(cert, value=cert.value + 1)
+
+    real = cm.rank_bruteforce
+    monkeypatch.setattr(cm, "rank_bruteforce", off_by_one)
+    with pytest.raises(analysis.EngineDisagreement) as info:
+        analyze(two_rods(4), "rod-bar", 3, seed=7, oracle=True)
+    dump = info.value.dump
+    assert dump["reason"] == str(info.value) == "pebble rank 4 != brute-force rank 5"
+    from rigikit.documents import parse_document
+
+    graph, model, d, joints = parse_document(dump["document"])
+    rep = analyze(graph, model, d, seed=dump["seed"], joints=joints)
+    assert (model, d, rep.count_rank) == ("rod-bar", 3, dump["count_rank"])
+    assert list(rep.linear_ranks) == dump["linear_ranks"]
+
+
 def test_trivial_family_applied_once_per_trial(monkeypatch):
     # each trial applies the trivial family once; kernel_basis reuses the
     # best trial's check instead of applying the family a second time

@@ -1,8 +1,12 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rigikit
 from rigikit.cli import main
 from rigikit.documents import graph_document, parse_document
 from rigikit.graph import build_graph
@@ -249,6 +253,36 @@ def test_direction_doc_with_joints(tmp_path, capsys):
     code, out, _ = run(capsys, ["analyze", write_doc(tmp_path, doc)])
     assert code == 0
     assert json.loads(out)["verdict"] == "minimally rigid"
+
+
+@pytest.mark.parametrize(
+    "doc, what",
+    [
+        (  # 5 joints with pairwise distinct positions in F_2^2, which has 4 points
+            {"schema": 1, "model": "direction", "dimension": 2,
+             "vertices": [{"id": "v%d" % i} for i in range(5)],
+             "edges": [["v%d" % i, "v%d" % j] for i in range(5) for j in range(i + 1, 5)]},
+            "distinct joints",
+        ),
+        (  # 40 distinct lines of projective 3-space over F_2, which has 35
+            {"schema": 1, "model": "rod-bar", "dimension": 3,
+             "vertices": [{"id": "r%d" % i, "kind": "rod"} for i in range(40)],
+             "edges": [["r%d" % i, "r%d" % (i + 1)] for i in range(39)]},
+            "distinct rods",
+        ),
+    ],
+)
+def test_sampling_out_of_retries_exits_1(tmp_path, doc, what):
+    # a sampler that gives up names the prime and exits 1 with no traceback
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rigikit.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rigikit", "analyze", write_doc(tmp_path, doc),
+         "--prime", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: could not sample %s at prime 2" % what)
+    assert "Traceback" not in proc.stderr
 
 
 def test_document_round_trip():

@@ -258,6 +258,22 @@ def test_m_components_match_bruteforce():
         order, table = rank_bruteforce_table(g, None, prof)
         dec = m_components(g, None, prof)
         assert sorted(dec.components) == brute_m_components(g, prof, order, table)
+    # f-expansions, where every edge has parallel clones: only the first
+    # rejected clone of a class has its circuit read
+    expansions = 0
+    for case in range(40):
+        sub = rng.spawn(100 + case)
+        d = 2 + sub.below(2)
+        prof = (CountProfile.body_rod_bar(d), CountProfile.direction(d + 1))[sub.below(2)]
+        g = random_kinded_graph(sub, max_vertices=4, max_edges=4, rod_pct=70)
+        exp, _ = expand_f(g, prof)
+        if len(exp.edges) > BRUTEFORCE_LIMIT:
+            continue
+        expansions += 1
+        order, table = rank_bruteforce_table(exp, None, prof)
+        dec = m_components(exp, None, prof)
+        assert sorted(dec.components) == brute_m_components(exp, prof, order, table)
+    assert expansions >= 15
 
 
 def test_m_connected_tightness_and_closure():

@@ -33,6 +33,30 @@ def test_parallel_edges_accepted():
     assert g.edge_ids == ("e0", "e1")
 
 
+def test_first_parallel_on_reversed_and_repeated_pairs():
+    g = build_graph(
+        [("a", "body"), ("b", "rod"), ("c", "body")],
+        [("a", "b", "x"), ("b", "c"), ("b", "a", "y"), ("c", "b"), ("a", "b"), ("c", "a")],
+    )
+    assert dict(g.first_parallel) == {
+        "x": "x", "e1": "e1", "y": "x", "e3": "e1", "e4": "x", "e5": "e5"
+    }
+
+
+def test_first_parallel_of_expansion_copies():
+    # every copy of an edge, and every copy of a parallel edge, maps to the
+    # first copy of the pair's first edge
+    g = build_graph(
+        [("a", "body"), ("b", "rod"), ("c", "rod")], [("a", "b"), ("c", "b"), ("b", "a")]
+    )
+    exp, copies = expand_f(g, CountProfile.body_rod_bar(3))
+    assert [len(copies[e]) for e in g.edge_ids] == [5, 4, 5]
+    for e in g.edge_ids:
+        first = copies[g.first_parallel[e]][0]
+        assert all(exp.first_parallel[cid] == first for cid in copies[e])
+    assert sorted(set(exp.first_parallel.values())) == ["e0~0", "e1~0"]
+
+
 def test_duplicate_vertex_rejected():
     with pytest.raises(GraphError, match="duplicate vertex id 'a'"):
         build_graph([("a", "body"), ("a", "rod")], [])

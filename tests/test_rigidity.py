@@ -113,7 +113,9 @@ def row_blocks(m, row):
 def test_row_pattern_two_opposite_blocks():
     # every builder: a row is +alpha in u's block, -alpha in v's, zero
     # elsewhere, labelled (edge id, j) with j counting that edge's vectors;
-    # stored sparse, its pairs sorted, nonzero and inside those two blocks
+    # stored sparse, its pairs sorted, nonzero and inside those two blocks.
+    # Edge flats give f(e) rows to the first edge of an endpoint pair and
+    # none to its later parallels.
     rng = SplitMix64(5)
     for case in range(8):
         g = random_kinded_graph(rng.spawn(case), max_edges=6)
@@ -123,7 +125,10 @@ def test_row_pattern_two_opposite_blocks():
             (matrix_body_bar(g, bars), lambda e: 1),
             (matrix_body_rod_bar(g, rods, bars), lambda e: 1),
             (matrix_graphic_union(g, 3, rng.spawn(100 + case), P), lambda e: 1),
-            (matrix_edge_flats(g, rods, P), lambda e: f_edge(g, e.id, PROF3)),
+            (
+                matrix_edge_flats(g, rods, P),
+                lambda e: f_edge(g, e.id, PROF3) if g.first_parallel[e.id] == e.id else 0,
+            ),
             (matrix_direction(g, joints, 3, P), lambda e: 2),
         ]
         for m, n_vectors in builds:
@@ -214,7 +219,8 @@ def test_edge_flats_rank_matches_f():
 
 
 def test_edge_flats_one_nullspace_per_endpoint_pair(monkeypatch):
-    # 10 edges over 2 endpoint pairs (some reversed): 2 bases, same rows
+    # 10 edges over 2 endpoint pairs (some reversed): 2 bases; the first edge
+    # of each pair carries its one-edge rows, every later parallel none
     g = build_graph(
         [("r1", "rod"), ("r2", "rod"), ("b", "body")],
         [("r1", "r2"), ("r2", "r1")] * 3 + [("r1", "b"), ("b", "r1")] * 2,
@@ -231,10 +237,11 @@ def test_edge_flats_one_nullspace_per_endpoint_pair(monkeypatch):
     m = matrix_edge_flats(g, rods, P)
     assert len(calls) == 2
     vertices = [(v, g.kinds[v]) for v in g.vertex_ids]
-    for e in g.edges:  # each edge's rows, as a one-edge matrix computes them
+    assert [e.id for e in g.edges if g.first_parallel[e.id] == e.id] == ["e0", "e6"]
+    for e in g.edges:  # each first edge's rows, as a one-edge matrix computes them
         own = tuple(r for r, (eid, _) in zip(m.rows, m.row_labels) if eid == e.id)
         alone = matrix_edge_flats(build_graph(vertices, [(e.u, e.v)]), rods, P)
-        assert own == alone.rows
+        assert own == (alone.rows if g.first_parallel[e.id] == e.id else ())
 
 
 def test_graphic_union_rank():
@@ -373,20 +380,24 @@ def test_kernel_dim_at_least_trivial_count():
 
 
 def test_edge_flats_subset_ranks_match_polymatroid():
-    # span rank of any subfamily of edge flats equals the count polymatroid
+    # span rank of any subfamily of edge flats equals the count polymatroid;
+    # each subset gets its own matrix, since it may hold only a later parallel
     from rigikit.count_matroid import fhat
     from helpers import subsets_of
 
     rng = SplitMix64(21)
+    prof = CountProfile.body_rod_bar(3)
+    later_only = 0  # subsets holding a later parallel but not its first edge
     for case in range(12):
         g = random_kinded_graph(rng.spawn(case), max_vertices=5, max_edges=5)
         rods, _ = sampled(g, seed=400 + case)
-        m = matrix_edge_flats(g, rods, P)
-        prof = CountProfile.body_rod_bar(3)
+        vertices = [(v, g.kinds[v]) for v in g.vertex_ids]
         for F in subsets_of(g.edge_ids):
             if not F:
                 continue
-            keep = set(F)
-            rows = [r for r, (eid, _) in zip(m.rows, m.row_labels) if eid in keep]
-            dense = [r for r, (eid, _) in zip(dense_rows(m), m.row_labels) if eid in keep]
-            assert linalg.rank(rows, P) == rank_reference(dense, P) == fhat(g, F, prof)
+            later_only += any(g.first_parallel[e] not in F for e in F)
+            sub = build_graph(vertices, [(g.edge(e).u, g.edge(e).v, e) for e in F])
+            m = matrix_edge_flats(sub, rods, P)
+            rank = linalg.rank(m.rows, P)
+            assert rank == rank_reference(dense_rows(m), P) == fhat(g, F, prof)
+    assert later_only > 0
