@@ -17,6 +17,11 @@ the shared-point rule: a bar at a rod endpoint passes through a random
 point of the rod's subspace, which guarantees both decomposability and the
 incidence condition pairing(q_e, r_v) = 0 at once.
 
+two_block_matrix is the only constructor of a RigidityMatrix, so every row
+is +alpha in one block and -alpha in another and the columns j of all the
+blocks sum to zero: the D constant motions lie in every kernel, and rank()
+grounds one body (drops its block's columns) without changing the rank.
+
 The motion space is read off the rank by rank-nullity: kernel_basis gives
 its dimension, ncols - rank, and the rank of the formal trivial family,
 once the trivial check has shown that family to lie in the kernel.
@@ -25,6 +30,8 @@ once the trivial check has shown that family to lie in the kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import Mapping, Optional
 
 from . import linalg
@@ -127,8 +134,8 @@ def _endpoint_point(v: str, rods: RodConfig, rng: SplitMix64, d: int, p: int):
 
 @dataclass(frozen=True)
 class RigidityMatrix:
-    """Row matrix over F_p with sparse rows (linalg's format): each row of an
-    edge uv has pairs only in u's and v's column blocks."""
+    """Row matrix over F_p with sparse rows (linalg's format), built only by
+    two_block_matrix: a row of edge uv is +alpha in u's block, -alpha in v's."""
 
     p: int
     block: int
@@ -143,12 +150,44 @@ class RigidityMatrix:
     def block_of(self, v: str) -> int:
         return self.vertex_order.index(v) * self.block
 
+    @cached_property
+    def block_rows(self) -> tuple:
+        """For each vertex block in order, the indices of the rows with a pair in it."""
+        out = [[] for _ in self.vertex_order]
+        for i, row in enumerate(self.rows):
+            for b in {c // self.block for c, _ in row}:
+                out[b].append(i)
+        return tuple(map(tuple, out))
+
     def rank(self) -> int:
-        return linalg.rank(self.rows, self.p)
+        """The rank with one body grounded: each row is +alpha in one block
+        and -alpha in another, so for every j the columns j of all the blocks
+        sum to zero, any one block's columns are minus the sum of the others',
+        and deleting them keeps the rank at every sample and prime.  The block
+        met by the most rows (the first on a tie) goes; its rows, now
+        single-block, are offered first, then the rest in row order."""
+        if not self.rows:
+            return 0
+        met = self.block_rows
+        g = max(range(len(met)), key=lambda b: len(met[b]))
+        lo, hi = g * self.block, (g + 1) * self.block
+        grounded = [tuple(pr for pr in self.rows[i] if not lo <= pr[0] < hi) for i in met[g]]
+        skip = set(met[g])
+        rest = [row for i, row in enumerate(self.rows) if i not in skip]
+        return linalg.rank(grounded + rest, self.p)
 
     def apply(self, vec) -> list[int]:
-        """The matrix times the dense vector vec; each row reads only its own pairs."""
-        return linalg.mat_vec(self.rows, vec, self.p)
+        """The matrix times the dense vector vec, reading only the rows that
+        meet vec's support (every other row gives 0): one mat_vec over all
+        rows for a vector nonzero in every block."""
+        support = {c // self.block for c in compress(range(len(vec)), vec)}
+        if len(support) == len(self.vertex_order):
+            return linalg.mat_vec(self.rows, vec, self.p)
+        read = sorted(set().union(*[self.block_rows[b] for b in support]))
+        out = [0] * len(self.rows)
+        for i, y in zip(read, linalg.mat_vec([self.rows[i] for i in read], vec, self.p)):
+            out[i] = y
+        return out
 
 
 def two_block_matrix(
@@ -365,17 +404,17 @@ def trivial_motions(
             vec[i * m.block + j] = 1
         out.append(("constant", tuple(vec)))
     if rods is not None:
-        for v in m.vertex_order:
+        for i, v in enumerate(m.vertex_order):
             if v in rods.plueckers:
                 vec = [0] * m.ncols
-                base = m.block_of(v)
+                base = i * m.block
                 for j, c in enumerate(hodge_star(rods.plueckers[v]).coords):
                     vec[base + j] = c % m.p
                 out.append(("rod-spin", tuple(vec)))
     if joints is not None:
         vec = [0] * m.ncols
-        for v in m.vertex_order:
-            base = m.block_of(v)
+        for i, v in enumerate(m.vertex_order):
+            base = i * m.block
             for j, c in enumerate(joints[v]):
                 vec[base + j] = c % m.p
         out.append(("dilation", tuple(vec)))

@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rigikit import linalg
+from rigikit import analysis, linalg
 from rigikit.exterior import grassmann_check, hodge_star, pairing, proportional
 from rigikit.field import DEFAULT_PRIME, SplitMix64
-from rigikit.graph import CountProfile, GraphError, build_graph, f_edge
+from rigikit.graph import CountProfile, GraphError, VertexKind, build_graph, f_edge
 from rigikit.rigidity import (
     ConfigError,
+    RigidityMatrix,
     check_incidence,
     expand_hinge,
     kernel_basis,
@@ -22,8 +25,15 @@ from rigikit.rigidity import (
     verify_trivial_motions,
 )
 
-from helpers import dense_rows, random_kinded_graph, rank_reference
-from rigikit.analysis import count_side, random_multigraph
+from helpers import (
+    dense_rows,
+    mat_vec_reference,
+    random_kinded_graph,
+    rank_reference,
+    rod_ring,
+)
+from rigikit.analysis import count_side, linear_trial, random_multigraph
+from rigikit.documents import MODELS
 
 P = DEFAULT_PRIME
 PROF3 = CountProfile.body_rod_bar(3)
@@ -401,3 +411,166 @@ def test_edge_flats_subset_ranks_match_polymatroid():
             rank = linalg.rank(m.rows, P)
             assert rank == rank_reference(dense_rows(m), P) == fhat(g, F, prof)
     assert later_only > 0
+
+
+# ---------------------------------------------------------------------------
+# Grounded rank and support-local apply
+
+SMALL_PRIMES = (2, 3, 5, 7, 2**31 - 1)  # tiny primes make rank drops common
+GROUNDED = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+@st.composite
+def small_frameworks(draw):
+    """(d, p, seed, graph): 1-5 vertices, 0-8 edges, parallels drawn often."""
+    d = draw(st.integers(2, 4))
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    n = draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.sampled_from(("body", "rod")), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    n_edges = draw(st.integers(0, 8)) if pairs else 0
+    edges = [draw(st.sampled_from(pairs)) for _ in range(n_edges)]
+    graph = build_graph(
+        [("v%d" % i, k) for i, k in enumerate(kinds)],
+        [("v%d" % u, "v%d" % v) for u, v in edges],
+    )
+    return d, p, draw(st.integers(0, 2**16)), graph
+
+
+def every_builder(d, p, seed, g):
+    """The matrices of all six builders on g (hinge: rods read as hinges, and
+    the body-hinge edges kept); a sampler out of retries skips its builder."""
+    rng = SplitMix64(seed)
+    hinged = build_graph(
+        [(v, "hinge" if g.kinds[v] == VertexKind.ROD else "body") for v in g.vertex_ids],
+        [(e.u, e.v) for e in g.edges if g.kinds[e.u] != g.kinds[e.v]],
+    )
+    builds = [
+        lambda: matrix_graphic_union(g, d, rng.spawn(3), p),
+        lambda: matrix_direction(g, sample_joints(g, d, rng.spawn(2), p), d, p),
+    ]
+    try:
+        rods = sample_rod_config(g, d, rng.spawn(0), p)
+        bars = sample_bar_config(g, rods, rng.spawn(1), p)
+    except ConfigError:
+        pass
+    else:
+        builds += [
+            lambda: matrix_body_bar(g, bars),
+            lambda: matrix_body_rod_bar(g, rods, bars),
+            lambda: matrix_edge_flats(g, rods, p),
+        ]
+
+    def hinge():
+        exp = expand_hinge(hinged, d, rng.spawn(4), p)
+        return matrix_body_rod_bar(exp.graph, exp.rods, exp.bars)
+
+    out = []
+    for build in builds + [hinge]:
+        try:
+            out.append(build())
+        except ConfigError:
+            pass
+    return out
+
+
+@GROUNDED
+@given(small_frameworks())
+def test_grounded_rank_equals_the_full_rank(case):
+    for m in every_builder(*case):
+        assert m.rank() == rank_reference(dense_rows(m), m.p)
+
+
+@GROUNDED
+@given(small_frameworks(), st.data())
+def test_apply_reads_only_the_rows_its_support_meets(case, data):
+    for m in every_builder(*case):
+        n = len(m.vertex_order)
+        supports = [(), (data.draw(st.integers(0, n - 1)),), tuple(range(n))]
+        if n >= 2:
+            two = st.sets(st.integers(0, n - 1), min_size=2, max_size=2)
+            supports.append(tuple(data.draw(two)))
+        for support in supports:
+            vec = [0] * m.ncols
+            for b in support:
+                vec[b * m.block:(b + 1) * m.block] = data.draw(
+                    st.lists(st.integers(0, m.p - 1), min_size=m.block, max_size=m.block)
+                    .filter(any)
+                )
+            assert m.apply(vec) == mat_vec_reference(dense_rows(m), vec, m.p)
+
+
+def test_rank_never_offers_the_grounded_block(monkeypatch):
+    # RigidityMatrix.rank drops the columns of the block met by the most rows
+    # (the first in vertex order on a tie): every row reaches the echelon
+    # with that block's pairs removed and no row is lost
+    offered = []
+    ranking = []
+    real_rank, real_linalg_rank = RigidityMatrix.rank, linalg.rank
+
+    def rank(self):
+        ranking.append(self)
+        try:
+            return real_rank(self)
+        finally:
+            ranking.pop()
+
+    def linalg_rank(rows, p):
+        if ranking:
+            offered.append((ranking[-1], list(rows)))
+        return real_linalg_rank(rows, p)
+
+    monkeypatch.setattr(RigidityMatrix, "rank", rank)
+    monkeypatch.setattr(linalg, "rank", linalg_rank)
+    rng = SplitMix64(808)
+    seen = set()
+    for i, model in enumerate(MODELS):
+        for d in (2, 3, 4):
+            before = len(offered)
+            g = random_multigraph(rng.spawn(10 * i + d), model, max_vertices=5)
+            linear_trial(g, model, d, P, rng.spawn(100 + 10 * i + d))
+            if len(offered) > before:
+                seen.add(model)
+    assert seen == set(MODELS)
+    for m, rows in offered:
+        met = [0] * len(m.vertex_order)
+        for row in m.rows:
+            for b in {c // m.block for c, _ in row}:
+                met[b] += 1
+        ground = met.index(max(met))
+        assert all(c // m.block != ground for row in rows for c, _ in row)
+        assert sorted(rows) == sorted(
+            tuple(pr for pr in row if pr[0] // m.block != ground) for row in m.rows
+        )
+
+
+def test_trivial_check_reads_only_the_rows_each_motion_meets(monkeypatch):
+    # rod-bar ring, n = 16, d = 3: per trial each of the D constants is one
+    # mat_vec over all R rows, and each rod spin reads only the rows of the
+    # rod's own edges
+    read = []
+    per_trial = []
+    real_mat_vec, real_trial = linalg.mat_vec, analysis.linear_trial
+
+    def mat_vec(rows, vec, p):
+        read.append(len(rows))
+        return real_mat_vec(rows, vec, p)
+
+    def trial(*args, **kwargs):
+        start = len(read)
+        out = real_trial(*args, **kwargs)
+        per_trial.append((out.matrix, read[start:]))
+        return out
+
+    monkeypatch.setattr(linalg, "mat_vec", mat_vec)
+    monkeypatch.setattr(analysis, "linear_trial", trial)
+    g = rod_ring(16)
+    rep = analysis.analyze(g, "rod-bar", 3, seed=1)
+    assert len(per_trial) == rep.trials_run == 3
+    for m, lengths in per_trial:
+        rows_of = [
+            sum(1 for eid, _ in m.row_labels if v in (g.edge(eid).u, g.edge(eid).v))
+            for v in m.vertex_order
+        ]
+        assert lengths == [len(m.rows)] * 6 + rows_of
+        assert rows_of == [6] * 16
