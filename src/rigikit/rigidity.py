@@ -17,10 +17,12 @@ the shared-point rule: a bar at a rod endpoint passes through a random
 point of the rod's subspace, which guarantees both decomposability and the
 incidence condition pairing(q_e, r_v) = 0 at once.
 
-two_block_matrix is the only constructor of a RigidityMatrix, so every row
-is +alpha in one block and -alpha in another and the columns j of all the
-blocks sum to zero: the D constant motions lie in every kernel, and rank()
-grounds one body (drops its block's columns) without changing the rank.
+two_block_matrix is the only constructor of a RigidityMatrix in this
+package and marks what it builds two_block: every row is +alpha in one
+block and -alpha in another, so the columns j of all the blocks sum to
+zero, the D constant motions lie in every kernel, and rank() grounds one
+body (drops its block's columns) without changing the rank.  A matrix
+built by hand is unmarked and ranked whole.
 
 The motion space is read off the rank by rank-nullity: kernel_basis gives
 its dimension, ncols - rank, and the rank of the formal trivial family,
@@ -30,8 +32,6 @@ once the trivial check has shown that family to lie in the kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress
 from typing import Mapping, Optional
 
 from . import linalg
@@ -134,14 +134,16 @@ def _endpoint_point(v: str, rods: RodConfig, rng: SplitMix64, d: int, p: int):
 
 @dataclass(frozen=True)
 class RigidityMatrix:
-    """Row matrix over F_p with sparse rows (linalg's format), built only by
-    two_block_matrix: a row of edge uv is +alpha in u's block, -alpha in v's."""
+    """Row matrix over F_p with sparse rows (linalg's format).  two_block is
+    set only by two_block_matrix: every row of edge uv is then +alpha in u's
+    block and -alpha in v's, which rank() relies on."""
 
     p: int
     block: int
     vertex_order: tuple[str, ...]
     row_labels: tuple  # (edge id, j): the j-th vector of that edge
     rows: tuple  # sparse rows: tuples of (column, value) pairs
+    two_block: bool = False
 
     @property
     def ncols(self) -> int:
@@ -150,44 +152,37 @@ class RigidityMatrix:
     def block_of(self, v: str) -> int:
         return self.vertex_order.index(v) * self.block
 
-    @cached_property
-    def block_rows(self) -> tuple:
-        """For each vertex block in order, the indices of the rows with a pair in it."""
-        out = [[] for _ in self.vertex_order]
-        for i, row in enumerate(self.rows):
-            for b in {c // self.block for c, _ in row}:
-                out[b].append(i)
-        return tuple(map(tuple, out))
-
     def rank(self) -> int:
-        """The rank with one body grounded: each row is +alpha in one block
-        and -alpha in another, so for every j the columns j of all the blocks
-        sum to zero, any one block's columns are minus the sum of the others',
-        and deleting them keeps the rank at every sample and prime.  The block
-        met by the most rows (the first on a tie) goes; its rows, now
-        single-block, are offered first, then the rest in row order."""
-        if not self.rows:
-            return 0
-        met = self.block_rows
-        g = max(range(len(met)), key=lambda b: len(met[b]))
-        lo, hi = g * self.block, (g + 1) * self.block
-        grounded = [tuple(pr for pr in self.rows[i] if not lo <= pr[0] < hi) for i in met[g]]
-        skip = set(met[g])
-        rest = [row for i, row in enumerate(self.rows) if i not in skip]
+        """The rank; a two-block matrix is ranked with one body grounded.
+
+        Each row is +alpha in one block and -alpha in another, so for every
+        j the columns j of all the blocks sum to zero, any one block's
+        columns are minus the sum of the others', and deleting them keeps
+        the rank at every sample and prime.  The block met by the most rows
+        (the first on a tie) goes; its rows, now single-block, are offered
+        first, then the rest in row order.  Any other matrix is ranked whole.
+        """
+        if not (self.two_block and self.rows):
+            return linalg.rank(self.rows, self.p)
+        B = self.block
+        met = [0] * len(self.vertex_order)
+        for row in self.rows:
+            if row:  # a row's pairs lie in its lower block, then its upper
+                met[row[0][0] // B] += 1
+                met[row[-1][0] // B] += 1
+        lo = met.index(max(met)) * B
+        hi = lo + B
+        grounded, rest = [], []
+        for row in self.rows:
+            if row and (lo <= row[0][0] < hi or lo <= row[-1][0] < hi):
+                grounded.append(tuple(pr for pr in row if not lo <= pr[0] < hi))
+            else:
+                rest.append(row)
         return linalg.rank(grounded + rest, self.p)
 
     def apply(self, vec) -> list[int]:
-        """The matrix times the dense vector vec, reading only the rows that
-        meet vec's support (every other row gives 0): one mat_vec over all
-        rows for a vector nonzero in every block."""
-        support = {c // self.block for c in compress(range(len(vec)), vec)}
-        if len(support) == len(self.vertex_order):
-            return linalg.mat_vec(self.rows, vec, self.p)
-        read = sorted(set().union(*[self.block_rows[b] for b in support]))
-        out = [0] * len(self.rows)
-        for i, y in zip(read, linalg.mat_vec([self.rows[i] for i in read], vec, self.p)):
-            out[i] = y
-        return out
+        """The matrix times the dense vector vec; each row reads only its own pairs."""
+        return linalg.mat_vec(self.rows, vec, self.p)
 
 
 def two_block_matrix(
@@ -212,7 +207,8 @@ def two_block_matrix(
             rows.append(plus + minus if bu < bv else minus + plus)
             labels.append((e.id, j))
     return RigidityMatrix(
-        p=p, block=block, vertex_order=order, row_labels=tuple(labels), rows=tuple(rows)
+        p=p, block=block, vertex_order=order, row_labels=tuple(labels), rows=tuple(rows),
+        two_block=True,
     )
 
 

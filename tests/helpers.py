@@ -43,15 +43,6 @@ def cube_graph(kind: VertexKind = VertexKind.ROD) -> Multigraph:
     return build_graph(vs, es)
 
 
-def rod_ring(n):
-    """n rods on a cycle: two bars to the next rod and one to the rod after it."""
-    edges = []
-    for i in range(n):
-        nxt, after = "r%d" % ((i + 1) % n), "r%d" % ((i + 2) % n)
-        edges += [("r%d" % i, nxt), ("r%d" % i, nxt), ("r%d" % i, after)]
-    return build_graph([("r%d" % i, "rod") for i in range(n)], edges)
-
-
 def subsets_of(items):
     n = len(items)
     for mask in range(1 << n):

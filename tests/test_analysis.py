@@ -21,8 +21,6 @@ from rigikit.field import DEFAULT_PRIME, SplitMix64
 from rigikit.graph import CountProfile, VertexKind, build_graph, expand_f
 from rigikit.rigidity import matrix_body_rod_bar, sample_bar_config, sample_rod_config
 
-from helpers import rod_ring
-
 P = DEFAULT_PRIME
 
 
@@ -187,6 +185,15 @@ def braced(g, model, copies):
     ]
     vertices = [(v, g.kinds[v]) for v in order]
     return build_graph(vertices, pairs * (copies if model in BAR_MODELS else 1))
+
+
+def rod_ring(n):
+    """n rods on a cycle: two bars to the next rod and one to the rod after it."""
+    edges = []
+    for i in range(n):
+        nxt, after = "r%d" % ((i + 1) % n), "r%d" % ((i + 2) % n)
+        edges += [("r%d" % i, nxt), ("r%d" % i, nxt), ("r%d" % i, after)]
+    return build_graph([("r%d" % i, "rod") for i in range(n)], edges)
 
 
 def test_circuit_pass_replays_nothing(monkeypatch):

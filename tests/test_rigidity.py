@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigikit import analysis, linalg
+from rigikit import linalg
 from rigikit.exterior import grassmann_check, hodge_star, pairing, proportional
 from rigikit.field import DEFAULT_PRIME, SplitMix64
 from rigikit.graph import CountProfile, GraphError, VertexKind, build_graph, f_edge
@@ -25,13 +27,7 @@ from rigikit.rigidity import (
     verify_trivial_motions,
 )
 
-from helpers import (
-    dense_rows,
-    mat_vec_reference,
-    random_kinded_graph,
-    rank_reference,
-    rod_ring,
-)
+from helpers import dense_rows, random_kinded_graph, rank_reference
 from rigikit.analysis import count_side, linear_trial, random_multigraph
 from rigikit.documents import MODELS
 
@@ -414,7 +410,7 @@ def test_edge_flats_subset_ranks_match_polymatroid():
 
 
 # ---------------------------------------------------------------------------
-# Grounded rank and support-local apply
+# Grounded rank
 
 SMALL_PRIMES = (2, 3, 5, 7, 2**31 - 1)  # tiny primes make rank drops common
 GROUNDED = settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -481,25 +477,6 @@ def test_grounded_rank_equals_the_full_rank(case):
         assert m.rank() == rank_reference(dense_rows(m), m.p)
 
 
-@GROUNDED
-@given(small_frameworks(), st.data())
-def test_apply_reads_only_the_rows_its_support_meets(case, data):
-    for m in every_builder(*case):
-        n = len(m.vertex_order)
-        supports = [(), (data.draw(st.integers(0, n - 1)),), tuple(range(n))]
-        if n >= 2:
-            two = st.sets(st.integers(0, n - 1), min_size=2, max_size=2)
-            supports.append(tuple(data.draw(two)))
-        for support in supports:
-            vec = [0] * m.ncols
-            for b in support:
-                vec[b * m.block:(b + 1) * m.block] = data.draw(
-                    st.lists(st.integers(0, m.p - 1), min_size=m.block, max_size=m.block)
-                    .filter(any)
-                )
-            assert m.apply(vec) == mat_vec_reference(dense_rows(m), vec, m.p)
-
-
 def test_rank_never_offers_the_grounded_block(monkeypatch):
     # RigidityMatrix.rank drops the columns of the block met by the most rows
     # (the first in vertex order on a tie): every row reaches the echelon
@@ -544,33 +521,14 @@ def test_rank_never_offers_the_grounded_block(monkeypatch):
         )
 
 
-def test_trivial_check_reads_only_the_rows_each_motion_meets(monkeypatch):
-    # rod-bar ring, n = 16, d = 3: per trial each of the D constants is one
-    # mat_vec over all R rows, and each rod spin reads only the rows of the
-    # rod's own edges
-    read = []
-    per_trial = []
-    real_mat_vec, real_trial = linalg.mat_vec, analysis.linear_trial
-
-    def mat_vec(rows, vec, p):
-        read.append(len(rows))
-        return real_mat_vec(rows, vec, p)
-
-    def trial(*args, **kwargs):
-        start = len(read)
-        out = real_trial(*args, **kwargs)
-        per_trial.append((out.matrix, read[start:]))
-        return out
-
-    monkeypatch.setattr(linalg, "mat_vec", mat_vec)
-    monkeypatch.setattr(analysis, "linear_trial", trial)
-    g = rod_ring(16)
-    rep = analysis.analyze(g, "rod-bar", 3, seed=1)
-    assert len(per_trial) == rep.trials_run == 3
-    for m, lengths in per_trial:
-        rows_of = [
-            sum(1 for eid, _ in m.row_labels if v in (g.edge(eid).u, g.edge(eid).v))
-            for v in m.vertex_order
-        ]
-        assert lengths == [len(m.rows)] * 6 + rows_of
-        assert rows_of == [6] * 16
+def test_hand_built_matrix_is_ranked_whole():
+    # one row in one block: grounding the block it meets would read rank 0;
+    # only two_block_matrix marks a matrix safe to ground
+    m = RigidityMatrix(
+        p=P, block=1, vertex_order=("a", "b"), row_labels=(("e", 0),), rows=(((0, 1),),)
+    )
+    assert not m.two_block
+    assert m.rank() == rank_reference(dense_rows(m), P) == 1
+    assert replace(m, two_block=True).rank() == 0
+    g = build_graph([("a", "body"), ("b", "body")], [("a", "b")])
+    assert matrix_graphic_union(g, 2, SplitMix64(1), P).two_block
