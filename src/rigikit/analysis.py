@@ -238,7 +238,8 @@ def run_trials(
         ):
             if measured is not None and measured > bound:
                 raise _disagreement(
-                    graph, model, d, rng.seed, cs, run.ranks, what % (measured, bound)
+                    graph, model, d, rng.seed, cs, run.ranks, what % (measured, bound),
+                    joints=joints,
                 )
         if trial.flat_rank is not None:
             run.flat_ranks.append(trial.flat_rank)
@@ -394,7 +395,7 @@ def analyze(
 
     oracle_result = None
     if oracle:
-        oracle_result = _run_oracle(graph, model, d, seed, cs, run.ranks)
+        oracle_result = _run_oracle(graph, model, d, seed, cs, run.ranks, joints)
 
     return Report(
         model=model,
@@ -428,7 +429,7 @@ def analyze(
     )
 
 
-def _run_oracle(graph, model, d, seed, cs: CountSide, ranks) -> dict:
+def _run_oracle(graph, model, d, seed, cs: CountSide, ranks, joints) -> dict:
     """Brute-force cross-checks, skipped (with a note) beyond the size limit."""
     n = len(cs.count_graph.edges)
     if n > cm.BRUTEFORCE_LIMIT:
@@ -438,18 +439,21 @@ def _run_oracle(graph, model, d, seed, cs: CountSide, ranks) -> dict:
         raise _disagreement(
             graph, model, d, seed, cs, ranks,
             "pebble rank %d != brute-force rank %d" % (cs.rank, bf.value),
+            joints=joints,
         )
     return {"checked": True, "agrees": True, "bruteforce_rank": bf.value}
 
 
-def _dump(graph, model, d, seed, cs: CountSide, ranks) -> dict:
-    return {
-        "document": graph_document(graph, model, d),
+def _disagreement(graph, model, d, seed, cs: CountSide, ranks, reason: str, joints=None):
+    """The disagreement with its dump: the input document, fixed joints included."""
+    return EngineDisagreement(reason, {
+        "document": graph_document(graph, model, d, joints),
         "seed": seed,
         "count_rank": cs.rank,
         "count_target": cs.target,
         "linear_ranks": list(ranks),
-    }
+        "reason": reason,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -600,18 +604,6 @@ def fuzz_case(
         out["agrees"] = False
         out["failure"] = exc.dump
     return out
-
-
-def _failure_dump(graph, model, d, seed, cs: CountSide, ranks, reason: str) -> dict:
-    dump = _dump(graph, model, d, seed, cs, ranks)
-    dump["reason"] = reason
-    return dump
-
-
-def _disagreement(graph, model, d, seed, cs: CountSide, ranks, reason: str):
-    return EngineDisagreement(
-        reason, _failure_dump(graph, model, d, seed, cs, ranks, reason)
-    )
 
 
 def fuzz_equivalence(

@@ -80,9 +80,6 @@ class KVector:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def coord(self, subset: tuple[int, ...]):
-        return self.coords[ksubsets(self.d, self.k).index(subset)]
-
 
 def _det(rows, p: Optional[int]):
     """Exact determinant by cofactor expansion (matrices here are tiny)."""
@@ -156,13 +153,6 @@ def pairing(x: KVector, y: KVector):
     return _norm(total, x.p)
 
 
-def dot(x: KVector, y: KVector):
-    """Plain coordinatewise dot product of two same-degree elements."""
-    if x.d != y.d or x.k != y.k or x.p != y.p:
-        raise ValueError("dot needs two elements of the same space")
-    return _norm(sum(a * b for a, b in zip(x.coords, y.coords)), x.p)
-
-
 def grassmann_check(x: KVector) -> bool:
     """All quadratic Pluecker relations for a degree-2 element.
 
@@ -212,17 +202,6 @@ def sample_span(d: int, k: int, rng: SplitMix64, p: int):
         if not kv.is_zero():
             return vectors, kv
     raise ValueError("could not sample %d independent vectors at prime %d" % (k, p))
-
-
-def sample_grassmannian(
-    d: int, k: int, rng: SplitMix64, p: int, distinct_from=()
-) -> KVector:
-    """Random decomposable degree-k element, optionally avoiding given spans."""
-    for _ in range(MAX_SAMPLE_RETRIES):
-        _, kv = sample_span(d, k, rng, p)
-        if all(not proportional(kv, other) for other in distinct_from):
-            return kv
-    raise ValueError("could not sample a distinct Grassmannian point at prime %d" % p)
 
 
 def random_point_in_span(vectors, d: int, rng: SplitMix64, p: int):

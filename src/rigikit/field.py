@@ -91,9 +91,6 @@ class SplitMix64:
     def field_elem(self, p: int) -> int:
         return self.below(p)
 
-    def nonzero_field_elem(self, p: int) -> int:
-        return 1 + self.below(p - 1)
-
     def vector(self, length: int, p: int) -> tuple[int, ...]:
         return tuple(self.below(p) for _ in range(length))
 

@@ -1,4 +1,4 @@
-"""Families of projective flats: spans, connectivity, truncation by a hyperplane.
+"""Families of projective flats: spans and truncation by a hyperplane.
 
 A flat is stored as an independent spanning basis of its underlying linear
 subspace of F_p^N; its rank is the basis size.  The two rank formulas this
@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Optional
 
 from . import linalg
 from .exterior import random_point_in_span
-from .field import SplitMix64, mod_inv
+from .field import SplitMix64
 from .partitions import min_partition
 
 BRUTEFORCE_LIMIT = 10
@@ -87,46 +87,6 @@ def span_rank(fam: FlatFamily, ids=None) -> int:
     return linalg.rank(rows, fam.p)
 
 
-def connectivity(fam: FlatFamily, ids=None):
-    """Finest partition of the selected flats with additive span ranks.
-
-    Two flats share a component iff no rank-additive bipartition separates
-    them; components are read off the side signatures of all additive
-    bipartitions.  Exhaustive, capped at BRUTEFORCE_LIMIT flats.
-    """
-    sel = fam.subset(ids)
-    n = len(sel)
-    if n == 0:
-        return ()
-    if n == 1:
-        return (sel,)
-    if n > BRUTEFORCE_LIMIT:
-        raise FlatError("connectivity is exhaustive; limited to %d flats" % BRUTEFORCE_LIMIT)
-    total = span_rank(fam, sel)
-    rank_cache: dict[int, int] = {}
-
-    def rk(mask: int) -> int:
-        if mask not in rank_cache:
-            rank_cache[mask] = span_rank(
-                fam, [sel[i] for i in range(n) if mask >> i & 1]
-            )
-        return rank_cache[mask]
-
-    sig = [0] * n
-    full = (1 << n) - 1
-    # bipartitions {mask, complement} with element 0 fixed in the complement
-    for side in range(1, 1 << (n - 1)):
-        mask = side << 1
-        if rk(mask) + rk(full ^ mask) == total:
-            for i in range(n):
-                sig[i] = (sig[i] << 1) | (mask >> i & 1)
-    groups: dict[int, list[str]] = {}
-    for i, fid in enumerate(sel):
-        groups.setdefault(sig[i], []).append(fid)
-    comps = sorted(groups.values(), key=lambda g: sel.index(g[0]))
-    return tuple(tuple(c) for c in comps)
-
-
 def generic_matroid_rank(fam: FlatFamily, ids=None, rng: SplitMix64 = None, trials: int = 3) -> int:
     """Rank of one random representative point per flat, best of `trials`."""
     sel = fam.subset(ids)
@@ -184,18 +144,15 @@ def intersect_with_hyperplane(flat: Flat, normal, p: int) -> Optional[Flat]:
     drop); a rank-1 flat off the hyperplane truncates to the empty flat.
     """
     vals = [sum(a * b for a, b in zip(normal, vec)) % p for vec in flat.basis]
-    pivot = next((i for i, v in enumerate(vals) if v), -1)
-    if pivot < 0:
+    if not any(vals):
         return None
-    inv = mod_inv(vals[pivot], p)
-    pv = flat.basis[pivot]
-    new_basis = []
-    for i, vec in enumerate(flat.basis):
-        if i == pivot:
-            continue
-        c = vals[i] * inv % p
-        new_basis.append(tuple((a - c * b) % p for a, b in zip(vec, pv)))
-    return Flat(ambient=flat.ambient, basis=tuple(new_basis))
+    # each kernel vector c of the one row vals combines the basis into a cut vector
+    new_basis = tuple(
+        tuple(sum(c * vec[i] for c, vec in zip(coeffs, flat.basis)) % p
+              for i in range(flat.ambient))
+        for coeffs in linalg.nullspace([vals], len(vals), p)
+    )
+    return Flat(ambient=flat.ambient, basis=new_basis)
 
 
 def dilworth_truncate(fam: FlatFamily, rng: SplitMix64 = None, normal=None):

@@ -65,9 +65,6 @@ class Multigraph:
     def edge(self, eid: str) -> Edge:
         return self.edges[self.edge_index[eid]]
 
-    def kind(self, vid: str) -> VertexKind:
-        return self.kinds[vid]
-
     def sorted_edge_ids(self, eids: Iterable[str]) -> tuple[str, ...]:
         """Edge ids in construction order (the deterministic order everywhere)."""
         return tuple(sorted(eids, key=self.edge_index.__getitem__))
@@ -183,7 +180,7 @@ class CountProfile:
             )
 
     def capacity_of(self, graph: Multigraph, vid: str) -> int:
-        return self.capacity(graph.kind(vid))
+        return self.capacity(graph.kinds[vid])
 
 
 def vertex_counts(graph: Multigraph, eids: Iterable[str]):

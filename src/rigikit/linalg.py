@@ -12,11 +12,12 @@ each stored row's own pairs.
 ``rank`` is plain forward elimination, with no caller-specific shortcut:
 a builder that would repeat rows (parallel edge flats) emits them once.
 ``rref`` takes and returns dense rows: it adds one back-substitution and
-sorts the rows by pivot.  It and ``nullspace`` serve small dense systems,
-such as the at most two constraints that cut out an edge's bar flat.  The
-reduced row-echelon form of a row space is unique, so ``rref`` and
-``nullspace`` do not depend on the order in which rows are given, and
-results are deterministic for deterministic inputs.
+sorts the rows by pivot.  It and ``nullspace`` serve small dense systems:
+the at most two constraints that cut out an edge's bar flat, and the one
+row that cuts a flat by a hyperplane.  The reduced row-echelon form of a
+row space is unique, so ``rref`` and ``nullspace`` do not depend on the
+order in which rows are given, and results are deterministic for
+deterministic inputs.
 """
 
 from __future__ import annotations

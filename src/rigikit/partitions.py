@@ -7,14 +7,6 @@ design and guarded by the callers' size limits.
 from __future__ import annotations
 
 
-def submasks(mask: int):
-    """All submasks of mask, descending, excluding 0 (unless mask == 0)."""
-    s = mask
-    while s:
-        yield s
-        s = (s - 1) & mask
-
-
 def min_partition_table(n: int, cost):
     """Minimum of sum cost(part) over partitions of every mask of {0..n-1}.
 

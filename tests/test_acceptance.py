@@ -12,6 +12,7 @@ from rigikit import linalg
 from rigikit.analysis import count_side, fuzz_equivalence, linear_trial
 from rigikit.analysis import random_multigraph
 from rigikit.count_matroid import (
+    global_count_target,
     p_components,
     rank_bruteforce_table,
     rank_value,
@@ -29,7 +30,6 @@ from rigikit.rigidity import (
     kernel_basis,
     matrix_body_rod_bar,
     matrix_direction,
-    required_rank_direction,
     sample_bar_config,
     sample_rod_config,
     verify_trivial_motions,
@@ -185,7 +185,7 @@ def test_criterion_6_direction_equivalence():
     )
     joints = {"a": (0, 0), "b": (1, 0), "c": (0, 1)}
     m = matrix_direction(k3, joints, 2, P)
-    k3_ok = m.rank() == 3 == required_rank_direction(k3, 2)
+    k3_ok = m.rank() == 3 == global_count_target(k3, CountProfile.direction(2))
     ok = s2.ok and s3.ok and s2.agreements == 50 and s3.agreements == 50 and k3_ok
     report(
         6,

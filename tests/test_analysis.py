@@ -28,6 +28,18 @@ def two_rods(n):
     return build_graph([("r1", "rod"), ("r2", "rod")], [("r1", "r2")] * n)
 
 
+@pytest.fixture
+def lying_oracle(monkeypatch):
+    """rank_bruteforce reads one more than the true rank, so --oracle disagrees."""
+    real = cm.rank_bruteforce
+
+    def off_by_one(*args):
+        cert = real(*args)
+        return dataclasses.replace(cert, value=cert.value + 1)
+
+    monkeypatch.setattr(cm, "rank_bruteforce", off_by_one)
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -345,13 +357,7 @@ def test_graphic_union_rank_above_count_raises_at_once(monkeypatch):
     assert info.value.dump["linear_ranks"] == [3]
 
 
-def test_oracle_disagreement_dumps_a_replayable_document(monkeypatch):
-    def off_by_one(*args):
-        cert = real(*args)
-        return dataclasses.replace(cert, value=cert.value + 1)
-
-    real = cm.rank_bruteforce
-    monkeypatch.setattr(cm, "rank_bruteforce", off_by_one)
+def test_oracle_disagreement_dumps_a_replayable_document(lying_oracle):
     with pytest.raises(analysis.EngineDisagreement) as info:
         analyze(two_rods(4), "rod-bar", 3, seed=7, oracle=True)
     dump = info.value.dump
@@ -361,6 +367,25 @@ def test_oracle_disagreement_dumps_a_replayable_document(monkeypatch):
     graph, model, d, joints = parse_document(dump["document"])
     rep = analyze(graph, model, d, seed=dump["seed"], joints=joints)
     assert (model, d, rep.count_rank) == ("rod-bar", 3, dump["count_rank"])
+    assert list(rep.linear_ranks) == dump["linear_ranks"]
+
+
+def test_oracle_disagreement_dump_keeps_fixed_joints(lying_oracle):
+    # the dump is the failing input: a direction document replays with its
+    # own joints, not with joints sampled from the seed
+    g = build_graph(
+        [("a", "body"), ("b", "body"), ("c", "body")],
+        [("a", "b"), ("b", "c"), ("c", "a")],
+    )
+    fixed = {"a": (0, 0), "b": (1, 0), "c": (0, 1)}
+    with pytest.raises(analysis.EngineDisagreement) as info:
+        analyze(g, "direction", 2, seed=4, joints=fixed, oracle=True)
+    from rigikit.documents import parse_document
+
+    dump = info.value.dump
+    graph, model, d, joints = parse_document(dump["document"])
+    assert joints == fixed
+    rep = analyze(graph, model, d, seed=dump["seed"], joints=joints)
     assert list(rep.linear_ranks) == dump["linear_ranks"]
 
 
@@ -521,15 +546,15 @@ def test_fuzz_deterministic_and_case_independent():
         assert sum(r[key] for r in results) == total, key
 
 
-def test_fuzz_case_failure_dump_replayable():
+def test_fuzz_case_failure_dump_replayable(monkeypatch):
     # simulate a disagreement by lying about the combinatorial rank
     g = two_rods(4)
     cs = count_side(g, "rod-bar", 3)
     fake = dataclasses.replace(cs, rank=cs.rank + 1)  # unattainable rank
-    from rigikit.analysis import _failure_dump
-
-    dump = _failure_dump(g, "rod-bar", 3, 5, fake, [4], "synthetic")
-    assert dump["reason"] == "synthetic"
+    monkeypatch.setattr(analysis, "count_side", lambda *args: fake)
+    dump = fuzz_case(g, "rod-bar", 3, P, SplitMix64(5), 3)["failure"]
+    assert dump["reason"] == "max linear rank 4 != combinatorial rank 5"
+    assert dump["linear_ranks"] == [4] * analysis.ESCALATED_TRIALS
     from rigikit.documents import parse_document
 
     graph, model, d, _ = parse_document(dump["document"])
@@ -542,15 +567,15 @@ def test_fuzz_desk_scale_guard():
         fuzz_equivalence("body-bar", 3, 1, max_vertices=50)
 
 
-def test_dump_document_replays_through_analyze():
-    from rigikit.analysis import _dump
+def test_dump_document_replays_through_analyze(lying_oracle):
     from rigikit.documents import parse_document
 
     g = build_graph(
         [("b", "body"), ("h", "hinge")], [("b", "h")]
     )
-    cs = count_side(g, "body-hinge", 3)
-    dump = _dump(g, "body-hinge", 3, 11, cs, [5])
+    with pytest.raises(analysis.EngineDisagreement) as info:
+        analyze(g, "body-hinge", 3, seed=11, oracle=True)
+    dump = info.value.dump
     graph, model, d, joints = parse_document(dump["document"])
     rep = analyze(graph, model, d, seed=dump["seed"])
     assert rep.count_rank == dump["count_rank"]

@@ -4,7 +4,6 @@ from rigikit import linalg
 from rigikit.field import DEFAULT_PRIME, SplitMix64
 from rigikit.flats import (
     FlatError,
-    connectivity,
     dilworth_truncate,
     flat_family,
     generic_matroid_rank,
@@ -61,15 +60,6 @@ def test_span_rank_examples():
     # pairwise intersections are the shared rank-2 line
     for fid in fam.order:
         assert fam.flats[fid].rank == 3
-
-
-def test_connectivity_examples():
-    assert connectivity(disjoint_blocks()) == (("A",), ("B",))
-    overlapping = flat_family(4, P, [("A", [E1, E2]), ("B", [E2, E3])])
-    assert connectivity(overlapping) == (("A", "B"),)
-    fam = three_hyperplanes_through_line(P)
-    assert connectivity(fam) == (("A1", "A2", "A3"),)
-    assert connectivity(line_family()) == (("L",),)  # singleton is connected
 
 
 def test_generic_matroid_rank_examples():
@@ -190,23 +180,3 @@ def test_generic_points_match_oracle_randomized():
             got = generic_matroid_rank(fam, rng=rng.spawn(7000 + case), trials=10)
         assert got == want
 
-
-def test_connectivity_matches_definition_randomized():
-    # the returned partition is additive, and no refinement of it is
-    rng = SplitMix64(29)
-    for case in range(10):
-        fam = random_family(rng.spawn(case), n_flats=5, ambient=6, max_rank=2)
-        comps = connectivity(fam)
-        assert sum(len(c) for c in comps) == len(fam.order)
-        assert span_rank(fam) == sum(span_rank(fam, c) for c in comps)
-        for comp in comps:
-            if len(comp) == 1:
-                continue
-            # no additive bipartition inside a component
-            n = len(comp)
-            whole = span_rank(fam, comp)
-            for side in range(1, 1 << (n - 1)):
-                mask = side << 1
-                left = [comp[i] for i in range(n) if mask >> i & 1]
-                right = [comp[i] for i in range(n) if not mask >> i & 1]
-                assert span_rank(fam, left) + span_rank(fam, right) > whole

@@ -1,0 +1,69 @@
+"""src/ defines only what it runs: every definition has a reader in src/.
+
+A top-level function or class, or a method, of src/rigikit/*.py must be
+referenced by name somewhere in src/ (a Name, an Attribute or an import
+alias), exported in rigikit.__all__, or be a dunder.  A helper that only
+tests read belongs in tests/.
+"""
+
+import ast
+from pathlib import Path
+
+import rigikit
+
+SRC = Path(rigikit.__file__).resolve().parent
+
+# Read only outside src/, each kept for its reason.
+EXEMPT = {
+    # argparse calls it on a usage error; nothing in src/ names it
+    "_Parser.error": "argparse's error hook",
+    # the pebble game's invariant, which the tests run after every move
+    "PebbleState.check_invariant": "the pebble invariant the tests run",
+    # the brute-force reference the tests compare against; the tracer patches it
+    "rank_bruteforce_table": "brute-force reference, patched by the tracer",
+    # the decomposability oracle for degree-2 elements
+    "grassmann_check": "the decomposability oracle",
+}
+
+
+def _definitions(tree):
+    """(qualified name, bare name) of each top-level def/class and each method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield "%s.%s" % (node.name, item.name), item.name
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def test_every_src_definition_has_a_src_reader():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    referenced = set()
+    defined = set()
+    for tree in trees.values():
+        referenced.update(_references(tree))
+        defined.update(qual for qual, _ in _definitions(tree))
+    assert set(EXEMPT) <= defined, "stale exemptions: %s" % sorted(set(EXEMPT) - defined)
+    exported = set(rigikit.__all__)
+    unread = [
+        "%s:%s" % (fname[:-3], qual)
+        for fname, tree in trees.items()
+        for qual, name in _definitions(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in referenced
+        and name not in exported
+        and qual not in EXEMPT
+    ]
+    assert not unread, "defined in src/ but read only outside it: %s" % ", ".join(unread)
+

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigikit import count_matroid as cm
 from rigikit import linalg
 from rigikit.exterior import grassmann_check, hodge_star, pairing, proportional
 from rigikit.field import DEFAULT_PRIME, SplitMix64
@@ -19,8 +20,6 @@ from rigikit.rigidity import (
     matrix_direction,
     matrix_edge_flats,
     matrix_graphic_union,
-    required_rank_body,
-    required_rank_direction,
     sample_bar_config,
     sample_joints,
     sample_rod_config,
@@ -58,14 +57,14 @@ def sampled(graph, d=3, seed=1):
 def test_rod_config_empty_without_rods():
     g = build_graph([("a", "body"), ("b", "body")], [("a", "b")])
     rods = sample_rod_config(g, 3, SplitMix64(1), P)
-    assert rods.rods == ()
+    assert tuple(rods.plueckers) == ()
 
 
 def test_rod_config_distinct_decomposable():
     g = build_graph([("r%d" % i, "rod") for i in range(4)], [])
     rods = sample_rod_config(g, 3, SplitMix64(2), P)
-    assert len(rods.rods) == 4
-    names = list(rods.rods)
+    names = list(rods.plueckers)
+    assert len(names) == 4
     for i, v in enumerate(names):
         kv = rods.plueckers[v]
         assert not kv.is_zero()
@@ -118,7 +117,7 @@ def row_blocks(m, row):
 
 def test_row_pattern_two_opposite_blocks():
     # every builder: a row is +alpha in u's block, -alpha in v's, zero
-    # elsewhere, labelled (edge id, j) with j counting that edge's vectors;
+    # elsewhere, the rows in edge order, each edge's vectors in turn;
     # stored sparse, its pairs sorted, nonzero and inside those two blocks.
     # Edge flats give f(e) rows to the first edge of an endpoint pair and
     # none to its later parallels.
@@ -138,11 +137,9 @@ def test_row_pattern_two_opposite_blocks():
             (matrix_direction(g, joints, 3, P), lambda e: 2),
         ]
         for m, n_vectors in builds:
-            assert m.row_labels == tuple(
-                (e.id, j) for e in g.edges for j in range(n_vectors(e))
-            )
-            for (eid, _), pairs, row in zip(m.row_labels, m.rows, dense_rows(m)):
-                e = g.edge(eid)
+            row_edges = [e for e in g.edges for _ in range(n_vectors(e))]
+            assert len(m.rows) == len(row_edges)
+            for e, pairs, row in zip(row_edges, m.rows, dense_rows(m)):
                 cols = [c for c, _ in pairs]
                 assert cols == sorted(set(cols))
                 assert all(0 < x < P for _, x in pairs)
@@ -152,7 +149,7 @@ def test_row_pattern_two_opposite_blocks():
                 assert [i for i, _ in blocks] == sorted(
                     m.vertex_order.index(v) for v in (e.u, e.v)
                 )
-                bu, bv = m.block_of(e.u), m.block_of(e.v)
+                bu, bv = (m.vertex_order.index(v) * m.block for v in (e.u, e.v))
                 a, b = row[bu:bu + m.block], row[bv:bv + m.block]
                 assert all((x + y) % P == 0 for x, y in zip(a, b))
 
@@ -185,12 +182,12 @@ def test_body_rod_bar_rank_bound_and_kernel():
     g = two_rods(4)
     rods, bars = sampled(g, seed=9)
     m = matrix_body_rod_bar(g, rods, bars)
-    assert m.rank() == 4 == required_rank_body(g, 3)
+    assert m.rank() == 4 == cm.global_count_target(g, PROF3)
     basis = motion_space(m, rods=rods)
     assert basis.kernel_dim == 8  # D + |R| exactly
     assert basis.trivial_span_dim == 8
     assert basis.nontrivial_dim == 0
-    kinds = [k for k, _ in basis.entries]
+    kinds = [k for k, _ in verify_trivial_motions(m, rods=rods).motions]
     assert kinds.count("constant") == 6
     assert kinds.count("rod-spin") == 2
 
@@ -201,7 +198,7 @@ def test_rank_never_exceeds_body_bound():
         g = random_kinded_graph(rng.spawn(case), max_edges=10)
         rods, bars = sampled(g, seed=200 + case)
         m = matrix_body_rod_bar(g, rods, bars)
-        assert m.rank() <= max(0, required_rank_body(g, 3))
+        assert m.rank() <= max(0, cm.global_count_target(g, PROF3))
 
 
 def test_lone_rod_motion_space():
@@ -211,8 +208,8 @@ def test_lone_rod_motion_space():
     assert len(m.rows) == 0
     basis = motion_space(m, rods=rods)
     assert basis.kernel_dim == 6  # whole block space
-    assert len(basis.of_kind("constant")) == 6
-    assert len(basis.of_kind("rod-spin")) == 1  # formal list keeps D + |R| entries
+    kinds = [k for k, _ in verify_trivial_motions(m, rods=rods).motions]
+    assert kinds == ["constant"] * 6 + ["rod-spin"]  # formal list keeps D + |R| entries
     assert basis.trivial_span_dim == 6  # the spin lies inside the constants here
 
 
@@ -244,10 +241,13 @@ def test_edge_flats_one_nullspace_per_endpoint_pair(monkeypatch):
     assert len(calls) == 2
     vertices = [(v, g.kinds[v]) for v in g.vertex_ids]
     assert [e.id for e in g.edges if g.first_parallel[e.id] == e.id] == ["e0", "e6"]
-    for e in g.edges:  # each first edge's rows, as a one-edge matrix computes them
-        own = tuple(r for r, (eid, _) in zip(m.rows, m.row_labels) if eid == e.id)
+    start = 0
+    for e in g.edges:  # rows in edge order: each first edge's, as a one-edge matrix computes them
         alone = matrix_edge_flats(build_graph(vertices, [(e.u, e.v)]), rods, P)
-        assert own == (alone.rows if g.first_parallel[e.id] == e.id else ())
+        own = alone.rows if g.first_parallel[e.id] == e.id else ()
+        assert m.rows[start:start + len(own)] == own
+        start += len(own)
+    assert start == len(m.rows)
 
 
 def test_graphic_union_rank():
@@ -272,7 +272,7 @@ def test_expand_hinge_counts():
     exp = expand_hinge(g, 3, SplitMix64(15), P)
     assert len(exp.graph.edges) == 5  # D - 1 parallel bars
     assert exp.graph.edge_ids == tuple("e0~%d" % k for k in range(5))
-    assert exp.rods.rods == ("h",)
+    assert tuple(exp.rods.plueckers) == ("h",)
     check_incidence(exp.graph, exp.rods, exp.bars)
     # the linear side realizes exactly the graph the count side counts on
     rng = SplitMix64(18)
@@ -319,7 +319,7 @@ def test_hinge_motion_constraint_equivalence():
     kern = linalg.nullspace(dense_rows(m), m.ncols, P)
     assert len(kern) == motion_space(m, rods=exp.rods).kernel_dim
     spin = list(hodge_star(exp.rods.plueckers["w"]).coords)
-    bu, bv = m.block_of("u"), m.block_of("v")
+    bu, bv = (m.vertex_order.index(v) * m.block for v in ("u", "v"))
     for vec in kern:
         diff = [(vec[bu + j] - vec[bv + j]) % P for j in range(6)]
         assert linalg.rank([linalg.sparse(spin, P), linalg.sparse(diff, P)], P) <= 1
@@ -344,11 +344,10 @@ def test_direction_triangle_rigid():
     )
     joints = {"a": (0, 0), "b": (1, 0), "c": (0, 1)}
     m = matrix_direction(g, joints, 2, P)
-    assert m.rank() == 3 == required_rank_direction(g, 2)
-    basis = motion_space(m, joints=joints)
-    assert basis.kernel_dim == 3
-    assert len(basis.of_kind("constant")) == 2
-    assert len(basis.of_kind("dilation")) == 1
+    assert m.rank() == 3 == cm.global_count_target(g, CountProfile.direction(2))
+    assert motion_space(m, joints=joints).kernel_dim == 3
+    kinds = [k for k, _ in verify_trivial_motions(m, joints=joints).motions]
+    assert kinds == ["constant"] * 2 + ["dilation"]
 
 
 def test_direction_coincident_joints_rejected():
@@ -382,7 +381,7 @@ def test_kernel_dim_at_least_trivial_count():
         rods, bars = sampled(g, seed=300 + case)
         m = matrix_body_rod_bar(g, rods, bars)
         basis = motion_space(m, rods=rods)
-        assert basis.kernel_dim >= basis.trivial_span_dim == 6 + len(rods.rods)
+        assert basis.kernel_dim >= basis.trivial_span_dim == 6 + len(rods.plueckers)
 
 
 def test_edge_flats_subset_ranks_match_polymatroid():
@@ -525,7 +524,7 @@ def test_hand_built_matrix_is_ranked_whole():
     # one row in one block: grounding the block it meets would read rank 0;
     # only two_block_matrix marks a matrix safe to ground
     m = RigidityMatrix(
-        p=P, block=1, vertex_order=("a", "b"), row_labels=(("e", 0),), rows=(((0, 1),),)
+        p=P, block=1, vertex_order=("a", "b"), rows=(((0, 1),),)
     )
     assert not m.two_block
     assert m.rank() == rank_reference(dense_rows(m), P) == 1
