@@ -81,28 +81,29 @@ class KVector:
         return all(c == 0 for c in self.coords)
 
 
-def _det(rows, p: Optional[int]):
-    """Exact determinant by cofactor expansion (matrices here are tiny)."""
-    n = len(rows)
-    if n == 1:
-        return _norm(rows[0][0], p)
-    if n == 2:
-        return _norm(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0], p)
-    total = 0
-    sign = 1
-    for j in range(n):
-        a = rows[0][j]
-        if a:
-            minor = [
-                [row[c] for c in range(n) if c != j] for row in rows[1:]
-            ]
-            total += sign * a * _det(minor, p)
-        sign = -sign
-    return _norm(total, p)
+@cache
+def _expansion(d: int, r: int) -> tuple:
+    """Per r-subset S of {1..d+1}, in ksubsets order, the terms of the r x r
+    minor on S expanded along its last row: (column, cofactor sign, index of
+    the (r-1)-minor on S without that column among the (r-1)-subsets)."""
+    index = {s: i for i, s in enumerate(ksubsets(d, r - 1))}
+    return tuple(
+        tuple(
+            (col - 1, -1 if (r - 1 + j) % 2 else 1, index[sub[:j] + sub[j + 1:]])
+            for j, col in enumerate(sub)
+        )
+        for sub in ksubsets(d, r)
+    )
 
 
 def wedge_list(vectors, d: int, p: Optional[int] = None) -> KVector:
-    """v1 ^ ... ^ vk: coordinates are the k x k minors of the stacked matrix."""
+    """v1 ^ ... ^ vk: coordinates are the k x k minors of the stacked matrix.
+
+    The minors are built level by level: each r x r minor of v1..vr is its
+    expansion along vr, a signed sum of vr's entries times (r-1) x (r-1)
+    minors of v1..v(r-1).  Over the integers that is the determinant, so
+    reducing mod p at every level gives the same coordinates.
+    """
     k = len(vectors)
     if not 1 <= k <= d + 1:
         raise ValueError("wedge of %d vectors in dimension %d" % (k, d + 1))
@@ -112,11 +113,17 @@ def wedge_list(vectors, d: int, p: Optional[int] = None) -> KVector:
                 "vector length %d does not match ambient dimension %d"
                 % (len(v), d + 1)
             )
-    coords = []
-    for subset in ksubsets(d, k):
-        rows = [[v[i - 1] for i in subset] for v in vectors]
-        coords.append(_det(rows, p))
-    return KVector(d=d, k=k, coords=tuple(coords), p=p)
+    minors = [_norm(x, p) for x in vectors[0]]
+    for r in range(2, k + 1):
+        v = vectors[r - 1]
+        level = []
+        for terms in _expansion(d, r):
+            total = 0
+            for c, sign, sub in terms:
+                total += sign * v[c] * minors[sub]
+            level.append(_norm(total, p))
+        minors = level
+    return KVector(d=d, k=k, coords=tuple(minors), p=p)
 
 
 def wedge2(a, b, d: int, p: Optional[int] = None) -> KVector:
@@ -171,18 +178,6 @@ def grassmann_check(x: KVector) -> bool:
         )
         if _norm(val, x.p) != 0:
             return False
-    return True
-
-
-def proportional(x: KVector, y: KVector) -> bool:
-    """Projective equality test: all 2 x 2 cross minors vanish."""
-    if x.d != y.d or x.k != y.k or x.p != y.p:
-        raise ValueError("proportionality test needs elements of one space")
-    n = len(x.coords)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _norm(x.coords[i] * y.coords[j] - x.coords[j] * y.coords[i], x.p):
-                return False
     return True
 
 

@@ -124,5 +124,9 @@ def nullspace(rows, ncols: int, p: int):
 
 
 def mat_vec(rows, vec, p: int):
-    """Each sparse row applied to the dense vector vec."""
+    """Each sparse row applied to the dense vector vec.
+
+    Nothing in the package calls it: the tests check sparse rows with it,
+    and perfbench/tracer.py traces it by name.
+    """
     return [sum([b * vec[c] for c, b in row]) % p for row in rows]

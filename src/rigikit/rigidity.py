@@ -24,9 +24,14 @@ zero, the D constant motions lie in every kernel, and rank() grounds one
 body (drops its block's columns) without changing the rank.  A matrix
 built by hand is unmarked and ranked whole.
 
-The motion space is read off the rank by rank-nullity: kernel_basis gives
-its dimension, ncols - rank, and the rank of the formal trivial family,
-once the trivial check has shown that family to lie in the kernel.
+The formal trivial motions are sparse rows in linalg's format, written
+only where they are nonzero: a constant motion meets every block, a rod
+spin its rod's block alone.  verify_trivial_motions checks them against
+every row in one pass over the rows, so its cost grows with the matrix's
+pairs, not with rows times motions.  The motion space is read off the
+rank by rank-nullity: kernel_basis gives its dimension, ncols - rank, and
+the rank of the formal trivial family, once the trivial check has shown
+that family to lie in the kernel.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from .exterior import (
     MAX_SAMPLE_RETRIES,
     hodge_star,
     pairing,
-    proportional,
     random_point_in_span,
     sample_span,
     wedge2,
@@ -78,23 +82,31 @@ class BarConfig:
 
 
 def sample_rod_config(graph: Multigraph, d: int, rng: SplitMix64, p: int) -> RodConfig:
-    """One random (d-1)-dimensional subspace per rod vertex, all distinct."""
+    """One random (d-1)-dimensional subspace per rod vertex, all distinct.
+
+    Two nonzero Pluecker vectors span the same subspace exactly when they
+    are proportional, that is when they agree once each is scaled so that
+    its first nonzero coordinate is 1; a set of the scaled vectors finds a
+    repeated rod without comparing it to every earlier one.
+    """
     spans: dict[str, tuple[tuple[int, ...], ...]] = {}
     plueckers: dict[str, KVector] = {}
-    taken: list[KVector] = []
+    taken: set[tuple] = set()
     for i, v in enumerate(graph.vertex_ids):
         if graph.kinds[v] != VertexKind.ROD:
             continue
         sub = rng.spawn(i)
         for attempt in range(MAX_SAMPLE_RETRIES):
             vectors, kv = sample_span(d, d - 1, sub, p)
-            if all(not proportional(kv, other) for other in taken):
+            inv = mod_inv(next(c for c in kv.coords if c), p)
+            point = tuple(c * inv % p for c in kv.coords)
+            if point not in taken:
                 break
         else:
             raise ConfigError("could not sample distinct rods at prime %d" % p)
         spans[v] = vectors
         plueckers[v] = kv
-        taken.append(kv)
+        taken.add(point)
     return RodConfig(d=d, p=p, spans=spans, plueckers=plueckers)
 
 
@@ -171,10 +183,6 @@ class RigidityMatrix:
             else:
                 rest.append(row)
         return linalg.rank(grounded + rest, self.p)
-
-    def apply(self, vec) -> list[int]:
-        """The matrix times the dense vector vec; each row reads only its own pairs."""
-        return linalg.mat_vec(self.rows, vec, self.p)
 
 
 def two_block_matrix(
@@ -373,43 +381,41 @@ def trivial_motions(
     rods: Optional[RodConfig] = None,
     joints: Optional[Mapping] = None,
 ):
-    """The formal trivial family for the matrix's model.
+    """The formal trivial family for the matrix's model, as (kind, row) pairs.
 
-    Body models: the block-constant motions (one per coordinate of the
-    block) and one spin per rod, the motion supported on the rod's block
-    with the rod's own Pluecker vector (star coordinates).  Direction
-    model: the d translations plus the dilation m(v) = p(v).
+    Each motion is a sparse row in linalg's format, written where it is
+    nonzero.  Body models: the block-constant motions, one per coordinate j
+    of the block, 1 at column j of every block; and one spin per rod, the
+    rod's own Pluecker vector (star coordinates) in the rod's block alone.
+    Direction model: the d translations plus the dilation m(v) = p(v), in
+    every block where the joint is nonzero.
     """
-    n = len(m.vertex_order)
-    out = []
-    for j in range(m.block):
-        vec = [0] * m.ncols
-        for i in range(n):
-            vec[i * m.block + j] = 1
-        out.append(("constant", tuple(vec)))
+    p, B = m.p, m.block
+    starts = range(0, m.ncols, B)
+    out = [("constant", tuple((s + j, 1) for s in starts)) for j in range(B)]
     if rods is not None:
-        for i, v in enumerate(m.vertex_order):
+        for s, v in zip(starts, m.vertex_order):
             if v in rods.plueckers:
-                vec = [0] * m.ncols
-                base = i * m.block
-                for j, c in enumerate(hodge_star(rods.plueckers[v]).coords):
-                    vec[base + j] = c % m.p
-                out.append(("rod-spin", tuple(vec)))
+                star = hodge_star(rods.plueckers[v]).coords
+                out.append(
+                    ("rod-spin", tuple((s + j, c % p) for j, c in enumerate(star) if c % p))
+                )
     if joints is not None:
-        vec = [0] * m.ncols
-        for i, v in enumerate(m.vertex_order):
-            base = i * m.block
-            for j, c in enumerate(joints[v]):
-                vec[base + j] = c % m.p
-        out.append(("dilation", tuple(vec)))
+        dilation = tuple(
+            (s + j, c % p)
+            for s, v in zip(starts, m.vertex_order)
+            for j, c in enumerate(joints[v])
+            if c % p
+        )
+        out.append(("dilation", dilation))
     return out
 
 
 @dataclass(frozen=True)
 class TrivialCheck:
-    """The formal trivial family of one matrix, each motion applied to it once."""
+    """The formal trivial family of one matrix, checked against its rows once."""
 
-    motions: tuple  # (kind, vector) pairs, as trivial_motions lists them
+    motions: tuple  # (kind, sparse row) pairs, as trivial_motions lists them
     missed: tuple  # kinds of the motions the matrix does not annihilate
 
     @property
@@ -426,10 +432,32 @@ def verify_trivial_motions(
     rods: Optional[RodConfig] = None,
     joints: Optional[Mapping] = None,
 ) -> TrivialCheck:
-    """Apply every formal trivial motion to m; check.violations must be zero."""
-    trivials = tuple(trivial_motions(m, rods=rods, joints=joints))
-    missed = tuple(kind for kind, vec in trivials if any(m.apply(vec)))
-    return TrivialCheck(motions=trivials, missed=missed)
+    """Every row of m against every formal trivial motion, in one pass over the rows.
+
+    The motions are indexed by column first.  Each row then sums b * x over
+    its pairs (c, b) and the motions' values x at c, one sum per motion that
+    meets the row; a sum nonzero mod p puts that motion in check.missed, in
+    family order, and check.violations must be zero.  The sums are the
+    row-times-motion products, so the check holds for any matrix, two-block
+    or not.
+    """
+    motions = tuple(trivial_motions(m, rods=rods, joints=joints))
+    at = [[] for _ in range(m.ncols)]  # column -> (motion index, value) pairs
+    for i, (_, motion) in enumerate(motions):
+        for c, x in motion:
+            at[c].append((i, x))
+    p = m.p
+    hit = set()
+    for row in m.rows:
+        sums = {}
+        for c, b in row:
+            for i, x in at[c]:
+                sums[i] = sums.get(i, 0) + b * x
+        for i, total in sums.items():
+            if total % p:
+                hit.add(i)
+    missed = tuple(kind for i, (kind, _) in enumerate(motions) if i in hit)
+    return TrivialCheck(motions=motions, missed=missed)
 
 
 def kernel_basis(m: RigidityMatrix, rank: int, check: TrivialCheck) -> MotionBasis:
@@ -444,7 +472,7 @@ def kernel_basis(m: RigidityMatrix, rank: int, check: TrivialCheck) -> MotionBas
     if check.missed:
         raise ConfigError("%s motion is not in the kernel" % check.missed[0])
     span = linalg.Echelon(m.p)
-    for _, vec in check.motions:
-        span.add(linalg.sparse(vec, m.p))
+    for _, motion in check.motions:
+        span.add(motion)
     return MotionBasis(kernel_dim=m.ncols - rank, trivial_span_dim=span.rank)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from rigikit import linalg
 from rigikit.field import SplitMix64, mod_inv
 from rigikit.graph import Multigraph, VertexKind, build_graph
 
@@ -104,11 +105,12 @@ def kernel_basis_reference(m, trivials):
     reference for rigidity.kernel_basis's rank-nullity read.
 
     It classifies an explicit kernel basis: trivials, the formal trivial
-    family as (kind, vector) pairs, go first, then each kernel vector that
-    raises the rank of the growing span counts as nontrivial.
+    family as (kind, sparse row) pairs, go first, written out dense, then
+    each kernel vector that raises the rank of the growing span counts as
+    nontrivial.
     """
     kern = nullspace_reference(dense_rows(m), m.ncols, m.p)
-    current = [list(vec) for _, vec in trivials]
+    current = [linalg.dense(motion, m.ncols) for _, motion in trivials]
     trivial_dim = cur_rank = rank_reference(current, m.p)
     nontrivial = 0
     for vec in kern:
@@ -136,6 +138,41 @@ def dense_rows(m):
 def mat_vec_reference(rows, vec, p: int):
     """Dense rows times a dense vector."""
     return [sum(a * b for a, b in zip(row, vec)) % p for row in rows]
+
+
+def trivial_missed_reference(m, motions):
+    """Kinds of the motions, (kind, sparse row) pairs, that some row of m does
+    not annihilate: one dense product per motion, the reference for
+    rigidity.verify_trivial_motions's one pass over the rows."""
+    rows = dense_rows(m)
+    return tuple(
+        kind for kind, motion in motions
+        if any(mat_vec_reference(rows, linalg.dense(motion, m.ncols), m.p))
+    )
+
+
+def det_reference(rows, p):
+    """Exact determinant by cofactor expansion along the first row, mod p
+    unless p is None; the reference for exterior.wedge_list's minors."""
+    norm = (lambda x: x) if p is None else (lambda x: x % p)
+    n = len(rows)
+    if n == 1:
+        return norm(rows[0][0])
+    total = 0
+    for j, a in enumerate(rows[0]):
+        if a:
+            minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
+            total += (-1) ** j * a * det_reference(minor, p)
+    return norm(total)
+
+
+def proportional(x, y) -> bool:
+    """Projective equality of two KVectors: all 2 x 2 cross minors vanish."""
+    n = len(x.coords)
+    return not any(
+        (x.coords[i] * y.coords[j] - x.coords[j] * y.coords[i]) % x.p
+        for i in range(n) for j in range(i + 1, n)
+    )
 
 
 def fundamental_circuit_reference(state, x, reach):

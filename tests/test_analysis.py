@@ -390,16 +390,23 @@ def test_oracle_disagreement_dump_keeps_fixed_joints(lying_oracle):
 
 
 def test_trivial_family_applied_once_per_trial(monkeypatch):
-    # each trial applies the trivial family once; kernel_basis reuses the
-    # best trial's check instead of applying the family a second time
-    applied = []
-    real = rg.RigidityMatrix.apply
+    # each trial checks the trivial family in one pass over the rows;
+    # kernel_basis reuses the best trial's check instead of running it again
+    passes = []
+    real_check, real_kernel = rg.verify_trivial_motions, rg.kernel_basis
 
-    def counted(self, vec):
-        applied.append(vec)
-        return real(self, vec)
+    def counted(m, rods=None, joints=None):
+        passes.append(real_check(m, rods=rods, joints=joints))
+        return passes[-1]
 
-    monkeypatch.setattr(rg.RigidityMatrix, "apply", counted)
+    def no_second_pass(*args):
+        before = len(passes)
+        basis = real_kernel(*args)
+        assert len(passes) == before
+        return basis
+
+    monkeypatch.setattr(rg, "verify_trivial_motions", counted)
+    monkeypatch.setattr(rg, "kernel_basis", no_second_pass)
     rng = SplitMix64(405)
     cases = [
         (random_multigraph(rng.spawn(len(model)), model, max_vertices=5), model, 3, P, 1)
@@ -409,11 +416,12 @@ def test_trivial_family_applied_once_per_trial(monkeypatch):
     cases.append((build_graph([("a", "body"), ("b", "body")], [("a", "b")] * 3),
                   "body-bar", 2, 3, 22))
     for g, model, d, prime, seed in cases:
-        applied.clear()
+        passes.clear()
         rep = analyze(g, model, d, prime=prime, seed=seed)
         assert rep.trivial_motion_count > 0
-        assert len(applied) == rep.trivial_motion_count * rep.trials_run, model
-        assert rep.trivial_checked == len(applied)
+        assert len(passes) == rep.trials_run, model
+        assert [c.checked for c in passes] == [rep.trivial_motion_count] * rep.trials_run
+        assert rep.trivial_checked == sum(c.checked for c in passes)
     assert rep.trials_run == 10
 
 

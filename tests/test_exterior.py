@@ -9,14 +9,14 @@ from rigikit.exterior import (
     hodge_star,
     ksubsets,
     pairing,
-    proportional,
     random_point_in_span,
     sample_span,
     wedge2,
     wedge_list,
 )
-from rigikit.exterior import _det
 from rigikit.field import DEFAULT_PRIME, SplitMix64
+
+from helpers import det_reference, proportional
 
 P = DEFAULT_PRIME
 
@@ -84,8 +84,24 @@ def test_wedge_list_intersection_pairing():
         inside = random_point_in_span(vecs, 3, rng, P)
         assert pairing(kv, wedge_list([inside], 3, P)) == 0
         outside = rng.vector(4, P)
-        expected = _det([list(v) for v in vecs] + [list(outside)], P)
+        expected = det_reference([list(v) for v in vecs] + [list(outside)], P)
         assert pairing(kv, wedge_list([outside], 3, P)) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, P, None])
+def test_wedge_list_minors_are_cofactor_determinants(p):
+    # the level-by-level expansion along the last vector gives the same
+    # coordinates as each k x k minor's own determinant, mod p and exactly
+    rng = SplitMix64(41)
+    for d in range(1, 6):
+        for k in range(1, d + 2):
+            for _ in range(4):
+                vecs = [[rng.below(21) - 10 for _ in range(d + 1)] for _ in range(k)]
+                expected = tuple(
+                    det_reference([[v[i - 1] for i in subset] for v in vecs], p)
+                    for subset in ksubsets(d, k)
+                )
+                assert wedge_list(vecs, d, p).coords == expected
 
 
 def test_wedge_exact_integers_and_fractions():
@@ -155,7 +171,7 @@ def test_pairing_is_stacked_determinant():
         x, y = rand_vec(rng, d), rand_vec(rng, d)
         rest = [rand_vec(rng, d) for _ in range(d - 1)]
         lhs = pairing(wedge2(x, y, d, P), wedge_list(rest, d, P))
-        rhs = _det([list(x), list(y)] + [list(r) for r in rest], P)
+        rhs = det_reference([list(x), list(y)] + [list(r) for r in rest], P)
         assert lhs == rhs
 
 

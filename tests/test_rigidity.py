@@ -1,12 +1,12 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from rigikit import count_matroid as cm
 from rigikit import linalg
-from rigikit.exterior import grassmann_check, hodge_star, pairing, proportional
+from rigikit.exterior import grassmann_check, hodge_star, pairing
 from rigikit.field import DEFAULT_PRIME, SplitMix64
 from rigikit.graph import CountProfile, GraphError, VertexKind, build_graph, f_edge
 from rigikit.rigidity import (
@@ -23,10 +23,17 @@ from rigikit.rigidity import (
     sample_bar_config,
     sample_joints,
     sample_rod_config,
+    trivial_motions,
     verify_trivial_motions,
 )
 
-from helpers import dense_rows, random_kinded_graph, rank_reference
+from helpers import (
+    dense_rows,
+    proportional,
+    random_kinded_graph,
+    rank_reference,
+    trivial_missed_reference,
+)
 from rigikit.analysis import count_side, linear_trial, random_multigraph
 from rigikit.documents import MODELS
 
@@ -305,6 +312,103 @@ def test_kernel_basis_rejects_trivial_motions_outside_the_kernel():
     good = verify_trivial_motions(m, rods=rods)
     assert good.violations == 0
     assert kernel_basis(m, m.rank(), good).kernel_dim == m.ncols - m.rank()
+
+
+TRIVIAL_CASES = (
+    ("body-bar", 2), ("body-bar", 3), ("rod-bar", 3), ("body-rod-bar", 3),
+    ("body-rod-bar", 4), ("body-hinge", 3), ("direction", 2), ("direction", 3),
+)
+TRIVIAL_PROPERTY = settings(derandomize=True, max_examples=80, deadline=None, database=None)
+
+
+def checked_against_reference(m, rods=None, joints=None):
+    """verify_trivial_motions's one pass, asserted equal to one dense product per motion."""
+    check = verify_trivial_motions(m, rods=rods, joints=joints)
+    assert check.motions == tuple(trivial_motions(m, rods=rods, joints=joints))
+    assert check.missed == trivial_missed_reference(m, check.motions)
+    return check
+
+
+def perturbed(m, rng):
+    """m with one value of one nonempty row changed: a row off the kernel's invariant."""
+    filled = [i for i, row in enumerate(m.rows) if row]
+    if not filled:
+        return m
+    i = filled[rng.below(len(filled))]
+    row = list(m.rows[i])
+    k = rng.below(len(row))
+    c, b = row[k]
+    row[k] = (c, (b + 1 + rng.below(m.p - 2)) % m.p or 1)
+    return replace(m, rows=m.rows[:i] + (tuple(row),) + m.rows[i + 1:])
+
+
+@TRIVIAL_PROPERTY
+@given(st.sampled_from(TRIVIAL_CASES), st.sampled_from((5, 7, P)), st.integers(0, 2**32 - 1))
+def test_one_pass_trivial_check_matches_per_motion_products(case, p, seed):
+    # every builder, the same rows unmarked, a perturbed row, and the wrong
+    # configuration: the one pass misses exactly the motions the dense
+    # per-motion products miss, in family order
+    model, d = case
+    rng = SplitMix64(seed)
+    g = random_multigraph(rng.spawn(0), model, max_vertices=6, max_edges=10)
+    try:
+        if model == "direction":
+            joints = sample_joints(g, d, rng.spawn(1), p)
+            built = [(matrix_direction(g, joints, d, p), None, joints, True)]
+            wrong = (None, sample_joints(g, d, rng.spawn(2), p))
+        elif model == "body-hinge":
+            exp = expand_hinge(g, d, rng.spawn(1), p)
+            m = matrix_body_rod_bar(exp.graph, exp.rods, exp.bars)
+            built = [(m, exp.rods, None, True)]
+            wrong = (None, None)  # the constants alone
+        else:
+            rods = sample_rod_config(g, d, rng.spawn(1), p)
+            bars = sample_bar_config(g, rods, rng.spawn(2), p)
+            built = [
+                (matrix_body_rod_bar(g, rods, bars), rods, None, True),
+                (matrix_edge_flats(g, rods, p), rods, None, True),
+                (matrix_graphic_union(g, d, rng.spawn(3), p), rods, None, not rods.plueckers),
+            ]
+            wrong = (sample_rod_config(g, d, rng.spawn(4), p), None)
+    except ConfigError:
+        reject()
+    for m, rods, joints, valid in built:
+        check = checked_against_reference(m, rods=rods, joints=joints)
+        assert check.violations == 0 or not valid
+        unmarked = checked_against_reference(replace(m, two_block=False), rods=rods, joints=joints)
+        assert unmarked == check
+        checked_against_reference(perturbed(m, rng.spawn(5)), rods=rods, joints=joints)
+        checked_against_reference(m, rods=wrong[0], joints=wrong[1])
+
+
+@st.composite
+def hand_built(draw):
+    """(matrix, rods, joints): random sparse rows over 1-4 blocks of width 3,
+    rods of d = 2 on some vertices (their star images have width 3), joints
+    of width 3 or none."""
+    p = draw(st.sampled_from((5, 7, P)))
+    n = draw(st.integers(1, 4))
+    order = tuple("v%d" % i for i in range(n))
+    value = st.integers(1, p - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        cols = draw(st.sets(st.integers(0, 3 * n - 1)))
+        rows.append(tuple((c, draw(value)) for c in sorted(cols)))
+    m = RigidityMatrix(p=p, block=3, vertex_order=order, rows=tuple(rows))
+    kinds = [draw(st.sampled_from(("rod", "body"))) for _ in order]
+    g = build_graph(list(zip(order, kinds)), [])
+    rods = sample_rod_config(g, 2, SplitMix64(draw(st.integers(0, 2**32 - 1))), p)
+    vec = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1), st.integers(0, p - 1))
+    joints = draw(st.one_of(st.none(), st.fixed_dictionaries({v: vec for v in order})))
+    return m, rods, joints
+
+
+@TRIVIAL_PROPERTY
+@given(hand_built())
+def test_one_pass_trivial_check_matches_on_hand_built_matrices(case):
+    m, rods, joints = case
+    checked_against_reference(m, rods=rods, joints=joints)
+    checked_against_reference(m)
 
 
 def test_hinge_motion_constraint_equivalence():

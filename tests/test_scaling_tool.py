@@ -1,0 +1,46 @@
+"""tools/scaling.py end to end at one small size: the file it writes."""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_scaling_script_runs_small(tmp_path, monkeypatch):
+    out = tmp_path / "scaling.json"
+    t0 = time.perf_counter()
+    subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "scaling.py"), "--sizes", "8",
+         "--runs", "1", "--label", "smoke", "--out", str(out)],
+        check=True, capture_output=True, timeout=60,
+    )
+    assert time.perf_counter() - t0 < 2.0
+    run = json.loads(out.read_text())["runs"]["smoke"]
+    assert run["sizes"] == [8] and run["nproc"] >= 1 and run["python"]
+    assert set(run["families"]) == {
+        "rod-bar-ring", "body-bar-ring", "body-rod-bar-tree", "direction-2d"}
+    for fam in run["families"].values():
+        (inst,) = fam["instances"]
+        assert inst["n"] == 8 and inst["analyze_s"] > 0
+        assert set(inst["stages_s"]) == {"trivial", "rank", "p_components"}
+        assert len(inst["report_sha256"]) == 64
+        assert fam["exponents"]["analyze"] is None  # one size fits no slope
+
+    # the hash is of the bytes `rigikit analyze --seed 1` prints
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import scaling
+
+    doc = tmp_path / "ring.json"
+    doc.write_text(json.dumps(scaling.ring_document(8, "rod", "rod-bar")))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    printed = subprocess.run(
+        [sys.executable, "-m", "rigikit", "analyze", str(doc), "--seed", "1"],
+        check=True, capture_output=True, timeout=60, env=env,
+    ).stdout
+    (ring,) = run["families"]["rod-bar-ring"]["instances"]
+    assert hashlib.sha256(printed).hexdigest() == ring["report_sha256"]

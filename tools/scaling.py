@@ -1,0 +1,189 @@
+"""Scaling curves of ``analyze`` on fixed instance families.
+
+    python3 tools/scaling.py --label change --out BENCH_scaling.json
+    python3 tools/scaling.py --sizes 8 --runs 1 --out /tmp/scaling.json
+
+Each family is built at every size n (16, 32, 64, 128 and 256 by default)
+with a fixed generator seed, and analysed in process with seed 1 and the
+default prime and trial count.  Per instance the script records:
+
+* the median ``analyze`` time of ``--runs`` untraced runs;
+* the stage spans of one more run under ``perfbench/tracer.py``: the
+  trivial-motion check, the matrix ranks and the P-components;
+* the SHA-256 of the canonical JSON report, the bytes that
+  ``rigikit analyze`` prints.
+
+Per family it fits a growth exponent for ``analyze`` and for each stage:
+the least-squares slope of log(time) against log(n), over every size run.
+The run also records the Python version and the core count.  The file
+keeps one run per ``--label``; a run replaces the one of its label and
+leaves the others as they are, so the same file can hold the runs of two
+commits side by side.
+
+Families (d = 3 except the direction frameworks, which are 2-D):
+
+* ``rod-bar-ring``, ``body-bar-ring``: n vertices on a cycle, two bars to
+  the next vertex and one to the one after, all rods or all bodies;
+* ``body-rod-bar-tree``: ``workloads.mechanism_document(n, 3, Random(n))``,
+  a random tree of rods and bodies with three extra bars;
+* ``direction-2d``: ``workloads.braced_document(n, 0, Random(n))``, a
+  minimally rigid framework built by Henneberg moves.
+
+rigikit is imported from the ``src`` directory beside this file's parent,
+and the generators and the tracer from its ``perfbench``; neither is
+changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import os
+import platform
+import random
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import tracer as tr  # noqa: E402
+import workloads as wl  # noqa: E402
+from rigikit import cli  # noqa: E402,F401  (the tracer patches every rigikit module)
+from rigikit.analysis import analyze  # noqa: E402
+from rigikit.documents import parse_document  # noqa: E402
+
+SIZES = (16, 32, 64, 128, 256)
+SEED = 1
+
+# stage name -> the tracer spans it sums, nested ones counted once
+STAGES = {
+    "trivial": ("rigidity.verify_trivial_motions",),
+    "rank": ("rigidity.matrix_rank",),
+    "p_components": ("count_matroid.p_components",),
+}
+
+
+def ring_document(n: int, kind: str, model: str) -> dict:
+    """n vertices of one kind on a cycle: 2 bars to the next vertex, 1 to the one after."""
+    edges = []
+    for i in range(n):
+        edges += [[i, (i + 1) % n]] * 2 + [[i, (i + 2) % n]]
+    return {
+        "schema": 1,
+        "model": model,
+        "dimension": 3,
+        "vertices": [{"id": "v%d" % i, "kind": kind} for i in range(n)],
+        "edges": [["v%d" % u, "v%d" % v] for u, v in edges],
+    }
+
+
+FAMILIES = {
+    "rod-bar-ring": lambda n: ring_document(n, "rod", "rod-bar"),
+    "body-bar-ring": lambda n: ring_document(n, "body", "body-bar"),
+    "body-rod-bar-tree": lambda n: wl.mechanism_document(n, 3, random.Random(n)),
+    "direction-2d": lambda n: wl.braced_document(n, 0, random.Random(n)),
+}
+
+
+def report_hash(rep) -> str:
+    """SHA-256 of the report as ``rigikit analyze`` prints it."""
+    text = json.dumps(rep.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def measure(doc: dict, runs: int) -> dict:
+    """One instance: median untraced time, traced stage spans, report hash."""
+    graph, model, d, joints = parse_document(doc)
+
+    def once():
+        return analyze(graph, model, d, seed=SEED, joints=joints)
+
+    times = []
+    for _ in range(runs):
+        t0 = perf_counter()
+        rep = once()
+        times.append(perf_counter() - t0)
+    tracer = tr.Tracer()
+    uninstall = tr.install(tracer)
+    try:
+        traced = once()
+    finally:
+        uninstall()
+    digest = report_hash(rep)
+    if report_hash(traced) != digest:
+        raise RuntimeError("the traced report differs from the untraced one")
+    return {
+        "edges": len(graph.edges),
+        "analyze_s": round(statistics.median(times), 4),
+        "stages_s": {
+            stage: round(tr.group_total(tracer.spans, names), 4)
+            for stage, names in STAGES.items()
+        },
+        "report_sha256": digest,
+    }
+
+
+def growth_exponent(sizes, times):
+    """Least-squares slope of log(time) against log(n); None below two usable points."""
+    pts = [(math.log(n), math.log(t)) for n, t in zip(sizes, times) if t > 0]
+    if len(pts) < 2:
+        return None
+    mx = statistics.fmean(x for x, _ in pts)
+    my = statistics.fmean(y for _, y in pts)
+    sxx = sum((x - mx) ** 2 for x, _ in pts)
+    if sxx == 0:
+        return None
+    return round(sum((x - mx) * (y - my) for x, y in pts) / sxx, 3)
+
+
+def run(sizes, runs: int) -> dict:
+    out = {}
+    for name in FAMILIES:
+        instances = []
+        for n in sizes:
+            inst = {"n": n, **measure(FAMILIES[name](n), runs)}
+            instances.append(inst)
+            print("%-18s n=%-4d analyze %.4f s  %s" % (
+                name, n, inst["analyze_s"],
+                "  ".join("%s %.4f" % kv for kv in inst["stages_s"].items())),
+                file=sys.stderr)
+        exponents = {"analyze": growth_exponent(sizes, [i["analyze_s"] for i in instances])}
+        for stage in STAGES:
+            exponents[stage] = growth_exponent(
+                sizes, [i["stages_s"][stage] for i in instances])
+        out[name] = {"instances": instances, "exponents": exponents}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
+    ap.add_argument("--runs", type=int, default=3, help="untraced runs per instance")
+    ap.add_argument("--label", default="change",
+                    help="key of this run in the output file (default change)")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_scaling.json")
+    args = ap.parse_args(argv)
+    if args.runs < 1 or min(args.sizes) < 4:
+        ap.error("--runs must be at least 1 and every size at least 4")
+    result = {
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "seed": SEED,
+        "runs": args.runs,
+        "sizes": args.sizes,
+        "families": run(args.sizes, args.runs),
+    }
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
+    doc["runs"][args.label] = result
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
