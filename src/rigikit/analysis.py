@@ -13,8 +13,7 @@ counterexample, and counterexamples are dumped as replayable documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import count_matroid as cm
 from . import rigidity as rg
@@ -79,8 +78,7 @@ def count_host(graph: Multigraph, model: str, d: int):
     raise ValueError("unknown model %r" % model)
 
 
-@dataclass(frozen=True)
-class CountSide:
+class CountSide(NamedTuple):
     """Combinatorial side of one instance, normalized across models."""
 
     profile: CountProfile
@@ -126,8 +124,7 @@ def count_side(graph: Multigraph, model: str, d: int) -> CountSide:
     )
 
 
-@dataclass
-class LinearTrial:
+class LinearTrial(NamedTuple):
     rank: int
     trivial: rg.TrivialCheck
     matrix: rg.RigidityMatrix
@@ -157,30 +154,45 @@ def linear_trial(
         rods = rg.sample_rod_config(graph, d, rng.spawn(0), p)
         bars = rg.sample_bar_config(graph, rods, rng.spawn(1), p)
         m = rg.matrix_body_rod_bar(graph, rods, bars)
-    trial = LinearTrial(
-        rank=m.rank(),
-        trivial=rg.verify_trivial_motions(m, rods=rods, joints=joints),
-        matrix=m,
-    )
+    rank = m.rank()
+    trivial = rg.verify_trivial_motions(m, rods=rods, joints=joints)
+    flat_rank = graphic_union_rank = None
     if model in ROD_MODELS:
-        trial.flat_rank = rg.matrix_edge_flats(graph, rods, p).rank()
+        flat_rank = rg.matrix_edge_flats(graph, rods, p).rank()
     elif model == "body-bar":
-        dg = rg.matrix_graphic_union(graph, d, rng.spawn(3), p)
-        trial.graphic_union_rank = dg.rank()
-    return trial
+        graphic_union_rank = rg.matrix_graphic_union(graph, d, rng.spawn(3), p).rank()
+    return LinearTrial(
+        rank=rank,
+        trivial=trivial,
+        matrix=m,
+        flat_rank=flat_rank,
+        graphic_union_rank=graphic_union_rank,
+    )
 
 
-@dataclass
 class TrialRun:
     """The linear trials of one instance, as run_trials leaves them."""
 
-    ranks: list = field(default_factory=list)
-    flat_ranks: list = field(default_factory=list)
-    graphic_union_ranks: list = field(default_factory=list)
-    trivial_checked: int = 0
-    trivial_violations: int = 0
-    escalated: bool = False
-    best: Optional[LinearTrial] = None  # first trial of the highest rank
+    __slots__ = ("ranks", "flat_ranks", "graphic_union_ranks", "trivial_checked",
+                 "trivial_violations", "escalated", "best")
+
+    def __init__(
+        self,
+        ranks: Optional[list] = None,
+        flat_ranks: Optional[list] = None,
+        graphic_union_ranks: Optional[list] = None,
+        trivial_checked: int = 0,
+        trivial_violations: int = 0,
+        escalated: bool = False,
+        best: Optional[LinearTrial] = None,  # first trial of the highest rank
+    ):
+        self.ranks = [] if ranks is None else ranks
+        self.flat_ranks = [] if flat_ranks is None else flat_ranks
+        self.graphic_union_ranks = [] if graphic_union_ranks is None else graphic_union_ranks
+        self.trivial_checked = trivial_checked
+        self.trivial_violations = trivial_violations
+        self.escalated = escalated
+        self.best = best
 
     def mismatches(self, count_rank: int, fhat_rank: Optional[int]) -> list:
         """One message per best rank that misses its count; empty if all agree."""
@@ -262,8 +274,7 @@ def run_trials(
 # Single-instance report
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     model: str
     d: int
     D: int
@@ -520,17 +531,33 @@ def random_multigraph(
 # Fuzz harness
 
 
-@dataclass
 class FuzzSummary:
-    model: str
-    d: int
-    cases: int
-    agreements: int
-    escalations: int
-    trivial_checked: int
-    trivial_violations: int
-    subset_checks: int
-    failures: list = field(default_factory=list)
+    """The counters of one fuzz run, as fuzz_equivalence adds them up."""
+
+    __slots__ = ("model", "d", "cases", "agreements", "escalations", "trivial_checked",
+                 "trivial_violations", "subset_checks", "failures")
+
+    def __init__(
+        self,
+        model: str,
+        d: int,
+        cases: int,
+        agreements: int,
+        escalations: int,
+        trivial_checked: int,
+        trivial_violations: int,
+        subset_checks: int,
+        failures: Optional[list] = None,
+    ):
+        self.model = model
+        self.d = d
+        self.cases = cases
+        self.agreements = agreements
+        self.escalations = escalations
+        self.trivial_checked = trivial_checked
+        self.trivial_violations = trivial_violations
+        self.subset_checks = subset_checks
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

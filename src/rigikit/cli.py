@@ -20,7 +20,6 @@ import json
 import sys
 
 from . import count_matroid as cm
-from . import flats as fl
 from .analysis import (
     EngineDisagreement,
     analyze,
@@ -152,6 +151,8 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_truncate_demo(args) -> int:
+    from . import flats as fl  # its only reader: other commands never load it
+
     p = args.prime
     rng = SplitMix64(args.seed)
     steps = []

@@ -26,8 +26,7 @@ after deletion are read off released copies of the final state.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graph import (
     CountProfile,
@@ -57,6 +56,15 @@ class PebbleState:
     in offer order and each rejected edge with the reach region of its
     failed search, from which circuits are read.  A finished state is never
     changed: ranks after deletion come from released copies.
+
+    A parallel class (the edges keyed by graph.first_parallel) is dead once
+    one of its edges x has failed a search, and a later clone x' of a dead
+    class is rejected with reach None and no search.  That is exact: x is
+    in the closure of the inserted set I it failed against, and swapping x
+    and x' is a matroid automorphism that fixes I (x' was not offered yet,
+    x was rejected), so x' is in the closure of I, and of every later
+    inserted set, which contains I.  _components_via_circuits reads a reach
+    region only for the first rejected edge of each class.
     """
 
     def __init__(self, graph: Multigraph, prof: CountProfile):
@@ -66,7 +74,8 @@ class PebbleState:
         self.pebbles: dict[str, int] = {}
         self.out: dict[str, dict[int, str]] = {}
         self.inserted: list[str] = []
-        self.rejected: list[tuple[str, frozenset[str]]] = []
+        self.rejected: list[tuple[str, Optional[frozenset[str]]]] = []
+        self.dead: set[str] = set()  # first_parallel keys of classes with a failed search
 
     def _touch(self, v: str) -> int:
         if v not in self.pebbles:
@@ -116,12 +125,17 @@ class PebbleState:
 
     def try_insert(self, eid: str) -> bool:
         """Insert eid if independent of the inserted set; report success."""
+        key = self.graph.first_parallel[eid]
+        if key in self.dead:
+            self.rejected.append((eid, None))
+            return False
         e = self.graph.edge(eid)
         self._touch(e.u)
         self._touch(e.v)
         while self.pebbles[e.u] + self.pebbles[e.v] < self.need:
             found, visited = self._find_pebble(e.u, e.v)
             if not found:
+                self.dead.add(key)
                 self.rejected.append((eid, frozenset(visited)))
                 return False
         tail = e.u if self.pebbles[e.u] > 0 else e.v
@@ -133,7 +147,8 @@ class PebbleState:
     def released(self, eids: Iterable[str]) -> "PebbleState":
         """A copy of the game over the inserted edges other than eids.
 
-        Each released arc gives its pebble back to its tail.
+        Each released arc gives its pebble back to its tail.  No class is
+        dead in the copy: releasing edges can make a dead class insertable.
         """
         drop = set(eids)
         new = copy.copy(self)
@@ -141,6 +156,7 @@ class PebbleState:
         new.out = {v: dict(arcs) for v, arcs in self.out.items()}
         new.inserted = [e for e in self.inserted if e not in drop]
         new.rejected = []
+        new.dead = set()
         for eid in drop:
             e, idx = self.graph.edge(eid), self.graph.edge_index[eid]
             tail = e.u if idx in new.out[e.u] else e.v
@@ -197,8 +213,7 @@ def rank_value(graph: Multigraph, eids, prof: CountProfile) -> int:
 # Certificates and connectivity
 
 
-@dataclass(frozen=True)
-class RankCertificate:
+class RankCertificate(NamedTuple):
     """Witness for the rank formula: value == |free_part| + sum f(part)."""
 
     value: int
@@ -222,8 +237,7 @@ class RankCertificate:
             )
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     kind: str  # "M" or "P"
     components: tuple[tuple[str, ...], ...]
 
@@ -259,9 +273,10 @@ def _fundamental_circuit_rest(state: PebbleState, x, reach):
 def _components_via_circuits(state: PebbleState):
     """M-components of the edges a finished game was offered, in edge order.
 
-    A parallel class reads the circuit C of its first rejected edge x only.
-    Swapping clones is a matroid automorphism and f(e) >= 1 leaves no loop,
-    so a later rejected clone x' has circuit C - x + x' and joins x by one union.
+    A parallel class reads the circuit C of its first rejected edge x only;
+    the game stores no reach region for its later rejected clones.  Swapping
+    clones is a matroid automorphism and f(e) >= 1 leaves no loop, so a
+    later rejected clone x' has circuit C - x + x' and joins x by one union.
     """
     graph = state.graph
     order = graph.sorted_edge_ids(state.inserted + [x for x, _ in state.rejected])

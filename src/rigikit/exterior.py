@@ -17,10 +17,9 @@ a fixed degree-dependent sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .field import SplitMix64
 
@@ -60,22 +59,26 @@ def _norm(x, p: Optional[int]):
     return x % p if p is not None else x
 
 
-@dataclass(frozen=True)
-class KVector:
-    """Element of the degree-k exterior power of F^(d+1)."""
-
+class _KVectorFields(NamedTuple):
     d: int
     k: int
     coords: tuple
     p: Optional[int] = None
 
-    def __post_init__(self):
-        expected = len(ksubsets(self.d, self.k))
-        if len(self.coords) != expected:
+
+class KVector(_KVectorFields):
+    """Element of the degree-k exterior power of F^(d+1)."""
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, k: int, coords: tuple, p: Optional[int] = None):
+        expected = len(ksubsets(d, k))
+        if len(coords) != expected:
             raise ValueError(
                 "degree-%d vector over W=F^%d needs %d coordinates, got %d"
-                % (self.k, self.d + 1, expected, len(self.coords))
+                % (k, d + 1, expected, len(coords))
             )
+        return tuple.__new__(cls, (d, k, coords, p))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

@@ -17,8 +17,7 @@ retry and compare against the brute-force oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from . import linalg
 from .exterior import random_point_in_span
@@ -33,8 +32,7 @@ class FlatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(NamedTuple):
     ambient: int
     basis: tuple[tuple[int, ...], ...]
 
@@ -43,8 +41,7 @@ class Flat:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class FlatFamily:
+class FlatFamily(NamedTuple):
     ambient: int
     p: int
     flats: Mapping[str, Flat]

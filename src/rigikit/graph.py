@@ -15,9 +15,8 @@ D*(|V(F)|-1) - |R(F)|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -33,8 +32,7 @@ class VertexKind(str, Enum):
 _KIND_BY_NAME = {k.value: k for k in VertexKind}
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     u: str
     v: str
@@ -43,8 +41,7 @@ class Edge:
         return self.v if w == self.u else self.u
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(NamedTuple):
     """Immutable loopless multigraph with kinded vertices.
 
     vertex_ids preserves construction order; edges preserve construction
@@ -55,8 +52,8 @@ class Multigraph:
     vertex_ids: tuple[str, ...]
     kinds: Mapping[str, VertexKind]
     edges: tuple[Edge, ...]
-    edge_index: Mapping[str, int] = field(repr=False)
-    first_parallel: Mapping[str, str] = field(repr=False)
+    edge_index: Mapping[str, int]
+    first_parallel: Mapping[str, str]
 
     @property
     def edge_ids(self) -> tuple[str, ...]:
@@ -129,8 +126,7 @@ def build_graph(vertices: Sequence, edges: Sequence) -> Multigraph:
 # Counting profiles
 
 
-@dataclass(frozen=True)
-class CountProfile:
+class CountProfile(NamedTuple):
     """Capacity-per-kind count function f(F) = sum(capacity over V(F)) - offset."""
 
     d: int

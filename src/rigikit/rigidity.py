@@ -36,8 +36,7 @@ that family to lie in the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from . import linalg
 from .exterior import (
@@ -64,8 +63,7 @@ class ConfigError(ValueError):
     """Invalid rod/bar/joint configuration for the requested model."""
 
 
-@dataclass(frozen=True)
-class RodConfig:
+class RodConfig(NamedTuple):
     """Rod subspaces: a spanning (d-1)-set of vectors and the Pluecker image."""
 
     d: int
@@ -74,8 +72,7 @@ class RodConfig:
     plueckers: Mapping[str, KVector]
 
 
-@dataclass(frozen=True)
-class BarConfig:
+class BarConfig(NamedTuple):
     d: int
     p: int
     bars: Mapping[str, KVector]  # edge id -> degree-2 Pluecker vector
@@ -140,8 +137,7 @@ def _endpoint_point(v: str, rods: RodConfig, rng: SplitMix64, d: int, p: int):
 # Matrices
 
 
-@dataclass(frozen=True)
-class RigidityMatrix:
+class RigidityMatrix(NamedTuple):
     """Row matrix over F_p with sparse rows (linalg's format).  two_block is
     set only by two_block_matrix: every row of edge uv is then +alpha in u's
     block and -alpha in v's, which rank() relies on."""
@@ -282,8 +278,7 @@ def matrix_edge_flats(graph: Multigraph, rods: RodConfig, p: int) -> RigidityMat
 # Identified body-hinge pipeline
 
 
-@dataclass(frozen=True)
-class HingeExpansion:
+class HingeExpansion(NamedTuple):
     graph: Multigraph  # hinge vertices re-kinded as rods, edges duplicated
     rods: RodConfig
     bars: BarConfig
@@ -364,8 +359,7 @@ def matrix_direction(graph: Multigraph, joints, d: int, p: int) -> RigidityMatri
 # Rank, kernel, and trivial motions
 
 
-@dataclass(frozen=True)
-class MotionBasis:
+class MotionBasis(NamedTuple):
     """The motion space's dimensions: the kernel's and the trivial family's span."""
 
     kernel_dim: int
@@ -411,8 +405,7 @@ def trivial_motions(
     return out
 
 
-@dataclass(frozen=True)
-class TrivialCheck:
+class TrivialCheck(NamedTuple):
     """The formal trivial family of one matrix, checked against its rows once."""
 
     motions: tuple  # (kind, sparse row) pairs, as trivial_motions lists them

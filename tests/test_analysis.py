@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from rigikit import analysis
@@ -35,7 +33,7 @@ def lying_oracle(monkeypatch):
 
     def off_by_one(*args):
         cert = real(*args)
-        return dataclasses.replace(cert, value=cert.value + 1)
+        return cert._replace(value=cert.value + 1)
 
     monkeypatch.setattr(cm, "rank_bruteforce", off_by_one)
 
@@ -53,6 +51,23 @@ def test_analyze_minimally_rigid_rod_bar():
     assert rep.minimal is True
     assert rep.fhat_rank == 4
     assert all(r == 4 for r in rep.flat_ranks)
+
+
+def test_records_are_read_only():
+    g = two_rods(4)
+    trial = analysis.linear_trial(g, "rod-bar", 3, P, SplitMix64(1))
+    records = [
+        (analyze(g, "rod-bar", 3, seed=1), "verdict"),
+        (count_side(g, "rod-bar", 3), "rank"),
+        (trial, "flat_rank"),
+        (trial.matrix, "rows"),
+        (trial.trivial, "missed"),
+        (g, "edges"),
+        (g.edges[0], "u"),
+    ]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_analyze_redundantly_rigid_is_rigid_not_minimal():
@@ -323,8 +338,7 @@ def test_every_best_rank_decides_agreement(monkeypatch, model, d, field_name):
     # the max linear rank still meets the count; a second rank falls one short
     def short(*args, **kwargs):
         trial = real(*args, **kwargs)
-        setattr(trial, field_name, getattr(trial, field_name) - 1)
-        return trial
+        return trial._replace(**{field_name: getattr(trial, field_name) - 1})
 
     real = analysis.linear_trial
     g = two_rods(4) if model == "rod-bar" else build_graph(
@@ -343,8 +357,7 @@ def test_graphic_union_rank_above_count_raises_at_once(monkeypatch):
     # sample can exceed it: the first such trial is a disagreement
     def over(*args, **kwargs):
         trial = real(*args, **kwargs)
-        trial.graphic_union_rank += 1
-        return trial
+        return trial._replace(graphic_union_rank=trial.graphic_union_rank + 1)
 
     real = analysis.linear_trial
     g = build_graph(
@@ -558,7 +571,7 @@ def test_fuzz_case_failure_dump_replayable(monkeypatch):
     # simulate a disagreement by lying about the combinatorial rank
     g = two_rods(4)
     cs = count_side(g, "rod-bar", 3)
-    fake = dataclasses.replace(cs, rank=cs.rank + 1)  # unattainable rank
+    fake = cs._replace(rank=cs.rank + 1)  # unattainable rank
     monkeypatch.setattr(analysis, "count_side", lambda *args: fake)
     dump = fuzz_case(g, "rod-bar", 3, P, SplitMix64(5), 3)["failure"]
     assert dump["reason"] == "max linear rank 4 != combinatorial rank 5"

@@ -241,6 +241,20 @@ def test_truncate_demo(capsys):
     assert steps["single rank-2 flat"]["truncated_rank"] == 1
 
 
+def test_import_builds_no_dataclass_and_defers_flats():
+    # start-up cost: importing the CLI loads neither dataclasses (nor the
+    # inspect module it pulls in) nor flats, which only truncate-demo reads
+    src = os.path.dirname(os.path.dirname(rigikit.__file__))
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, %r)\n"
+        "import rigikit.cli\n"
+        "loaded = [m for m in ('dataclasses', 'inspect', 'rigikit.flats') if m in sys.modules]\n"
+        "assert not loaded, loaded\n" % src
+    )
+    subprocess.run([sys.executable, "-S", "-c", code], check=True, timeout=60)
+
+
 def test_direction_doc_with_joints(tmp_path, capsys):
     doc = {
         "schema": 1,

@@ -553,14 +553,41 @@ def finished_games(draw):
     return pebble_game(g, None, prof)
 
 
+def rejected_classes(state):
+    """(x, reach, clones) per parallel class with a rejection: its first
+    rejected edge x, the reach region of x's failed search, and the later
+    rejected clones, which the game rejects with no search (reach None)."""
+    classes = {}
+    for x, reach in state.rejected:
+        key = state.graph.first_parallel[x]
+        if key in classes:
+            assert reach is None
+            classes[key][2].append(x)
+        else:
+            assert reach is not None
+            classes[key] = (x, reach, [])
+    return list(classes.values())
+
+
+def fundamental_circuits(state):
+    """Each class's circuit C = rest + x, read off x's region, and C - x + x'
+    for each later rejected clone x'."""
+    out = []
+    for x, reach, clones in rejected_classes(state):
+        rest = _fundamental_circuit_rest(state, x, reach)
+        out.extend(rest + (y,) for y in [x] + clones)
+    return out
+
+
 @AXIOMS
 @given(finished_games())
 def test_reach_region_circuits_match_candidate_tests(state):
+    for x, reach, _ in rejected_classes(state):
+        assert _fundamental_circuit_rest(state, x, reach) == fundamental_circuit_reference(
+            state, x, reach
+        )
     checked = set()
-    for x, reach in state.rejected:
-        rest = _fundamental_circuit_rest(state, x, reach)
-        assert rest == fundamental_circuit_reference(state, x, reach)
-        circuit = rest + (x,)
+    for circuit in fundamental_circuits(state):
         if len(circuit) > BRUTEFORCE_LIMIT or frozenset(circuit) in checked:
             continue
         checked.add(frozenset(circuit))
@@ -576,10 +603,7 @@ def test_reach_region_circuits_match_candidate_tests(state):
 def test_fundamental_circuits_satisfy_elimination(state):
     # distinct circuits C1, C2 sharing e: (C1 | C2) - e is dependent; one
     # brute-force rank table per union of at most 8 edges answers every e
-    circuits = list({
-        frozenset(_fundamental_circuit_rest(state, x, reach) + (x,))
-        for x, reach in state.rejected
-    })
+    circuits = list({frozenset(c) for c in fundamental_circuits(state)})
     shared: dict[frozenset, set] = {}
     for i, c1 in enumerate(circuits):
         for c2 in circuits[i + 1:]:
@@ -591,3 +615,28 @@ def test_fundamental_circuits_satisfy_elimination(state):
         for i, e in enumerate(order):
             if e in common:
                 assert table[full ^ (1 << i)] < len(order) - 1
+
+
+def test_one_failed_search_per_rejected_class(monkeypatch):
+    # the body-bar ring's f-expansion at n = 64, d = 3: every bar has six
+    # clones, and only the first rejected clone of a class is searched
+    n = 64
+    edges = []
+    for i in range(n):
+        edges += [(i, (i + 1) % n)] * 2 + [(i, (i + 2) % n)]
+    g = build_graph([(i, "body") for i in range(n)], edges)
+    exp, _ = expand_f(g, PROF3)
+    failed = []
+    real = PebbleState._find_pebble
+
+    def counted(self, u, v):
+        found, visited = real(self, u, v)
+        if not found:
+            failed.append((u, v))
+        return found, visited
+
+    monkeypatch.setattr(PebbleState, "_find_pebble", counted)
+    state = pebble_game(exp, None, PROF3)
+    classes = {exp.first_parallel[x] for x, _ in state.rejected}
+    assert len(failed) == len(classes) == 66
+    assert len(state.rejected) == 774

@@ -149,6 +149,12 @@ def test_pairing_d3_expansion():
     assert pairing(a, b) == manual
 
 
+def test_kvector_needs_one_coordinate_per_subset():
+    with pytest.raises(ValueError, match="needs 6 coordinates, got 3"):
+        KVector(d=3, k=2, coords=(1, 2, 3))
+    assert KVector(3, 1, (1, 2, 3, 4)).coords == (1, 2, 3, 4)
+
+
 def test_pairing_degree_mismatch():
     a = KVector(d=3, k=2, coords=(1, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError, match="complementary"):

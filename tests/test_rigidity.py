@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -339,7 +337,7 @@ def perturbed(m, rng):
     k = rng.below(len(row))
     c, b = row[k]
     row[k] = (c, (b + 1 + rng.below(m.p - 2)) % m.p or 1)
-    return replace(m, rows=m.rows[:i] + (tuple(row),) + m.rows[i + 1:])
+    return m._replace(rows=m.rows[:i] + (tuple(row),) + m.rows[i + 1:])
 
 
 @TRIVIAL_PROPERTY
@@ -375,7 +373,7 @@ def test_one_pass_trivial_check_matches_per_motion_products(case, p, seed):
     for m, rods, joints, valid in built:
         check = checked_against_reference(m, rods=rods, joints=joints)
         assert check.violations == 0 or not valid
-        unmarked = checked_against_reference(replace(m, two_block=False), rods=rods, joints=joints)
+        unmarked = checked_against_reference(m._replace(two_block=False), rods=rods, joints=joints)
         assert unmarked == check
         checked_against_reference(perturbed(m, rng.spawn(5)), rods=rods, joints=joints)
         checked_against_reference(m, rods=wrong[0], joints=wrong[1])
@@ -632,6 +630,6 @@ def test_hand_built_matrix_is_ranked_whole():
     )
     assert not m.two_block
     assert m.rank() == rank_reference(dense_rows(m), P) == 1
-    assert replace(m, two_block=True).rank() == 0
+    assert m._replace(two_block=True).rank() == 0
     g = build_graph([("a", "body"), ("b", "body")], [("a", "b")])
     assert matrix_graphic_union(g, 2, SplitMix64(1), P).two_block

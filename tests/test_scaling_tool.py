@@ -22,6 +22,7 @@ def test_scaling_script_runs_small(tmp_path, monkeypatch):
     assert time.perf_counter() - t0 < 2.0
     run = json.loads(out.read_text())["runs"]["smoke"]
     assert run["sizes"] == [8] and run["nproc"] >= 1 and run["python"]
+    assert run["import_runs"] == 3 and run["import_s"] > 0
     assert set(run["families"]) == {
         "rod-bar-ring", "body-bar-ring", "body-rod-bar-tree", "direction-2d"}
     for fam in run["families"].values():

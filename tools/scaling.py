@@ -15,7 +15,9 @@ default prime and trial count.  Per instance the script records:
 
 Per family it fits a growth exponent for ``analyze`` and for each stage:
 the least-squares slope of log(time) against log(n), over every size run.
-The run also records the Python version and the core count.  The file
+The run also records ``import_s``, the median over 3 x ``--runs`` fresh
+``python -S`` processes of the time to import ``rigikit.cli`` (the start-up
+every CLI call pays), the Python version and the core count.  The file
 keeps one run per ``--label``; a run replaces the one of its label and
 leaves the others as they are, so the same file can hold the runs of two
 commits side by side.
@@ -44,6 +46,7 @@ import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -60,6 +63,15 @@ from rigikit.documents import parse_document  # noqa: E402
 
 SIZES = (16, 32, 64, 128, 256)
 SEED = 1
+
+# timed in a fresh process: python -S, so no site packages are imported first
+IMPORT_CODE = """\
+import sys, time
+sys.path.insert(0, %r)
+t0 = time.perf_counter()
+import rigikit.cli
+print(time.perf_counter() - t0)
+"""
 
 # stage name -> the tracer spans it sums, nested ones counted once
 STAGES = {
@@ -142,6 +154,17 @@ def growth_exponent(sizes, times):
     return round(sum((x - mx) * (y - my) for x, y in pts) / sxx, 3)
 
 
+def import_seconds(runs: int) -> float:
+    """Median seconds to import rigikit.cli in a fresh ``python -S`` process."""
+    code = IMPORT_CODE % str(ROOT / "src")
+    times = [
+        float(subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                             capture_output=True, text=True, timeout=60).stdout)
+        for _ in range(runs)
+    ]
+    return round(statistics.median(times), 4)
+
+
 def run(sizes, runs: int) -> dict:
     out = {}
     for name in FAMILIES:
@@ -178,6 +201,8 @@ def main(argv=None) -> int:
         "runs": args.runs,
         "sizes": args.sizes,
         "families": run(args.sizes, args.runs),
+        "import_runs": 3 * args.runs,
+        "import_s": import_seconds(3 * args.runs),
     }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
     doc["runs"][args.label] = result
