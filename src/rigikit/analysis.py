@@ -26,7 +26,6 @@ from .graph import (
     build_graph,
     expand_f,
     f_value,
-    hinges_as_rods,
 )
 
 ESCALATED_TRIALS = 10
@@ -66,7 +65,8 @@ def count_host(graph: Multigraph, model: str, d: int):
     """(profile, host graph) of the model's count polymatroid.
 
     Bar and direction models count on the graph itself; body-hinge counts
-    each hinge as a rod, as rigidity.expand_hinge does on the linear side.
+    on rigidity.expand_hinge's rewrite, each hinge a rod, which also rejects
+    an edge that does not join a body to a hinge.
     """
     _check_model_dimension(model, d)
     if model == "direction":
@@ -74,7 +74,7 @@ def count_host(graph: Multigraph, model: str, d: int):
     if model in BAR_MODELS:
         return CountProfile.body_rod_bar(d), graph
     if model == "body-hinge":
-        return CountProfile.body_rod_bar(d), hinges_as_rods(graph)
+        return CountProfile.body_rod_bar(d), rg.expand_hinge(graph)
     raise ValueError("unknown model %r" % model)
 
 
@@ -140,16 +140,18 @@ def linear_trial(
     rng: SplitMix64,
     joints=None,
 ) -> LinearTrial:
-    """Sample one configuration and measure the matrix ranks for it."""
+    """Sample one configuration of graph and measure the matrix ranks for it.
+
+    A direction trial realizes the document's graph.  Every body model
+    realizes the graph its count side counts on (CountSide.count_graph):
+    the document's graph for bar models, and for body-hinge the bar graph
+    with D-1 parallel bars per edge.
+    """
     rods = None
     if model == "direction":
         if joints is None:
             joints = rg.sample_joints(graph, d, rng.spawn(2), p)
         m = rg.matrix_direction(graph, joints, d, p)
-    elif model == "body-hinge":
-        exp = rg.expand_hinge(graph, d, rng, p)
-        rods = exp.rods
-        m = rg.matrix_body_rod_bar(exp.graph, rods, exp.bars)
     else:
         rods = rg.sample_rod_config(graph, d, rng.spawn(0), p)
         bars = rg.sample_bar_config(graph, rods, rng.spawn(1), p)
@@ -176,23 +178,14 @@ class TrialRun:
     __slots__ = ("ranks", "flat_ranks", "graphic_union_ranks", "trivial_checked",
                  "trivial_violations", "escalated", "best")
 
-    def __init__(
-        self,
-        ranks: Optional[list] = None,
-        flat_ranks: Optional[list] = None,
-        graphic_union_ranks: Optional[list] = None,
-        trivial_checked: int = 0,
-        trivial_violations: int = 0,
-        escalated: bool = False,
-        best: Optional[LinearTrial] = None,  # first trial of the highest rank
-    ):
-        self.ranks = [] if ranks is None else ranks
-        self.flat_ranks = [] if flat_ranks is None else flat_ranks
-        self.graphic_union_ranks = [] if graphic_union_ranks is None else graphic_union_ranks
-        self.trivial_checked = trivial_checked
-        self.trivial_violations = trivial_violations
-        self.escalated = escalated
-        self.best = best
+    def __init__(self):
+        self.ranks: list = []
+        self.flat_ranks: list = []
+        self.graphic_union_ranks: list = []
+        self.trivial_checked = 0
+        self.trivial_violations = 0
+        self.escalated = False
+        self.best: Optional[LinearTrial] = None  # first trial of the highest rank
 
     def mismatches(self, count_rank: int, fhat_rank: Optional[int]) -> list:
         """One message per best rank that misses its count; empty if all agree."""
@@ -232,13 +225,15 @@ def run_trials(
     matroids unite to the body-bar count), or a flat-family rank above fhat,
     cannot come from any sample and raises EngineDisagreement at once.  When
     the requested trials end with some best rank short of its count, the
-    run escalates to ESCALATED_TRIALS before anything is judged.
+    run escalates to ESCALATED_TRIALS before anything is judged.  Body
+    models realize cs.count_graph, direction the document's graph.
     """
+    realized = graph if model == "direction" else cs.count_graph
     run = TrialRun()
     n_trials = trials
     t = 0
     while t < n_trials:
-        trial = linear_trial(graph, model, d, prime, rng.spawn(t), joints=joints)
+        trial = linear_trial(realized, model, d, prime, rng.spawn(t), joints=joints)
         run.trivial_checked += trial.trivial.checked
         run.trivial_violations += trial.trivial.violations
         run.ranks.append(trial.rank)

@@ -52,9 +52,10 @@ class PebbleState:
     """Mutable state of one pebble-game run.
 
     Invariant (checked by tests): pebbles[v] + outdegree(v) == capacity(v)
-    for every vertex touched so far.  It keeps the inserted independent set
-    in offer order and each rejected edge with the reach region of its
-    failed search, from which circuits are read.  A finished state is never
+    for every vertex.  Every vertex starts with its capacity, so a graph with
+    a vertex the profile cannot count raises GraphError here.  It keeps the
+    inserted independent set in offer order and each rejected edge with the
+    reach region of its failed search, from which circuits are read.  A finished state is never
     changed: ranks after deletion come from released copies.
 
     A parallel class (the edges keyed by graph.first_parallel) is dead once
@@ -71,17 +72,11 @@ class PebbleState:
         self.graph = graph
         self.prof = prof
         self.need = prof.offset + 1
-        self.pebbles: dict[str, int] = {}
-        self.out: dict[str, dict[int, str]] = {}
+        self.pebbles = {v: prof.capacity_of(graph, v) for v in graph.vertex_ids}
+        self.out: dict[str, dict[int, str]] = {v: {} for v in graph.vertex_ids}
         self.inserted: list[str] = []
         self.rejected: list[tuple[str, Optional[frozenset[str]]]] = []
         self.dead: set[str] = set()  # first_parallel keys of classes with a failed search
-
-    def _touch(self, v: str) -> int:
-        if v not in self.pebbles:
-            self.pebbles[v] = self.prof.capacity_of(self.graph, v)
-            self.out[v] = {}
-        return self.pebbles[v]
 
     def _reverse_path(self, end: str, parent) -> str:
         """Flip every arc on the parent chain of end; return the chain's root."""
@@ -112,7 +107,7 @@ class PebbleState:
                         continue
                     visited.add(b)
                     parent[b] = (a, eidx)
-                    if self._touch(b) > 0:
+                    if self.pebbles[b] > 0:
                         got = self._reverse_path(b, parent)
                         self.pebbles[b] -= 1
                         self.pebbles[got] += 1
@@ -130,8 +125,6 @@ class PebbleState:
             self.rejected.append((eid, None))
             return False
         e = self.graph.edge(eid)
-        self._touch(e.u)
-        self._touch(e.v)
         while self.pebbles[e.u] + self.pebbles[e.v] < self.need:
             found, visited = self._find_pebble(e.u, e.v)
             if not found:
@@ -197,7 +190,6 @@ def is_independent(graph: Multigraph, eids, prof: CountProfile) -> bool:
 
 def pebble_game(graph: Multigraph, eids, prof: CountProfile) -> PebbleState:
     """The final state of one game over the edge set (None: every edge)."""
-    _check_countable(graph, prof)
     state = PebbleState(graph, prof)
     for eid in _edge_order(graph, eids):
         state.try_insert(eid)

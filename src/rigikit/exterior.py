@@ -205,7 +205,7 @@ def sample_span(d: int, k: int, rng: SplitMix64, p: int):
 def random_point_in_span(vectors, d: int, rng: SplitMix64, p: int):
     """Uniform nonzero point of the span of the given independent vectors."""
     for _ in range(MAX_SAMPLE_RETRIES):
-        coeffs = [rng.field_elem(p) for _ in vectors]
+        coeffs = [rng.below(p) for _ in vectors]
         point = [0] * (d + 1)
         for c, v in zip(coeffs, vectors):
             if c:

@@ -88,9 +88,6 @@ class SplitMix64:
             if x < limit:
                 return x % n
 
-    def field_elem(self, p: int) -> int:
-        return self.below(p)
-
     def vector(self, length: int, p: int) -> tuple[int, ...]:
         return tuple(self.below(p) for _ in range(length))
 

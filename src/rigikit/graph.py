@@ -140,7 +140,7 @@ class CountProfile(NamedTuple):
         """Bodies get D = (d+1 choose 2) freedoms, rods D-1; offset D.
 
         Hinge vertices are deliberately absent: hinges must be converted to
-        rods (see hinges_as_rods) before any counting happens.
+        rods (see rigidity.expand_hinge) before any counting happens.
         """
         if not 2 <= d <= 6:
             raise ValueError("dimension d must be in [2, 6], got %d" % d)
@@ -228,18 +228,3 @@ def expand_f(graph: Multigraph, prof: CountProfile):
         [(v, graph.kinds[v]) for v in graph.vertex_ids], new_edges
     )
     return expanded, copies
-
-
-def hinges_as_rods(graph: Multigraph) -> Multigraph:
-    """The same vertices, edges and ids, with hinges made rods and the rest bodies.
-
-    This is how an identified body-hinge graph is counted (and realized):
-    each hinge is a rod, each body-hinge edge a rod-body bar edge.
-    """
-    kinds = [
-        VertexKind.ROD if graph.kinds[v] == VertexKind.HINGE else VertexKind.BODY
-        for v in graph.vertex_ids
-    ]
-    return build_graph(
-        list(zip(graph.vertex_ids, kinds)), [(e.u, e.v, e.id) for e in graph.edges]
-    )

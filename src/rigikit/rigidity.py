@@ -12,6 +12,11 @@ coordinates, so a block vector x_v represents the degree-(d-1) motion
 whose star image is x_v; under that identification row-times-motion is
 exactly the complementary pairing.
 
+An identified body-hinge graph is realized with each hinge read as a rod:
+expand_hinge is the one rewrite of it, shared with the count side, and a
+trial samples the rewrite's f-expansion (D-1 parallel bars per edge, the
+graph count_side counts on) as a body-rod-bar framework.
+
 Configurations are sampled uniformly over F_p.  Incident bars are built by
 the shared-point rule: a bar at a rod endpoint passes through a random
 point of the rod's subspace, which guarantees both decomposability and the
@@ -49,14 +54,7 @@ from .exterior import (
     wedge2,
 )
 from .field import SplitMix64, mod_inv
-from .graph import (
-    CountProfile,
-    GraphError,
-    Multigraph,
-    VertexKind,
-    expand_f,
-    hinges_as_rods,
-)
+from .graph import GraphError, Multigraph, VertexKind, build_graph
 
 
 class ConfigError(ValueError):
@@ -275,24 +273,16 @@ def matrix_edge_flats(graph: Multigraph, rods: RodConfig, p: int) -> RigidityMat
 
 
 # ---------------------------------------------------------------------------
-# Identified body-hinge pipeline
+# Identified body-hinge graphs
 
 
-class HingeExpansion(NamedTuple):
-    graph: Multigraph  # hinge vertices re-kinded as rods, edges duplicated
-    rods: RodConfig
-    bars: BarConfig
+def expand_hinge(graph: Multigraph) -> Multigraph:
+    """The same vertices, edges and ids, with hinges made rods and the rest bodies.
 
-
-def expand_hinge(
-    graph: Multigraph, d: int, rng: SplitMix64, p: int
-) -> HingeExpansion:
-    """Convert an identified body-hinge graph to a body-rod-bar framework.
-
-    Each hinge becomes a rod with a sampled (d-1)-subspace; each body-hinge
-    edge becomes f(e) = D-1 parallel bars of the rod count (ids "<eid>~<k>"),
-    every bar through a random point of the hinge subspace and a random point
-    of space.  The bar graph is the one count_side counts on.
+    This is the one rewrite of an identified body-hinge graph: each hinge is
+    a rod, each body-hinge edge a rod-body bar edge.  Both engines work on
+    its f-expansion, D-1 parallel bars per edge (count_side's count graph).
+    Raises GraphError on an edge that does not join a body to a hinge.
     """
     for e in graph.edges:
         ku, kv = graph.kinds[e.u], graph.kinds[e.v]
@@ -301,10 +291,13 @@ def expand_hinge(
                 "edge %r must join a body to a hinge, got %s-%s"
                 % (e.id, ku.value, kv.value)
             )
-    expanded, _ = expand_f(hinges_as_rods(graph), CountProfile.body_rod_bar(d))
-    rods = sample_rod_config(expanded, d, rng.spawn(0), p)
-    bars = sample_bar_config(expanded, rods, rng.spawn(1), p)
-    return HingeExpansion(graph=expanded, rods=rods, bars=bars)
+    kinds = [
+        VertexKind.ROD if graph.kinds[v] == VertexKind.HINGE else VertexKind.BODY
+        for v in graph.vertex_ids
+    ]
+    return build_graph(
+        list(zip(graph.vertex_ids, kinds)), [(e.u, e.v, e.id) for e in graph.edges]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from rigikit import linalg
+from rigikit import rigidity as rg
+from rigikit.exterior import random_point_in_span
 from rigikit.field import SplitMix64, mod_inv
 from rigikit.graph import Multigraph, VertexKind, build_graph
 
@@ -187,3 +189,22 @@ def fundamental_circuit_reference(state, x, reach):
         y for y in state.inserted
         if {edge(y).u, edge(y).v} <= reach and state.released([y]).try_insert(x)
     )
+
+
+def truncated_union_matrix(graph, d, normals, rng, p):
+    """The union of D = (d+1 choose 2) graphic matroids, truncated once per rod.
+
+    Each rod v has a normal vector normals[v] in F^D; edge e gets one random
+    point of the flat its rod endpoints' normals cut out (the vectors
+    orthogonal to them, all of F^D between two bodies), drawn from
+    rng.spawn(edge index) and placed by rigidity.two_block_matrix.  With no
+    rod its rows are matrix_graphic_union's for the same rng.
+    """
+    D = d * (d + 1) // 2
+
+    def point(e):
+        rows = [normals[w] for w in (e.u, e.v) if graph.kinds[w] == VertexKind.ROD]
+        basis = linalg.nullspace(rows, D, p)
+        return (random_point_in_span(basis, D - 1, rng.spawn(graph.edge_index[e.id]), p),)
+
+    return rg.two_block_matrix(graph, D, p, point)

@@ -73,7 +73,7 @@ def hinge_cases():
         trials = 3
         t = 0
         while t < trials:
-            trial = linear_trial(graph, "body-hinge", 3, P, sub.spawn(100 + t))
+            trial = linear_trial(cs.count_graph, "body-hinge", 3, P, sub.spawn(100 + t))
             checked += trial.trivial.checked
             violations += trial.trivial.violations
             best = max(best, trial.rank)

@@ -16,7 +16,7 @@ from rigikit.analysis import (
 )
 from rigikit.count_matroid import rank_value
 from rigikit.field import DEFAULT_PRIME, SplitMix64
-from rigikit.graph import CountProfile, VertexKind, build_graph, expand_f
+from rigikit.graph import CountProfile, GraphError, VertexKind, build_graph, expand_f
 from rigikit.rigidity import matrix_body_rod_bar, sample_bar_config, sample_rod_config
 
 P = DEFAULT_PRIME
@@ -122,6 +122,46 @@ def test_analyze_body_hinge_pair():
     assert rep.count_rank == 10 and rep.count_target == 11
     assert rep.agreement
     assert rep.trivial_motion_count == 6 + 1
+
+
+@pytest.mark.parametrize("trials", [3, 5])
+def test_body_hinge_rewrites_once_and_realizes_the_count_graph(monkeypatch, trials):
+    # the hinge-to-rod rewrite runs once per instance, on the count side, not
+    # once per trial; every trial realizes the count side's bar graph
+    g = build_graph(
+        [("b1", "body"), ("h1", "hinge"), ("b2", "body"), ("h2", "hinge")],
+        [("b1", "h1"), ("h1", "b2"), ("b2", "h2"), ("h2", "b1"), ("b1", "h1")],
+    )
+    rewrites, realized = [], []
+    real_rewrite, real_trial = rg.expand_hinge, analysis.linear_trial
+
+    def rewrite(*args):
+        rewrites.append(args)
+        return real_rewrite(*args)
+
+    def trial(*args, **kwargs):
+        realized.append(real_trial(*args, **kwargs))
+        return realized[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(rg, "expand_hinge", rewrite)
+        mp.setattr(analysis, "linear_trial", trial)
+        rep = analyze(g, "body-hinge", 3, seed=4, trials=trials)
+    assert len(rewrites) == 1
+    assert len(realized) == rep.trials_run >= trials
+    bars = count_side(g, "body-hinge", 3).count_graph
+    assert len(bars.edges) == 5 * len(g.edges)  # D - 1 parallel bars per edge
+    for t in realized:
+        assert t.matrix.vertex_order == bars.vertex_ids
+        assert len(t.matrix.rows) == len(bars.edges)
+
+
+def test_body_body_edge_is_rejected_before_any_trial(monkeypatch):
+    g = build_graph([("b1", "body"), ("b2", "body"), ("h", "hinge")],
+                    [("b1", "h"), ("b1", "b2")])
+    monkeypatch.setattr(analysis, "linear_trial", lambda *a, **k: pytest.fail("a trial ran"))
+    with pytest.raises(GraphError, match=r"^edge 'e1' must join a body to a hinge, got body-body$"):
+        analyze(g, "body-hinge", 3)
 
 
 def test_analyze_rejects_d2_rod_models():

@@ -55,7 +55,7 @@ def test_rref_rank_nullspace():
     for trial in range(30):
         m = 1 + rng.below(6)
         n = 1 + rng.below(8)
-        rows = [[rng.field_elem(P) for _ in range(n)] for _ in range(m)]
+        rows = [[rng.below(P) for _ in range(n)] for _ in range(m)]
         sparse = [linalg.sparse(row, P) for row in rows]
         r = linalg.rank(sparse, P)
         kern = linalg.nullspace(rows, n, P)

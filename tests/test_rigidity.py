@@ -6,7 +6,7 @@ from rigikit import count_matroid as cm
 from rigikit import linalg
 from rigikit.exterior import grassmann_check, hodge_star, pairing
 from rigikit.field import DEFAULT_PRIME, SplitMix64
-from rigikit.graph import CountProfile, GraphError, VertexKind, build_graph, f_edge
+from rigikit.graph import CountProfile, GraphError, VertexKind, build_graph, expand_f, f_edge
 from rigikit.rigidity import (
     ConfigError,
     RigidityMatrix,
@@ -53,6 +53,14 @@ def sampled(graph, d=3, seed=1):
     rods = sample_rod_config(graph, d, rng.spawn(0), P)
     bars = sample_bar_config(graph, rods, rng.spawn(1), P)
     return rods, bars
+
+
+def hinge_framework(graph, d, rng, p):
+    """(bar graph, rods, bars): the body-hinge graph's rewrite f-expanded, then
+    sampled as a body-rod-bar framework, as a linear trial realizes it."""
+    bars_graph, _ = expand_f(expand_hinge(graph), CountProfile.body_rod_bar(d))
+    rods = sample_rod_config(bars_graph, d, rng.spawn(0), p)
+    return bars_graph, rods, sample_bar_config(bars_graph, rods, rng.spawn(1), p)
 
 
 # ---------------------------------------------------------------------------
@@ -274,27 +282,33 @@ def test_matrix_determinism():
 
 def test_expand_hinge_counts():
     g = build_graph([("b", "body"), ("h", "hinge")], [("b", "h")])
-    exp = expand_hinge(g, 3, SplitMix64(15), P)
-    assert len(exp.graph.edges) == 5  # D - 1 parallel bars
-    assert exp.graph.edge_ids == tuple("e0~%d" % k for k in range(5))
-    assert tuple(exp.rods.plueckers) == ("h",)
-    check_incidence(exp.graph, exp.rods, exp.bars)
+    rewrite = expand_hinge(g)
+    assert rewrite.vertex_ids == g.vertex_ids and rewrite.edges == g.edges
+    assert dict(rewrite.kinds) == {"b": VertexKind.BODY, "h": VertexKind.ROD}
+    bars_graph, rods, bars = hinge_framework(g, 3, SplitMix64(15), P)
+    assert len(bars_graph.edges) == 5  # D - 1 parallel bars
+    assert bars_graph.edge_ids == tuple("e0~%d" % k for k in range(5))
+    assert tuple(rods.plueckers) == ("h",)
+    check_incidence(bars_graph, rods, bars)
     # the linear side realizes exactly the graph the count side counts on
     rng = SplitMix64(18)
     for d in (3, 4):
         for case in range(6):
             g = random_multigraph(rng.spawn(10 * d + case), "body-hinge")
-            bars = expand_hinge(g, d, rng.spawn(case), P).graph
+            bars_graph = hinge_framework(g, d, rng.spawn(case), P)[0]
             counted = count_side(g, "body-hinge", d).count_graph
-            assert bars.vertex_ids == counted.vertex_ids
-            assert dict(bars.kinds) == dict(counted.kinds)
-            assert bars.edges == counted.edges
+            assert bars_graph.vertex_ids == counted.vertex_ids
+            assert dict(bars_graph.kinds) == dict(counted.kinds)
+            assert bars_graph.edges == counted.edges
 
 
 def test_expand_hinge_rejects_nonbipartite():
     g = build_graph([("a", "body"), ("b", "body")], [("a", "b")])
     with pytest.raises(GraphError, match="must join a body to a hinge"):
-        expand_hinge(g, 3, SplitMix64(16), P)
+        expand_hinge(g)
+    # the count side rewrites through it, so no trial is ever sampled
+    with pytest.raises(GraphError, match="edge 'e0' must join a body to a hinge, got body-body"):
+        count_side(g, "body-hinge", 3)
 
 
 def test_kernel_basis_rejects_trivial_motions_outside_the_kernel():
@@ -355,9 +369,9 @@ def test_one_pass_trivial_check_matches_per_motion_products(case, p, seed):
             built = [(matrix_direction(g, joints, d, p), None, joints, True)]
             wrong = (None, sample_joints(g, d, rng.spawn(2), p))
         elif model == "body-hinge":
-            exp = expand_hinge(g, d, rng.spawn(1), p)
-            m = matrix_body_rod_bar(exp.graph, exp.rods, exp.bars)
-            built = [(m, exp.rods, None, True)]
+            bars_graph, rods, bars = hinge_framework(g, d, rng.spawn(1), p)
+            m = matrix_body_rod_bar(bars_graph, rods, bars)
+            built = [(m, rods, None, True)]
             wrong = (None, None)  # the constants alone
         else:
             rods = sample_rod_config(g, d, rng.spawn(1), p)
@@ -416,11 +430,11 @@ def test_hinge_motion_constraint_equivalence():
         [("u", "body"), ("v", "body"), ("w", "hinge")],
         [("u", "w"), ("v", "w")],
     )
-    exp = expand_hinge(g, 3, SplitMix64(17), P)
-    m = matrix_body_rod_bar(exp.graph, exp.rods, exp.bars)
+    bars_graph, rods, bars = hinge_framework(g, 3, SplitMix64(17), P)
+    m = matrix_body_rod_bar(bars_graph, rods, bars)
     kern = linalg.nullspace(dense_rows(m), m.ncols, P)
-    assert len(kern) == motion_space(m, rods=exp.rods).kernel_dim
-    spin = list(hodge_star(exp.rods.plueckers["w"]).coords)
+    assert len(kern) == motion_space(m, rods=rods).kernel_dim
+    spin = list(hodge_star(rods.plueckers["w"]).coords)
     bu, bv = (m.vertex_order.index(v) * m.block for v in ("u", "v"))
     for vec in kern:
         diff = [(vec[bu + j] - vec[bv + j]) % P for j in range(6)]
@@ -559,8 +573,7 @@ def every_builder(d, p, seed, g):
         ]
 
     def hinge():
-        exp = expand_hinge(hinged, d, rng.spawn(4), p)
-        return matrix_body_rod_bar(exp.graph, exp.rods, exp.bars)
+        return matrix_body_rod_bar(*hinge_framework(hinged, d, rng.spawn(4), p))
 
     out = []
     for build in builds + [hinge]:
@@ -606,6 +619,8 @@ def test_rank_never_offers_the_grounded_block(monkeypatch):
         for d in (2, 3, 4):
             before = len(offered)
             g = random_multigraph(rng.spawn(10 * i + d), model, max_vertices=5)
+            if model == "body-hinge":  # a trial realizes the rewrite's bar graph
+                g = expand_f(expand_hinge(g), CountProfile.body_rod_bar(d))[0]
             linear_trial(g, model, d, P, rng.spawn(100 + 10 * i + d))
             if len(offered) > before:
                 seen.add(model)

@@ -27,7 +27,11 @@ def test_scaling_script_runs_small(tmp_path, monkeypatch):
         "rod-bar-ring", "body-bar-ring", "body-rod-bar-tree", "direction-2d"}
     for fam in run["families"].values():
         (inst,) = fam["instances"]
-        assert inst["n"] == 8 and inst["analyze_s"] > 0
+        assert inst["n"] == 8 and inst["analyze_s"] > 0 and inst["raw_analyze_s"] > 0
+        # calibrated seconds are raw seconds scaled by REFERENCE_S over the
+        # reference sample taken beside the run
+        assert inst["reference_s"] > 0
+        assert 0.1 < inst["analyze_s"] / inst["raw_analyze_s"] < 10
         assert set(inst["stages_s"]) == {"trivial", "rank", "p_components"}
         assert len(inst["report_sha256"]) == 64
         assert fam["exponents"]["analyze"] is None  # one size fits no slope

@@ -7,15 +7,23 @@ Each family is built at every size n (16, 32, 64, 128 and 256 by default)
 with a fixed generator seed, and analysed in process with seed 1 and the
 default prime and trial count.  Per instance the script records:
 
-* the median ``analyze`` time of ``--runs`` untraced runs;
+* the median ``analyze`` time of ``--runs`` untraced runs, raw
+  (``raw_analyze_s``) and calibrated (``analyze_s``);
 * the stage spans of one more run under ``perfbench/tracer.py``: the
-  trivial-motion check, the matrix ranks and the P-components;
+  trivial-motion check, the matrix ranks and the P-components, calibrated;
 * the SHA-256 of the canonical JSON report, the bytes that
   ``rigikit analyze`` prints.
 
+Times are calibrated as the benchmark's are (``perfbench/worker.py``):
+before every timed run the script takes one reference sample, a fixed
+loop that runs no rigikit code, and scales the run's seconds by
+``worker.calibration`` of that sample.  A shared machine drifts 20-40%
+from minute to minute, and the reference drifts with it.  Each instance
+also records ``reference_s``, the median of its samples.
+
 Per family it fits a growth exponent for ``analyze`` and for each stage:
-the least-squares slope of log(time) against log(n), over every size run.
-The run also records ``import_s``, the median over 3 x ``--runs`` fresh
+the least-squares slope of log(calibrated time) against log(n), over
+every size run.  The run also records ``import_s`` (raw), the median over 3 x ``--runs`` fresh
 ``python -S`` processes of the time to import ``rigikit.cli`` (the start-up
 every CLI call pays), the Python version and the core count.  The file
 keeps one run per ``--label``; a run replaces the one of its label and
@@ -32,8 +40,8 @@ Families (d = 3 except the direction frameworks, which are 2-D):
   minimally rigid framework built by Henneberg moves.
 
 rigikit is imported from the ``src`` directory beside this file's parent,
-and the generators and the tracer from its ``perfbench``; neither is
-changed.
+and the generators, the tracer and the reference loop from its
+``perfbench``; neither is changed.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import tracer as tr  # noqa: E402
+import worker  # noqa: E402
 import workloads as wl  # noqa: E402
 from rigikit import cli  # noqa: E402,F401  (the tracer patches every rigikit module)
 from rigikit.analysis import analyze  # noqa: E402
@@ -110,19 +119,23 @@ def report_hash(rep) -> str:
 
 
 def measure(doc: dict, runs: int) -> dict:
-    """One instance: median untraced time, traced stage spans, report hash."""
+    """One instance: median untraced time, raw and calibrated; calibrated
+    traced stage spans; report hash."""
     graph, model, d, joints = parse_document(doc)
 
     def once():
         return analyze(graph, model, d, seed=SEED, joints=joints)
 
-    times = []
+    raw, calibrated, samples = [], [], []
     for _ in range(runs):
+        samples.append(worker.reference_sample())
         t0 = perf_counter()
         rep = once()
-        times.append(perf_counter() - t0)
+        raw.append(perf_counter() - t0)
+        calibrated.append(raw[-1] * worker.calibration(samples[-1:]))
     tracer = tr.Tracer()
     uninstall = tr.install(tracer)
+    samples.append(worker.reference_sample())
     try:
         traced = once()
     finally:
@@ -130,11 +143,14 @@ def measure(doc: dict, runs: int) -> dict:
     digest = report_hash(rep)
     if report_hash(traced) != digest:
         raise RuntimeError("the traced report differs from the untraced one")
+    scale = worker.calibration(samples[-1:])
     return {
         "edges": len(graph.edges),
-        "analyze_s": round(statistics.median(times), 4),
+        "raw_analyze_s": round(statistics.median(raw), 4),
+        "analyze_s": round(statistics.median(calibrated), 4),
+        "reference_s": round(statistics.median(samples), 5),
         "stages_s": {
-            stage: round(tr.group_total(tracer.spans, names), 4)
+            stage: round(tr.group_total(tracer.spans, names) * scale, 4)
             for stage, names in STAGES.items()
         },
         "report_sha256": digest,
@@ -172,8 +188,8 @@ def run(sizes, runs: int) -> dict:
         for n in sizes:
             inst = {"n": n, **measure(FAMILIES[name](n), runs)}
             instances.append(inst)
-            print("%-18s n=%-4d analyze %.4f s  %s" % (
-                name, n, inst["analyze_s"],
+            print("%-18s n=%-4d analyze %.4f s (raw %.4f)  %s" % (
+                name, n, inst["analyze_s"], inst["raw_analyze_s"],
                 "  ".join("%s %.4f" % kv for kv in inst["stages_s"].items())),
                 file=sys.stderr)
         exponents = {"analyze": growth_exponent(sizes, [i["analyze_s"] for i in instances])}
