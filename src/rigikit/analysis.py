@@ -9,6 +9,10 @@ the combinatorial rank, nor a flat-family rank fhat (a violation is an
 immediate EngineDisagreement).  A single unlucky sample never fails a
 run: trials escalate (to 10) before a fuzz case is declared a
 counterexample, and counterexamples are dumped as replayable documents.
+
+truncate() runs the paper's induction on one bar-model graph: the union of
+D graphic matroids, truncated one rod at a time, has the count rank at
+every step.  It escalates and dumps the same way.
 """
 
 from __future__ import annotations
@@ -460,6 +464,85 @@ def _disagreement(graph, model, d, seed, cs: CountSide, ranks, reason: str, join
         "linear_ranks": list(ranks),
         "reason": reason,
     })
+
+
+# ---------------------------------------------------------------------------
+# The paper's induction: the graphic union truncated one rod at a time
+
+
+class TruncationStep(NamedTuple):
+    k: int  # the first k rods (vertex order) are truncated, the other rods are bodies
+    rod: Optional[str]  # the k-th rod, None at k = 0
+    count_rank: int
+    best_rank: int  # best truncated-union rank over the trials
+    pluecker_rank: Optional[int] = None  # best body-rod-bar rank, last step only
+
+
+def truncation_steps(
+    graph: Multigraph, d: int, prime: int, rng: SplitMix64, trials: int
+) -> list:
+    """The steps k = 0..n_r of the paper's induction over graph's rods.
+
+    Rod i (vertex order) gets the normal rng.spawn(1).spawn(i).  Step k
+    gives the count rank with the first k rods kept and the best rank of
+    matrix_graphic_union with their normals, trial t from rng.spawn(2).spawn(t).
+    The last step adds the best body-rod-bar (Pluecker) rank of graph, trial
+    t from rng.spawn(3).spawn(t).  Generically each rank is its count rank.
+    """
+    D = d * (d + 1) // 2
+    prof = CountProfile.body_rod_bar(d)
+    rods = [v for v in graph.vertex_ids if graph.kinds[v] == VertexKind.ROD]
+    normals = {v: rng.spawn(1).spawn(i).nonzero_vector(D, prime) for i, v in enumerate(rods)}
+    steps = []
+    for k in range(len(rods) + 1):
+        kept = {v: normals[v] for v in rods[:k]}
+        gk = graph._replace(kinds={
+            v: VertexKind.ROD if v in kept else VertexKind.BODY for v in graph.vertex_ids
+        })
+        best = max(
+            rg.matrix_graphic_union(gk, d, rng.spawn(2).spawn(t), prime, kept).rank()
+            for t in range(trials)
+        )
+        rod = rods[k - 1] if k else None
+        steps.append(TruncationStep(k, rod, cm.rank_value(gk, None, prof), best))
+    pluecker = 0
+    for t in range(trials):
+        sub = rng.spawn(3).spawn(t)
+        rod_config = rg.sample_rod_config(graph, d, sub.spawn(0), prime)
+        bars = rg.sample_bar_config(graph, rod_config, sub.spawn(1), prime)
+        pluecker = max(pluecker, rg.matrix_body_rod_bar(graph, rod_config, bars).rank())
+    steps[-1] = steps[-1]._replace(pluecker_rank=pluecker)
+    return steps
+
+
+def truncate(graph: Multigraph, model: str, d: int, prime: int = DEFAULT_PRIME,
+             seed: int = 0, trials: int = 3):
+    """(steps, trials run) of truncation_steps on a bar-model graph, checked.
+
+    A rank that misses its count reruns every step with ESCALATED_TRIALS,
+    whose first trials draw the same samples; a miss after that raises
+    EngineDisagreement with the document and seed that replay it.
+    """
+    if model not in BAR_MODELS:
+        raise ValueError("truncate needs a %s document, got %s" % (", ".join(BAR_MODELS), model))
+    _check_run_settings(model, d, prime, trials)
+
+    def missed(steps):
+        return [s for s in steps if {s.best_rank, s.pluecker_rank} - {s.count_rank, None}]
+
+    steps = truncation_steps(graph, d, prime, SplitMix64(seed), trials)
+    if missed(steps) and trials < ESCALATED_TRIALS:
+        trials = ESCALATED_TRIALS  # unlucky samples: escalate before judging
+        steps = truncation_steps(graph, d, prime, SplitMix64(seed), trials)
+    if missed(steps):
+        s = missed(steps)[0]
+        reason = "truncation step %d: best rank %d, Pluecker rank %s, count rank %d" % (
+            s.k, s.best_rank, s.pluecker_rank, s.count_rank)
+        raise EngineDisagreement(reason, {
+            "document": graph_document(graph, model, d), "seed": seed, "reason": reason,
+            "steps": [s._asdict() for s in steps],
+        })
+    return steps, trials
 
 
 # ---------------------------------------------------------------------------

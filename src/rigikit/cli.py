@@ -4,7 +4,8 @@ Subcommands:
   analyze FILE      both engines on one graph document, emit a report
   fuzz              random-instance equivalence run (exit 2 on disagreement)
   decompose FILE    P-connected components of the document's count polymatroid
-  truncate-demo     Dilworth-truncation showcase incl. the shared-line family
+  truncate FILE     per k rods truncated, the count rank and the rank of the
+                    union of D graphic matroids cut at them (bar models)
 
 Reports go to stdout, diagnostics to stderr.  JSON output is canonical
 (sorted keys, fixed separators): identical argv, including --seed, gives
@@ -25,9 +26,10 @@ from .analysis import (
     analyze,
     count_host,
     fuzz_equivalence,
+    truncate,
 )
 from .documents import MODELS, SchemaError, parse_document
-from .field import DEFAULT_PRIME, SplitMix64, check_prime
+from .field import DEFAULT_PRIME, check_prime
 from .graph import GraphError
 
 
@@ -150,72 +152,23 @@ def _cmd_fuzz(args) -> int:
     return 0
 
 
-def _cmd_truncate_demo(args) -> int:
-    from . import flats as fl  # its only reader: other commands never load it
-
-    p = args.prime
-    rng = SplitMix64(args.seed)
-    steps = []
-
-    single = fl.flat_family(4, p, [("A", [(1, 0, 0, 0), (0, 1, 0, 0)])])
-    cut, _ = fl.dilworth_truncate(single, rng.spawn(0))
-    steps.append(
-        {
-            "name": "single rank-2 flat",
-            "truncated_rank": fl.span_rank(cut),
-            "partition_minimum": fl.truncation_rhs_bruteforce(single),
-        }
+def _cmd_truncate(args) -> int:
+    graph, model, d, _ = _load_document(args.file)
+    steps, trials_run = truncate(
+        graph, model, d, prime=args.prime, seed=args.seed, trials=args.trials
     )
-
-    disjoint = fl.flat_family(
-        4,
-        p,
-        [
-            ("A", [(1, 0, 0, 0), (0, 1, 0, 0)]),
-            ("B", [(0, 0, 1, 0), (0, 0, 0, 1)]),
-        ],
+    payload = {
+        "schema": 1, "kind": "truncation", "model": model, "dimension": d,
+        "prime": args.prime, "seed": args.seed,
+        "trials": {"requested": args.trials, "run": trials_run},
+        "steps": [s._asdict() for s in steps],
+    }
+    text = "".join(
+        "k=%d rod=%s: count rank %d, truncated union %d, Pluecker %s\n"
+        % (s.k, s.rod or "-", s.count_rank, s.best_rank,
+           "-" if s.pluecker_rank is None else s.pluecker_rank)
+        for s in steps
     )
-    cut, _ = fl.dilworth_truncate(disjoint, rng.spawn(1))
-    steps.append(
-        {
-            "name": "two disjoint-block rank-2 flats",
-            "truncated_rank": fl.span_rank(cut),
-            "partition_minimum": fl.truncation_rhs_bruteforce(disjoint),
-        }
-    )
-
-    family = fl.three_hyperplanes_through_line(p)
-    forced_cut, normal = fl.dilworth_truncate(family, normal=(0, 0, 1, p - 2))
-    random_cut, _ = fl.dilworth_truncate(family, rng.spawn(2))
-    steps.append(
-        {
-            "name": "three hyperplanes through a common line",
-            "partition_minimum": fl.truncation_rhs_bruteforce(family),
-            "forced_hyperplane": list(normal),
-            "forced_truncated_rank": fl.span_rank(forced_cut),
-            "random_truncated_rank": fl.span_rank(random_cut),
-            "note": "a hyperplane through the shared line undercuts the "
-            "partition minimum; a random one attains it",
-        }
-    )
-
-    points_rank = fl.generic_matroid_rank(family, rng=rng.spawn(3), trials=args.trials)
-    steps.append(
-        {
-            "name": "generic representative points of the same family",
-            "points_rank": points_rank,
-            "subset_minimum": fl.generic_rank_bruteforce(family),
-        }
-    )
-
-    payload = {"schema": 1, "kind": "truncate-demo", "prime": p, "seed": args.seed,
-               "steps": steps}
-    text = ""
-    for s in steps:
-        text += "%s\n" % s["name"]
-        for k in sorted(s):
-            if k != "name":
-                text += "  %s: %s\n" % (k, s[k])
     _emit(args, payload, text)
     return 0
 
@@ -264,9 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=_cmd_fuzz)
 
-    sp = sub.add_parser("truncate-demo", help="Dilworth truncation showcase")
+    sp = sub.add_parser("truncate", help="the rods of a bar-model document "
+                        "truncated one at a time")
+    sp.add_argument("file")
     common(sp)
-    sp.set_defaults(func=_cmd_truncate_demo)
+    sp.set_defaults(func=_cmd_truncate)
 
     return parser
 

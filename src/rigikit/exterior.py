@@ -202,14 +202,15 @@ def sample_span(d: int, k: int, rng: SplitMix64, p: int):
     raise ValueError("could not sample %d independent vectors at prime %d" % (k, p))
 
 
-def random_point_in_span(vectors, d: int, rng: SplitMix64, p: int):
-    """Uniform nonzero point of the span of the given independent vectors."""
+def random_point_in_span(vectors, rng: SplitMix64, p: int):
+    """Uniform nonzero point, as long as the vectors, of their (independent) span."""
+    n = len(vectors[0])
     for _ in range(MAX_SAMPLE_RETRIES):
         coeffs = [rng.below(p) for _ in vectors]
-        point = [0] * (d + 1)
+        point = [0] * n
         for c, v in zip(coeffs, vectors):
             if c:
-                for i in range(d + 1):
+                for i in range(n):
                     point[i] = (point[i] + c * v[i]) % p
         if any(point):
             return tuple(point)

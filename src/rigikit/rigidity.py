@@ -3,14 +3,15 @@
 Every matrix is a graph plus a map from edge to vectors: two_block_matrix
 turns each vector alpha of an edge e = uv into one row with alpha in the
 column block of u and -alpha in the block of v.  The builders differ only
-in the vectors they contribute per edge: a free D-vector (graphic union),
-the bar's degree-2 Pluecker coordinates q_e (body-bar, body-rod-bar), a
-basis of the bar flat on an endpoint pair's first edge (edge flats), or a
-basis of (p(u) - p(v))^perp (direction; block width d, else D = (d+1
-choose 2)).  Column blocks hold motion vectors in the star-identified
-coordinates, so a block vector x_v represents the degree-(d-1) motion
-whose star image is x_v; under that identification row-times-motion is
-exactly the complementary pairing.
+in the vectors they contribute per edge: a D-vector, free or in the flat
+its rod endpoints' normals cut out (truncated graphic union), the bar's
+degree-2 Pluecker coordinates q_e (body-bar, body-rod-bar), a basis of the
+bar flat on an endpoint pair's first edge (edge flats), or a basis of
+(p(u) - p(v))^perp (direction; block width d, else D = (d+1 choose 2)).
+Column blocks hold motion vectors in the star-identified coordinates, so a
+block vector x_v represents the degree-(d-1) motion whose star image is
+x_v; under that identification row-times-motion is exactly the
+complementary pairing.
 
 An identified body-hinge graph is realized with each hinge read as a rod:
 expand_hinge is the one rewrite of it, shared with the count side, and a
@@ -127,7 +128,7 @@ def sample_bar_config(
 
 def _endpoint_point(v: str, rods: RodConfig, rng: SplitMix64, d: int, p: int):
     if v in rods.spans:
-        return random_point_in_span(rods.spans[v], d, rng, p)
+        return random_point_in_span(rods.spans[v], rng, p)
     return rng.nonzero_vector(d + 1, p)
 
 
@@ -214,19 +215,29 @@ def matrix_body_bar(graph: Multigraph, bars: BarConfig) -> RigidityMatrix:
 
 
 def matrix_graphic_union(
-    graph: Multigraph, d: int, rng: SplitMix64, p: int
+    graph: Multigraph, d: int, rng: SplitMix64, p: int, normals: Optional[Mapping] = None
 ) -> RigidityMatrix:
-    """Unconstrained D-copies-of-graphic-matroid realization.
+    """The union of D graphic matroids, truncated once per rod in normals.
 
-    Same block pattern, but each edge gets a free random D-vector instead
-    of a point of the Grassmannian; its generic row matroid is the union of
-    D copies of the graphic matroid.
+    normals maps a rod to its normal in F^D.  Edge e gets one random point,
+    drawn from rng.spawn(edge index), of the flat its endpoints' normals cut
+    out, or a free nonzero D-vector if neither end has one.  With no normal
+    the generic row matroid is the union of D copies of the graphic matroid;
+    the paper truncates it at one rod after another to reach the
+    body-rod-bar count matroid (analysis.truncation_steps).
     """
     D = d * (d + 1) // 2
     idx = graph.edge_index
-    return two_block_matrix(
-        graph, D, p, lambda e: (rng.spawn(idx[e.id]).nonzero_vector(D, p),)
-    )
+    normals = normals or {}
+
+    def point(e):
+        sub = rng.spawn(idx[e.id])
+        cut = [normals[v] for v in (e.u, e.v) if v in normals]
+        if not cut:
+            return (sub.nonzero_vector(D, p),)
+        return (random_point_in_span(linalg.nullspace(cut, D, p), sub, p),)
+
+    return two_block_matrix(graph, D, p, point)
 
 
 def check_incidence(graph: Multigraph, rods: RodConfig, bars: BarConfig) -> None:

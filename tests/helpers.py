@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from rigikit import linalg
 from rigikit import rigidity as rg
-from rigikit.exterior import random_point_in_span
 from rigikit.field import SplitMix64, mod_inv
 from rigikit.graph import Multigraph, VertexKind, build_graph
 
@@ -191,20 +190,13 @@ def fundamental_circuit_reference(state, x, reach):
     )
 
 
-def truncated_union_matrix(graph, d, normals, rng, p):
-    """The union of D = (d+1 choose 2) graphic matroids, truncated once per rod.
-
-    Each rod v has a normal vector normals[v] in F^D; edge e gets one random
-    point of the flat its rod endpoints' normals cut out (the vectors
-    orthogonal to them, all of F^D between two bodies), drawn from
-    rng.spawn(edge index) and placed by rigidity.two_block_matrix.  With no
-    rod its rows are matrix_graphic_union's for the same rng.
-    """
+def graphic_union_reference(graph, d, rng, p):
+    """The union of D = (d+1 choose 2) graphic matroids, untruncated: one free
+    nonzero D-vector per edge, drawn from rng.spawn(edge index) and placed by
+    rigidity.two_block_matrix; the reference for matrix_graphic_union's rows
+    when no edge meets a rod normal."""
     D = d * (d + 1) // 2
-
-    def point(e):
-        rows = [normals[w] for w in (e.u, e.v) if graph.kinds[w] == VertexKind.ROD]
-        basis = linalg.nullspace(rows, D, p)
-        return (random_point_in_span(basis, D - 1, rng.spawn(graph.edge_index[e.id]), p),)
-
-    return rg.two_block_matrix(graph, D, p, point)
+    idx = graph.edge_index
+    return rg.two_block_matrix(
+        graph, D, p, lambda e: (rng.spawn(idx[e.id]).nonzero_vector(D, p),)
+    )

@@ -8,9 +8,8 @@ import time
 
 import pytest
 
-from rigikit import linalg
 from rigikit.analysis import count_side, fuzz_equivalence, linear_trial
-from rigikit.analysis import random_multigraph
+from rigikit.analysis import random_multigraph, truncation_steps
 from rigikit.count_matroid import (
     global_count_target,
     p_components,
@@ -18,18 +17,12 @@ from rigikit.count_matroid import (
     rank_value,
 )
 from rigikit.field import DEFAULT_PRIME, SplitMix64
-from rigikit.flats import (
-    dilworth_truncate,
-    flat_family,
-    span_rank,
-    three_hyperplanes_through_line,
-    truncation_rhs_bruteforce,
-)
 from rigikit.graph import CountProfile, build_graph
 from rigikit.rigidity import (
     kernel_basis,
     matrix_body_rod_bar,
     matrix_direction,
+    matrix_graphic_union,
     sample_bar_config,
     sample_rod_config,
     verify_trivial_motions,
@@ -196,45 +189,37 @@ def test_criterion_6_direction_equivalence():
 
 
 def test_criterion_7_dilworth_truncation():
+    # the paper's induction on dense 2-4 vertex rod graphs, where the counts
+    # bind: every step's truncated union has its count rank
     rng = SplitMix64(70_001)
-    matched = 0
+    matched = binding = total = 0
     for case in range(50):
         sub = rng.spawn(case)
-        ambient = 4 + sub.below(9)  # 4..12
-        n_flats = 1 + sub.below(6)  # 1..6
-        items = []
-        for i in range(n_flats):
-            k = 1 + sub.below(min(3, ambient - 1))
-            while True:
-                basis = [sub.vector(ambient, P) for _ in range(k)]
-                if linalg.rank([linalg.sparse(b, P) for b in basis], P) == k:
-                    break
-            items.append(("f%d" % i, basis))
-        fam = flat_family(ambient, P, items)
-        want = truncation_rhs_bruteforce(fam)
-        got = None
-        for attempt in range(6):
-            cut, _ = dilworth_truncate(fam, sub.spawn(900 + attempt))
-            got = span_rank(cut)
-            if got == want:
-                break
-        if got == want:
+        d = 3 + case % 2
+        D = d * (d + 1) // 2
+        g = random_kinded_graph(sub.spawn(0), max_vertices=4, max_edges=3 * D)
+        steps = truncation_steps(g, d, P, sub, 3)
+        total += len(steps)
+        binding += sum(1 for s in steps if s.count_rank < len(g.edges))
+        if all(s.best_rank == s.count_rank for s in steps) and (
+            steps[-1].pluecker_rank == steps[-1].count_rank
+        ):
             matched += 1
-    fam = three_hyperplanes_through_line(P)
-    forced, _ = dilworth_truncate(fam, normal=(0, 0, 1, P - 2))
-    randomized, _ = dilworth_truncate(fam, SplitMix64(70_002))
-    footnote_ok = (
-        span_rank(forced) == 2
-        and truncation_rhs_bruteforce(fam) == 3
-        and span_rank(randomized) == 3
-    )
-    ok = matched == 50 and footnote_ok
+    # genericity matters: two rods on D-1 = 5 parallel edges at d = 3
+    g = build_graph([("r1", "rod"), ("r2", "rod")], [("r1", "r2")] * 5)
+    n1, n2 = rng.spawn(100).nonzero_vector(6, P), rng.spawn(101).nonzero_vector(6, P)
+    distinct = matrix_graphic_union(g, 3, rng.spawn(102), P, {"r1": n1, "r2": n2}).rank()
+    shared = matrix_graphic_union(g, 3, rng.spawn(102), P, {"r1": n1, "r2": n1}).rank()
+    count = rank_value(g, None, CountProfile.body_rod_bar(3))
+    ok = matched == 50 and binding > 0 and (count, distinct, shared) == (4, 4, 5)
     report(
         7,
         ok,
-        "50/50 random flat families: truncated span rank equals the "
-        "partition minimum; shared-line family reproduces 2 vs 3 under a "
-        "forced hyperplane and 3 = 3 under a random one",
+        "50/50 rod graphs: the graphic union truncated at one rod after "
+        "another has the count rank at every step (%d of %d steps bind) and "
+        "the Pluecker rank at the last; two rods on 5 parallel edges: %d "
+        "under distinct normals, %d under a shared one, count %d"
+        % (binding, total, distinct, shared, count),
     )
 
 

@@ -172,8 +172,8 @@ def test_usage_errors_exit_1(argv, capsys):
         (["fuzz", "--model", "body-bar", "--cases", "-3"], "cases must be >= 0"),
         (["fuzz", "--model", "body-bar", "--max-vertices", "1"], "max_vertices"),
         (["fuzz", "--model", "body-bar", "--rod-bias", "7"], "rod_bias"),
-        (["truncate-demo", "--trials", "0"], "trials must be at least 1"),
-        (["truncate-demo", "--trials", "-2"], "trials must be at least 1"),
+        (["truncate", "DOC", "--trials", "0"], "trials must be at least 1"),
+        (["truncate", "DOC", "--trials", "-2"], "trials must be at least 1"),
     ],
 )
 def test_malformed_settings_exit_1(argv, message, tmp_path, capsys):
@@ -214,7 +214,7 @@ def test_fuzz_counterexample_exit_code(capsys, monkeypatch):
     [
         ["analyze", "DOC", "--seed", "7"],
         ["fuzz", "--model", "body-bar", "--cases", "2"],
-        ["truncate-demo", "--seed", "5"],
+        ["truncate", "DOC", "--seed", "5"],
     ],
 )
 def test_warm_main_leaves_nothing_for_the_cycle_collector(argv, tmp_path, capsys):
@@ -229,27 +229,88 @@ def test_warm_main_leaves_nothing_for_the_cycle_collector(argv, tmp_path, capsys
         gc.enable()
 
 
-def test_truncate_demo(capsys):
-    code, out, _ = run(capsys, ["truncate-demo", "--seed", "5"])
-    assert code == 0
+def body_rod_bar_doc():
+    return {
+        "schema": 1,
+        "model": "body-rod-bar",
+        "dimension": 3,
+        "vertices": [{"id": "b", "kind": "body"}, {"id": "r1", "kind": "rod"},
+                     {"id": "r2", "kind": "rod"}],
+        "edges": [["b", "r1"]] * 5 + [["r1", "r2"]] * 4 + [["b", "r2"]] * 3,
+    }
+
+
+@pytest.mark.parametrize("doc", [two_rods_doc(), body_rod_bar_doc()],
+                         ids=["rod-bar", "body-rod-bar"])
+def test_truncate(doc, tmp_path, capsys):
+    from rigikit.analysis import truncation_steps
+    from rigikit.field import SplitMix64
+
+    argv = ["truncate", write_doc(tmp_path, doc), "--seed", "11"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
     payload = json.loads(out)
-    steps = {s["name"]: s for s in payload["steps"]}
-    shared = steps["three hyperplanes through a common line"]
-    assert shared["forced_truncated_rank"] == 2
-    assert shared["partition_minimum"] == 3
-    assert shared["random_truncated_rank"] == 3
-    assert steps["single rank-2 flat"]["truncated_rank"] == 1
+    assert payload["kind"] == "truncation"
+    assert payload["trials"] == {"requested": 3, "run": 3}
+    g, _, d, _ = parse_document(doc)
+    steps = truncation_steps(g, d, rigikit.DEFAULT_PRIME, SplitMix64(11), 3)
+    assert payload["steps"] == [s._asdict() for s in steps]
+    assert [s["k"] for s in payload["steps"]] == [0, 1, 2]
+    assert all(s["best_rank"] == s["count_rank"] for s in payload["steps"])
+    assert payload["steps"][-1]["pluecker_rank"] == payload["steps"][-1]["count_rank"]
+    assert run(capsys, argv) == (0, out, "")  # the same argv, the same bytes
 
 
-def test_import_builds_no_dataclass_and_defers_flats():
-    # start-up cost: importing the CLI loads neither dataclasses (nor the
-    # inspect module it pulls in) nor flats, which only truncate-demo reads
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"schema": 1, "model": "direction", "dimension": 2,
+          "vertices": [{"id": "a"}, {"id": "b"}], "edges": [["a", "b"]]},
+         "got direction"),
+        ({"schema": 1, "model": "body-hinge", "dimension": 3,
+          "vertices": [{"id": "a", "kind": "body"}, {"id": "h", "kind": "hinge"}],
+          "edges": [["a", "h"]]},
+         "got body-hinge"),
+    ],
+    ids=["direction", "body-hinge"],
+)
+def test_truncate_rejects_other_models(doc, message, tmp_path, capsys):
+    code, out, err = run(capsys, ["truncate", write_doc(tmp_path, doc)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: truncate needs a body-bar, rod-bar, body-rod-bar")
+    assert message in err
+
+
+def test_truncate_mismatch_exits_2_with_a_replayable_dump(tmp_path, capsys, monkeypatch):
+    from rigikit import analysis
+
+    calls = []
+
+    def short(graph, d, prime, rng, trials):
+        calls.append(trials)
+        steps = real(graph, d, prime, rng, trials)
+        return [s._replace(best_rank=s.best_rank - 1) for s in steps]
+
+    real = analysis.truncation_steps
+    monkeypatch.setattr(analysis, "truncation_steps", short)
+    path = write_doc(tmp_path, two_rods_doc())
+    code, out, err = run(capsys, ["truncate", path, "--seed", "4"])
+    assert code == 2 and out == ""
+    assert calls == [3, 10]  # escalated before judging
+    dump = json.loads(err.splitlines()[1])
+    assert dump["document"] == two_rods_doc() and dump["seed"] == 4
+    assert dump["reason"].startswith("truncation step 0: best rank")
+
+
+def test_import_builds_no_dataclass():
+    # start-up cost: importing the CLI loads neither dataclasses nor the
+    # inspect module it pulls in
     src = os.path.dirname(os.path.dirname(rigikit.__file__))
     code = (
         "import sys\n"
         "sys.path.insert(0, %r)\n"
         "import rigikit.cli\n"
-        "loaded = [m for m in ('dataclasses', 'inspect', 'rigikit.flats') if m in sys.modules]\n"
+        "loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
         "assert not loaded, loaded\n" % src
     )
     subprocess.run([sys.executable, "-S", "-c", code], check=True, timeout=60)

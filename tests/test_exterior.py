@@ -81,7 +81,7 @@ def test_wedge_list_intersection_pairing():
     rng = SplitMix64(5)
     for _ in range(20):
         vecs, kv = sample_span(3, 3, rng, P)
-        inside = random_point_in_span(vecs, 3, rng, P)
+        inside = random_point_in_span(vecs, rng, P)
         assert pairing(kv, wedge_list([inside], 3, P)) == 0
         outside = rng.vector(4, P)
         expected = det_reference([list(v) for v in vecs] + [list(outside)], P)
@@ -200,7 +200,7 @@ def test_shared_point_pairing_zero():
     for trial in range(30):
         d = 3 + trial % 4
         vecs, rod = sample_span(d, d - 1, rng, P)
-        x = random_point_in_span(vecs, d, rng, P)
+        x = random_point_in_span(vecs, rng, P)
         y = rng.nonzero_vector(d + 1, P)
         assert pairing(wedge2(x, y, d, P), rod) == 0
 

@@ -10,62 +10,36 @@ whose other rods are bodies; after the last one it is the rank of the
 Pluecker realization, so decomposable bars and rods lose no rank.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigikit import count_matroid as cm
+from rigikit import linalg
 from rigikit import rigidity as rg
-from rigikit.analysis import random_multigraph
+from rigikit.analysis import random_multigraph, truncation_steps
 from rigikit.field import DEFAULT_PRIME, SplitMix64
-from rigikit.graph import CountProfile, VertexKind, build_graph
+from rigikit.graph import CountProfile, build_graph
 
-from helpers import truncated_union_matrix
+from helpers import graphic_union_reference
 
 P = DEFAULT_PRIME
 TRIALS = 3
 
 
-def first_rods_kept(graph, k):
-    """graph with its first k rods (in vertex order) kept and the other rods made bodies."""
-    rods = [v for v in graph.vertex_ids if graph.kinds[v] == VertexKind.ROD]
-    kept = set(rods[:k])
-    return build_graph(
-        [(v, VertexKind.ROD if v in kept else VertexKind.BODY) for v in graph.vertex_ids],
-        [(e.u, e.v, e.id) for e in graph.edges],
-    )
-
-
-def pluecker_rank(graph, d, rng):
-    """Best rank over TRIALS body-rod-bar (Pluecker) realizations of graph."""
-    best = 0
-    for t in range(TRIALS):
-        sub = rng.spawn(t)
-        rods = rg.sample_rod_config(graph, d, sub.spawn(0), P)
-        bars = rg.sample_bar_config(graph, rods, sub.spawn(1), P)
-        best = max(best, rg.matrix_body_rod_bar(graph, rods, bars).rank())
-    return best
-
-
 def check_truncation_steps(g, d, rng):
     """Truncate g's rods one at a time; at each step the best rank of TRIALS
     samples is the count rank."""
-    D = d * (d + 1) // 2
-    prof = CountProfile.body_rod_bar(d)
-    rods = [v for v in g.vertex_ids if g.kinds[v] == VertexKind.ROD]
-    normals = {v: rng.spawn(1).spawn(i).nonzero_vector(D, P) for i, v in enumerate(rods)}
-    for k in range(len(rods) + 1):
-        gk = first_rods_kept(g, k)
-        best = 0
-        for t in range(TRIALS):
-            sub = rng.spawn(2).spawn(t)
-            m = truncated_union_matrix(gk, d, normals, sub, P)
-            if k == 0:  # no rod truncated: the plain union of D graphic matroids
-                assert m.rows == rg.matrix_graphic_union(gk, d, sub, P).rows
-            best = max(best, m.rank())
-        count = cm.rank_value(gk, None, prof)
+    steps = truncation_steps(g, d, P, rng, TRIALS)
+    for t in range(TRIALS):  # no rod truncated: the plain union of D graphic matroids
+        sub = rng.spawn(2).spawn(t)
+        assert (rg.matrix_graphic_union(g, d, sub, P, normals={}).rows
+                == graphic_union_reference(g, d, sub, P).rows)
+    for step in steps:
+        k, best, count = step.k, step.best_rank, step.count_rank
         assert best == count, (k, best, count)
-        if k == len(rods):
-            assert best == pluecker_rank(g, d, rng.spawn(3))
+        if k == len(steps) - 1:
+            assert best == step.pluecker_rank
 
 
 GATE = settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -105,3 +79,21 @@ def dense_rod_graphs(draw):
 def test_truncated_graphic_union_has_the_count_rank_where_it_binds(case, seed):
     d, g = case
     check_truncation_steps(g, d, SplitMix64(seed))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_genericity_matters_two_rods_sharing_a_normal(d):
+    # two rods on D-1 parallel edges: distinct normals leave each edge a
+    # (D-2)-flat and the count rank D-2; one shared normal leaves a
+    # hyperplane, and the rank passes the count
+    D = d * (d + 1) // 2
+    g = build_graph([("r1", "rod"), ("r2", "rod")], [("r1", "r2")] * (D - 1))
+    rng = SplitMix64(d)
+    n1, n2 = rng.spawn(0).nonzero_vector(D, P), rng.spawn(1).nonzero_vector(D, P)
+    distinct = rg.matrix_graphic_union(g, d, rng.spawn(2), P, {"r1": n1, "r2": n2})
+    shared = rg.matrix_graphic_union(g, d, rng.spawn(2), P, {"r1": n1, "r2": n1})
+    count = cm.rank_value(g, None, CountProfile.body_rod_bar(d))
+    assert (count, distinct.rank(), shared.rank()) == (D - 2, D - 2, D - 1)
+    for row in distinct.rows:  # alpha in r1's block lies in both rods' hyperplanes
+        alpha = linalg.dense(row, 2 * D)[:D]
+        assert all(sum(a * x for a, x in zip(alpha, n)) % P == 0 for n in (n1, n2))
