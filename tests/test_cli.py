@@ -261,6 +261,43 @@ def test_truncate(doc, tmp_path, capsys):
     assert run(capsys, argv) == (0, out, "")  # the same argv, the same bytes
 
 
+def escalating_doc():
+    """Two rods and a body on 3 parallel edges per pair: over F_3 the first
+    3 trials miss a rank at seed 3, and 10 recover every one."""
+    return {
+        "schema": 1,
+        "model": "body-rod-bar",
+        "dimension": 3,
+        "vertices": [{"id": "r0", "kind": "rod"}, {"id": "r1", "kind": "rod"},
+                     {"id": "b", "kind": "body"}],
+        "edges": [["r0", "r1"]] * 3 + [["r0", "b"]] * 3 + [["r1", "b"]] * 3,
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, options, expected",
+    [
+        (two_rods_doc(), ["--seed", "11"],
+         '{"dimension":3,"kind":"truncation","model":"rod-bar","prime":2147483647,'
+         '"schema":1,"seed":11,"steps":['
+         '{"best_rank":4,"count_rank":4,"k":0,"pluecker_rank":null,"rod":null},'
+         '{"best_rank":4,"count_rank":4,"k":1,"pluecker_rank":null,"rod":"r1"},'
+         '{"best_rank":4,"count_rank":4,"k":2,"pluecker_rank":4,"rod":"r2"}],'
+         '"trials":{"requested":3,"run":3}}\n'),
+        (escalating_doc(), ["--prime", "3", "--seed", "3"],
+         '{"dimension":3,"kind":"truncation","model":"body-rod-bar","prime":3,'
+         '"schema":1,"seed":3,"steps":['
+         '{"best_rank":9,"count_rank":9,"k":0,"pluecker_rank":null,"rod":null},'
+         '{"best_rank":9,"count_rank":9,"k":1,"pluecker_rank":null,"rod":"r0"},'
+         '{"best_rank":9,"count_rank":9,"k":2,"pluecker_rank":9,"rod":"r1"}],'
+         '"trials":{"requested":3,"run":10}}\n'),
+    ],
+    ids=["two-rods", "escalating"],
+)
+def test_truncate_stdout_is_pinned(doc, options, expected, tmp_path, capsys):
+    assert run(capsys, ["truncate", write_doc(tmp_path, doc)] + options) == (0, expected, "")
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
