@@ -3,20 +3,20 @@
 analyze() runs both engines on one graph and fills a Report; the linear
 side is sampled over a number of trials and each of its best ranks is
 compared to its count by TrialRun.mismatches, the check fuzz applies too.
-fuzz_equivalence() hammers the matroid equalities on random graphs.  Both
-go through run_trials: no per-trial linear or graphic-union rank may pass
-the combinatorial rank, nor a flat-family rank fhat (a violation is an
-immediate EngineDisagreement).  A single unlucky sample never fails a
-run: trials escalate (to 10) before a fuzz case is declared a
-counterexample, and counterexamples are dumped as replayable documents.
-
+fuzz_equivalence() hammers the matroid equalities on random graphs, and
 truncate() runs the paper's induction on one bar-model graph: the union of
 D graphic matroids, truncated one rod at a time, has the count rank at
-every step.  It escalates and dumps the same way.
+every step.  All three sample through one trial loop, _escalate: a rank
+above its count is an immediate EngineDisagreement, and a single unlucky
+sample never fails a run, because a rank short of its count escalates the
+run to 10 trials.  A shortfall left after that is a ConfigError below the
+prime 2^16 and a disagreement above it.  _disagreement builds every dump,
+a document replayable with the seed it carries.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple, Optional
 
 from . import count_matroid as cm
@@ -33,6 +33,7 @@ from .graph import (
 )
 
 ESCALATED_TRIALS = 10
+GENERIC_PRIME_FLOOR = 2**16  # a shortfall below it blames the field; see _escalate
 FUZZ_MAX_VERTICES = 8
 FUZZ_MAX_EDGES = 24
 SUBSET_CHECK_EDGES = 6  # full polymatroid equality is checked below this size
@@ -157,9 +158,7 @@ def linear_trial(
             joints = rg.sample_joints(graph, d, rng.spawn(2), p)
         m = rg.matrix_direction(graph, joints, d, p)
     else:
-        rods = rg.sample_rod_config(graph, d, rng.spawn(0), p)
-        bars = rg.sample_bar_config(graph, rods, rng.spawn(1), p)
-        m = rg.matrix_body_rod_bar(graph, rods, bars)
+        rods, m = rg.sample_body_rod_bar(graph, d, rng, p)
     rank = m.rank()
     trivial = rg.verify_trivial_motions(m, rods=rods, joints=joints)
     flat_rank = graphic_union_rank = None
@@ -180,7 +179,7 @@ class TrialRun:
     """The linear trials of one instance, as run_trials leaves them."""
 
     __slots__ = ("ranks", "flat_ranks", "graphic_union_ranks", "trivial_checked",
-                 "trivial_violations", "escalated", "best")
+                 "trivial_violations", "best")
 
     def __init__(self):
         self.ranks: list = []
@@ -188,28 +187,50 @@ class TrialRun:
         self.graphic_union_ranks: list = []
         self.trivial_checked = 0
         self.trivial_violations = 0
-        self.escalated = False
         self.best: Optional[LinearTrial] = None  # first trial of the highest rank
 
     def mismatches(self, count_rank: int, fhat_rank: Optional[int]) -> list:
         """One message per best rank that misses its count; empty if all agree."""
-        out = []
-        if max(self.ranks) != count_rank:
-            out.append(
-                "max linear rank %d != combinatorial rank %d"
-                % (max(self.ranks), count_rank)
+        return [
+            "%s rank %d != %s rank %d" % (what, max(ranks), count, bound)
+            for what, ranks, count, bound in (
+                ("max linear", self.ranks, "combinatorial", count_rank),
+                ("flat-family", self.flat_ranks, "polymatroid", fhat_rank),
+                ("graphic-union", self.graphic_union_ranks, "combinatorial", count_rank),
             )
-        if self.flat_ranks and max(self.flat_ranks) != fhat_rank:
-            out.append(
-                "flat-family rank %d != polymatroid rank %d"
-                % (max(self.flat_ranks), fhat_rank)
-            )
-        if self.graphic_union_ranks and max(self.graphic_union_ranks) != count_rank:
-            out.append(
-                "graphic-union rank %d != combinatorial rank %d"
-                % (max(self.graphic_union_ranks), count_rank)
-            )
-        return out
+            if ranks and max(ranks) != bound
+        ]
+
+
+def _escalate(trials: int, prime: int, measure, shortfalls) -> int:
+    """The one trial loop: measure(t) for t = 0, 1, ...; returns how many ran.
+
+    measure(t) samples trial t from its own spawn and raises
+    EngineDisagreement on a rank above its count.  If shortfalls() lists a
+    best rank short of its count after the requested trials, the run goes
+    on at trial `trials` to ESCALATED_TRIALS.  A shortfall left after that
+    raises ConfigError below GENERIC_PRIME_FLOOR; above it the caller
+    judges.  Why 2^16: a rank falls short only where a generically nonzero
+    minor vanishes, a polynomial of degree at most 6r in the sampled
+    coordinates (r the rank; an entry has degree at most 6 once
+    denominators are cleared).  By Schwartz-Zippel one trial misses with
+    probability at most 6r / p.  A fuzz case has at most 8 blocks of D <= 10
+    columns at d <= 4, so r <= 80: at p >= 2^16 a trial misses below 1/136
+    and ten all miss below 10^-21, so a shortfall is an engine's fault.  At
+    the smallest primes the bound exceeds 1: a shortfall blames the field.
+    """
+    for t in range(trials):
+        measure(t)
+    n = ESCALATED_TRIALS if trials < ESCALATED_TRIALS and shortfalls() else trials
+    for t in range(trials, n):  # unlucky samples: escalate before judging
+        measure(t)
+    short = shortfalls() if prime < GENERIC_PRIME_FLOOR else None
+    if short:
+        raise rg.ConfigError(
+            "prime %d is too small for generic samples: %s after %d trials; "
+            "use a prime of at least 2^16" % (prime, short[0], n)
+        )
+    return n
 
 
 def run_trials(
@@ -223,20 +244,17 @@ def run_trials(
     fhat_rank: Optional[int],
     joints=None,
 ) -> TrialRun:
-    """Run, check and escalate the linear trials of one instance.
+    """Run and check the linear trials of one instance through _escalate.
 
     A trial or graphic-union rank above the combinatorial rank (D graphic
     matroids unite to the body-bar count), or a flat-family rank above fhat,
-    cannot come from any sample and raises EngineDisagreement at once.  When
-    the requested trials end with some best rank short of its count, the
-    run escalates to ESCALATED_TRIALS before anything is judged.  Body
-    models realize cs.count_graph, direction the document's graph.
+    raises EngineDisagreement at once.  Body models realize cs.count_graph,
+    direction the document's graph.
     """
     realized = graph if model == "direction" else cs.count_graph
     run = TrialRun()
-    n_trials = trials
-    t = 0
-    while t < n_trials:
+
+    def measure(t):
         trial = linear_trial(realized, model, d, prime, rng.spawn(t), joints=joints)
         run.trivial_checked += trial.trivial.checked
         run.trivial_violations += trial.trivial.violations
@@ -248,24 +266,16 @@ def run_trials(
              "graphic-union rank %d exceeds combinatorial rank %d"),
         ):
             if measured is not None and measured > bound:
-                raise _disagreement(
-                    graph, model, d, rng.seed, cs, run.ranks, what % (measured, bound),
-                    joints=joints,
-                )
+                raise _disagreement(graph, model, d, rng.seed, what % (measured, bound),
+                                    joints, **_rank_evidence(cs, run.ranks))
         if trial.flat_rank is not None:
             run.flat_ranks.append(trial.flat_rank)
         if trial.graphic_union_rank is not None:
             run.graphic_union_ranks.append(trial.graphic_union_rank)
         if run.best is None or trial.rank > run.best.rank:
             run.best = trial
-        t += 1
-        if (
-            t == n_trials
-            and n_trials < ESCALATED_TRIALS
-            and run.mismatches(cs.rank, fhat_rank)
-        ):
-            n_trials = ESCALATED_TRIALS  # unlucky samples: escalate before judging
-            run.escalated = True
+
+    _escalate(trials, prime, measure, lambda: run.mismatches(cs.rank, fhat_rank))
     return run
 
 
@@ -447,23 +457,23 @@ def _run_oracle(graph, model, d, seed, cs: CountSide, ranks, joints) -> dict:
     bf = cm.rank_bruteforce(cs.count_graph, None, cs.profile)
     if bf.value != cs.rank:
         raise _disagreement(
-            graph, model, d, seed, cs, ranks,
-            "pebble rank %d != brute-force rank %d" % (cs.rank, bf.value),
-            joints=joints,
+            graph, model, d, seed, "pebble rank %d != brute-force rank %d" % (cs.rank, bf.value),
+            joints, **_rank_evidence(cs, ranks),
         )
     return {"checked": True, "agrees": True, "bruteforce_rank": bf.value}
 
 
-def _disagreement(graph, model, d, seed, cs: CountSide, ranks, reason: str, joints=None):
-    """The disagreement with its dump: the input document, fixed joints included."""
-    return EngineDisagreement(reason, {
-        "document": graph_document(graph, model, d, joints),
-        "seed": seed,
-        "count_rank": cs.rank,
-        "count_target": cs.target,
-        "linear_ranks": list(ranks),
-        "reason": reason,
-    })
+def _disagreement(graph, model, d, seed, reason: str, joints=None, **evidence):
+    """The disagreement with its dump: the input document (fixed joints
+    included), the seed that replays it, the reason and the evidence."""
+    dump = {"document": graph_document(graph, model, d, joints), "seed": seed, "reason": reason}
+    dump.update(evidence)
+    return EngineDisagreement(reason, dump)
+
+
+def _rank_evidence(cs: CountSide, ranks) -> dict:
+    """A trial's evidence: the count side's rank and target, the linear ranks."""
+    return {"count_rank": cs.rank, "count_target": cs.target, "linear_ranks": list(ranks)}
 
 
 # ---------------------------------------------------------------------------
@@ -478,71 +488,60 @@ class TruncationStep(NamedTuple):
     pluecker_rank: Optional[int] = None  # best body-rod-bar rank, last step only
 
 
-def truncation_steps(
-    graph: Multigraph, d: int, prime: int, rng: SplitMix64, trials: int
-) -> list:
-    """The steps k = 0..n_r of the paper's induction over graph's rods.
-
-    Rod i (vertex order) gets the normal rng.spawn(1).spawn(i).  Step k
-    gives the count rank with the first k rods kept and the best rank of
-    matrix_graphic_union with their normals, trial t from rng.spawn(2).spawn(t).
-    The last step adds the best body-rod-bar (Pluecker) rank of graph, trial
-    t from rng.spawn(3).spawn(t).  Generically each rank is its count rank.
-    """
-    D = d * (d + 1) // 2
-    prof = CountProfile.body_rod_bar(d)
-    rods = [v for v in graph.vertex_ids if graph.kinds[v] == VertexKind.ROD]
-    normals = {v: rng.spawn(1).spawn(i).nonzero_vector(D, prime) for i, v in enumerate(rods)}
-    steps = []
-    for k in range(len(rods) + 1):
-        kept = {v: normals[v] for v in rods[:k]}
-        gk = graph._replace(kinds={
-            v: VertexKind.ROD if v in kept else VertexKind.BODY for v in graph.vertex_ids
-        })
-        best = max(
-            rg.matrix_graphic_union(gk, d, rng.spawn(2).spawn(t), prime, kept).rank()
-            for t in range(trials)
-        )
-        rod = rods[k - 1] if k else None
-        steps.append(TruncationStep(k, rod, cm.rank_value(gk, None, prof), best))
-    pluecker = 0
-    for t in range(trials):
-        sub = rng.spawn(3).spawn(t)
-        rod_config = rg.sample_rod_config(graph, d, sub.spawn(0), prime)
-        bars = rg.sample_bar_config(graph, rod_config, sub.spawn(1), prime)
-        pluecker = max(pluecker, rg.matrix_body_rod_bar(graph, rod_config, bars).rank())
-    steps[-1] = steps[-1]._replace(pluecker_rank=pluecker)
-    return steps
-
-
 def truncate(graph: Multigraph, model: str, d: int, prime: int = DEFAULT_PRIME,
              seed: int = 0, trials: int = 3):
-    """(steps, trials run) of truncation_steps on a bar-model graph, checked.
+    """(steps, trials run): the paper's induction over a bar-model graph's rods.
 
-    A rank that misses its count reruns every step with ESCALATED_TRIALS,
-    whose first trials draw the same samples; a miss after that raises
-    EngineDisagreement with the document and seed that replay it.
+    With rng = SplitMix64(seed), rod i (vertex order) gets the normal
+    rng.spawn(1).spawn(i).  Step k = 0..n_r gives the count rank with the
+    first k rods kept and the best rank of matrix_graphic_union with their
+    normals, trial t from rng.spawn(2).spawn(t).  The last step adds the
+    best body-rod-bar (Pluecker) rank of graph, trial t from
+    rng.spawn(3).spawn(t).  Generically each rank is its count rank; the
+    trials run through _escalate, and a disagreement dumps the steps.
     """
     if model not in BAR_MODELS:
         raise ValueError("truncate needs a %s document, got %s" % (", ".join(BAR_MODELS), model))
     _check_run_settings(model, d, prime, trials)
-
-    def missed(steps):
-        return [s for s in steps if {s.best_rank, s.pluecker_rank} - {s.count_rank, None}]
-
-    steps = truncation_steps(graph, d, prime, SplitMix64(seed), trials)
-    if missed(steps) and trials < ESCALATED_TRIALS:
-        trials = ESCALATED_TRIALS  # unlucky samples: escalate before judging
-        steps = truncation_steps(graph, d, prime, SplitMix64(seed), trials)
-    if missed(steps):
-        s = missed(steps)[0]
-        reason = "truncation step %d: best rank %d, Pluecker rank %s, count rank %d" % (
-            s.k, s.best_rank, s.pluecker_rank, s.count_rank)
-        raise EngineDisagreement(reason, {
-            "document": graph_document(graph, model, d), "seed": seed, "reason": reason,
-            "steps": [s._asdict() for s in steps],
+    rng = SplitMix64(seed)
+    D = d * (d + 1) // 2
+    prof = CountProfile.body_rod_bar(d)
+    rods = [v for v in graph.vertex_ids if graph.kinds[v] == VertexKind.ROD]
+    normals = {v: rng.spawn(1).spawn(i).nonzero_vector(D, prime) for i, v in enumerate(rods)}
+    cuts = [{v: normals[v] for v in rods[:k]} for k in range(len(rods) + 1)]
+    steps = []
+    for k, kept in enumerate(cuts):  # the matrices need only the normals, the counts the kinds
+        gk = graph._replace(kinds={
+            v: VertexKind.ROD if v in kept else VertexKind.BODY for v in graph.vertex_ids
         })
-    return steps, trials
+        steps.append(TruncationStep(k, rods[k - 1] if k else None, cm.rank_value(gk, None, prof),
+                                    0, 0 if k == len(rods) else None))
+
+    def misses(compare):  # a reason per step with a best rank r where compare(r, count)
+        return [
+            "truncation step %d: best rank %d, Pluecker rank %s, count rank %d"
+            % (s.k, s.best_rank, s.pluecker_rank, s.count_rank)
+            for s in steps
+            if any(r is not None and compare(r, s.count_rank)
+                   for r in (s.best_rank, s.pluecker_rank))
+        ]
+
+    def judge(reasons):
+        if reasons:
+            raise _disagreement(graph, model, d, seed, reasons[0],
+                                steps=[s._asdict() for s in steps])
+
+    def measure(t):
+        for k, kept in enumerate(cuts):
+            rank = rg.matrix_graphic_union(graph, d, rng.spawn(2).spawn(t), prime, kept).rank()
+            steps[k] = steps[k]._replace(best_rank=max(steps[k].best_rank, rank))
+        _, m = rg.sample_body_rod_bar(graph, d, rng.spawn(3).spawn(t), prime)
+        steps[-1] = steps[-1]._replace(pluecker_rank=max(steps[-1].pluecker_rank, m.rank()))
+        judge(misses(operator.gt))
+
+    n = _escalate(trials, prime, measure, lambda: misses(operator.lt))
+    judge(misses(operator.lt))
+    return steps, n
 
 
 # ---------------------------------------------------------------------------
@@ -683,14 +682,13 @@ def fuzz_case(
         fhat_total = cm.fhat(graph, None, prof, expanded=expansion)
     try:
         run = run_trials(graph, model, d, prime, case_rng, trials, cs, fhat_total)
-        out["escalated"] = run.escalated
+        out["escalated"] = len(run.ranks) > trials
         out["trivial_checked"] = run.trivial_checked
         out["trivial_violations"] = run.trivial_violations
         reasons = run.mismatches(cs.rank, fhat_total)
         if reasons:
-            raise _disagreement(
-                graph, model, d, case_rng.seed, cs, run.ranks, "; ".join(reasons)
-            )
+            raise _disagreement(graph, model, d, case_rng.seed, "; ".join(reasons),
+                                **_rank_evidence(cs, run.ranks))
         # small cases: full polymatroid equality against the partition oracle
         if expansion is not None and 0 < len(graph.edges) <= SUBSET_CHECK_EDGES:
             order = graph.edge_ids
@@ -701,10 +699,9 @@ def fuzz_case(
                 rhs = cm.fhat_bruteforce(graph, F, prof)
                 out["subset_checks"] += 1
                 if lhs != rhs:
-                    raise _disagreement(
-                        graph, model, d, case_rng.seed, cs, run.ranks,
-                        "fhat(%r) = %d != brute force %d" % (F, lhs, rhs),
-                    )
+                    raise _disagreement(graph, model, d, case_rng.seed,
+                                        "fhat(%r) = %d != brute force %d" % (F, lhs, rhs),
+                                        **_rank_evidence(cs, run.ranks))
     except EngineDisagreement as exc:
         out["agrees"] = False
         out["failure"] = exc.dump

@@ -13,8 +13,9 @@ Schema (version 1):
 
 Vertex kinds must match the model: bar models take body/rod mixes as named,
 body-hinge takes body+hinge, and the direction model ignores kinds (but
-rejects hinge).  Parsing is strict: unknown keys are tolerated, wrong types
-and inconsistent kinds are SchemaError with the offending element named.
+rejects hinge); rigidity.expand_hinge checks that a body-hinge edge joins a
+body to a hinge.  Parsing is strict: unknown keys are tolerated, wrong
+types and inconsistent kinds are SchemaError with the offending element named.
 """
 
 from __future__ import annotations
@@ -82,12 +83,6 @@ def parse_document(doc) -> tuple[Multigraph, str, int, Optional[dict]]:
                 "vertex %r has kind %r, not allowed for model %s"
                 % (v, graph.kinds[v].value, model)
             )
-    if model == "body-hinge":
-        for e in graph.edges:
-            if graph.kinds[e.u] == graph.kinds[e.v]:
-                raise SchemaError(
-                    "edge %r must join a body to a hinge" % e.id
-                )
 
     joints = None
     if "joints" in doc and doc["joints"] is not None:

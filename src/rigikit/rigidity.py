@@ -126,6 +126,13 @@ def sample_bar_config(
     return BarConfig(d=d, p=p, bars=bars)
 
 
+def sample_body_rod_bar(graph: Multigraph, d: int, rng: SplitMix64, p: int):
+    """(rods, matrix) of a body-rod-bar framework: rods from rng.spawn(0), bars from spawn(1)."""
+    rods = sample_rod_config(graph, d, rng.spawn(0), p)
+    bars = sample_bar_config(graph, rods, rng.spawn(1), p)
+    return rods, matrix_body_rod_bar(graph, rods, bars)
+
+
 def _endpoint_point(v: str, rods: RodConfig, rng: SplitMix64, d: int, p: int):
     if v in rods.spans:
         return random_point_in_span(rods.spans[v], rng, p)

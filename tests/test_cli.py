@@ -243,8 +243,7 @@ def body_rod_bar_doc():
 @pytest.mark.parametrize("doc", [two_rods_doc(), body_rod_bar_doc()],
                          ids=["rod-bar", "body-rod-bar"])
 def test_truncate(doc, tmp_path, capsys):
-    from rigikit.analysis import truncation_steps
-    from rigikit.field import SplitMix64
+    from rigikit.analysis import truncate
 
     argv = ["truncate", write_doc(tmp_path, doc), "--seed", "11"]
     code, out, err = run(capsys, argv)
@@ -253,7 +252,7 @@ def test_truncate(doc, tmp_path, capsys):
     assert payload["kind"] == "truncation"
     assert payload["trials"] == {"requested": 3, "run": 3}
     g, _, d, _ = parse_document(doc)
-    steps = truncation_steps(g, d, rigikit.DEFAULT_PRIME, SplitMix64(11), 3)
+    steps, _ = truncate(g, doc["model"], d, seed=11)
     assert payload["steps"] == [s._asdict() for s in steps]
     assert [s["k"] for s in payload["steps"]] == [0, 1, 2]
     assert all(s["best_rank"] == s["count_rank"] for s in payload["steps"])
@@ -298,6 +297,23 @@ def test_truncate_stdout_is_pinned(doc, options, expected, tmp_path, capsys):
     assert run(capsys, ["truncate", write_doc(tmp_path, doc)] + options) == (0, expected, "")
 
 
+def test_escalated_truncate_measures_each_trial_once(tmp_path, capsys, monkeypatch):
+    # escalation continues at trial 3: 3 steps x 10 truncated unions, 10 Pluecker matrices
+    from rigikit import rigidity as rg
+
+    built = {"matrix_graphic_union": 0, "matrix_body_rod_bar": 0}
+    for name in built:
+        def counted(*args, _name=name, _real=getattr(rg, name), **kwargs):
+            built[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(rg, name, counted)
+    argv = ["truncate", write_doc(tmp_path, escalating_doc()), "--prime", "3", "--seed", "3"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)["trials"] == {"requested": 3, "run": 10}
+    assert built == {"matrix_graphic_union": 30, "matrix_body_rod_bar": 10}
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -318,25 +334,77 @@ def test_truncate_rejects_other_models(doc, message, tmp_path, capsys):
     assert message in err
 
 
+THREE_RODS = {
+    "schema": 1, "model": "rod-bar", "dimension": 3,
+    "vertices": [{"id": r, "kind": "rod"} for r in ("r0", "r1", "r2")],
+    "edges": [["r0", "r1"]] * 4 + [["r1", "r2"]] * 3 + [["r0", "r2"]] * 3,
+}
+HINGE_PATH = {
+    "schema": 1, "model": "body-hinge", "dimension": 3,
+    "vertices": [{"id": "b0", "kind": "body"}, {"id": "h0", "kind": "hinge"},
+                 {"id": "b1", "kind": "body"}, {"id": "h1", "kind": "hinge"}],
+    "edges": [["b0", "h0"], ["h0", "b1"], ["b1", "h1"]],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["fuzz", "--model", "rod-bar", "--cases", "20"], None),
+        (["truncate", "DOC"], THREE_RODS),
+        (["analyze", "DOC"], HINGE_PATH),
+    ],
+    ids=["fuzz", "truncate", "analyze"],
+)
+def test_shortfall_at_a_tiny_prime_exits_1(argv, doc, tmp_path, capsys):
+    # over F_2 a best rank stays short after escalation (fuzz case 8: 16
+    # against 17; truncation step 2: 9 against 10; the hinge path: 14
+    # against 15): the field is at fault, not an engine
+    argv = [write_doc(tmp_path, doc) if a == "DOC" else a for a in argv]
+    code, out, err = run(capsys, argv + ["--prime", "2"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: prime 2 is too small for generic samples: ")
+    assert "after 10 trials" in err
+
+
+def test_rank_above_count_exits_2_even_at_a_tiny_prime(tmp_path, capsys, monkeypatch):
+    # no sample lifts a rank above its count, so over F_3 too it is a disagreement
+    from rigikit import rigidity as rg
+
+    def over(graph, d, rng, p, normals=None):
+        m = real(graph, d, rng, p, normals)  # plus e_0, which no two-block row space holds
+        return m._replace(rows=m.rows + (((0, 1),),), two_block=False)
+
+    real = rg.matrix_graphic_union
+    monkeypatch.setattr(rg, "matrix_graphic_union", over)
+    path = write_doc(tmp_path, two_rods_doc())
+    code, out, err = run(capsys, ["truncate", path, "--prime", "3"])
+    assert code == 2 and out == ""
+    assert err.startswith("engine disagreement: truncation step 0: best rank 5, ")
+
+
 def test_truncate_mismatch_exits_2_with_a_replayable_dump(tmp_path, capsys, monkeypatch):
-    from rigikit import analysis
+    from rigikit import rigidity as rg
 
     calls = []
 
-    def short(graph, d, prime, rng, trials):
-        calls.append(trials)
-        steps = real(graph, d, prime, rng, trials)
-        return [s._replace(best_rank=s.best_rank - 1) for s in steps]
+    def short(graph, d, rng, p, normals=None):
+        m = real(graph, d, rng, p, normals)
+        if not normals:  # step 0 loses a row, so its best rank falls short
+            calls.append(rng.seed)
+            m = m._replace(rows=m.rows[1:])
+        return m
 
-    real = analysis.truncation_steps
-    monkeypatch.setattr(analysis, "truncation_steps", short)
+    real = rg.matrix_graphic_union
+    monkeypatch.setattr(rg, "matrix_graphic_union", short)
     path = write_doc(tmp_path, two_rods_doc())
     code, out, err = run(capsys, ["truncate", path, "--seed", "4"])
     assert code == 2 and out == ""
-    assert calls == [3, 10]  # escalated before judging
+    assert len(set(calls)) == len(calls) == 10  # escalated before judging, each trial once
     dump = json.loads(err.splitlines()[1])
     assert dump["document"] == two_rods_doc() and dump["seed"] == 4
-    assert dump["reason"].startswith("truncation step 0: best rank")
+    assert dump["reason"].startswith("truncation step 0: best rank 3")
+    assert [s["best_rank"] for s in dump["steps"]] == [3, 4, 4]
 
 
 def test_import_builds_no_dataclass():
@@ -438,3 +506,19 @@ def test_hinge_kind_rejected_for_bar_models():
     }
     with pytest.raises(Exception, match="not allowed"):
         parse_document(doc)
+
+
+def test_body_body_edge_in_a_hinge_document_exits_1(tmp_path, capsys):
+    doc = {
+        "schema": 1,
+        "model": "body-hinge",
+        "dimension": 3,
+        "vertices": [{"id": "a", "kind": "body"}, {"id": "b", "kind": "body"},
+                     {"id": "h", "kind": "hinge"}],
+        "edges": [["a", "b"], ["a", "h"], ["b", "h"]],
+    }
+    path = write_doc(tmp_path, doc)
+    for command in ("analyze", "decompose"):
+        code, out, err = run(capsys, [command, path])
+        assert (code, out) == (1, ""), command
+        assert err == "error: edge 'e0' must join a body to a hinge, got body-body\n"

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from rigikit import count_matroid as cm
 from rigikit import linalg
 from rigikit import rigidity as rg
-from rigikit.analysis import random_multigraph, truncation_steps
+from rigikit.analysis import random_multigraph, truncate
 from rigikit.field import DEFAULT_PRIME, SplitMix64
 from rigikit.graph import CountProfile, build_graph
 
@@ -27,10 +27,12 @@ P = DEFAULT_PRIME
 TRIALS = 3
 
 
-def check_truncation_steps(g, d, rng):
+def check_truncation_steps(g, model, d, seed):
     """Truncate g's rods one at a time; at each step the best rank of TRIALS
-    samples is the count rank."""
-    steps = truncation_steps(g, d, P, rng, TRIALS)
+    samples is the count rank, with no escalation."""
+    steps, trials_run = truncate(g, model, d, P, seed, TRIALS)
+    assert trials_run == TRIALS
+    rng = SplitMix64(seed)
     for t in range(TRIALS):  # no rod truncated: the plain union of D graphic matroids
         sub = rng.spawn(2).spawn(t)
         assert (rg.matrix_graphic_union(g, d, sub, P, normals={}).rows
@@ -52,8 +54,8 @@ GATE = settings(derandomize=True, max_examples=100, deadline=None, database=None
     st.integers(0, 2**32 - 1),
 )
 def test_truncated_graphic_union_has_the_count_rank(model, d, seed):
-    rng = SplitMix64(seed)
-    check_truncation_steps(random_multigraph(rng.spawn(0), model), d, rng)
+    g = random_multigraph(SplitMix64(seed).spawn(0), model)
+    check_truncation_steps(g, model, d, seed)
 
 
 @st.composite
@@ -78,7 +80,7 @@ def dense_rod_graphs(draw):
 @given(dense_rod_graphs(), st.integers(0, 2**32 - 1))
 def test_truncated_graphic_union_has_the_count_rank_where_it_binds(case, seed):
     d, g = case
-    check_truncation_steps(g, d, SplitMix64(seed))
+    check_truncation_steps(g, "body-rod-bar", d, seed)
 
 
 @pytest.mark.parametrize("d", [3, 4])
