@@ -407,6 +407,111 @@ def test_truncate_mismatch_exits_2_with_a_replayable_dump(tmp_path, capsys, monk
     assert [s["best_rank"] for s in dump["steps"]] == [3, 4, 4]
 
 
+PINNED_DOCS = {
+    "body-bar": {"schema": 1, "model": "body-bar", "dimension": 2,
+                 "vertices": [{"id": v, "kind": "body"} for v in "abc"],
+                 "edges": [["a", "b"]] * 2 + [["b", "c"]] * 2 + [["c", "a"]] * 2},
+    "rod-bar": two_rods_doc(),
+    "body-rod-bar": body_rod_bar_doc(),
+    "body-hinge": HINGE_PATH,
+    "direction": {"schema": 1, "model": "direction", "dimension": 2,
+                  "vertices": [{"id": v} for v in "abcd"],
+                  "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"], ["a", "c"]]},
+}
+
+
+@pytest.mark.parametrize(
+    "model, options, expected",
+    [
+        ("body-bar", [],
+         '{"D":3,"agreement":true,"combinatorial":{"certificate":{"free":["e0","e1","e2","e3",'
+         '"e4","e5"],"parts":[]},"fhat":null,"p_components":[["e0","e1","e2","e3","e4","e5"]],'
+         '"rank":6,"target":6},"dimension":2,"graph":{"bodies":3,"edges":6,"hinges":0,'
+         '"rods":0,"vertices":3},"kind":"report","linear":{"flat_ranks":[],'
+         '"graphic_union_ranks":[6,6,6],"kernel_dim":3,"max_rank":6,"nontrivial_dim":0,'
+         '"ranks":[6,6,6],"trivial_checked":9,"trivial_motions":3,"trivial_span_dim":3,'
+         '"trivial_violations":0},"minimal":true,"model":"body-bar","oracle":null,'
+         '"prime":2147483647,"schema":1,"seed":5,"trials":{"requested":3,"run":3},'
+         '"verdict":"minimally rigid"}\n'),
+        ("rod-bar", [],
+         '{"D":6,"agreement":true,"combinatorial":{"certificate":{"free":["e0","e1","e2",'
+         '"e3"],"parts":[]},"fhat":4,"p_components":[["e0","e1","e2","e3"]],"rank":4,'
+         '"target":4},"dimension":3,"graph":{"bodies":0,"edges":4,"hinges":0,"rods":2,'
+         '"vertices":2},"kind":"report","linear":{"flat_ranks":[4,4,4],'
+         '"graphic_union_ranks":[],"kernel_dim":8,"max_rank":4,"nontrivial_dim":0,"ranks":[4,'
+         '4,4],"trivial_checked":24,"trivial_motions":8,"trivial_span_dim":8,'
+         '"trivial_violations":0},"minimal":true,"model":"rod-bar","oracle":null,'
+         '"prime":2147483647,"schema":1,"seed":5,"trials":{"requested":3,"run":3},'
+         '"verdict":"minimally rigid"}\n'),
+        ("body-rod-bar", [],
+         '{"D":6,"agreement":true,"combinatorial":{"certificate":{"free":[],"parts":[["e0",'
+         '"e1","e2","e3","e4","e5","e6","e7","e8","e9","e10","e11"]]},"fhat":10,'
+         '"p_components":[["e0","e1","e2","e3","e4","e5","e6","e7","e8","e9","e10","e11"]],'
+         '"rank":10,"target":10},"dimension":3,"graph":{"bodies":1,"edges":12,"hinges":0,'
+         '"rods":2,"vertices":3},"kind":"report","linear":{"flat_ranks":[10,10,10],'
+         '"graphic_union_ranks":[],"kernel_dim":8,"max_rank":10,"nontrivial_dim":0,'
+         '"ranks":[10,10,10],"trivial_checked":24,"trivial_motions":8,"trivial_span_dim":8,'
+         '"trivial_violations":0},"minimal":false,"model":"body-rod-bar","oracle":null,'
+         '"prime":2147483647,"schema":1,"seed":5,"trials":{"requested":3,"run":3},'
+         '"verdict":"rigid"}\n'),
+        ("body-hinge", [],
+         '{"D":6,"agreement":true,"combinatorial":{"certificate":{"free":["e0~0","e0~1",'
+         '"e0~2","e0~3","e0~4","e1~0","e1~1","e1~2","e1~3","e1~4","e2~0","e2~1","e2~2","e2~3",'
+         '"e2~4"],"parts":[]},"fhat":null,"p_components":[["e0"],["e1"],["e2"]],"rank":15,'
+         '"target":16},"dimension":3,"graph":{"bodies":2,"edges":3,"hinges":2,"rods":0,'
+         '"vertices":4},"kind":"report","linear":{"flat_ranks":[],"graphic_union_ranks":[],'
+         '"kernel_dim":9,"max_rank":15,"nontrivial_dim":1,"ranks":[15,15,15],'
+         '"trivial_checked":24,"trivial_motions":8,"trivial_span_dim":8,'
+         '"trivial_violations":0},"minimal":false,"model":"body-hinge","oracle":null,'
+         '"prime":2147483647,"schema":1,"seed":5,"trials":{"requested":3,"run":3},'
+         '"verdict":"flexible"}\n'),
+        ("direction", ["--oracle"],
+         '{"D":3,"agreement":true,"combinatorial":{"certificate":{"free":["e0~0","e1~0",'
+         '"e2~0","e3~0","e4~0"],"parts":[]},"fhat":null,"p_components":[["e0"],["e1"],["e2"],'
+         '["e3"],["e4"]],"rank":5,"target":5},"dimension":2,"graph":{"bodies":4,"edges":5,'
+         '"hinges":0,"rods":0,"vertices":4},"kind":"report","linear":{"flat_ranks":[],'
+         '"graphic_union_ranks":[],"kernel_dim":3,"max_rank":5,"nontrivial_dim":0,"ranks":[5,'
+         '5,5],"trivial_checked":9,"trivial_motions":3,"trivial_span_dim":3,'
+         '"trivial_violations":0},"minimal":true,"model":"direction","oracle":{"agrees":true,'
+         '"bruteforce_rank":5,"checked":true},"prime":2147483647,"schema":1,"seed":5,'
+         '"trials":{"requested":3,"run":3},"verdict":"minimally rigid"}\n'),
+    ],
+)
+def test_analyze_stdout_is_pinned(model, options, expected, tmp_path, capsys):
+    argv = ["analyze", write_doc(tmp_path, PINNED_DOCS[model]), "--seed", "5"] + options
+    assert run(capsys, argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "model, expected",
+    [
+        ("body-bar",
+         '{"agreements":4,"cases":4,"dimension":3,"escalations":0,"failures":[],'
+         '"kind":"fuzz-summary","model":"body-bar","ok":true,"schema":1,"subset_checks":0,'
+         '"trivial_checked":72,"trivial_violations":0}\n'),
+        ("rod-bar",
+         '{"agreements":4,"cases":4,"dimension":3,"escalations":0,"failures":[],'
+         '"kind":"fuzz-summary","model":"rod-bar","ok":true,"schema":1,"subset_checks":71,'
+         '"trivial_checked":138,"trivial_violations":0}\n'),
+        ("body-rod-bar",
+         '{"agreements":4,"cases":4,"dimension":3,"escalations":0,"failures":[],'
+         '"kind":"fuzz-summary","model":"body-rod-bar","ok":true,"schema":1,'
+         '"subset_checks":22,"trivial_checked":90,"trivial_violations":0}\n'),
+        ("body-hinge",
+         '{"agreements":4,"cases":4,"dimension":3,"escalations":0,"failures":[],'
+         '"kind":"fuzz-summary","model":"body-hinge","ok":true,"schema":1,"subset_checks":0,'
+         '"trivial_checked":96,"trivial_violations":0}\n'),
+        ("direction",
+         '{"agreements":4,"cases":4,"dimension":2,"escalations":0,"failures":[],'
+         '"kind":"fuzz-summary","model":"direction","ok":true,"schema":1,"subset_checks":0,'
+         '"trivial_checked":36,"trivial_violations":0}\n'),
+    ],
+)
+def test_fuzz_stdout_is_pinned(model, expected, capsys):
+    argv = ["fuzz", "--model", model, "--cases", "4", "--seed", "7"]
+    assert run(capsys, argv) == (0, expected, "")
+
+
 def test_import_builds_no_dataclass():
     # start-up cost: importing the CLI loads neither dataclasses nor the
     # inspect module it pulls in
