@@ -1,22 +1,22 @@
 """Cross-validation harness: count engine vs exact randomized matrices.
 
-analyze() runs both engines on one graph and fills a Report; the linear
-side is sampled over a number of trials and each of its best ranks is
-compared to its count by TrialRun.mismatches, the check fuzz applies too.
-fuzz_equivalence() hammers the matroid equalities on random graphs, and
-truncate() runs the paper's induction on one bar-model graph: the union of
-D graphic matroids, truncated one rod at a time, has the count rank at
-every step.  All three sample through one trial loop, _escalate: a rank
-above its count is an immediate EngineDisagreement, and a single unlucky
-sample never fails a run, because a rank short of its count escalates the
-run to 10 trials.  A shortfall left after that is a ConfigError below the
-prime 2^16 and a disagreement above it.  _disagreement builds every dump,
-a document replayable with the seed it carries.
+analyze() runs both engines on one graph and fills a Report; fuzz_equivalence()
+hammers the matroid equalities on random graphs, and truncate() runs the
+paper's induction on one bar-model graph: the union of D graphic matroids,
+truncated one rod at a time, has the count rank at every step.  All three
+sample through one trial loop, _escalate, which is also the one place where
+a best rank meets its count: a rank above its count is an immediate
+EngineDisagreement, and a single unlucky sample never fails a run, because a
+rank short of its count escalates the run to 10 trials.  A shortfall left
+after that is a ConfigError below the prime 2^16; above it analyze reports
+it as agreement false and fuzz and truncate as a disagreement.  A trial whose
+formal trivial motions are not all in the kernel, and in analyze a failed
+count-engine self-check, are disagreements too.  _disagreement builds every
+dump, a document replayable with the seed it carries.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import NamedTuple, Optional
 
 from . import count_matroid as cm
@@ -178,59 +178,59 @@ def linear_trial(
 class TrialRun:
     """The linear trials of one instance, as run_trials leaves them."""
 
-    __slots__ = ("ranks", "flat_ranks", "graphic_union_ranks", "trivial_checked",
-                 "trivial_violations", "best")
+    __slots__ = ("ranks", "flat_ranks", "graphic_union_ranks", "trivial_checked", "best",
+                 "reasons")
 
     def __init__(self):
         self.ranks: list = []
         self.flat_ranks: list = []
         self.graphic_union_ranks: list = []
         self.trivial_checked = 0
-        self.trivial_violations = 0
         self.best: Optional[LinearTrial] = None  # first trial of the highest rank
-
-    def mismatches(self, count_rank: int, fhat_rank: Optional[int]) -> list:
-        """One message per best rank that misses its count; empty if all agree."""
-        return [
-            "%s rank %d != %s rank %d" % (what, max(ranks), count, bound)
-            for what, ranks, count, bound in (
-                ("max linear", self.ranks, "combinatorial", count_rank),
-                ("flat-family", self.flat_ranks, "polymatroid", fhat_rank),
-                ("graphic-union", self.graphic_union_ranks, "combinatorial", count_rank),
-            )
-            if ranks and max(ranks) != bound
-        ]
+        self.reasons: list = []  # a best rank short of its count, one reason each
 
 
-def _escalate(trials: int, prime: int, measure, shortfalls) -> int:
-    """The one trial loop: measure(t) for t = 0, 1, ...; returns how many ran.
+def _escalate(trials: int, prime: int, measure, rows, fail) -> tuple:
+    """The one trial loop and rank verdict: (trials run, shortfall reasons).
 
-    measure(t) samples trial t from its own spawn and raises
-    EngineDisagreement on a rank above its count.  If shortfalls() lists a
-    best rank short of its count after the requested trials, the run goes
-    on at trial `trials` to ESCALATED_TRIALS.  A shortfall left after that
-    raises ConfigError below GENERIC_PRIME_FLOOR; above it the caller
-    judges.  Why 2^16: a rank falls short only where a generically nonzero
-    minor vanishes, a polynomial of degree at most 6r in the sampled
-    coordinates (r the rank; an entry has degree at most 6 once
-    denominators are cleared).  By Schwartz-Zippel one trial misses with
-    probability at most 6r / p.  A fuzz case has at most 8 blocks of D <= 10
-    columns at d <= 4, so r <= 80: at p >= 2^16 a trial misses below 1/136
-    and ten all miss below 10^-21, so a shortfall is an engine's fault.  At
-    the smallest primes the bound exceeds 1: a shortfall blames the field.
+    measure(t) samples trial t from its own spawn; rows() then lists
+    (label, best rank, count label, count) per best rank so far.  A best
+    rank above its count raises fail(reason) at once.  If a best rank falls
+    short of its count after the requested trials, the run goes on at trial
+    `trials` to ESCALATED_TRIALS.  A shortfall left after that raises
+    ConfigError below GENERIC_PRIME_FLOOR; above it the reasons are
+    returned for the caller to judge.  Why 2^16: a rank falls short only
+    where a generically nonzero minor vanishes, a polynomial of degree at
+    most 6r in the sampled coordinates (r the rank; an entry has degree at
+    most 6 once denominators are cleared).  By Schwartz-Zippel one trial
+    misses with probability at most 6r / p.  A fuzz case has at most 8
+    blocks of D <= 10 columns at d <= 4, so r <= 80: at p >= 2^16 a trial
+    misses below 1/136 and ten all miss below 10^-21, so a shortfall is an
+    engine's fault.  At the smallest primes the bound exceeds 1: a
+    shortfall blames the field.
     """
-    for t in range(trials):
+    def judged(t):
         measure(t)
+        for label, best, what, count in rows():
+            if best > count:
+                raise fail("%s rank %d exceeds %s rank %d" % (label, best, what, count))
+
+    def shortfalls():
+        return ["%s rank %d != %s rank %d" % (label, best, what, count)
+                for label, best, what, count in rows() if best != count]
+
+    for t in range(trials):
+        judged(t)
     n = ESCALATED_TRIALS if trials < ESCALATED_TRIALS and shortfalls() else trials
     for t in range(trials, n):  # unlucky samples: escalate before judging
-        measure(t)
-    short = shortfalls() if prime < GENERIC_PRIME_FLOOR else None
-    if short:
+        judged(t)
+    short = shortfalls()
+    if short and prime < GENERIC_PRIME_FLOOR:
         raise rg.ConfigError(
             "prime %d is too small for generic samples: %s after %d trials; "
             "use a prime of at least 2^16" % (prime, short[0], n)
         )
-    return n
+    return n, short
 
 
 def run_trials(
@@ -244,30 +244,27 @@ def run_trials(
     fhat_rank: Optional[int],
     joints=None,
 ) -> TrialRun:
-    """Run and check the linear trials of one instance through _escalate.
+    """Run and judge the linear trials of one instance through _escalate.
 
-    A trial or graphic-union rank above the combinatorial rank (D graphic
-    matroids unite to the body-bar count), or a flat-family rank above fhat,
-    raises EngineDisagreement at once.  Body models realize cs.count_graph,
-    direction the document's graph.
+    The max linear rank and the graphic-union rank (D graphic matroids unite
+    to the body-bar count) meet the combinatorial rank, the flat-family rank
+    meets fhat.  A trial with a formal trivial motion outside the kernel is
+    a disagreement at once.  Body models realize cs.count_graph, direction
+    the document's graph.
     """
     realized = graph if model == "direction" else cs.count_graph
     run = TrialRun()
 
+    def fail(reason):
+        return _disagreement(graph, model, d, rng.seed, reason, joints,
+                             **_rank_evidence(cs, run.ranks))
+
     def measure(t):
         trial = linear_trial(realized, model, d, prime, rng.spawn(t), joints=joints)
         run.trivial_checked += trial.trivial.checked
-        run.trivial_violations += trial.trivial.violations
         run.ranks.append(trial.rank)
-        for measured, bound, what in (
-            (trial.rank, cs.rank, "per-trial linear rank %d exceeds combinatorial rank %d"),
-            (trial.flat_rank, fhat_rank, "flat-family rank %d exceeds polymatroid rank %d"),
-            (trial.graphic_union_rank, cs.rank,
-             "graphic-union rank %d exceeds combinatorial rank %d"),
-        ):
-            if measured is not None and measured > bound:
-                raise _disagreement(graph, model, d, rng.seed, what % (measured, bound),
-                                    joints, **_rank_evidence(cs, run.ranks))
+        if trial.trivial.missed:
+            raise fail("%s motion is not in the kernel" % trial.trivial.missed[0])
         if trial.flat_rank is not None:
             run.flat_ranks.append(trial.flat_rank)
         if trial.graphic_union_rank is not None:
@@ -275,7 +272,18 @@ def run_trials(
         if run.best is None or trial.rank > run.best.rank:
             run.best = trial
 
-    _escalate(trials, prime, measure, lambda: run.mismatches(cs.rank, fhat_rank))
+    def rows():
+        return [
+            (what, max(ranks), count, bound)
+            for what, ranks, count, bound in (
+                ("max linear", run.ranks, "combinatorial", cs.rank),
+                ("flat-family", run.flat_ranks, "polymatroid", fhat_rank),
+                ("graphic-union", run.graphic_union_ranks, "combinatorial", cs.rank),
+            )
+            if ranks
+        ]
+
+    _, run.reasons = _escalate(trials, prime, measure, rows, fail)
     return run
 
 
@@ -307,7 +315,6 @@ class Report(NamedTuple):
     trivial_span_dim: int
     nontrivial_dim: int
     trivial_checked: int
-    trivial_violations: int
     verdict: str
     minimal: Optional[bool]
     agreement: bool
@@ -344,7 +351,7 @@ class Report(NamedTuple):
                 "trivial_span_dim": self.trivial_span_dim,
                 "nontrivial_dim": self.nontrivial_dim,
                 "trivial_checked": self.trivial_checked,
-                "trivial_violations": self.trivial_violations,
+                "trivial_violations": 0,  # a trivial motion outside the kernel fails the run
             },
             "verdict": self.verdict,
             "minimal": self.minimal,
@@ -381,18 +388,21 @@ def analyze(
     D = d * (d + 1) // 2
     cs = count_side(graph, model, d)
     prof = cs.profile
-    cert = cm.certificate(cs.state, None)
+    try:  # the count engine re-checks its certificates and raises RuntimeError
+        cert = cm.certificate(cs.state, None)
+        if cs.copies is None:
+            # bar models: the P-components live on the graph's expansion, a
+            # second matroid, and p_components certifies fhat(E) as their sum of f
+            pdec = cm.p_components(graph, prof)
+        else:
+            # the count matroid is the expansion itself: its certificate's
+            # M-components pull back to the P-components
+            pdec = cm.p_components_of_expansion((cs.count_graph, cs.copies), cert, prof)
+    except RuntimeError as exc:
+        raise _disagreement(graph, model, d, seed, str(exc), joints, **_rank_evidence(cs, ()))
     fhat_rank = None
-    if cs.copies is None:
-        # bar models: the P-components live on the graph's expansion, a second
-        # matroid, and p_components certifies fhat(E) as their sum of f
-        pdec = cm.p_components(graph, prof)
-        if model in ROD_MODELS:
-            fhat_rank = sum(f_value(graph, c, prof) for c in pdec.components)
-    else:
-        # the count matroid is the expansion itself: its certificate's
-        # M-components pull back to the P-components
-        pdec = cm.p_components_of_expansion((cs.count_graph, cs.copies), cert, prof)
+    if model in ROD_MODELS:
+        fhat_rank = sum(f_value(graph, c, prof) for c in pdec.components)
 
     run = run_trials(
         graph, model, d, prime, SplitMix64(seed), trials, cs, fhat_rank, joints=joints
@@ -441,10 +451,9 @@ def analyze(
         trivial_span_dim=basis.trivial_span_dim,
         nontrivial_dim=basis.nontrivial_dim,
         trivial_checked=run.trivial_checked,
-        trivial_violations=run.trivial_violations,
         verdict=verdict,
         minimal=minimal,
-        agreement=not run.mismatches(cs.rank, fhat_rank),
+        agreement=not run.reasons,
         oracle=oracle_result,
     )
 
@@ -517,19 +526,8 @@ def truncate(graph: Multigraph, model: str, d: int, prime: int = DEFAULT_PRIME,
         steps.append(TruncationStep(k, rods[k - 1] if k else None, cm.rank_value(gk, None, prof),
                                     0, 0 if k == len(rods) else None))
 
-    def misses(compare):  # a reason per step with a best rank r where compare(r, count)
-        return [
-            "truncation step %d: best rank %d, Pluecker rank %s, count rank %d"
-            % (s.k, s.best_rank, s.pluecker_rank, s.count_rank)
-            for s in steps
-            if any(r is not None and compare(r, s.count_rank)
-                   for r in (s.best_rank, s.pluecker_rank))
-        ]
-
-    def judge(reasons):
-        if reasons:
-            raise _disagreement(graph, model, d, seed, reasons[0],
-                                steps=[s._asdict() for s in steps])
+    def fail(reason):
+        return _disagreement(graph, model, d, seed, reason, steps=[s._asdict() for s in steps])
 
     def measure(t):
         for k, kept in enumerate(cuts):
@@ -537,10 +535,16 @@ def truncate(graph: Multigraph, model: str, d: int, prime: int = DEFAULT_PRIME,
             steps[k] = steps[k]._replace(best_rank=max(steps[k].best_rank, rank))
         _, m = rg.sample_body_rod_bar(graph, d, rng.spawn(3).spawn(t), prime)
         steps[-1] = steps[-1]._replace(pluecker_rank=max(steps[-1].pluecker_rank, m.rank()))
-        judge(misses(operator.gt))
 
-    n = _escalate(trials, prime, measure, lambda: misses(operator.lt))
-    judge(misses(operator.lt))
+    def rows():
+        last = steps[-1]
+        return [("truncation step %d: best" % s.k, s.best_rank, "count", s.count_rank)
+                for s in steps] + [("truncation step %d: Pluecker" % last.k, last.pluecker_rank,
+                                    "count", last.count_rank)]
+
+    n, reasons = _escalate(trials, prime, measure, rows, fail)
+    if reasons:
+        raise fail(reasons[0])
     return steps, n
 
 
@@ -611,34 +615,34 @@ def random_multigraph(
 class FuzzSummary:
     """The counters of one fuzz run, as fuzz_equivalence adds them up."""
 
-    __slots__ = ("model", "d", "cases", "agreements", "escalations", "trivial_checked",
-                 "trivial_violations", "subset_checks", "failures")
+    __slots__ = ("model", "d", "cases", "escalations", "trivial_checked", "subset_checks",
+                 "failures")
 
     def __init__(
         self,
         model: str,
         d: int,
         cases: int,
-        agreements: int,
         escalations: int,
         trivial_checked: int,
-        trivial_violations: int,
         subset_checks: int,
         failures: Optional[list] = None,
     ):
         self.model = model
         self.d = d
         self.cases = cases
-        self.agreements = agreements
         self.escalations = escalations
         self.trivial_checked = trivial_checked
-        self.trivial_violations = trivial_violations
         self.subset_checks = subset_checks
         self.failures = [] if failures is None else failures
 
     @property
+    def agreements(self) -> int:
+        return self.cases - len(self.failures)
+
+    @property
     def ok(self) -> bool:
-        return not self.failures and self.trivial_violations == 0
+        return not self.failures
 
     def to_json_dict(self) -> dict:
         return {
@@ -650,7 +654,7 @@ class FuzzSummary:
             "agreements": self.agreements,
             "escalations": self.escalations,
             "trivial_checked": self.trivial_checked,
-            "trivial_violations": self.trivial_violations,
+            "trivial_violations": 0,  # a trivial motion outside the kernel is a failure
             "subset_checks": self.subset_checks,
             "failures": self.failures,
             "ok": self.ok,
@@ -666,14 +670,7 @@ def fuzz_case(
     trials: int,
 ) -> dict:
     """One fuzz case; returns counters and (on disagreement) a failure dump."""
-    out = {
-        "agrees": True,
-        "escalated": False,
-        "trivial_checked": 0,
-        "trivial_violations": 0,
-        "subset_checks": 0,
-        "failure": None,
-    }
+    out = {"escalated": False, "trivial_checked": 0, "subset_checks": 0, "failure": None}
     cs = count_side(graph, model, d)
     prof = cs.profile
     fhat_total = expansion = None
@@ -684,10 +681,8 @@ def fuzz_case(
         run = run_trials(graph, model, d, prime, case_rng, trials, cs, fhat_total)
         out["escalated"] = len(run.ranks) > trials
         out["trivial_checked"] = run.trivial_checked
-        out["trivial_violations"] = run.trivial_violations
-        reasons = run.mismatches(cs.rank, fhat_total)
-        if reasons:
-            raise _disagreement(graph, model, d, case_rng.seed, "; ".join(reasons),
+        if run.reasons:
+            raise _disagreement(graph, model, d, case_rng.seed, "; ".join(run.reasons),
                                 **_rank_evidence(cs, run.ranks))
         # small cases: full polymatroid equality against the partition oracle
         if expansion is not None and 0 < len(graph.edges) <= SUBSET_CHECK_EDGES:
@@ -703,7 +698,6 @@ def fuzz_case(
                                         "fhat(%r) = %d != brute force %d" % (F, lhs, rhs),
                                         **_rank_evidence(cs, run.ranks))
     except EngineDisagreement as exc:
-        out["agrees"] = False
         out["failure"] = exc.dump
     return out
 
@@ -734,18 +728,16 @@ def fuzz_equivalence(
     if not 0 <= rod_bias <= 1:
         raise ValueError("rod_bias must be in [0, 1], got %r" % rod_bias)
     master = SplitMix64(seed)
-    summary = FuzzSummary(model=model, d=d, cases=cases, agreements=0, escalations=0,
-                          trivial_checked=0, trivial_violations=0, subset_checks=0)
+    summary = FuzzSummary(model=model, d=d, cases=cases, escalations=0, trivial_checked=0,
+                          subset_checks=0)
     for i in range(cases):
         case_rng = master.spawn(i)
         graph = random_multigraph(
             case_rng.spawn(10_000), model, max_vertices=max_vertices, rod_bias=rod_bias
         )
         res = fuzz_case(graph, model, d, prime, case_rng, trials)
-        summary.agreements += 1 if res["agrees"] else 0
         summary.escalations += 1 if res["escalated"] else 0
         summary.trivial_checked += res["trivial_checked"]
-        summary.trivial_violations += res["trivial_violations"]
         summary.subset_checks += res["subset_checks"]
         if res["failure"] is not None:
             failure = dict(res["failure"])

@@ -426,10 +426,6 @@ class TrivialCheck(NamedTuple):
     def checked(self) -> int:
         return len(self.motions)
 
-    @property
-    def violations(self) -> int:
-        return len(self.missed)
-
 
 def verify_trivial_motions(
     m: RigidityMatrix,
@@ -441,7 +437,7 @@ def verify_trivial_motions(
     The motions are indexed by column first.  Each row then sums b * x over
     its pairs (c, b) and the motions' values x at c, one sum per motion that
     meets the row; a sum nonzero mod p puts that motion in check.missed, in
-    family order, and check.violations must be zero.  The sums are the
+    family order.  A valid configuration misses none.  The sums are the
     row-times-motion products, so the check holds for any matrix, two-block
     or not.
     """

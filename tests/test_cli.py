@@ -81,8 +81,8 @@ def test_analyze_loop_edge_rejected(tmp_path, capsys):
 def test_bad_prime_rejected(tmp_path, capsys):
     path = write_doc(tmp_path, two_rods_doc())
     code, out, err = run(capsys, ["analyze", path, "--prime", "91"])
-    assert code == 1
-    assert "not prime" in err
+    assert (code, out) == (1, "")
+    assert err == "error: modulus 91 is not prime\n"
 
 
 def test_byte_identical_reports(tmp_path, capsys):
@@ -153,6 +153,8 @@ def test_decompose_checks_model_dimension(tmp_path, capsys):
         ["fuzz", "--model", "body-bar", "--cases", "x"],
         ["fuzz", "--model", "body-bar", "--cases", "1", "--threads", "2"],
         [],
+        ["decompose", "graph.json", "--seed", "0"],  # decompose samples nothing
+        ["decompose", "graph.json", "--prime", "3"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):
@@ -199,14 +201,82 @@ def test_fuzz_counterexample_exit_code(capsys, monkeypatch):
     from rigikit.analysis import FuzzSummary
 
     failing = FuzzSummary(
-        model="body-bar", d=3, cases=1, agreements=0, escalations=0,
-        trivial_checked=1, trivial_violations=0, subset_checks=0,
+        model="body-bar", d=3, cases=1, escalations=0, trivial_checked=1, subset_checks=0,
         failures=[{"case": 0, "reason": "synthetic", "document": {}}],
     )
     monkeypatch.setattr(cli, "fuzz_equivalence", lambda *a, **k: failing)
     code, out, err = run(capsys, ["fuzz", "--model", "body-bar", "--cases", "1"])
     assert code == 2
     assert "disagreement" in err
+
+
+@pytest.fixture
+def kernel_miss_on_trial(monkeypatch):
+    """kernel_miss_on_trial(t): trial t's check misses its last trivial motion."""
+    from rigikit import rigidity as rg
+
+    def patch(bad):
+        calls = []
+
+        def check(*args, **kwargs):
+            found = real(*args, **kwargs)
+            calls.append(found)
+            if len(calls) - 1 == bad:
+                found = found._replace(missed=(found.motions[-1][0],))
+            return found
+
+        monkeypatch.setattr(rg, "verify_trivial_motions", check)
+
+    real = rg.verify_trivial_motions
+    return patch
+
+
+@pytest.mark.parametrize("trial", [0, 1])  # the best trial, and a later one of the same rank
+def test_trivial_motion_outside_the_kernel_fails_analyze(trial, kernel_miss_on_trial,
+                                                         tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, two_rods_doc())
+    kernel_miss_on_trial(trial)
+    code, out, err = run(capsys, ["analyze", path, "--seed", "7"])
+    assert code == 2 and out == ""
+    assert err.startswith("engine disagreement: rod-spin motion is not in the kernel\n")
+    dump = json.loads(err.splitlines()[1])
+    assert dump["document"] == two_rods_doc() and dump["seed"] == 7
+    assert dump["reason"] == "rod-spin motion is not in the kernel"
+    assert dump["linear_ranks"] == [4] * (trial + 1)
+    monkeypatch.undo()  # the dump replays on the unpatched engines
+    replay = ["analyze", write_doc(tmp_path, dump["document"], "dump.json"), "--seed", "7"]
+    assert run(capsys, replay)[0] == 0
+
+
+@pytest.mark.parametrize("trial", [0, 1])
+def test_trivial_motion_outside_the_kernel_fails_fuzz(trial, kernel_miss_on_trial, capsys):
+    kernel_miss_on_trial(trial)
+    code, out, err = run(capsys, ["fuzz", "--model", "rod-bar", "--cases", "1"])
+    assert code == 2
+    assert err == "fuzz: 1 disagreement(s); dumps are replayable via `rigikit analyze`\n"
+    summary = json.loads(out)
+    assert (summary["agreements"], summary["trivial_violations"], summary["ok"]) == (0, 0, False)
+    [dump] = summary["failures"]
+    assert dump["case"] == 0 and dump["reason"] == "rod-spin motion is not in the kernel"
+    assert len(dump["linear_ranks"]) == trial + 1
+    assert parse_document(dump["document"])[1:3] == ("rod-bar", 3)
+
+
+def test_failed_count_self_check_exits_2_with_a_dump(tmp_path, capsys, monkeypatch):
+    from rigikit import count_matroid as cm
+
+    def broken(*args):
+        raise RuntimeError("certificate value mismatch: 5 != 4")
+
+    monkeypatch.setattr(cm.RankCertificate, "check", broken)
+    code, out, err = run(capsys, ["analyze", write_doc(tmp_path, two_rods_doc()), "--seed", "3"])
+    assert code == 2 and out == ""
+    assert err.startswith("engine disagreement: certificate value mismatch: 5 != 4\n")
+    assert "Traceback" not in err
+    dump = json.loads(err.splitlines()[1])
+    assert dump == {"document": two_rods_doc(), "seed": 3,
+                    "reason": "certificate value mismatch: 5 != 4",
+                    "count_rank": 4, "count_target": 4, "linear_ranks": []}
 
 
 @pytest.mark.parametrize(
@@ -380,7 +450,8 @@ def test_rank_above_count_exits_2_even_at_a_tiny_prime(tmp_path, capsys, monkeyp
     path = write_doc(tmp_path, two_rods_doc())
     code, out, err = run(capsys, ["truncate", path, "--prime", "3"])
     assert code == 2 and out == ""
-    assert err.startswith("engine disagreement: truncation step 0: best rank 5, ")
+    assert err.startswith(
+        "engine disagreement: truncation step 0: best rank 5 exceeds count rank 4\n")
 
 
 def test_truncate_mismatch_exits_2_with_a_replayable_dump(tmp_path, capsys, monkeypatch):
@@ -403,7 +474,7 @@ def test_truncate_mismatch_exits_2_with_a_replayable_dump(tmp_path, capsys, monk
     assert len(set(calls)) == len(calls) == 10  # escalated before judging, each trial once
     dump = json.loads(err.splitlines()[1])
     assert dump["document"] == two_rods_doc() and dump["seed"] == 4
-    assert dump["reason"].startswith("truncation step 0: best rank 3")
+    assert dump["reason"] == "truncation step 0: best rank 3 != count rank 4"
     assert [s["best_rank"] for s in dump["steps"]] == [3, 4, 4]
 
 
