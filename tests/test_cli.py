@@ -583,6 +583,33 @@ def test_fuzz_stdout_is_pinned(model, expected, capsys):
     assert run(capsys, argv) == (0, expected, "")
 
 
+@pytest.mark.parametrize(
+    "model, options, expected",
+    [
+        ("body-bar", ["--dim", "3"],
+         '{"components":[["e0","e1","e2","e3","e4","e5"]],"dimension":3,'
+         '"kind":"decomposition","model":"body-bar","nontrivial":[["e0","e1","e2","e3","e4",'
+         '"e5"]],"schema":1}\n'),
+        ("rod-bar", [],
+         '{"components":[["e0","e1","e2","e3"]],"dimension":3,"kind":"decomposition",'
+         '"model":"rod-bar","nontrivial":[["e0","e1","e2","e3"]],"schema":1}\n'),
+        ("body-rod-bar", [],
+         '{"components":[["e0","e1","e2","e3","e4","e5","e6","e7","e8","e9","e10","e11"]],'
+         '"dimension":3,"kind":"decomposition","model":"body-rod-bar","nontrivial":[["e0",'
+         '"e1","e2","e3","e4","e5","e6","e7","e8","e9","e10","e11"]],"schema":1}\n'),
+        ("body-hinge", [],
+         '{"components":[["e0"],["e1"],["e2"]],"dimension":3,"kind":"decomposition",'
+         '"model":"body-hinge","nontrivial":[],"schema":1}\n'),
+        ("direction", [],
+         '{"components":[["e0"],["e1"],["e2"],["e3"],["e4"]],"dimension":2,'
+         '"kind":"decomposition","model":"direction","nontrivial":[],"schema":1}\n'),
+    ],
+)
+def test_decompose_stdout_is_pinned(model, options, expected, tmp_path, capsys):
+    argv = ["decompose", write_doc(tmp_path, PINNED_DOCS[model])] + options
+    assert run(capsys, argv) == (0, expected, "")
+
+
 def test_import_builds_no_dataclass():
     # start-up cost: importing the CLI loads neither dataclasses nor the
     # inspect module it pulls in
