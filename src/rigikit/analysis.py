@@ -474,8 +474,11 @@ def _run_oracle(graph, model, d, seed, cs: CountSide, ranks, joints) -> dict:
 
 def _disagreement(graph, model, d, seed, reason: str, joints=None, **evidence):
     """The disagreement with its dump: the input document (fixed joints
-    included), the seed that replays it, the reason and the evidence."""
-    dump = {"document": graph_document(graph, model, d, joints), "seed": seed, "reason": reason}
+    included), the seed that replays it (None: nothing drawn, no key), the
+    reason and the evidence."""
+    dump = {"document": graph_document(graph, model, d, joints), "reason": reason}
+    if seed is not None:
+        dump["seed"] = seed
     dump.update(evidence)
     return EngineDisagreement(reason, dump)
 
@@ -483,6 +486,16 @@ def _disagreement(graph, model, d, seed, reason: str, joints=None, **evidence):
 def _rank_evidence(cs: CountSide, ranks) -> dict:
     """A trial's evidence: the count side's rank and target, the linear ranks."""
     return {"count_rank": cs.rank, "count_target": cs.target, "linear_ranks": list(ranks)}
+
+
+def decompose(graph: Multigraph, model: str, d: int, joints=None) -> cm.Decomposition:
+    """The P-components of the model's count polymatroid on its host graph;
+    a failed count self-check is a disagreement with a seedless dump."""
+    prof, host = count_host(graph, model, d)
+    try:
+        return cm.p_components(host, prof)
+    except RuntimeError as exc:
+        raise _disagreement(graph, model, d, None, str(exc), joints)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +519,9 @@ def truncate(graph: Multigraph, model: str, d: int, prime: int = DEFAULT_PRIME,
     first k rods kept and the best rank of matrix_graphic_union with their
     normals, trial t from rng.spawn(2).spawn(t).  The last step adds the
     best body-rod-bar (Pluecker) rank of graph, trial t from
-    rng.spawn(3).spawn(t).  Generically each rank is its count rank; the
-    trials run through _escalate, and a disagreement dumps the steps.
+    rng.spawn(3).spawn(t), whose rod spins must lie in its kernel.
+    Generically each rank is its count rank; the trials run through
+    _escalate, and a disagreement dumps the steps.
     """
     if model not in BAR_MODELS:
         raise ValueError("truncate needs a %s document, got %s" % (", ".join(BAR_MODELS), model))
@@ -533,8 +547,12 @@ def truncate(graph: Multigraph, model: str, d: int, prime: int = DEFAULT_PRIME,
         for k, kept in enumerate(cuts):
             rank = rg.matrix_graphic_union(graph, d, rng.spawn(2).spawn(t), prime, kept).rank()
             steps[k] = steps[k]._replace(best_rank=max(steps[k].best_rank, rank))
-        _, m = rg.sample_body_rod_bar(graph, d, rng.spawn(3).spawn(t), prime)
+        config, m = rg.sample_body_rod_bar(graph, d, rng.spawn(3).spawn(t), prime)
         steps[-1] = steps[-1]._replace(pluecker_rank=max(steps[-1].pluecker_rank, m.rank()))
+        missed = rg.verify_trivial_motions(m, rods=config).missed
+        if missed:
+            raise fail("truncation step %d: Pluecker %s motion is not in the kernel"
+                       % (steps[-1].k, missed[0]))
 
     def rows():
         last = steps[-1]

@@ -20,11 +20,10 @@ import functools
 import json
 import sys
 
-from . import count_matroid as cm
 from .analysis import (
     EngineDisagreement,
     analyze,
-    count_host,
+    decompose,
     fuzz_equivalence,
     truncate,
 )
@@ -102,11 +101,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    graph, model, d, _ = _load_document(args.file)
+    graph, model, d, joints = _load_document(args.file)
     if args.dim is not None:
         d = args.dim
-    prof, host = count_host(graph, model, d)
-    dec = cm.p_components(host, prof)
+    dec = decompose(graph, model, d, joints)
     payload = {
         "schema": 1,
         "kind": "decomposition",

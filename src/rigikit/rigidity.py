@@ -18,10 +18,11 @@ expand_hinge is the one rewrite of it, shared with the count side, and a
 trial samples the rewrite's f-expansion (D-1 parallel bars per edge, the
 graph count_side counts on) as a body-rod-bar framework.
 
-Configurations are sampled uniformly over F_p.  Incident bars are built by
-the shared-point rule: a bar at a rod endpoint passes through a random
-point of the rod's subspace, which guarantees both decomposability and the
-incidence condition pairing(q_e, r_v) = 0 at once.
+Configurations are sampled uniformly over F_p.  A rod is its normal in F^D,
+the Hodge star of its Pluecker vector: a bar q meets it exactly when
+q . normal = 0.  Bars are built by the shared-point rule, through a random
+point of each rod endpoint's subspace, so they are decomposable and incident
+at once; the rod spins (trivial_motions) are the one incidence check.
 
 two_block_matrix is the only constructor of a RigidityMatrix in this
 package and marks what it builds two_block: every row is +alpha in one
@@ -49,7 +50,6 @@ from .exterior import (
     KVector,
     MAX_SAMPLE_RETRIES,
     hodge_star,
-    pairing,
     random_point_in_span,
     sample_span,
     wedge2,
@@ -63,12 +63,13 @@ class ConfigError(ValueError):
 
 
 class RodConfig(NamedTuple):
-    """Rod subspaces: a spanning (d-1)-set of vectors and the Pluecker image."""
+    """Rod subspaces: a spanning (d-1)-set of vectors, and the normal in F^D
+    (the star of the Pluecker vector) whose hyperplane holds the rod's bars."""
 
     d: int
     p: int
     spans: Mapping[str, tuple[tuple[int, ...], ...]]
-    plueckers: Mapping[str, KVector]
+    normals: Mapping[str, tuple[int, ...]]
 
 
 class BarConfig(NamedTuple):
@@ -81,12 +82,13 @@ def sample_rod_config(graph: Multigraph, d: int, rng: SplitMix64, p: int) -> Rod
     """One random (d-1)-dimensional subspace per rod vertex, all distinct.
 
     Two nonzero Pluecker vectors span the same subspace exactly when they
-    are proportional, that is when they agree once each is scaled so that
-    its first nonzero coordinate is 1; a set of the scaled vectors finds a
-    repeated rod without comparing it to every earlier one.
+    are proportional, and so are their normals, the star being a signed
+    permutation: they agree once each is scaled so that its first nonzero
+    coordinate is 1.  A set of the scaled normals finds a repeated rod
+    without comparing it to every earlier one.
     """
     spans: dict[str, tuple[tuple[int, ...], ...]] = {}
-    plueckers: dict[str, KVector] = {}
+    normals: dict[str, tuple[int, ...]] = {}
     taken: set[tuple] = set()
     for i, v in enumerate(graph.vertex_ids):
         if graph.kinds[v] != VertexKind.ROD:
@@ -94,16 +96,17 @@ def sample_rod_config(graph: Multigraph, d: int, rng: SplitMix64, p: int) -> Rod
         sub = rng.spawn(i)
         for attempt in range(MAX_SAMPLE_RETRIES):
             vectors, kv = sample_span(d, d - 1, sub, p)
-            inv = mod_inv(next(c for c in kv.coords if c), p)
-            point = tuple(c * inv % p for c in kv.coords)
+            normal = hodge_star(kv).coords
+            inv = mod_inv(next(c for c in normal if c), p)
+            point = tuple(c * inv % p for c in normal)
             if point not in taken:
                 break
         else:
             raise ConfigError("could not sample distinct rods at prime %d" % p)
         spans[v] = vectors
-        plueckers[v] = kv
+        normals[v] = normal
         taken.add(point)
-    return RodConfig(d=d, p=p, spans=spans, plueckers=plueckers)
+    return RodConfig(d=d, p=p, spans=spans, normals=normals)
 
 
 def sample_bar_config(
@@ -130,7 +133,7 @@ def sample_body_rod_bar(graph: Multigraph, d: int, rng: SplitMix64, p: int):
     """(rods, matrix) of a body-rod-bar framework: rods from rng.spawn(0), bars from spawn(1)."""
     rods = sample_rod_config(graph, d, rng.spawn(0), p)
     bars = sample_bar_config(graph, rods, rng.spawn(1), p)
-    return rods, matrix_body_rod_bar(graph, rods, bars)
+    return rods, matrix_body_rod_bar(graph, bars)
 
 
 def _endpoint_point(v: str, rods: RodConfig, rng: SplitMix64, d: int, p: int):
@@ -214,8 +217,7 @@ def two_block_matrix(
 def matrix_body_bar(graph: Multigraph, bars: BarConfig) -> RigidityMatrix:
     """|E| x D|V| matrix: one row per bar, its Pluecker vector q_e.
 
-    Ignores rod incidence entirely; meant for all-body graphs (rod-aware
-    construction is matrix_body_rod_bar).
+    Reads no rods: the rod spins check incidence (verify_trivial_motions).
     """
     D = bars.d * (bars.d + 1) // 2
     return two_block_matrix(graph, D, bars.p, lambda e: (bars.bars[e.id].coords,))
@@ -247,45 +249,27 @@ def matrix_graphic_union(
     return two_block_matrix(graph, D, p, point)
 
 
-def check_incidence(graph: Multigraph, rods: RodConfig, bars: BarConfig) -> None:
-    """Every bar must meet the rod subspace of each rod endpoint."""
-    for e in graph.edges:
-        q = bars.bars[e.id]
-        for v in (e.u, e.v):
-            if v in rods.plueckers:
-                if pairing(q, rods.plueckers[v]) != 0:
-                    raise ConfigError(
-                        "bar %r misses its rod endpoint %r" % (e.id, v)
-                    )
-
-
-def matrix_body_rod_bar(
-    graph: Multigraph, rods: RodConfig, bars: BarConfig
-) -> RigidityMatrix:
-    """Body-rod-bar matrix: body-bar row pattern over an incident bar config."""
-    check_incidence(graph, rods, bars)
+def matrix_body_rod_bar(graph: Multigraph, bars: BarConfig) -> RigidityMatrix:
+    """Body-rod-bar matrix: the body-bar rows of a bar config sampled at rods."""
     return matrix_body_bar(graph, bars)
 
 
 def matrix_edge_flats(graph: Multigraph, rods: RodConfig, p: int) -> RigidityMatrix:
     """Stack a basis of each endpoint pair's whole bar space (f(e) rows).
 
-    The flat of edge uv is {alpha : pairing(alpha, r_u) = 0 = pairing(alpha,
-    r_v)} placed two-block; its generic span rank over all edges is the
-    polymatroid rank of the edge set (the Dilworth-truncation side).  A
-    repeated flat adds nothing to a span, so later parallels get no rows.
+    The flat of edge uv is {alpha : alpha . n_u = 0 = alpha . n_v} over the
+    normals of its rod ends, placed two-block; its generic span rank over all
+    edges is the polymatroid rank of the edge set (the Dilworth-truncation
+    side).  A repeated flat adds nothing to a span, so later parallels get
+    no rows.
     """
     D = rods.d * (rods.d + 1) // 2
 
     def flat_basis(e):
         if graph.first_parallel[e.id] != e.id:
             return ()
-        constraints = [
-            list(hodge_star(rods.plueckers[v]).coords)
-            for v in (e.u, e.v)
-            if v in rods.plueckers
-        ]
-        return linalg.nullspace(constraints, D, p)
+        normals = [rods.normals[v] for v in (e.u, e.v) if v in rods.normals]
+        return linalg.nullspace(normals, D, p)
 
     return two_block_matrix(graph, D, p, flat_basis)
 
@@ -391,7 +375,8 @@ def trivial_motions(
     Each motion is a sparse row in linalg's format, written where it is
     nonzero.  Body models: the block-constant motions, one per coordinate j
     of the block, 1 at column j of every block; and one spin per rod, the
-    rod's own Pluecker vector (star coordinates) in the rod's block alone.
+    rod's normal in the rod's block alone, annihilated by a bar's row
+    exactly when the bar meets the rod.
     Direction model: the d translations plus the dilation m(v) = p(v), in
     every block where the joint is nonzero.
     """
@@ -400,11 +385,9 @@ def trivial_motions(
     out = [("constant", tuple((s + j, 1) for s in starts)) for j in range(B)]
     if rods is not None:
         for s, v in zip(starts, m.vertex_order):
-            if v in rods.plueckers:
-                star = hodge_star(rods.plueckers[v]).coords
-                out.append(
-                    ("rod-spin", tuple((s + j, c % p) for j, c in enumerate(star) if c % p))
-                )
+            if v in rods.normals:
+                spin = tuple((s + j, c) for j, c in enumerate(rods.normals[v]) if c)
+                out.append(("rod-spin", spin))
     if joints is not None:
         dilation = tuple(
             (s + j, c % p)

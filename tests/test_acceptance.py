@@ -134,7 +134,7 @@ def test_criterion_4_two_rods_four_bars():
     rng = SplitMix64(40_001)
     rods = sample_rod_config(g, 3, rng.spawn(0), P)
     bars = sample_bar_config(g, rods, rng.spawn(1), P)
-    m = matrix_body_rod_bar(g, rods, bars)
+    m = matrix_body_rod_bar(g, bars)
     basis = kernel_basis(m, m.rank(), verify_trivial_motions(m, rods=rods))
     ok = m.rank() == 4 and basis.kernel_dim == 8 and basis.trivial_span_dim == 8
     count_ok = rank_value(g, None, CountProfile.body_rod_bar(3)) == 4 == len(g.edges)
@@ -146,7 +146,7 @@ def test_criterion_4_two_rods_four_bars():
             [(g.edge(x).u, g.edge(x).v, x) for x in keep],
         )
         sub_bars = type(bars)(d=3, p=P, bars={x: bars.bars[x] for x in keep})
-        sub_m = matrix_body_rod_bar(sub, rods, sub_bars)
+        sub_m = matrix_body_rod_bar(sub, sub_bars)
         check = verify_trivial_motions(sub_m, rods=rods)
         deletion_dims.append(kernel_basis(sub_m, sub_m.rank(), check).kernel_dim)
     ok = ok and count_ok and deletion_dims == [9, 9, 9, 9]
@@ -233,7 +233,7 @@ def test_criterion_8_trivial_motions(body_rod_bar_runs, hinge_cases):
     rng = SplitMix64(40_001)
     rods = sample_rod_config(g, 3, rng.spawn(0), P)
     bars = sample_bar_config(g, rods, rng.spawn(1), P)
-    check = verify_trivial_motions(matrix_body_rod_bar(g, rods, bars), rods=rods)
+    check = verify_trivial_motions(matrix_body_rod_bar(g, bars), rods=rods)
     checked += check.checked
     violations += len(check.missed)
     report(

@@ -526,12 +526,12 @@ def test_coloop_deletion_drops_both_ranks_by_one():
         for t in range(3):
             rods = sample_rod_config(g, 3, r.spawn(t), P)
             bars = sample_bar_config(g, rods, r.spawn(100 + t), P)
-            best_full = max(best_full, matrix_body_rod_bar(g, rods, bars).rank())
+            best_full = max(best_full, matrix_body_rod_bar(g, bars).rank())
             sub_bars_src = {eid: bars.bars[eid] for eid in keep}
             from rigikit.rigidity import BarConfig
 
             sub_bars = BarConfig(d=3, p=P, bars=sub_bars_src)
-            best_sub = max(best_sub, matrix_body_rod_bar(sub, rods, sub_bars).rank())
+            best_sub = max(best_sub, matrix_body_rod_bar(sub, sub_bars).rank())
         assert best_full == full
         assert best_sub == full - 1
         tested += 1

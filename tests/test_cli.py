@@ -262,6 +262,86 @@ def test_trivial_motion_outside_the_kernel_fails_fuzz(trial, kernel_miss_on_tria
     assert parse_document(dump["document"])[1:3] == ("rod-bar", 3)
 
 
+@pytest.fixture
+def bar_off_its_rod(monkeypatch):
+    """sample_bar_config with the first bar at a rod replaced by a bar through
+    two points of a stream of its own, which misses the rod."""
+    from rigikit import rigidity as rg
+    from rigikit.exterior import wedge2
+
+    def moved(graph, rods, rng, p):
+        config = real(graph, rods, rng, p)
+        e = next(e for e in graph.edges if e.u in rods.spans or e.v in rods.spans)
+        off = rng.spawn(len(graph.edges))
+        x, y = (off.nonzero_vector(rods.d + 1, p) for _ in range(2))
+        return config._replace(bars={**config.bars, e.id: wedge2(x, y, rods.d, p)})
+
+    real = rg.sample_bar_config
+    monkeypatch.setattr(rg, "sample_bar_config", moved)
+
+
+def test_bar_off_its_rod_fails_analyze(bar_off_its_rod, tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, two_rods_doc())
+    code, out, err = run(capsys, ["analyze", path, "--seed", "7"])
+    assert code == 2 and out == ""
+    assert err.startswith("engine disagreement: rod-spin motion is not in the kernel\n")
+    dump = json.loads(err.splitlines()[1])
+    assert dump == {"document": two_rods_doc(), "seed": 7,
+                    "reason": "rod-spin motion is not in the kernel",
+                    "count_rank": 4, "count_target": 4, "linear_ranks": [4]}
+    monkeypatch.undo()  # the dump replays on the unpatched sampler
+    replay = ["analyze", write_doc(tmp_path, dump["document"], "dump.json"), "--seed", "7"]
+    assert run(capsys, replay)[0] == 0
+
+
+def test_bar_off_its_rod_fails_fuzz(bar_off_its_rod, capsys):
+    code, out, err = run(capsys, ["fuzz", "--model", "rod-bar", "--cases", "1"])
+    assert code == 2
+    assert err == "fuzz: 1 disagreement(s); dumps are replayable via `rigikit analyze`\n"
+    summary = json.loads(out)
+    assert (summary["agreements"], summary["ok"]) == (0, False)
+    [dump] = summary["failures"]
+    assert dump["case"] == 0 and dump["reason"] == "rod-spin motion is not in the kernel"
+    assert len(dump["linear_ranks"]) == 1 and "seed" in dump
+    assert parse_document(dump["document"])[1:3] == ("rod-bar", 3)
+
+
+def test_bar_off_its_rod_fails_truncate(bar_off_its_rod, tmp_path, capsys):
+    path = write_doc(tmp_path, two_rods_doc())
+    code, out, err = run(capsys, ["truncate", path, "--seed", "11"])
+    assert code == 2 and out == ""
+    reason = "truncation step 2: Pluecker rod-spin motion is not in the kernel"
+    assert err.startswith("engine disagreement: %s\n" % reason)
+    dump = json.loads(err.splitlines()[1])
+    assert dump == {
+        "document": two_rods_doc(), "seed": 11, "reason": reason,
+        "steps": [
+            {"k": 0, "rod": None, "count_rank": 4, "best_rank": 4, "pluecker_rank": None},
+            {"k": 1, "rod": "r1", "count_rank": 4, "best_rank": 4, "pluecker_rank": None},
+            {"k": 2, "rod": "r2", "count_rank": 4, "best_rank": 4, "pluecker_rank": 4},
+        ],
+    }
+
+
+def test_failed_count_self_check_in_decompose_exits_2_with_a_dump(tmp_path, capsys,
+                                                                  monkeypatch):
+    from rigikit import count_matroid as cm
+
+    def broken(*args):
+        raise RuntimeError("certificate value mismatch: 11 != 10")
+
+    monkeypatch.setattr(cm.RankCertificate, "check", broken)
+    path = write_doc(tmp_path, body_rod_bar_doc())
+    code, out, err = run(capsys, ["decompose", path])
+    assert code == 2 and out == ""
+    assert err.startswith("engine disagreement: certificate value mismatch: 11 != 10\n")
+    assert "Traceback" not in err
+    dump = json.loads(err.splitlines()[1])  # decompose draws nothing: no seed
+    assert dump == {"document": body_rod_bar_doc(),
+                    "reason": "certificate value mismatch: 11 != 10"}
+    assert run(capsys, ["analyze", path])[0] == 2  # as analyze on the same document
+
+
 def test_failed_count_self_check_exits_2_with_a_dump(tmp_path, capsys, monkeypatch):
     from rigikit import count_matroid as cm
 

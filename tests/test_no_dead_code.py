@@ -23,6 +23,9 @@ EXEMPT = {
     "rank_bruteforce_table": "brute-force reference, patched by the tracer",
     # the decomposability oracle for degree-2 elements
     "grassmann_check": "the decomposability oracle",
+    # the complementary pairing; src/ reads a rod as its normal, the star
+    # of its Pluecker vector, and the tests pin pairing against that product
+    "pairing": "the exterior pairing the tests check the rod normals against",
     # rows times a dense vector; perfbench/tracer.py patches it by name
     "mat_vec": "sparse product the tests use, patched by the tracer",
 }

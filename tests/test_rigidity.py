@@ -4,13 +4,19 @@ from hypothesis import strategies as st
 
 from rigikit import count_matroid as cm
 from rigikit import linalg
-from rigikit.exterior import grassmann_check, hodge_star, pairing
+from rigikit.exterior import (
+    KVector,
+    grassmann_check,
+    hodge_star,
+    random_point_in_span,
+    wedge2,
+    wedge_list,
+)
 from rigikit.field import DEFAULT_PRIME, SplitMix64
 from rigikit.graph import CountProfile, GraphError, VertexKind, build_graph, expand_f, f_edge
 from rigikit.rigidity import (
     ConfigError,
     RigidityMatrix,
-    check_incidence,
     expand_hinge,
     kernel_basis,
     matrix_body_bar,
@@ -55,6 +61,11 @@ def sampled(graph, d=3, seed=1):
     return rods, bars
 
 
+def dot(q, normal, p=P):
+    """q . normal mod p: zero exactly when the bar q meets the rod of that normal."""
+    return sum(a * b for a, b in zip(q.coords, normal)) % p
+
+
 def hinge_framework(graph, d, rng, p):
     """(bar graph, rods, bars): the body-hinge graph's rewrite f-expanded, then
     sampled as a body-rod-bar framework, as a linear trial realizes it."""
@@ -70,21 +81,23 @@ def hinge_framework(graph, d, rng, p):
 def test_rod_config_empty_without_rods():
     g = build_graph([("a", "body"), ("b", "body")], [("a", "b")])
     rods = sample_rod_config(g, 3, SplitMix64(1), P)
-    assert tuple(rods.plueckers) == ()
+    assert tuple(rods.normals) == ()
 
 
 def test_rod_config_distinct_decomposable():
     g = build_graph([("r%d" % i, "rod") for i in range(4)], [])
     rods = sample_rod_config(g, 3, SplitMix64(2), P)
-    names = list(rods.plueckers)
+    names = list(rods.normals)
     assert len(names) == 4
     for i, v in enumerate(names):
-        kv = rods.plueckers[v]
-        assert not kv.is_zero()
+        # the normal is the star of the rod's Pluecker vector
+        assert rods.normals[v] == hodge_star(wedge_list(rods.spans[v], 3, P)).coords
+        normal = KVector(3, 2, rods.normals[v], P)
+        assert not normal.is_zero()
         # d=3 rods are degree-2 under the star identification of Gr(d-1, W)
-        assert grassmann_check(hodge_star(kv))
+        assert grassmann_check(normal)
         for w in names[i + 1:]:
-            assert not proportional(kv, rods.plueckers[w])
+            assert not proportional(normal, KVector(3, 2, rods.normals[w], P))
 
 
 def test_bar_config_incidence_by_construction():
@@ -93,26 +106,30 @@ def test_bar_config_incidence_by_construction():
         [("r1", "r2"), ("r1", "b"), ("b", "r2")],
     )
     rods, bars = sampled(g, seed=3)
-    # rod-rod edge: both pairings vanish; rod-body: exactly the rod side
+    # rod-rod edge: both products with the normals vanish; rod-body: the rod side
     q0 = bars.bars["e0"]
-    assert pairing(q0, rods.plueckers["r1"]) == 0
-    assert pairing(q0, rods.plueckers["r2"]) == 0
+    assert dot(q0, rods.normals["r1"]) == 0
+    assert dot(q0, rods.normals["r2"]) == 0
     q1 = bars.bars["e1"]
-    assert pairing(q1, rods.plueckers["r1"]) == 0
+    assert dot(q1, rods.normals["r1"]) == 0
     q2 = bars.bars["e2"]
-    assert pairing(q2, rods.plueckers["r2"]) == 0
+    assert dot(q2, rods.normals["r2"]) == 0
     for q in bars.bars.values():
         assert grassmann_check(q)
-    check_incidence(g, rods, bars)
+    assert verify_trivial_motions(matrix_body_rod_bar(g, bars), rods=rods).missed == ()
 
 
 def test_incidence_violation_named():
+    # bar e0 of one rod config misses both rods of another: the spins of r1
+    # and r2 are the motions the matrix does not annihilate
     g = two_rods(1)
     rods, bars = sampled(g, seed=4)
     other = two_rods(1)
     bad_rods = sample_rod_config(other, 3, SplitMix64(55), P)
-    with pytest.raises(ConfigError, match="e0.*r1"):
-        matrix_body_rod_bar(g, bad_rods, bars)
+    m = matrix_body_rod_bar(g, bars)
+    assert all(dot(bars.bars["e0"], bad_rods.normals[v]) for v in ("r1", "r2"))
+    assert verify_trivial_motions(m, rods=bad_rods).missed == ("rod-spin", "rod-spin")
+    assert verify_trivial_motions(m, rods=rods).missed == ()
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +158,7 @@ def test_row_pattern_two_opposite_blocks():
         joints = sample_joints(g, 3, rng.spawn(50 + case), P)
         builds = [
             (matrix_body_bar(g, bars), lambda e: 1),
-            (matrix_body_rod_bar(g, rods, bars), lambda e: 1),
+            (matrix_body_rod_bar(g, bars), lambda e: 1),
             (matrix_graphic_union(g, 3, rng.spawn(100 + case), P), lambda e: 1),
             (
                 matrix_edge_flats(g, rods, P),
@@ -194,7 +211,7 @@ def test_constant_motions_in_kernel():
 def test_body_rod_bar_rank_bound_and_kernel():
     g = two_rods(4)
     rods, bars = sampled(g, seed=9)
-    m = matrix_body_rod_bar(g, rods, bars)
+    m = matrix_body_rod_bar(g, bars)
     assert m.rank() == 4 == cm.global_count_target(g, PROF3)
     basis = motion_space(m, rods=rods)
     assert basis.kernel_dim == 8  # D + |R| exactly
@@ -210,14 +227,14 @@ def test_rank_never_exceeds_body_bound():
     for case in range(10):
         g = random_kinded_graph(rng.spawn(case), max_edges=10)
         rods, bars = sampled(g, seed=200 + case)
-        m = matrix_body_rod_bar(g, rods, bars)
+        m = matrix_body_rod_bar(g, bars)
         assert m.rank() <= max(0, cm.global_count_target(g, PROF3))
 
 
 def test_lone_rod_motion_space():
     g = build_graph([("r", "rod")], [])
     rods, bars = sampled(g, seed=11)
-    m = matrix_body_rod_bar(g, rods, bars)
+    m = matrix_body_rod_bar(g, bars)
     assert len(m.rows) == 0
     basis = motion_space(m, rods=rods)
     assert basis.kernel_dim == 6  # whole block space
@@ -271,8 +288,8 @@ def test_graphic_union_rank():
 
 def test_matrix_determinism():
     g = two_rods(3)
-    m1 = matrix_body_rod_bar(g, *sampled(g, seed=14))
-    m2 = matrix_body_rod_bar(g, *sampled(g, seed=14))
+    m1 = matrix_body_rod_bar(g, sampled(g, seed=14)[1])
+    m2 = matrix_body_rod_bar(g, sampled(g, seed=14)[1])
     assert m1.rows == m2.rows
 
 
@@ -288,8 +305,8 @@ def test_expand_hinge_counts():
     bars_graph, rods, bars = hinge_framework(g, 3, SplitMix64(15), P)
     assert len(bars_graph.edges) == 5  # D - 1 parallel bars
     assert bars_graph.edge_ids == tuple("e0~%d" % k for k in range(5))
-    assert tuple(rods.plueckers) == ("h",)
-    check_incidence(bars_graph, rods, bars)
+    assert tuple(rods.normals) == ("h",)
+    assert verify_trivial_motions(matrix_body_rod_bar(bars_graph, bars), rods=rods).missed == ()
     # the linear side realizes exactly the graph the count side counts on
     rng = SplitMix64(18)
     for d in (3, 4):
@@ -370,16 +387,16 @@ def test_one_pass_trivial_check_matches_per_motion_products(case, p, seed):
             wrong = (None, sample_joints(g, d, rng.spawn(2), p))
         elif model == "body-hinge":
             bars_graph, rods, bars = hinge_framework(g, d, rng.spawn(1), p)
-            m = matrix_body_rod_bar(bars_graph, rods, bars)
+            m = matrix_body_rod_bar(bars_graph, bars)
             built = [(m, rods, None, True)]
             wrong = (None, None)  # the constants alone
         else:
             rods = sample_rod_config(g, d, rng.spawn(1), p)
             bars = sample_bar_config(g, rods, rng.spawn(2), p)
             built = [
-                (matrix_body_rod_bar(g, rods, bars), rods, None, True),
+                (matrix_body_rod_bar(g, bars), rods, None, True),
                 (matrix_edge_flats(g, rods, p), rods, None, True),
-                (matrix_graphic_union(g, d, rng.spawn(3), p), rods, None, not rods.plueckers),
+                (matrix_graphic_union(g, d, rng.spawn(3), p), rods, None, not rods.normals),
             ]
             wrong = (sample_rod_config(g, d, rng.spawn(4), p), None)
     except ConfigError:
@@ -423,6 +440,42 @@ def test_one_pass_trivial_check_matches_on_hand_built_matrices(case):
     checked_against_reference(m)
 
 
+@TRIVIAL_PROPERTY
+@given(st.sampled_from(("rod-bar", "body-rod-bar")), st.sampled_from((3, 4)),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_rod_spins_are_the_bar_rod_incidence_check(model, d, seed, both_ends):
+    # the rod spins are the one incidence check: an incident configuration
+    # misses nothing, and one bar moved off one rod end's hyperplane (or off
+    # both ends) makes the matrix miss one rod spin per rod end the bar left,
+    # and never a constant motion
+    rng = SplitMix64(seed)
+    g = random_multigraph(rng.spawn(0), model, max_vertices=6, max_edges=10)
+    rods = sample_rod_config(g, d, rng.spawn(1), P)
+    bars = sample_bar_config(g, rods, rng.spawn(2), P)
+    assert verify_trivial_motions(matrix_body_rod_bar(g, bars), rods=rods).missed == ()
+    at_rods = [e for e in g.edges if e.u in rods.normals or e.v in rods.normals]
+    if not at_rods:
+        reject()
+    e = at_rods[rng.below(len(at_rods))]
+    ends = [v for v in (e.u, e.v) if v in rods.normals]
+    leave = ends[rng.below(len(ends))]
+    kept = e.v if leave == e.u else e.u
+    move = rng.spawn(3)
+    if kept in rods.normals and not both_ends:
+        x = random_point_in_span(rods.spans[kept], move, P)  # still on the kept rod
+    else:
+        x = move.nonzero_vector(d + 1, P)
+    q = wedge2(x, move.nonzero_vector(d + 1, P), d, P)
+    left = [v for v in ends if dot(q, rods.normals[v])]
+    if leave not in left:
+        reject()  # the free point fell in the rod's hyperplane: probability about 1/P
+    if not both_ends:
+        assert left == [leave]
+    moved = bars._replace(bars={**bars.bars, e.id: q})
+    missed = verify_trivial_motions(matrix_body_rod_bar(g, moved), rods=rods).missed
+    assert missed == ("rod-spin",) * len(left)
+
+
 def test_hinge_motion_constraint_equivalence():
     # kernel motions of the expanded framework satisfy
     # m(u) - m(v) in span(hinge) for bodies u, v sharing hinge w
@@ -431,10 +484,10 @@ def test_hinge_motion_constraint_equivalence():
         [("u", "w"), ("v", "w")],
     )
     bars_graph, rods, bars = hinge_framework(g, 3, SplitMix64(17), P)
-    m = matrix_body_rod_bar(bars_graph, rods, bars)
+    m = matrix_body_rod_bar(bars_graph, bars)
     kern = linalg.nullspace(dense_rows(m), m.ncols, P)
     assert len(kern) == motion_space(m, rods=rods).kernel_dim
-    spin = list(hodge_star(rods.plueckers["w"]).coords)
+    spin = list(rods.normals["w"])
     bu, bv = (m.vertex_order.index(v) * m.block for v in ("u", "v"))
     for vec in kern:
         diff = [(vec[bu + j] - vec[bv + j]) % P for j in range(6)]
@@ -495,9 +548,9 @@ def test_kernel_dim_at_least_trivial_count():
     for case in range(10):
         g = random_kinded_graph(rng.spawn(case), max_edges=10)
         rods, bars = sampled(g, seed=300 + case)
-        m = matrix_body_rod_bar(g, rods, bars)
+        m = matrix_body_rod_bar(g, bars)
         basis = motion_space(m, rods=rods)
-        assert basis.kernel_dim >= basis.trivial_span_dim == 6 + len(rods.plueckers)
+        assert basis.kernel_dim >= basis.trivial_span_dim == 6 + len(rods.normals)
 
 
 def test_edge_flats_subset_ranks_match_polymatroid():
@@ -568,12 +621,13 @@ def every_builder(d, p, seed, g):
     else:
         builds += [
             lambda: matrix_body_bar(g, bars),
-            lambda: matrix_body_rod_bar(g, rods, bars),
+            lambda: matrix_body_rod_bar(g, bars),
             lambda: matrix_edge_flats(g, rods, p),
         ]
 
     def hinge():
-        return matrix_body_rod_bar(*hinge_framework(hinged, d, rng.spawn(4), p))
+        bars_graph, _, hinge_bars = hinge_framework(hinged, d, rng.spawn(4), p)
+        return matrix_body_rod_bar(bars_graph, hinge_bars)
 
     out = []
     for build in builds + [hinge]:
