@@ -163,7 +163,7 @@ def linear_trial(
     trivial = rg.verify_trivial_motions(m, rods=rods, joints=joints)
     flat_rank = graphic_union_rank = None
     if model in ROD_MODELS:
-        flat_rank = rg.matrix_edge_flats(graph, rods, p).rank()
+        flat_rank = rg.flat_family_rank(graph, rods, p)
     elif model == "body-bar":
         graphic_union_rank = rg.matrix_graphic_union(graph, d, rng.spawn(3), p).rank()
     return LinearTrial(

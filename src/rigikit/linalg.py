@@ -13,8 +13,9 @@ each stored row's own pairs.
 a builder that would repeat rows (parallel edge flats) emits them once.
 ``rref`` takes and returns dense rows: it adds one back-substitution and
 sorts the rows by pivot.  It and ``nullspace`` serve small dense systems:
-the at most two constraints that cut out an edge's bar flat, or its flat
-in a truncated graphic union.  The reduced row-echelon form of a
+the at most two constraints that cut out an edge's flat in a truncated
+graphic union, or a bar flat of the edge-flat reference matrix; the
+flat-family rank needs no nullspace.  The reduced row-echelon form of a
 row space is unique, so ``rref`` and ``nullspace`` do not depend on the
 order in which rows are given, and results are deterministic for
 deterministic inputs.

@@ -24,6 +24,11 @@ q . normal = 0.  Bars are built by the shared-point rule, through a random
 point of each rod endpoint's subspace, so they are decomposable and incident
 at once; the rod spins (trivial_motions) are the one incidence check.
 
+The edge-flat family is ranked without a matrix: flat_family_rank reads
+its rank off the kernel, a small system over the DFS back edges of the
+endpoint pairs, and matrix_edge_flats, the family as a matrix, is its
+reference.
+
 two_block_matrix is the only constructor of a RigidityMatrix in this
 package and marks what it builds two_block: every row is +alpha in one
 block and -alpha in another, so the columns j of all the blocks sum to
@@ -233,7 +238,7 @@ def matrix_graphic_union(
     out, or a free nonzero D-vector if neither end has one.  With no normal
     the generic row matroid is the union of D copies of the graphic matroid;
     the paper truncates it at one rod after another to reach the
-    body-rod-bar count matroid (analysis.truncation_steps).
+    body-rod-bar count matroid (analysis.truncate).
     """
     D = d * (d + 1) // 2
     idx = graph.edge_index
@@ -261,7 +266,8 @@ def matrix_edge_flats(graph: Multigraph, rods: RodConfig, p: int) -> RigidityMat
     normals of its rod ends, placed two-block; its generic span rank over all
     edges is the polymatroid rank of the edge set (the Dilworth-truncation
     side).  A repeated flat adds nothing to a span, so later parallels get
-    no rows.
+    no rows.  Trials rank the family with flat_family_rank; this matrix is
+    its reference.
     """
     D = rods.d * (rods.d + 1) // 2
 
@@ -272,6 +278,74 @@ def matrix_edge_flats(graph: Multigraph, rods: RodConfig, p: int) -> RigidityMat
         return linalg.nullspace(normals, D, p)
 
     return two_block_matrix(graph, D, p, flat_basis)
+
+
+def flat_family_rank(graph: Multigraph, rods: RodConfig, p: int) -> int:
+    """The rank of matrix_edge_flats(graph, rods, p), read off its kernel K.
+
+    x lies in K exactly when x_u - x_v lies in S_uv, the span of the normals
+    of uv's rod ends, for every endpoint pair uv.  Write x_u - x_v as a sum
+    of lam * n over those normals, each scaled to lead with 1, a zero one
+    dropped and a repeat kept once: L unknowns lam in all.  A depth-first
+    forest fixes x from one root per component through its tree pairs.  Any
+    other pair joins a vertex u to an ancestor a; with its lams written for
+    x_a - x_u it holds iff the lams of the tree path from a to u and its own
+    sum to zero: D rows over the lams.  With R their rank and c components,
+    isolated vertices included, dim K = D*c + L - R.
+    """
+    D = rods.d * (rods.d + 1) // 2
+    adj = {v: [] for v in graph.vertex_ids}
+    pairs = []  # (u, v, the scaled normals of its rod ends)
+    for e in graph.edges:
+        if graph.first_parallel[e.id] != e.id:
+            continue
+        basis = []
+        for v in (e.u, e.v):
+            lead = next((x for x in rods.normals.get(v, ()) if x % p), 0)
+            if lead:
+                inv = mod_inv(lead, p)
+                n = [x * inv % p for x in rods.normals[v]]
+                if n not in basis:
+                    basis.append(n)
+        adj[e.u].append((e.v, len(pairs)))
+        adj[e.v].append((e.u, len(pairs)))
+        pairs.append((e.u, e.v, basis))
+    depth, up, cols = {}, {}, {}  # up: vertex -> (parent, tree pair)
+    L = c = 0
+    for root in graph.vertex_ids:
+        if root in depth:
+            continue
+        c += 1
+        depth[root] = 0
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            v, it = stack[-1]
+            for w, i in it:
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    up[w] = (v, i)
+                    cols[i] = [(L + j, n) for j, n in enumerate(pairs[i][2])]
+                    L += len(pairs[i][2])
+                    stack.append((w, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+    ech = linalg.Echelon(p)
+    for i, (u, a, basis) in enumerate(pairs):
+        if i in cols:
+            continue
+        if depth[u] < depth[a]:
+            u, a = a, u
+        terms = []
+        while u != a:
+            u, j = up[u]
+            terms += cols[j]
+        terms.sort()  # the path's columns, then the pair's own, ascending
+        terms += [(L + j, n) for j, n in enumerate(basis)]
+        L += len(basis)
+        for k in range(D):
+            ech.add(tuple([(col, n[k]) for col, n in terms if n[k]]))
+    return D * (len(graph.vertex_ids) - c) - L + ech.rank
 
 
 # ---------------------------------------------------------------------------

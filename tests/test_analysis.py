@@ -2,6 +2,7 @@ import pytest
 
 from rigikit import analysis
 from rigikit import count_matroid as cm
+from rigikit import linalg
 from rigikit import rigidity as rg
 from rigikit.analysis import (
     BAR_MODELS,
@@ -583,6 +584,24 @@ def test_fuzz_small_runs_agree():
     assert s.ok and s.agreements == 12
     assert s.trivial_checked > 0 and s.to_json_dict()["trivial_violations"] == 0
     assert s.subset_checks > 0
+
+
+def test_rod_trials_build_no_edge_flat_matrix(monkeypatch):
+    # the flat rank is read off the kernel: a rod trial, and a fuzz run of
+    # them, never builds the edge-flat matrix or solves for a nullspace
+    g = random_multigraph(SplitMix64(7), "rod-bar", max_vertices=6)
+    rods = rg.sample_body_rod_bar(g, 3, SplitMix64(8), P)[0]
+    expected = rg.matrix_edge_flats(g, rods, P).rank()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a rod trial built the edge-flat matrix")
+
+    monkeypatch.setattr(rg, "matrix_edge_flats", forbidden)
+    monkeypatch.setattr(linalg, "nullspace", forbidden)
+    assert analysis.linear_trial(g, "rod-bar", 3, P, SplitMix64(8)).flat_rank == expected
+    for model in ROD_MODELS:
+        s = fuzz_equivalence(model, 3, 20, seed=5)
+        assert s.ok and s.agreements == 20
 
 
 def test_fuzz_deterministic_and_case_independent():

@@ -28,6 +28,9 @@ EXEMPT = {
     "pairing": "the exterior pairing the tests check the rod normals against",
     # rows times a dense vector; perfbench/tracer.py patches it by name
     "mat_vec": "sparse product the tests use, patched by the tracer",
+    # the edge-flat matrix; analysis ranks the family with flat_family_rank,
+    # and perfbench/tracer.py patches this builder by name
+    "matrix_edge_flats": "reference of flat_family_rank, patched by the tracer",
 }
 
 

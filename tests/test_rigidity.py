@@ -17,7 +17,9 @@ from rigikit.graph import CountProfile, GraphError, VertexKind, build_graph, exp
 from rigikit.rigidity import (
     ConfigError,
     RigidityMatrix,
+    RodConfig,
     expand_hinge,
+    flat_family_rank,
     kernel_basis,
     matrix_body_bar,
     matrix_body_rod_bar,
@@ -702,3 +704,112 @@ def test_hand_built_matrix_is_ranked_whole():
     assert m._replace(two_block=True).rank() == 0
     g = build_graph([("a", "body"), ("b", "body")], [("a", "b")])
     assert matrix_graphic_union(g, 2, SplitMix64(1), P).two_block
+
+
+# ---------------------------------------------------------------------------
+# Flat-family rank
+
+FLATS = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+def flat_ranks(g, rods, p):
+    """flat_family_rank beside its references: the edge-flat matrix's rank and
+    the textbook rank of that matrix's dense rows."""
+    m = matrix_edge_flats(g, rods, p)
+    return flat_family_rank(g, rods, p), m.rank(), rank_reference(dense_rows(m), p)
+
+
+@FLATS
+@given(small_frameworks())
+def test_flat_family_rank_matches_the_edge_flat_matrix(case):
+    # the rod models' dimensions, 3 and 4, in place of the drawn d
+    _, p, seed, g = case
+    for d in (3, 4):
+        try:
+            rods = sample_rod_config(g, d, SplitMix64(seed).spawn(d), p)
+        except ConfigError:
+            continue
+        new, matrix, reference = flat_ranks(g, rods, p)
+        assert new == matrix == reference
+
+
+@st.composite
+def hand_built_normals(draw):
+    """(graph, rods, p): each rod's normal is zero, drawn freely, or a
+    multiple of an earlier rod's, so one pair can hold a zero normal or two
+    proportional ones."""
+    d, p, _, g = draw(small_frameworks())
+    D = d * (d + 1) // 2
+    normals = {}
+    for v in g.vertex_ids:
+        if g.kinds[v] != VertexKind.ROD:
+            continue
+        how = draw(st.sampled_from(("zero", "free", "multiple")))
+        if how == "multiple" and normals:
+            base = normals[draw(st.sampled_from(sorted(normals)))]
+            k = draw(st.integers(1, p - 1))
+            normals[v] = tuple(k * x % p for x in base)
+        elif how == "zero":
+            normals[v] = (0,) * D
+        else:
+            normals[v] = tuple(draw(st.integers(0, p - 1)) for _ in range(D))
+    return g, RodConfig(d=d, p=p, spans={}, normals=normals), p
+
+
+@FLATS
+@given(hand_built_normals())
+def test_flat_family_rank_keeps_an_independent_subset_of_normals(case):
+    new, matrix, reference = flat_ranks(*case)
+    assert new == matrix == reference
+
+
+def test_flat_family_rank_of_degenerate_pairs():
+    # one pair: a zero normal cuts nothing, two proportional normals cut one
+    # hyperplane; on a triangle the same normals reach the back-edge rows
+    n = (1, 2, 0, 3, 0, 5)
+    pair = build_graph([("a", "rod"), ("b", "rod")], [("a", "b")])
+    triangle = build_graph([("a", "rod"), ("b", "rod"), ("c", "rod")],
+                           [("a", "b"), ("b", "c"), ("c", "a")])
+    for normals, one_pair in (
+        ({"a": (0,) * 6, "b": (0,) * 6}, 6),
+        ({"a": (0,) * 6, "b": n}, 5),
+        ({"a": n, "b": tuple(3 * x for x in n)}, 5),
+        ({"a": n, "b": tuple(P - x for x in n)}, 5),
+        ({"a": n, "b": (0, 1, 0, 0, 0, 0)}, 4),
+    ):
+        rods = RodConfig(d=3, p=P, spans={}, normals=normals)
+        assert flat_ranks(pair, rods, P) == (one_pair,) * 3
+        rods = rods._replace(normals={**normals, "c": normals["b"]})
+        new, matrix, reference = flat_ranks(triangle, rods, P)
+        assert new == matrix == reference
+
+
+def grid_graph(k):
+    """A k x k grid, 2-connected, with every third vertex a body and the rest rods."""
+    vertices = [("v%d" % i, "body" if i % 3 == 0 else "rod") for i in range(k * k)]
+    edges = [("v%d" % (i * k + j), "v%d" % (i * k + j + 1)) for i in range(k) for j in range(k - 1)]
+    edges += [("v%d" % (i * k + j), "v%d" % (i * k + k + j)) for i in range(k - 1) for j in range(k)]
+    return build_graph(vertices, edges)
+
+
+def test_flat_family_rank_on_a_grid():
+    g = grid_graph(4)
+    for p in (5, P):
+        rods = sample_rod_config(g, 3, SplitMix64(31), p)
+        new, matrix, reference = flat_ranks(g, rods, p)
+        assert new == matrix == reference
+
+
+@pytest.mark.parametrize("family", ["rod-bar-ring", "body-rod-bar-tree"])
+def test_flat_family_rank_on_the_scaling_families(family, monkeypatch):
+    # n = 64: too large for the dense reference, so the matrix's rank alone
+    from pathlib import Path
+
+    from rigikit.documents import parse_document
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    import scaling
+
+    g, _, d, _ = parse_document(scaling.FAMILIES[family](64))
+    rods = sample_rod_config(g, d, SplitMix64(1), P)
+    assert flat_family_rank(g, rods, P) == matrix_edge_flats(g, rods, P).rank()

@@ -10,7 +10,11 @@ default prime and trial count.  Per instance the script records:
 * the median ``analyze`` time of ``--runs`` untraced runs, raw
   (``raw_analyze_s``) and calibrated (``analyze_s``);
 * the stage spans of one more run under ``perfbench/tracer.py``: the
-  trivial-motion check, the matrix ranks and the P-components, calibrated;
+  trivial-motion check, the matrix ranks and the P-components, calibrated.
+  The ``rank`` stage is the ``RigidityMatrix.rank`` spans.  The rod models'
+  flat-family rank (``rigidity.flat_family_rank``) builds no matrix, so
+  since it replaced the edge-flat matrix the stage no longer holds it;
+  runs recorded before that change counted it there;
 * the SHA-256 of the canonical JSON report, the bytes that
   ``rigikit analyze`` prints.
 
