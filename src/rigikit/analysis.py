@@ -702,16 +702,23 @@ def fuzz_case(
         if run.reasons:
             raise _disagreement(graph, model, d, case_rng.seed, "; ".join(run.reasons),
                                 **_rank_evidence(cs, run.ranks))
-        # small cases: full polymatroid equality against the partition oracle
+        # small cases: fhat of every subset, in mask order, against the
+        # partition oracle.  A subset's game is its parent's (the subset less
+        # its top edge) with the top edge's copies offered: the same moves as
+        # a fresh game in edge order.
         if expansion is not None and 0 < len(graph.edges) <= SUBSET_CHECK_EDGES:
-            order = graph.edge_ids
-            n = len(order)
-            for mask in range(1, 1 << n):
-                F = [order[i] for i in range(n) if mask >> i & 1]
-                lhs = cm.fhat(graph, F, prof, expanded=expansion)
-                rhs = cm.fhat_bruteforce(graph, F, prof)
+            order, _, brute = cm.bruteforce_tables(graph, None, prof)
+            games = [cm.PebbleState(expansion[0], prof)]
+            for mask in range(1, len(brute)):
+                top = mask.bit_length() - 1
+                game = games[mask ^ (1 << top)].released(())
+                for cid in expansion[1][order[top]]:
+                    game.try_insert(cid)
+                games.append(game)
+                lhs, rhs = len(game.inserted), brute[mask]
                 out["subset_checks"] += 1
                 if lhs != rhs:
+                    F = [e for i, e in enumerate(order) if mask >> i & 1]
                     raise _disagreement(graph, model, d, case_rng.seed,
                                         "fhat(%r) = %d != brute force %d" % (F, lhs, rhs),
                                         **_rank_evidence(cs, run.ranks))

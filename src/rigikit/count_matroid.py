@@ -91,14 +91,14 @@ class PebbleState:
     def _find_pebble(self, u: str, v: str):
         """Move one pebble from outside {u,v} onto u or v if possible.
 
-        Depth-first over out-arcs in ascending edge-id order, u's tree
+        Depth-first over out-arcs in the order they were placed, u's tree
         first.  Returns (True, visited) on success, (False, visited) when
         no free pebble is reachable; visited is the reach region.
         """
         visited = {u, v}
         parent: dict[str, tuple[str, int]] = {}
         for root in (u, v):
-            frames = [(root, iter(sorted(self.out[root])))]
+            frames = [(root, iter(self.out[root]))]
             while frames:
                 a, arcs = frames[-1]
                 for eidx in arcs:
@@ -112,7 +112,7 @@ class PebbleState:
                         self.pebbles[b] -= 1
                         self.pebbles[got] += 1
                         return True, visited
-                    frames.append((b, iter(sorted(self.out[b]))))
+                    frames.append((b, iter(self.out[b])))
                     break
                 else:
                     frames.pop()
@@ -140,8 +140,9 @@ class PebbleState:
     def released(self, eids: Iterable[str]) -> "PebbleState":
         """A copy of the game over the inserted edges other than eids.
 
-        Each released arc gives its pebble back to its tail.  No class is
-        dead in the copy: releasing edges can make a dead class insertable.
+        Each released arc gives its pebble back to its tail.  A copy that
+        releases an edge has no dead class, as that can make one insertable;
+        one that releases none keeps them, its inserted set being the same.
         """
         drop = set(eids)
         new = copy.copy(self)
@@ -149,7 +150,7 @@ class PebbleState:
         new.out = {v: dict(arcs) for v, arcs in self.out.items()}
         new.inserted = [e for e in self.inserted if e not in drop]
         new.rejected = []
-        new.dead = set()
+        new.dead = set() if drop else set(self.dead)
         for eid in drop:
             e, idx = self.graph.edge(eid), self.graph.edge_index[eid]
             tail = e.u if idx in new.out[e.u] else e.v
@@ -462,33 +463,27 @@ def _mask_costs(graph: Multigraph, prof: CountProfile, order):
     return fmask
 
 
-def fhat_bruteforce(graph: Multigraph, eids, prof: CountProfile) -> int:
-    """Exact partition minimum of sums of f, by exhaustive enumeration."""
+def bruteforce_tables(graph: Multigraph, eids, prof: CountProfile):
+    """(order, f, fhat) of the edge set: f and the exhaustive partition minimum
+    fhat of every subset, as lists indexed by bitmask over order."""
     _check_countable(graph, prof)
     order = _edge_order(graph, eids)
-    n = len(order)
-    if n == 0:
-        return 0
-    if n > BRUTEFORCE_LIMIT:
+    if len(order) > BRUTEFORCE_LIMIT:
         raise ValueError("brute force limited to %d edges" % BRUTEFORCE_LIMIT)
     fmask = _mask_costs(graph, prof, order)
-    value, _ = min_partition(n, fmask.__getitem__)
-    return value
+    return order, fmask, min_partition_table(len(order), fmask.__getitem__)
+
+
+def fhat_bruteforce(graph: Multigraph, eids, prof: CountProfile) -> int:
+    """Exact partition minimum of sums of f, by exhaustive enumeration."""
+    return bruteforce_tables(graph, eids, prof)[2][-1]
 
 
 def rank_bruteforce_table(graph: Multigraph, eids, prof: CountProfile):
     """(order, rank-by-mask list) for all subsets of the edge set at once."""
-    _check_countable(graph, prof)
-    order = _edge_order(graph, eids)
-    n = len(order)
-    if n > BRUTEFORCE_LIMIT:
-        raise ValueError("brute force limited to %d edges" % BRUTEFORCE_LIMIT)
-    if n == 0:
-        return order, [0]
-    fmask = _mask_costs(graph, prof, order)
-    fhat_table = min_partition_table(n, fmask.__getitem__)
-    ranks = [0] * (1 << n)
-    for m in range(1, 1 << n):
+    order, _, fhat_table = bruteforce_tables(graph, eids, prof)
+    ranks = [0] * len(fhat_table)
+    for m in range(1, len(fhat_table)):
         best = fhat_table[m]
         s = m
         while s:
@@ -503,15 +498,10 @@ def rank_bruteforce_table(graph: Multigraph, eids, prof: CountProfile):
 
 def rank_bruteforce(graph: Multigraph, eids, prof: CountProfile) -> RankCertificate:
     """Exact minimum of |F0| + sum f(Fi) over all partitions, with a witness."""
-    _check_countable(graph, prof)
-    order = _edge_order(graph, eids)
+    order, fmask, fhat_table = bruteforce_tables(graph, eids, prof)
     n = len(order)
-    if n > BRUTEFORCE_LIMIT:
-        raise ValueError("brute force limited to %d edges" % BRUTEFORCE_LIMIT)
     if n == 0:
         return RankCertificate(value=0, free_part=(), parts=())
-    fmask = _mask_costs(graph, prof, order)
-    fhat_table = min_partition_table(n, fmask.__getitem__)
     full = (1 << n) - 1
     best_val = None
     best_free = 0

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .field import SplitMix64
@@ -129,14 +130,21 @@ def wedge_list(vectors, d: int, p: Optional[int] = None) -> KVector:
     return KVector(d=d, k=k, coords=tuple(minors), p=p)
 
 
+@cache
+def _pairs(d: int) -> tuple[tuple[int, int], ...]:
+    """The 2-subsets of ksubsets(d, 2) as 0-based index pairs."""
+    return tuple((i - 1, j - 1) for i, j in ksubsets(d, 2))
+
+
 def wedge2(a, b, d: int, p: Optional[int] = None) -> KVector:
     """a ^ b via the 2 x 2 coordinate minors; zero iff a, b are dependent."""
     if len(a) != d + 1 or len(b) != d + 1:
         raise ValueError("wedge2 needs two vectors of length %d" % (d + 1))
-    coords = []
-    for i, j in ksubsets(d, 2):
-        coords.append(_norm(a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1], p))
-    return KVector(d=d, k=2, coords=tuple(coords), p=p)
+    if p is None:
+        coords = tuple([a[i] * b[j] - a[j] * b[i] for i, j in _pairs(d)])
+    else:
+        coords = tuple([(a[i] * b[j] - a[j] * b[i]) % p for i, j in _pairs(d)])
+    return tuple.__new__(KVector, (d, 2, coords, p))  # lengths checked: no re-validation
 
 
 def hodge_star(x: KVector) -> KVector:
@@ -204,14 +212,9 @@ def sample_span(d: int, k: int, rng: SplitMix64, p: int):
 
 def random_point_in_span(vectors, rng: SplitMix64, p: int):
     """Uniform nonzero point, as long as the vectors, of their (independent) span."""
-    n = len(vectors[0])
     for _ in range(MAX_SAMPLE_RETRIES):
-        coeffs = [rng.below(p) for _ in vectors]
-        point = [0] * n
-        for c, v in zip(coeffs, vectors):
-            if c:
-                for i in range(n):
-                    point[i] = (point[i] + c * v[i]) % p
+        coeffs = rng.vector(len(vectors), p)
+        point = tuple([sum(map(mul, coeffs, col)) % p for col in zip(*vectors)])
         if any(point):
-            return tuple(point)
+            return point
     raise ValueError("could not sample a nonzero point in the span at prime %d" % p)

@@ -5,6 +5,11 @@ prime (default the Mersenne prime 2^31 - 1).  Field elements are plain
 Python ints in [0, p); arithmetic is explicit ``% p``.  Randomness comes
 from a small splitmix64 generator so that identical seeds give identical
 results on every platform and Python version.
+
+The stream is a contract, so that a seed replays the same realization:
+``vector(n, p)`` equals ``below(p)`` called n times, in order, and leaves
+the generator where they would.  It runs the splitmix step inline only
+because it is the hot draw of every sample.
 """
 
 from __future__ import annotations
@@ -89,7 +94,19 @@ class SplitMix64:
                 return x % n
 
     def vector(self, length: int, p: int) -> tuple[int, ...]:
-        return tuple(self.below(p) for _ in range(length))
+        """below(p) length times, the splitmix step written inline."""
+        limit = (1 << 64) - ((1 << 64) % p)
+        s = self._state
+        out = []
+        while len(out) < length:
+            s = (s + _GOLDEN) & _MASK64
+            z = (s ^ (s >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+            z ^= z >> 31
+            if z < limit:
+                out.append(z % p)
+        self._state = s
+        return tuple(out)
 
     def nonzero_vector(self, length: int, p: int) -> tuple[int, ...]:
         while True:

@@ -75,10 +75,10 @@ class Echelon:
         if not v:
             return False
         p = self.p
-        c = min(v)
-        inv = mod_inv(v[c], p)
-        self.rows.append(tuple([(k, x * inv % p) for k, x in sorted(v.items())]))
-        self.pivots.append(c)
+        items = sorted(v.items())
+        inv = mod_inv(items[0][1], p)
+        self.rows.append(tuple([(k, x * inv % p) for k, x in items]))
+        self.pivots.append(items[0][0])
         return True
 
 

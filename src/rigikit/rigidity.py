@@ -117,14 +117,19 @@ def sample_rod_config(graph: Multigraph, d: int, rng: SplitMix64, p: int) -> Rod
 def sample_bar_config(
     graph: Multigraph, rods: RodConfig, rng: SplitMix64, p: int
 ) -> BarConfig:
-    """One random bar per edge, pinned to its rod endpoints' subspaces."""
-    d = rods.d
+    """One random bar per edge, pinned to its rod endpoints' subspaces.
+
+    Edge e draws from rng.spawn(edge index): a point of u's rod (a free
+    nonzero point of W if u is a body), then one of v's, and the bar is
+    their wedge; both are redrawn while it is zero.
+    """
+    d, spans = rods.d, rods.spans
     bars: dict[str, KVector] = {}
     for idx, e in enumerate(graph.edges):
         sub = rng.spawn(idx)
         for attempt in range(MAX_SAMPLE_RETRIES):
-            x = _endpoint_point(e.u, rods, sub, d, p)
-            y = _endpoint_point(e.v, rods, sub, d, p)
+            x, y = [random_point_in_span(spans[v], sub, p) if v in spans
+                    else sub.nonzero_vector(d + 1, p) for v in (e.u, e.v)]
             q = wedge2(x, y, d, p)
             if not q.is_zero():
                 bars[e.id] = q
@@ -139,12 +144,6 @@ def sample_body_rod_bar(graph: Multigraph, d: int, rng: SplitMix64, p: int):
     rods = sample_rod_config(graph, d, rng.spawn(0), p)
     bars = sample_bar_config(graph, rods, rng.spawn(1), p)
     return rods, matrix_body_rod_bar(graph, bars)
-
-
-def _endpoint_point(v: str, rods: RodConfig, rng: SplitMix64, d: int, p: int):
-    if v in rods.spans:
-        return random_point_in_span(rods.spans[v], rng, p)
-    return rng.nonzero_vector(d + 1, p)
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +207,12 @@ def two_block_matrix(
     pos = {v: i * block for i, v in enumerate(order)}
     rows = []
     for e in graph.edges:
-        bu, bv = pos[e.u], pos[e.v]
+        lo, hi, sign = pos[e.u], pos[e.v], 1
+        if lo > hi:  # v's block is the lower one: it holds -alpha
+            lo, hi, sign = hi, lo, -1
         for alpha in vectors_of(e):
-            nonzero = [(k, c % p) for k, c in enumerate(alpha) if c % p]
-            plus = tuple((bu + k, c) for k, c in nonzero)
-            minus = tuple((bv + k, p - c) for k, c in nonzero)
-            rows.append(plus + minus if bu < bv else minus + plus)
+            low = [(lo + k, sign * c % p) for k, c in enumerate(alpha) if c % p]
+            rows.append(tuple(low + [(c + hi - lo, p - x) for c, x in low]))
     return RigidityMatrix(
         p=p, block=block, vertex_order=order, rows=tuple(rows), two_block=True
     )
@@ -294,6 +293,12 @@ def flat_family_rank(graph: Multigraph, rods: RodConfig, p: int) -> int:
     isolated vertices included, dim K = D*c + L - R.
     """
     D = rods.d * (rods.d + 1) // 2
+    scaled = {}
+    for v, normal in rods.normals.items():
+        lead = next((x for x in normal if x % p), 0)
+        if lead:
+            inv = mod_inv(lead, p)
+            scaled[v] = [x * inv % p for x in normal]
     adj = {v: [] for v in graph.vertex_ids}
     pairs = []  # (u, v, the scaled normals of its rod ends)
     for e in graph.edges:
@@ -301,12 +306,8 @@ def flat_family_rank(graph: Multigraph, rods: RodConfig, p: int) -> int:
             continue
         basis = []
         for v in (e.u, e.v):
-            lead = next((x for x in rods.normals.get(v, ()) if x % p), 0)
-            if lead:
-                inv = mod_inv(lead, p)
-                n = [x * inv % p for x in rods.normals[v]]
-                if n not in basis:
-                    basis.append(n)
+            if v in scaled and scaled[v] not in basis:
+                basis.append(scaled[v])
         adj[e.u].append((e.v, len(pairs)))
         adj[e.v].append((e.u, len(pairs)))
         pairs.append((e.u, e.v, basis))
@@ -383,10 +384,8 @@ def expand_hinge(graph: Multigraph) -> Multigraph:
 def sample_joints(graph: Multigraph, d: int, rng: SplitMix64, p: int):
     """Random joint per vertex with distinct endpoints on every edge."""
     for attempt in range(MAX_SAMPLE_RETRIES):
-        joints = {
-            v: rng.spawn(attempt).spawn(i).vector(d, p)
-            for i, v in enumerate(graph.vertex_ids)
-        }
+        sub = rng.spawn(attempt)
+        joints = {v: sub.spawn(i).vector(d, p) for i, v in enumerate(graph.vertex_ids)}
         if all(joints[e.u] != joints[e.v] for e in graph.edges):
             return joints
     raise ConfigError("could not sample distinct joints at prime %d" % p)
@@ -503,14 +502,14 @@ def verify_trivial_motions(
     for i, (_, motion) in enumerate(motions):
         for c, x in motion:
             at[c].append((i, x))
-    p = m.p
+    p, n = m.p, len(motions)
     hit = set()
     for row in m.rows:
-        sums = {}
+        sums = [0] * n
         for c, b in row:
             for i, x in at[c]:
-                sums[i] = sums.get(i, 0) + b * x
-        for i, total in sums.items():
+                sums[i] += b * x
+        for i, total in enumerate(sums):
             if total % p:
                 hit.add(i)
     missed = tuple(kind for i, (kind, _) in enumerate(motions) if i in hit)

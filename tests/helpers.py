@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from rigikit import count_matroid as cm
 from rigikit import linalg
 from rigikit import rigidity as rg
+from rigikit.count_matroid import PebbleState
+from rigikit.exterior import MAX_SAMPLE_RETRIES, KVector, ksubsets
 from rigikit.field import SplitMix64, mod_inv
-from rigikit.graph import Multigraph, VertexKind, build_graph
+from rigikit.graph import Multigraph, VertexKind, build_graph, expand_f
+
+MASK64 = (1 << 64) - 1
 
 
 def random_kinded_graph(
@@ -200,3 +205,134 @@ def graphic_union_reference(graph, d, rng, p):
     return rg.two_block_matrix(
         graph, D, p, lambda e: (rng.spawn(idx[e.id]).nonzero_vector(D, p),)
     )
+
+
+# ---------------------------------------------------------------------------
+# The draw stream, one call per coordinate
+
+
+def splitmix64_step(state: int):
+    """(next state, output) of the textbook splitmix64 step (Steele, Lea and
+    Flood, OOPSLA 2014), the reference for field.SplitMix64's stream."""
+    state = (state + 0x9E3779B97F4A7C15) & MASK64
+    z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
+    return state, z ^ (z >> 31)
+
+
+def below_reference(state: int, n: int):
+    """(next state, draw) of one uniform draw in [0, n) from splitmix64_step,
+    by rejection on the top 64-bit range."""
+    limit = (1 << 64) - (1 << 64) % n
+    while True:
+        state, x = splitmix64_step(state)
+        if x < limit:
+            return state, x % n
+
+
+def random_point_in_span_reference(vectors, rng, p):
+    """exterior.random_point_in_span one coordinate at a time: one rng.below(p)
+    per vector, then the point's coordinates summed mod p term by term."""
+    n = len(vectors[0])
+    for _ in range(MAX_SAMPLE_RETRIES):
+        coeffs = [rng.below(p) for _ in vectors]
+        point = [0] * n
+        for c, v in zip(coeffs, vectors):
+            if c:
+                for i in range(n):
+                    point[i] = (point[i] + c * v[i]) % p
+        if any(point):
+            return tuple(point)
+    raise ValueError("could not sample a nonzero point in the span at prime %d" % p)
+
+
+def wedge2_reference(a, b, d, p=None):
+    """a ^ b one 2 x 2 minor at a time, over the 1-based k-subsets, through
+    KVector's validating constructor; exact when p is None."""
+    coords = []
+    for i, j in ksubsets(d, 2):
+        x = a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1]
+        coords.append(x if p is None else x % p)
+    return KVector(d=d, k=2, coords=tuple(coords), p=p)
+
+
+def bar_config_reference(graph, rods, rng, p):
+    """rigidity.sample_bar_config from the per-coordinate references: per edge
+    from rng.spawn(edge index), a point of u's rod (or a free nonzero point),
+    then one of v's, and their wedge, redrawn both while the wedge is zero."""
+    d = rods.d
+    bars = {}
+    for idx, e in enumerate(graph.edges):
+        sub = rng.spawn(idx)
+        for _ in range(MAX_SAMPLE_RETRIES):
+            x, y = (
+                random_point_in_span_reference(rods.spans[v], sub, p)
+                if v in rods.spans else sub.nonzero_vector(d + 1, p)
+                for v in (e.u, e.v)
+            )
+            q = wedge2_reference(x, y, d, p)
+            if not q.is_zero():
+                bars[e.id] = q
+                break
+        else:
+            raise ValueError("no bar for edge %r at prime %d" % (e.id, p))
+    return bars
+
+
+# ---------------------------------------------------------------------------
+# The pebble game with its out-arcs walked in sorted order
+
+
+class SortedPebbleState(PebbleState):
+    """The pebble game whose searches walk each vertex's out-arcs in ascending
+    edge-id order, the reference for PebbleState's insertion-order walk: the
+    two differ only in which arcs they reverse."""
+
+    def _find_pebble(self, u, v):
+        visited = {u, v}
+        parent = {}
+        for root in (u, v):
+            frames = [(root, iter(sorted(self.out[root])))]
+            while frames:
+                a, arcs = frames[-1]
+                for eidx in arcs:
+                    b = self.out[a][eidx]
+                    if b in visited:
+                        continue
+                    visited.add(b)
+                    parent[b] = (a, eidx)
+                    if self.pebbles[b] > 0:
+                        got = self._reverse_path(b, parent)
+                        self.pebbles[b] -= 1
+                        self.pebbles[got] += 1
+                        return True, visited
+                    frames.append((b, iter(sorted(self.out[b]))))
+                    break
+                else:
+                    frames.pop()
+        return False, visited
+
+
+def sorted_pebble_game(graph, prof):
+    """The final state of the sorted-order game over every edge, in edge order."""
+    state = SortedPebbleState(graph, prof)
+    for eid in graph.edge_ids:
+        state.try_insert(eid)
+    return state
+
+
+def subset_check_reference(graph, prof):
+    """(subsets checked, the first failure's reason or None) of fuzz_case's
+    subset check one subset at a time: in mask order over the edge order, a
+    fresh fhat game and a brute force of its own per subset."""
+    expansion = expand_f(graph, prof)
+    order = graph.edge_ids
+    checks = 0
+    for mask in range(1, 1 << len(order)):
+        F = [e for i, e in enumerate(order) if mask >> i & 1]
+        lhs = cm.fhat(graph, F, prof, expanded=expansion)
+        rhs = cm.fhat_bruteforce(graph, F, prof)
+        checks += 1
+        if lhs != rhs:
+            return checks, "fhat(%r) = %d != brute force %d" % (F, lhs, rhs)
+    return checks, None

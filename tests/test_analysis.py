@@ -20,6 +20,8 @@ from rigikit.field import DEFAULT_PRIME, SplitMix64
 from rigikit.graph import CountProfile, GraphError, VertexKind, build_graph, expand_f
 from rigikit.rigidity import matrix_body_rod_bar, sample_bar_config, sample_rod_config
 
+from helpers import subset_check_reference
+
 P = DEFAULT_PRIME
 
 
@@ -640,6 +642,33 @@ def test_fuzz_case_failure_dump_replayable(monkeypatch):
     graph, model, d, _ = parse_document(dump["document"])
     assert model == "rod-bar" and d == 3
     assert len(graph.edges) == 4
+
+
+@pytest.mark.parametrize("lowered, checks", [
+    (None, 31), (("a", "c"), 10), (("e",), 16), (("b", "a", "d", "c", "e"), 31)])
+def test_subset_check_fails_as_the_one_subset_at_a_time_loop(monkeypatch, lowered, checks):
+    # the partition cost of one edge set is lowered, so every brute force
+    # over a superset may read low: the game tree and the shared table stop
+    # at the same subset, with the same reason, as one game and one brute
+    # force per subset
+    g = build_graph([("r1", "rod"), ("r2", "rod"), ("r3", "rod")],
+                    [("r1", "r2", "b"), ("r1", "r2", "a"), ("r2", "r3", "d"),
+                     ("r1", "r3", "c"), ("r1", "r3", "e")])
+    prof = CountProfile.body_rod_bar(3)
+    if lowered is not None:
+        real = cm._mask_costs
+
+        def lower(graph, prof, order):
+            fmask = real(graph, prof, order)
+            if set(lowered) <= set(order):
+                fmask[sum(1 << order.index(e) for e in lowered)] -= 100
+            return fmask
+
+        monkeypatch.setattr(cm, "_mask_costs", lower)
+    reference = subset_check_reference(g, prof)
+    assert reference[0] == checks and (reference[1] is None) == (lowered is None)
+    out = fuzz_case(g, "rod-bar", 3, P, SplitMix64(3), 1)
+    assert (out["subset_checks"], (out["failure"] or {}).get("reason")) == reference
 
 
 def test_fuzz_desk_scale_guard():

@@ -14,11 +14,13 @@ from rigikit.count_matroid import (
     BRUTEFORCE_LIMIT,
     PebbleState,
     _fundamental_circuit_rest,
+    certificate,
     fhat,
     fhat_bruteforce,
     is_independent,
     m_components,
     p_components,
+    p_components_of_expansion,
     pebble_game,
     rank,
     rank_bruteforce,
@@ -40,6 +42,7 @@ from helpers import (
     cube_graph,
     fundamental_circuit_reference,
     random_kinded_graph,
+    sorted_pebble_game,
     subsets_of,
 )
 
@@ -615,6 +618,37 @@ def test_fundamental_circuits_satisfy_elimination(state):
         for i, e in enumerate(order):
             if e in common:
                 assert table[full ^ (1 << i)] < len(order) - 1
+
+
+@AXIOMS
+@given(finished_games())
+def test_insertion_order_walk_matches_the_sorted_walk(state):
+    # the order a search walks out-arcs moves only which arcs it reverses:
+    # the basis, the rejections with their reach regions, the certificate
+    # and the P-components are the same as the sorted walk's
+    g, prof = state.graph, state.prof
+    ref = sorted_pebble_game(g, prof)
+    assert state.inserted == ref.inserted and state.rejected == ref.rejected
+    assert certificate(state, None) == certificate(ref, None)
+    expanded = expand_f(g, prof)
+    ref_cert = certificate(sorted_pebble_game(expanded[0], prof), None)
+    assert p_components(g, prof) == p_components_of_expansion(expanded, ref_cert, prof)
+
+
+@AXIOMS
+@given(finished_games(), st.data())
+def test_an_empty_release_continues_the_game_move_for_move(state, data):
+    # the subset check grows each subset's game from a copy of its parent's:
+    # a copy that releases nothing keeps the dead classes, so offering the
+    # remaining edges makes the moves of one game over all of them
+    g, prof = state.graph, state.prof
+    k = data.draw(st.integers(0, len(g.edge_ids)))
+    game = pebble_game(g, g.edge_ids[:k], prof).released(())
+    for eid in g.edge_ids[k:]:
+        game.try_insert(eid)
+    assert (game.pebbles, game.out, game.inserted, game.dead) == (
+        state.pebbles, state.out, state.inserted, state.dead)
+    assert game.rejected == [r for r in state.rejected if g.edge_index[r[0]] >= k]
 
 
 def test_one_failed_search_per_rejected_class(monkeypatch):
