@@ -630,29 +630,16 @@ def random_multigraph(
 # Fuzz harness
 
 
-class FuzzSummary:
+class FuzzSummary(NamedTuple):
     """The counters of one fuzz run, as fuzz_equivalence adds them up."""
 
-    __slots__ = ("model", "d", "cases", "escalations", "trivial_checked", "subset_checks",
-                 "failures")
-
-    def __init__(
-        self,
-        model: str,
-        d: int,
-        cases: int,
-        escalations: int,
-        trivial_checked: int,
-        subset_checks: int,
-        failures: Optional[list] = None,
-    ):
-        self.model = model
-        self.d = d
-        self.cases = cases
-        self.escalations = escalations
-        self.trivial_checked = trivial_checked
-        self.subset_checks = subset_checks
-        self.failures = [] if failures is None else failures
+    model: str
+    d: int
+    cases: int
+    escalations: int
+    trivial_checked: int
+    subset_checks: int
+    failures: list
 
     @property
     def agreements(self) -> int:
@@ -691,10 +678,22 @@ def fuzz_case(
     out = {"escalated": False, "trivial_checked": 0, "subset_checks": 0, "failure": None}
     cs = count_side(graph, model, d)
     prof = cs.profile
-    fhat_total = expansion = None
-    if model in ROD_MODELS:
-        expansion = expand_f(graph, prof)
-        fhat_total = cm.fhat(graph, None, prof, expanded=expansion)
+    fhat_total = games = None
+    if model in ROD_MODELS and 0 < len(graph.edges) <= SUBSET_CHECK_EDGES:
+        # small cases: games[mask] is the subset's parent's (less its top edge)
+        # with the top edge's copies offered, the same moves as a fresh game in
+        # edge order; the last one is the game cm.fhat plays on every edge.
+        exp_graph, copies = expand_f(graph, prof)
+        games = [cm.PebbleState(exp_graph, prof)]
+        for mask in range(1, 1 << len(graph.edges)):
+            top = mask.bit_length() - 1
+            game = games[mask ^ (1 << top)].released(())
+            for cid in copies[graph.edge_ids[top]]:
+                game.try_insert(cid)
+            games.append(game)
+        fhat_total = len(games[-1].inserted)
+    elif model in ROD_MODELS:
+        fhat_total = cm.fhat(graph, None, prof)
     try:
         run = run_trials(graph, model, d, prime, case_rng, trials, cs, fhat_total)
         out["escalated"] = len(run.ranks) > trials
@@ -702,20 +701,10 @@ def fuzz_case(
         if run.reasons:
             raise _disagreement(graph, model, d, case_rng.seed, "; ".join(run.reasons),
                                 **_rank_evidence(cs, run.ranks))
-        # small cases: fhat of every subset, in mask order, against the
-        # partition oracle.  A subset's game is its parent's (the subset less
-        # its top edge) with the top edge's copies offered: the same moves as
-        # a fresh game in edge order.
-        if expansion is not None and 0 < len(graph.edges) <= SUBSET_CHECK_EDGES:
+        if games is not None:  # each subset's game against the partition oracle, in mask order
             order, _, brute = cm.bruteforce_tables(graph, None, prof)
-            games = [cm.PebbleState(expansion[0], prof)]
             for mask in range(1, len(brute)):
-                top = mask.bit_length() - 1
-                game = games[mask ^ (1 << top)].released(())
-                for cid in expansion[1][order[top]]:
-                    game.try_insert(cid)
-                games.append(game)
-                lhs, rhs = len(game.inserted), brute[mask]
+                lhs, rhs = len(games[mask].inserted), brute[mask]
                 out["subset_checks"] += 1
                 if lhs != rhs:
                     F = [e for i, e in enumerate(order) if mask >> i & 1]
@@ -753,19 +742,19 @@ def fuzz_equivalence(
     if not 0 <= rod_bias <= 1:
         raise ValueError("rod_bias must be in [0, 1], got %r" % rod_bias)
     master = SplitMix64(seed)
-    summary = FuzzSummary(model=model, d=d, cases=cases, escalations=0, trivial_checked=0,
-                          subset_checks=0)
+    escalations = trivial_checked = subset_checks = 0
+    failures = []
     for i in range(cases):
         case_rng = master.spawn(i)
         graph = random_multigraph(
             case_rng.spawn(10_000), model, max_vertices=max_vertices, rod_bias=rod_bias
         )
         res = fuzz_case(graph, model, d, prime, case_rng, trials)
-        summary.escalations += 1 if res["escalated"] else 0
-        summary.trivial_checked += res["trivial_checked"]
-        summary.subset_checks += res["subset_checks"]
+        escalations += res["escalated"]
+        trivial_checked += res["trivial_checked"]
+        subset_checks += res["subset_checks"]
         if res["failure"] is not None:
-            failure = dict(res["failure"])
-            failure["case"] = i
-            summary.failures.append(failure)
-    return summary
+            failures.append({**res["failure"], "case": i})
+    return FuzzSummary(model=model, d=d, cases=cases, escalations=escalations,
+                       trivial_checked=trivial_checked, subset_checks=subset_checks,
+                       failures=failures)

@@ -21,6 +21,9 @@ and Streinu's closure step, for these mixed capacities), once per class
 of parallel clones.  Releasing an inserted edge gives its pebble back to
 the arc's tail, a valid state of the game over the other edges, so ranks
 after deletion are read off released copies of the final state.
+
+The brute-force oracles share one table, bruteforce_tables: f and fhat of
+every subset, from which rank_bruteforce reads its witness back.
 """
 
 from __future__ import annotations
@@ -323,10 +326,10 @@ def certificate(state: PebbleState, eids) -> RankCertificate:
 # Polymatroid rank via expansion
 
 
-def fhat(graph: Multigraph, eids, prof: CountProfile, expanded=None) -> int:
+def fhat(graph: Multigraph, eids, prof: CountProfile) -> int:
     """Polymatroid rank: the matroid rank of the copies of F in the expansion."""
     _check_countable(graph, prof)
-    exp_graph, copies = expand_f(graph, prof) if expanded is None else expanded
+    exp_graph, copies = expand_f(graph, prof)
     copy_ids = [cid for e in _edge_order(graph, eids) for cid in copies[e]]
     return rank_value(exp_graph, copy_ids, prof)
 
@@ -497,45 +500,23 @@ def rank_bruteforce_table(graph: Multigraph, eids, prof: CountProfile):
 
 
 def rank_bruteforce(graph: Multigraph, eids, prof: CountProfile) -> RankCertificate:
-    """Exact minimum of |F0| + sum f(Fi) over all partitions, with a witness."""
+    """Exact minimum of |F0| + sum f(Fi) over all partitions, with a witness:
+    the first F0, in mask order, of least |F0| + fhat(rest), and the rest's
+    parts as min_partition reads them back from the fhat table."""
     order, fmask, fhat_table = bruteforce_tables(graph, eids, prof)
     n = len(order)
-    if n == 0:
-        return RankCertificate(value=0, free_part=(), parts=())
     full = (1 << n) - 1
-    best_val = None
-    best_free = 0
-    for m in range(full + 1):  # free part F0 ranges over all submasks
-        v = bin(m).count("1") + fhat_table[full ^ m]
-        if best_val is None or v < best_val:
-            best_val, best_free = v, m
-    _, parts = min_partition(
-        bin(full ^ best_free).count("1"),
-        # re-run the small DP on the non-free elements only
-        _restricted_cost(fmask, full ^ best_free, n),
-    )
-    kept = [i for i in range(n) if (full ^ best_free) >> i & 1]
-    part_sets = tuple(
-        tuple(order[kept[i]] for i in range(len(kept)) if p >> i & 1)
-        for p in parts
-    )
-    free = tuple(order[i] for i in range(n) if best_free >> i & 1)
-    cert = RankCertificate(value=best_val, free_part=free, parts=part_sets)
+    best_val, best_free = min(
+        (bin(m).count("1") + fhat_table[full ^ m], m) for m in range(full + 1))
+
+    def edges(mask):
+        return tuple(order[i] for i in range(n) if mask >> i & 1)
+
+    parts = min_partition(fhat_table, fmask.__getitem__, full ^ best_free)
+    cert = RankCertificate(value=best_val, free_part=edges(best_free),
+                           parts=tuple(edges(part) for part in parts))
     cert.check(graph, prof, order)
     return cert
-
-
-def _restricted_cost(fmask, keep_mask, n):
-    kept = [i for i in range(n) if keep_mask >> i & 1]
-
-    def cost(small_mask: int) -> int:
-        m = 0
-        for j, i in enumerate(kept):
-            if small_mask >> j & 1:
-                m |= 1 << i
-        return fmask[m]
-
-    return cost
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Degree-k elements are coordinate vectors indexed by the lexicographically
 sorted k-subsets of {1..d+1}; decomposable elements carry the k x k minors
-of a spanning matrix (Pluecker coordinates).  Scalars are exact: either
-ints / fractions.Fraction (p is None) or ints mod a prime p.
+of a spanning matrix (Pluecker coordinates).  Scalars are ints mod the
+element's prime p, as every realization in this package lives over F_p;
+the wedges, the star and the pairing reduce their results into [0, p).
 
 The complementary-degree pairing used throughout is
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .field import SplitMix64
 
@@ -56,23 +57,19 @@ def _perm_sign(seq: Sequence[int]) -> int:
     return -1 if inv % 2 else 1
 
 
-def _norm(x, p: Optional[int]):
-    return x % p if p is not None else x
-
-
 class _KVectorFields(NamedTuple):
     d: int
     k: int
     coords: tuple
-    p: Optional[int] = None
+    p: int
 
 
 class KVector(_KVectorFields):
-    """Element of the degree-k exterior power of F^(d+1)."""
+    """Element of the degree-k exterior power of F_p^(d+1)."""
 
     __slots__ = ()
 
-    def __new__(cls, d: int, k: int, coords: tuple, p: Optional[int] = None):
+    def __new__(cls, d: int, k: int, coords: tuple, p: int):
         expected = len(ksubsets(d, k))
         if len(coords) != expected:
             raise ValueError(
@@ -100,13 +97,13 @@ def _expansion(d: int, r: int) -> tuple:
     )
 
 
-def wedge_list(vectors, d: int, p: Optional[int] = None) -> KVector:
+def wedge_list(vectors, d: int, p: int) -> KVector:
     """v1 ^ ... ^ vk: coordinates are the k x k minors of the stacked matrix.
 
     The minors are built level by level: each r x r minor of v1..vr is its
     expansion along vr, a signed sum of vr's entries times (r-1) x (r-1)
     minors of v1..v(r-1).  Over the integers that is the determinant, so
-    reducing mod p at every level gives the same coordinates.
+    reducing mod p at every level gives its coordinates mod p.
     """
     k = len(vectors)
     if not 1 <= k <= d + 1:
@@ -117,7 +114,7 @@ def wedge_list(vectors, d: int, p: Optional[int] = None) -> KVector:
                 "vector length %d does not match ambient dimension %d"
                 % (len(v), d + 1)
             )
-    minors = [_norm(x, p) for x in vectors[0]]
+    minors = [x % p for x in vectors[0]]
     for r in range(2, k + 1):
         v = vectors[r - 1]
         level = []
@@ -125,7 +122,7 @@ def wedge_list(vectors, d: int, p: Optional[int] = None) -> KVector:
             total = 0
             for c, sign, sub in terms:
                 total += sign * v[c] * minors[sub]
-            level.append(_norm(total, p))
+            level.append(total % p)
         minors = level
     return KVector(d=d, k=k, coords=tuple(minors), p=p)
 
@@ -136,14 +133,11 @@ def _pairs(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((i - 1, j - 1) for i, j in ksubsets(d, 2))
 
 
-def wedge2(a, b, d: int, p: Optional[int] = None) -> KVector:
+def wedge2(a, b, d: int, p: int) -> KVector:
     """a ^ b via the 2 x 2 coordinate minors; zero iff a, b are dependent."""
     if len(a) != d + 1 or len(b) != d + 1:
         raise ValueError("wedge2 needs two vectors of length %d" % (d + 1))
-    if p is None:
-        coords = tuple([a[i] * b[j] - a[j] * b[i] for i, j in _pairs(d)])
-    else:
-        coords = tuple([(a[i] * b[j] - a[j] * b[i]) % p for i, j in _pairs(d)])
+    coords = tuple([(a[i] * b[j] - a[j] * b[i]) % p for i, j in _pairs(d)])
     return tuple.__new__(KVector, (d, 2, coords, p))  # lengths checked: no re-validation
 
 
@@ -152,7 +146,7 @@ def hodge_star(x: KVector) -> KVector:
     d, k = x.d, x.k
     out = [0] * len(x.coords)  # C(d+1, k) = C(d+1, d+1-k)
     for (i, sign, _), c in zip(_complements(d, k), x.coords):
-        out[i] = _norm(sign * c, x.p)
+        out[i] = sign * c % x.p
     return KVector(d=d, k=d + 1 - k, coords=tuple(out), p=x.p)
 
 
@@ -164,11 +158,11 @@ def pairing(x: KVector, y: KVector):
             % (x.k, y.k)
         )
     if x.p != y.p:
-        raise ValueError("pairing operands live over different scalars")
+        raise ValueError("pairing operands live over different primes")
     total = 0
     for (i, _, sign), c in zip(_complements(x.d, x.k), x.coords):
         total += sign * c * y.coords[i]
-    return _norm(total, x.p)
+    return total % x.p
 
 
 def grassmann_check(x: KVector) -> bool:
@@ -187,7 +181,7 @@ def grassmann_check(x: KVector) -> bool:
             - c[idx[(i, k)]] * c[idx[(j, l)]]
             + c[idx[(i, l)]] * c[idx[(j, k)]]
         )
-        if _norm(val, x.p) != 0:
+        if val % x.p:
             return False
     return True
 

@@ -6,10 +6,11 @@ Python ints in [0, p); arithmetic is explicit ``% p``.  Randomness comes
 from a small splitmix64 generator so that identical seeds give identical
 results on every platform and Python version.
 
-The stream is a contract, so that a seed replays the same realization:
-``vector(n, p)`` equals ``below(p)`` called n times, in order, and leaves
-the generator where they would.  It runs the splitmix step inline only
-because it is the hot draw of every sample.
+The stream is a contract, so that a seed replays the same realization.
+``vector`` is its one rejection loop: each coordinate is the next
+splitmix64 output below the largest multiple of p up to 2^64, reduced mod
+p, and ``below(n)`` is ``vector(1, n)[0]``.  A bound above 2^64 has no
+such multiple, so it raises instead of looping.
 """
 
 from __future__ import annotations
@@ -79,22 +80,14 @@ class SplitMix64:
         self.seed = seed & _MASK64
         self._state = self.seed
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix(self._state)
-
     def below(self, n: int) -> int:
-        """Uniform int in [0, n), by rejection on the top 64-bit range."""
-        if n <= 0:
-            raise ValueError("below() needs n >= 1")
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            x = self.next_u64()
-            if x < limit:
-                return x % n
+        """Uniform int in [0, n)."""
+        return self.vector(1, n)[0]
 
     def vector(self, length: int, p: int) -> tuple[int, ...]:
-        """below(p) length times, the splitmix step written inline."""
+        """length uniform ints in [0, p), by rejection on the top 64-bit range."""
+        if not 1 <= p <= 1 << 64:
+            raise ValueError("draws need a bound in [1, 2^64], got %d" % p)
         limit = (1 << 64) - ((1 << 64) % p)
         s = self._state
         out = []

@@ -39,6 +39,15 @@ def dense(row, ncols: int) -> list[int]:
     return vec
 
 
+def monic(vec, p: int):
+    """vec mod p scaled so that its first nonzero entry is 1, as a tuple; None if vec is zero."""
+    lead = next((x for x in vec if x % p), 0)
+    if not lead:
+        return None
+    inv = mod_inv(lead, p)
+    return tuple([x * inv % p for x in vec])
+
+
 class Echelon:
     """A row echelon basis over F_p, grown one row at a time."""
 

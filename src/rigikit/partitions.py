@@ -1,7 +1,8 @@
 """Bitmask helpers for exhaustive subset/partition minimization.
 
 Used only by the brute-force oracles; everything here is exponential by
-design and guarded by the callers' size limits.
+design and guarded by the callers' size limits.  One DP gives every mask's
+partition minimum; min_partition reads a minimizing partition back from it.
 """
 
 from __future__ import annotations
@@ -32,23 +33,20 @@ def min_partition_table(n: int, cost):
     return best
 
 
-def min_partition(n: int, cost):
-    """Minimize sum of cost(part) over partitions of {0..n-1} into nonempty parts.
+def min_partition(best, cost, mask: int) -> list[int]:
+    """One partition of mask attaining best[mask], as a list of bitmasks.
 
-    Returns (value, parts) where parts is one minimizing partition as a
-    list of bitmasks, read back from min_partition_table.  The empty
-    ground set has value 0 and no parts.
+    best is min_partition_table's table for the same cost.  Each part is
+    the first, in the table's submask order, that attains the minimum of
+    what is left; the empty mask has no parts.
     """
-    best = min_partition_table(n, cost)
     parts = []
-    m = (1 << n) - 1
-    while m:
-        # the first part, in the table's order, that attains best[m]
-        low = m & (-m)
-        rest = m ^ low
+    while mask:
+        low = mask & (-mask)
+        rest = mask ^ low
         t = rest
-        while cost(t | low) + best[m ^ t ^ low] != best[m]:
+        while cost(t | low) + best[mask ^ t ^ low] != best[mask]:
             t = (t - 1) & rest
         parts.append(t | low)
-        m ^= t | low
-    return best[-1], parts
+        mask ^= t | low
+    return parts

@@ -102,8 +102,7 @@ def sample_rod_config(graph: Multigraph, d: int, rng: SplitMix64, p: int) -> Rod
         for attempt in range(MAX_SAMPLE_RETRIES):
             vectors, kv = sample_span(d, d - 1, sub, p)
             normal = hodge_star(kv).coords
-            inv = mod_inv(next(c for c in normal if c), p)
-            point = tuple(c * inv % p for c in normal)
+            point = linalg.monic(normal, p)
             if point not in taken:
                 break
         else:
@@ -293,12 +292,7 @@ def flat_family_rank(graph: Multigraph, rods: RodConfig, p: int) -> int:
     isolated vertices included, dim K = D*c + L - R.
     """
     D = rods.d * (rods.d + 1) // 2
-    scaled = {}
-    for v, normal in rods.normals.items():
-        lead = next((x for x in normal if x % p), 0)
-        if lead:
-            inv = mod_inv(lead, p)
-            scaled[v] = [x * inv % p for x in normal]
+    scaled = {v: linalg.monic(normal, p) for v, normal in rods.normals.items()}
     adj = {v: [] for v in graph.vertex_ids}
     pairs = []  # (u, v, the scaled normals of its rod ends)
     for e in graph.edges:
@@ -306,7 +300,7 @@ def flat_family_rank(graph: Multigraph, rods: RodConfig, p: int) -> int:
             continue
         basis = []
         for v in (e.u, e.v):
-            if v in scaled and scaled[v] not in basis:
+            if scaled.get(v) and scaled[v] not in basis:
                 basis.append(scaled[v])
         adj[e.u].append((e.v, len(pairs)))
         adj[e.v].append((e.u, len(pairs)))

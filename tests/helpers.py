@@ -8,7 +8,8 @@ from rigikit import rigidity as rg
 from rigikit.count_matroid import PebbleState
 from rigikit.exterior import MAX_SAMPLE_RETRIES, KVector, ksubsets
 from rigikit.field import SplitMix64, mod_inv
-from rigikit.graph import Multigraph, VertexKind, build_graph, expand_f
+from rigikit.graph import Multigraph, VertexKind, build_graph
+from rigikit.partitions import min_partition_table
 
 MASK64 = (1 << 64) - 1
 
@@ -158,18 +159,17 @@ def trivial_missed_reference(m, motions):
 
 
 def det_reference(rows, p):
-    """Exact determinant by cofactor expansion along the first row, mod p
-    unless p is None; the reference for exterior.wedge_list's minors."""
-    norm = (lambda x: x) if p is None else (lambda x: x % p)
+    """Determinant by cofactor expansion along the first row, mod p; the
+    reference for exterior.wedge_list's minors."""
     n = len(rows)
     if n == 1:
-        return norm(rows[0][0])
+        return rows[0][0] % p
     total = 0
     for j, a in enumerate(rows[0]):
         if a:
             minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
             total += (-1) ** j * a * det_reference(minor, p)
-    return norm(total)
+    return total % p
 
 
 def proportional(x, y) -> bool:
@@ -246,13 +246,12 @@ def random_point_in_span_reference(vectors, rng, p):
     raise ValueError("could not sample a nonzero point in the span at prime %d" % p)
 
 
-def wedge2_reference(a, b, d, p=None):
+def wedge2_reference(a, b, d, p):
     """a ^ b one 2 x 2 minor at a time, over the 1-based k-subsets, through
-    KVector's validating constructor; exact when p is None."""
+    KVector's validating constructor."""
     coords = []
     for i, j in ksubsets(d, 2):
-        x = a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1]
-        coords.append(x if p is None else x % p)
+        coords.append((a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1]) % p)
     return KVector(d=d, k=2, coords=tuple(coords), p=p)
 
 
@@ -325,14 +324,53 @@ def subset_check_reference(graph, prof):
     """(subsets checked, the first failure's reason or None) of fuzz_case's
     subset check one subset at a time: in mask order over the edge order, a
     fresh fhat game and a brute force of its own per subset."""
-    expansion = expand_f(graph, prof)
     order = graph.edge_ids
     checks = 0
     for mask in range(1, 1 << len(order)):
         F = [e for i, e in enumerate(order) if mask >> i & 1]
-        lhs = cm.fhat(graph, F, prof, expanded=expansion)
+        lhs = cm.fhat(graph, F, prof)
         rhs = cm.fhat_bruteforce(graph, F, prof)
         checks += 1
         if lhs != rhs:
             return checks, "fhat(%r) = %d != brute force %d" % (F, lhs, rhs)
     return checks, None
+
+
+def rank_bruteforce_reference(graph, eids, prof):
+    """count_matroid.rank_bruteforce with its witness's parts from a second
+    partition DP, over the non-free edges alone: the reference for the
+    readback of the parts from bruteforce_tables' fhat table.
+
+    The free part is the first submask, in numeric order, of least
+    |F0| + fhat(rest); the rest's edges are re-indexed 0..k-1, and each part
+    is the first, in the small table's submask order, attaining its minimum.
+    """
+    order, fmask, fhat_table = cm.bruteforce_tables(graph, eids, prof)
+    n = len(order)
+    full = (1 << n) - 1
+    best_val, best_free = None, 0
+    for m in range(full + 1):
+        v = bin(m).count("1") + fhat_table[full ^ m]
+        if best_val is None or v < best_val:
+            best_val, best_free = v, m
+    kept = [i for i in range(n) if not best_free >> i & 1]
+
+    def cost(small):
+        return fmask[sum(1 << i for j, i in enumerate(kept) if small >> j & 1)]
+
+    best = min_partition_table(len(kept), cost)
+    parts, m = [], (1 << len(kept)) - 1
+    while m:
+        low = m & (-m)
+        rest = m ^ low
+        t = rest
+        while cost(t | low) + best[m ^ t ^ low] != best[m]:
+            t = (t - 1) & rest
+        parts.append(t | low)
+        m ^= t | low
+    return cm.RankCertificate(
+        value=best_val,
+        free_part=tuple(order[i] for i in range(n) if best_free >> i & 1),
+        parts=tuple(tuple(order[i] for j, i in enumerate(kept) if part >> j & 1)
+                    for part in parts),
+    )

@@ -671,6 +671,25 @@ def test_subset_check_fails_as_the_one_subset_at_a_time_loop(monkeypatch, lowere
     assert (out["subset_checks"], (out["failure"] or {}).get("reason")) == reference
 
 
+@pytest.mark.parametrize("model", ["rod-bar", "body-rod-bar"])
+@pytest.mark.parametrize("n, fhat_calls", [(1, 0), (6, 0), (7, 1), (9, 1)])
+def test_fuzz_case_takes_small_fhat_from_its_subset_tree(monkeypatch, model, n, fhat_calls):
+    # up to SUBSET_CHECK_EDGES edges fhat(E) is the subset tree's last game,
+    # and no separate game is played; above it one cm.fhat game is
+    third = "body" if model == "body-rod-bar" else "rod"
+    pairs = [("r1", "r2"), ("r2", "v3"), ("r1", "v3")] * 3
+    g = build_graph([("r1", "rod"), ("r2", "rod"), ("v3", third)], pairs[:n])
+    prof = CountProfile.body_rod_bar(3)
+    checks = subset_check_reference(g, prof)[0] if n <= analysis.SUBSET_CHECK_EDGES else 0
+    calls = []
+    real = cm.fhat
+    monkeypatch.setattr(cm, "fhat", lambda *args: calls.append(args) or real(*args))
+    out = fuzz_case(g, model, 3, P, SplitMix64(3), 1)
+    assert len(calls) == fhat_calls
+    assert (out["subset_checks"], out["failure"]) == (checks, None)
+    assert checks == (2**n - 1 if n <= 6 else 0)
+
+
 def test_fuzz_desk_scale_guard():
     with pytest.raises(ValueError, match="desk-scale"):
         fuzz_equivalence("body-bar", 3, 1, max_vertices=50)

@@ -517,6 +517,50 @@ def test_shortfall_at_a_tiny_prime_exits_1(argv, doc, tmp_path, capsys):
     assert "after 10 trials" in err
 
 
+PRIME_ABOVE_2_64 = 2**64 + 13  # prime: no multiple of it fits in 64 bits
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["fuzz", "--model", "body-bar", "--cases", "1"], None),
+        (["truncate", "DOC"], THREE_RODS),
+        (["analyze", "DOC"], HINGE_PATH),
+    ],
+    ids=["fuzz", "truncate", "analyze"],
+)
+def test_a_prime_above_2_64_exits_1_at_once(argv, doc, tmp_path):
+    # the draws' rejection limit 2^64 - 2^64 % p would be 0 and reject every
+    # draw; a child process, so that a loop fails the test on its timeout
+    from rigikit.field import is_prime
+
+    assert is_prime(PRIME_ABOVE_2_64)
+    argv = [write_doc(tmp_path, doc) if a == "DOC" else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rigikit.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "rigikit"] + argv + ["--prime", str(PRIME_ABOVE_2_64)],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: draws need a bound in [1, 2^64], got %d\n" % PRIME_ABOVE_2_64
+
+
+def test_fixed_joints_draw_nothing_at_a_prime_above_2_64(tmp_path, capsys):
+    doc = {
+        "schema": 1,
+        "model": "direction",
+        "dimension": 2,
+        "vertices": [{"id": "a"}, {"id": "b"}, {"id": "c"}],
+        "edges": [["a", "b"], ["b", "c"], ["c", "a"]],
+        "joints": {"a": [0, 0], "b": [1, 0], "c": [0, 1]},
+    }
+    path = write_doc(tmp_path, doc)
+    code, out, _ = run(capsys, ["analyze", path, "--prime", str(PRIME_ABOVE_2_64)])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["prime"] == PRIME_ABOVE_2_64 and rep["verdict"] == "minimally rigid"
+
+
 def test_rank_above_count_exits_2_even_at_a_tiny_prime(tmp_path, capsys, monkeypatch):
     # no sample lifts a rank above its count, so over F_3 too it is a disagreement
     from rigikit import rigidity as rg

@@ -42,6 +42,7 @@ from helpers import (
     cube_graph,
     fundamental_circuit_reference,
     random_kinded_graph,
+    rank_bruteforce_reference,
     sorted_pebble_game,
     subsets_of,
 )
@@ -182,6 +183,18 @@ def test_rank_certificate_is_minimizer():
         bf = rank_bruteforce(g, None, prof)
         bf.check(g, prof, None)
         assert cert.value == bf.value
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 2**64 - 1), st.integers(2, 4), st.sampled_from((0, 50, 100)),
+       st.booleans())
+def test_bruteforce_witness_is_read_from_the_fhat_table(seed, d, rod_pct, subset):
+    # the parts read back from the one fhat table are the parts of a second
+    # DP over the non-free edges alone: value, free part and parts, in order
+    prof = CountProfile.body_rod_bar(d)
+    g = random_kinded_graph(SplitMix64(seed), max_vertices=6, max_edges=9, rod_pct=rod_pct)
+    eids = g.edge_ids[::2] if subset else None
+    assert rank_bruteforce(g, eids, prof) == rank_bruteforce_reference(g, eids, prof)
 
 
 def test_deterministic_certificates():
@@ -346,11 +359,10 @@ def test_fhat_matches_bruteforce_randomized():
         d = 2 + sub.below(3)
         prof = CountProfile.body_rod_bar(d)
         g = random_kinded_graph(sub, max_vertices=5, max_edges=6)
-        expansion = expand_f(g, prof)
         for F in subsets_of(g.edge_ids):
             if not F:
                 continue
-            assert fhat(g, F, prof, expanded=expansion) == fhat_bruteforce(g, F, prof)
+            assert fhat(g, F, prof) == fhat_bruteforce(g, F, prof)
 
 
 # ---------------------------------------------------------------------------

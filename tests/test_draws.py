@@ -58,9 +58,14 @@ def test_first_draws_are_pinned(seed, p):
     assert [SplitMix64(seed).spawn(i).below(p) for i in (0, 1, 7)] == spawned
 
 
+def u64(rng):
+    """The stream's next raw output: a draw below 2^64 rejects nothing."""
+    return rng.vector(1, 2**64)[0]
+
+
 def test_first_output_is_the_textbook_one():
     # splitmix64 seeded with 0 starts 0xe220a8397b1dcdaf
-    assert SplitMix64(0).next_u64() == splitmix64_step(0)[1] == 0xE220A8397B1DCDAF
+    assert u64(SplitMix64(0)) == splitmix64_step(0)[1] == 0xE220A8397B1DCDAF
 
 
 @STREAM
@@ -69,7 +74,7 @@ def test_stream_is_the_textbook_step(seed, n, p):
     rng, state = SplitMix64(seed), seed
     for _ in range(n):
         state, x = splitmix64_step(state)
-        assert rng.next_u64() == x
+        assert u64(rng) == x
     draws = []
     for _ in range(n):
         state, x = below_reference(state, p)
@@ -88,7 +93,7 @@ def test_stream_is_the_textbook_step(seed, n, p):
 def test_vector_is_below_once_per_coordinate(seed, n, p):
     a, b = SplitMix64(seed), SplitMix64(seed)
     assert a.vector(n, p) == tuple(b.below(p) for _ in range(n))
-    assert a.next_u64() == b.next_u64()  # both streams stop at the same place
+    assert u64(a) == u64(b)  # both streams stop at the same place
 
 
 @STREAM
@@ -100,11 +105,11 @@ def test_point_in_span_and_wedge2_match_their_references(seed, d, p):
         a, b = SplitMix64(seed).spawn(k), SplitMix64(seed).spawn(k)
         assert random_point_in_span(vectors, a, p) == random_point_in_span_reference(
             vectors, b, p)
-        assert a.next_u64() == b.next_u64()
+        assert u64(a) == u64(b)
     x, y = rng.vector(d + 1, p), rng.vector(d + 1, p)
     assert wedge2(x, y, d, p) == wedge2_reference(x, y, d, p)
-    ints = [c - p // 2 for c in x], [c - p // 2 for c in y]  # exact, signs kept
-    assert wedge2(*ints, d) == wedge2_reference(*ints, d)
+    ints = [c - p // 2 for c in x], [c - p // 2 for c in y]  # signs kept, reduced mod P
+    assert wedge2(*ints, d, P) == wedge2_reference(*ints, d, P)
 
 
 @STREAM

@@ -33,9 +33,9 @@ def test_mod_inv():
 def test_splitmix_deterministic():
     a = SplitMix64(42)
     b = SplitMix64(42)
-    assert [a.next_u64() for _ in range(5)] == [b.next_u64() for _ in range(5)]
-    assert SplitMix64(42).spawn(3).next_u64() == SplitMix64(42).spawn(3).next_u64()
-    assert SplitMix64(42).spawn(3).next_u64() != SplitMix64(42).spawn(4).next_u64()
+    assert a.vector(5, 2**64) == b.vector(5, 2**64)
+    assert SplitMix64(42).spawn(3).vector(1, 2**64) == SplitMix64(42).spawn(3).vector(1, 2**64)
+    assert SplitMix64(42).spawn(3).vector(1, 2**64) != SplitMix64(42).spawn(4).vector(1, 2**64)
 
 
 def test_splitmix_below_bounds():
@@ -48,6 +48,8 @@ def test_splitmix_below_bounds():
     assert seen == set(range(13))
     with pytest.raises(ValueError):
         rng.below(0)
+    with pytest.raises(ValueError, match=r"\[1, 2\^64\], got 18446744073709551617"):
+        rng.below(2**64 + 1)  # no multiple of it fits in 64 bits: it would loop
 
 
 def test_rref_rank_nullspace():
@@ -77,11 +79,15 @@ def test_rank_known_matrix():
 
 def test_min_partition_modular_cost():
     # cost = size**2 favours singletons; cost = const favours one block
-    value, parts = min_partition(4, lambda m: bin(m).count("1") ** 2)
-    assert value == 4 and len(parts) == 4
-    value, parts = min_partition(4, lambda m: 10)
-    assert value == 10 and len(parts) == 1
-    assert min_partition(0, lambda m: 1) == (0, [])
+    def square(m):
+        return bin(m).count("1") ** 2
+
+    best = min_partition_table(4, square)
+    assert best[15] == 4 and len(min_partition(best, square, 15)) == 4
+    best = min_partition_table(4, lambda m: 10)
+    assert best[15] == 10 and min_partition(best, lambda m: 10, 15) == [15]
+    assert min_partition_table(0, lambda m: 1) == [0]
+    assert min_partition([0], lambda m: 1, 0) == []
 
 
 def test_min_partition_table_matches():
@@ -91,6 +97,7 @@ def test_min_partition_table_matches():
     for m in range(1, 1 << n):
         costs[m] = rng.below(7)
     table = min_partition_table(n, costs.__getitem__)
-    value, parts = min_partition(n, costs.__getitem__)
-    assert table[(1 << n) - 1] == value == sum(costs[m] for m in parts)
-    assert sum(parts) == (1 << n) - 1  # parts partition the ground set
+    for mask in range(1 << n):  # every mask's partition is read from the one table
+        parts = min_partition(table, costs.__getitem__, mask)
+        assert table[mask] == sum(costs[m] for m in parts)
+        assert sum(parts) == mask  # parts partition the mask

@@ -15,7 +15,7 @@ exhaustive oracles:
 from rigikit import linalg
 from rigikit.exterior import random_point_in_span
 from rigikit.field import DEFAULT_PRIME, SplitMix64
-from rigikit.partitions import min_partition
+from rigikit.partitions import min_partition_table
 
 P = DEFAULT_PRIME
 
@@ -45,8 +45,7 @@ def truncation_rhs(fam):
     def cost(mask):
         return span_rank(fam, [f for i, f in enumerate(ids) if mask >> i & 1]) - 1
 
-    value, _ = min_partition(len(ids), cost)
-    return value
+    return min_partition_table(len(ids), cost)[-1]
 
 
 def generic_rank_bruteforce(fam, p=P):

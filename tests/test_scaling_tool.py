@@ -22,7 +22,8 @@ def test_scaling_script_runs_small(tmp_path, monkeypatch):
     assert time.perf_counter() - t0 < 2.0
     run = json.loads(out.read_text())["runs"]["smoke"]
     assert run["sizes"] == [8] and run["nproc"] >= 1 and run["python"]
-    assert run["import_runs"] == 3 and run["import_s"] > 0
+    assert run["import_runs"] == 3 and run["import_s"] > 0 and run["raw_import_s"] > 0
+    assert 0.1 < run["import_s"] / run["raw_import_s"] < 10
     assert set(run["families"]) == {
         "rod-bar-ring", "body-bar-ring", "body-rod-bar-tree", "direction-2d"}
     for fam in run["families"].values():
@@ -49,3 +50,18 @@ def test_scaling_script_runs_small(tmp_path, monkeypatch):
     ).stdout
     (ring,) = run["families"]["rod-bar-ring"]["instances"]
     assert hashlib.sha256(printed).hexdigest() == ring["report_sha256"]
+
+
+def test_each_import_is_scaled_by_its_own_reference_sample(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import scaling
+
+    ref = scaling.worker.REFERENCE_S
+    samples = iter([ref / 2, ref * 2, ref * 2])  # calibration factors 2, 0.5, 0.5
+    imports = iter(["0.02", "0.05", "0.08"])
+    monkeypatch.setattr(scaling.worker, "reference_sample", lambda: next(samples))
+    monkeypatch.setattr(scaling.subprocess, "run",
+                        lambda *a, **k: subprocess.CompletedProcess(a, 0, next(imports)))
+    # raw median 0.05; each scaled by its own sample: 0.04, 0.025, 0.04.  One
+    # factor for all (the median sample's 0.5) or a shifted pairing reads 0.025
+    assert scaling.import_seconds(3) == (0.05, 0.04)

@@ -27,9 +27,11 @@ also records ``reference_s``, the median of its samples.
 
 Per family it fits a growth exponent for ``analyze`` and for each stage:
 the least-squares slope of log(calibrated time) against log(n), over
-every size run.  The run also records ``import_s`` (raw), the median over 3 x ``--runs`` fresh
-``python -S`` processes of the time to import ``rigikit.cli`` (the start-up
-every CLI call pays), the Python version and the core count.  The file
+every size run.  The run also records the time to import ``rigikit.cli``
+(the start-up every CLI call pays) in 3 x ``--runs`` fresh ``python -S``
+processes, each beside a reference sample of its own: the calibrated median
+``import_s`` and the raw median ``raw_import_s``.  Last come the Python
+version and the core count.  The file
 keeps one run per ``--label``; a run replaces the one of its label and
 leaves the others as they are, so the same file can hold the runs of two
 commits side by side.
@@ -174,15 +176,18 @@ def growth_exponent(sizes, times):
     return round(sum((x - mx) * (y - my) for x, y in pts) / sxx, 3)
 
 
-def import_seconds(runs: int) -> float:
-    """Median seconds to import rigikit.cli in a fresh ``python -S`` process."""
+def import_seconds(runs: int) -> tuple[float, float]:
+    """(raw, calibrated) median seconds to import rigikit.cli in a fresh
+    ``python -S`` process, each import scaled by a reference sample taken
+    just before it."""
     code = IMPORT_CODE % str(ROOT / "src")
-    times = [
-        float(subprocess.run([sys.executable, "-S", "-c", code], check=True,
-                             capture_output=True, text=True, timeout=60).stdout)
-        for _ in range(runs)
-    ]
-    return round(statistics.median(times), 4)
+    raw, calibrated = [], []
+    for _ in range(runs):
+        sample = worker.reference_sample()
+        raw.append(float(subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                                        capture_output=True, text=True, timeout=60).stdout))
+        calibrated.append(raw[-1] * worker.calibration([sample]))
+    return round(statistics.median(raw), 4), round(statistics.median(calibrated), 4)
 
 
 def run(sizes, runs: int) -> dict:
@@ -214,15 +219,18 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.runs < 1 or min(args.sizes) < 4:
         ap.error("--runs must be at least 1 and every size at least 4")
+    families = run(args.sizes, args.runs)
+    raw_import_s, import_s = import_seconds(3 * args.runs)
     result = {
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "seed": SEED,
         "runs": args.runs,
         "sizes": args.sizes,
-        "families": run(args.sizes, args.runs),
+        "families": families,
         "import_runs": 3 * args.runs,
-        "import_s": import_seconds(3 * args.runs),
+        "import_s": import_s,
+        "raw_import_s": raw_import_s,
     }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
     doc["runs"][args.label] = result
