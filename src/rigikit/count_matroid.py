@@ -42,11 +42,6 @@ from .graph import (
 from .partitions import min_partition, min_partition_table
 
 
-def _check_countable(graph: Multigraph, prof: CountProfile) -> None:
-    for v in graph.vertex_ids:
-        prof.capacity(graph.kinds[v])  # raises GraphError on hinge kinds
-
-
 # ---------------------------------------------------------------------------
 # Pebble game
 
@@ -273,6 +268,7 @@ def _components_via_circuits(state: PebbleState):
     the game stores no reach region for its later rejected clones.  Swapping
     clones is a matroid automorphism and f(e) >= 1 leaves no loop, so a
     later rejected clone x' has circuit C - x + x' and joins x by one union.
+    The groups fill in edge order, so they come in first-edge order unsorted.
     """
     graph = state.graph
     order = graph.sorted_edge_ids(state.inserted + [x for x, _ in state.rejected])
@@ -293,8 +289,7 @@ def _components_via_circuits(state: PebbleState):
     groups: dict[str, list[str]] = {}
     for e in order:
         groups.setdefault(find(e), []).append(e)
-    comps = sorted(groups.values(), key=lambda g: graph.edge_index[g[0]])
-    return tuple(tuple(c) for c in comps)
+    return tuple(tuple(c) for c in groups.values())
 
 
 def m_components(graph: Multigraph, eids, prof: CountProfile) -> Decomposition:
@@ -328,7 +323,6 @@ def certificate(state: PebbleState, eids) -> RankCertificate:
 
 def fhat(graph: Multigraph, eids, prof: CountProfile) -> int:
     """Polymatroid rank: the matroid rank of the copies of F in the expansion."""
-    _check_countable(graph, prof)
     exp_graph, copies = expand_f(graph, prof)
     copy_ids = [cid for e in _edge_order(graph, eids) for cid in copies[e]]
     return rank_value(exp_graph, copy_ids, prof)
@@ -340,7 +334,6 @@ def p_components(graph: Multigraph, prof: CountProfile) -> Decomposition:
     Also certifies the decomposition as a minimizer: fhat(E) must equal the
     sum of f over the components (raises RuntimeError otherwise).
     """
-    _check_countable(graph, prof)
     expanded = expand_f(graph, prof)
     return p_components_of_expansion(expanded, rank(expanded[0], None, prof), prof)
 
@@ -348,42 +341,33 @@ def p_components(graph: Multigraph, prof: CountProfile) -> Decomposition:
 def p_components_of_expansion(expanded, cert: RankCertificate, prof: CountProfile):
     """P-components of a graph, read from the rank certificate of its f-expansion.
 
-    expanded is expand_f's (expanded graph, copy map).  The certificate's
-    parts are the expansion's nontrivial M-components; each must be the
-    union of the copy sets of whole edges, and the sum of f over the
-    components must equal the certified fhat(E) = cert.value.
+    expanded is expand_f's (expanded graph, copy map); cert must be a checked
+    certificate of every copy, as certificate() returns, so its free part and
+    parts (the nontrivial M-components) partition the copies.  No edge's
+    copies may straddle several parts, which makes each part the union of
+    its edges' copy sets, and the sum of f over the components must equal
+    the certified fhat(E) = cert.value.  Each edge joins its part's group,
+    or its own when its copies are free; the groups fill in edge order, so
+    the components come in first-edge order without a sort.
     """
     exp_graph, copies = expanded
     part_of = {cid: i for i, part in enumerate(cert.parts) for cid in part}
-    result: list[tuple[str, ...]] = []
-    members: dict[int, list[str]] = {}
+    groups: dict[object, list[str]] = {}  # part index, or the edge when its copies are free
     for e, ids in copies.items():
         idxs = {part_of.get(cid) for cid in ids}
-        if idxs == {None}:
-            result.append((e,))
-        elif len(idxs) != 1:
+        if len(idxs) != 1:
             raise RuntimeError("copies of edge %r straddle several M-components" % e)
-        else:
-            members.setdefault(idxs.pop(), []).append(e)
-    for i, es in members.items():
-        if sorted(cert.parts[i]) != sorted(cid for e in es for cid in copies[e]):
-            raise RuntimeError("M-component is not a union of whole copy sets")
-        result.append(tuple(es))
+        i = idxs.pop()
+        groups.setdefault(e if i is None else i, []).append(e)
+    dec = Decomposition(kind="P", components=tuple(tuple(c) for c in groups.values()))
 
-    position = {e: k for k, e in enumerate(copies)}
-    result.sort(key=lambda c: position[c[0]])
-    dec = Decomposition(kind="P", components=tuple(result))
-
-    if copies:
-        total = sum(
-            f_value(exp_graph, [copies[e][0] for e in comp], prof)
-            for comp in dec.components
+    total = sum(f_value(exp_graph, [copies[e][0] for e in comp], prof)
+                for comp in dec.components)
+    if total != cert.value:
+        raise RuntimeError(
+            "P-component decomposition is not a minimizer: "
+            "sum f = %d but fhat(E) = %d" % (total, cert.value)
         )
-        if total != cert.value:
-            raise RuntimeError(
-                "P-component decomposition is not a minimizer: "
-                "sum f = %d but fhat(E) = %d" % (total, cert.value)
-            )
     return dec
 
 
@@ -398,7 +382,8 @@ def simplify_component(
     The component's edges are removed, a fresh body vertex is added, and
     one edge joins it to every vertex the component spanned.
     """
-    _check_countable(graph, prof)
+    for v in graph.vertex_ids:  # the whole graph, not just the component's subgraph
+        prof.capacity_of(graph, v)  # raises GraphError on a vertex it cannot count
     comp = _edge_order(graph, component)
     if len(comp) < 2:
         raise ValueError("only nontrivial P-connected components are simplified")
@@ -469,7 +454,6 @@ def _mask_costs(graph: Multigraph, prof: CountProfile, order):
 def bruteforce_tables(graph: Multigraph, eids, prof: CountProfile):
     """(order, f, fhat) of the edge set: f and the exhaustive partition minimum
     fhat of every subset, as lists indexed by bitmask over order."""
-    _check_countable(graph, prof)
     order = _edge_order(graph, eids)
     if len(order) > BRUTEFORCE_LIMIT:
         raise ValueError("brute force limited to %d edges" % BRUTEFORCE_LIMIT)

@@ -60,7 +60,7 @@ from .exterior import (
     wedge2,
 )
 from .field import SplitMix64, mod_inv
-from .graph import GraphError, Multigraph, VertexKind, build_graph
+from .graph import GraphError, Multigraph, VertexKind
 
 
 class ConfigError(ValueError):
@@ -72,7 +72,6 @@ class RodConfig(NamedTuple):
     (the star of the Pluecker vector) whose hyperplane holds the rod's bars."""
 
     d: int
-    p: int
     spans: Mapping[str, tuple[tuple[int, ...], ...]]
     normals: Mapping[str, tuple[int, ...]]
 
@@ -110,7 +109,7 @@ def sample_rod_config(graph: Multigraph, d: int, rng: SplitMix64, p: int) -> Rod
         spans[v] = vectors
         normals[v] = normal
         taken.add(point)
-    return RodConfig(d=d, p=p, spans=spans, normals=normals)
+    return RodConfig(d=d, spans=spans, normals=normals)
 
 
 def sample_bar_config(
@@ -348,7 +347,7 @@ def flat_family_rank(graph: Multigraph, rods: RodConfig, p: int) -> int:
 
 
 def expand_hinge(graph: Multigraph) -> Multigraph:
-    """The same vertices, edges and ids, with hinges made rods and the rest bodies.
+    """The same graph with hinges made rods and the rest bodies: only the kinds change.
 
     This is the one rewrite of an identified body-hinge graph: each hinge is
     a rod, each body-hinge edge a rod-body bar edge.  Both engines work on
@@ -362,13 +361,10 @@ def expand_hinge(graph: Multigraph) -> Multigraph:
                 "edge %r must join a body to a hinge, got %s-%s"
                 % (e.id, ku.value, kv.value)
             )
-    kinds = [
-        VertexKind.ROD if graph.kinds[v] == VertexKind.HINGE else VertexKind.BODY
+    return graph._replace(kinds={
+        v: VertexKind.ROD if graph.kinds[v] == VertexKind.HINGE else VertexKind.BODY
         for v in graph.vertex_ids
-    ]
-    return build_graph(
-        list(zip(graph.vertex_ids, kinds)), [(e.u, e.v, e.id) for e in graph.edges]
-    )
+    })
 
 
 # ---------------------------------------------------------------------------

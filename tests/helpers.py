@@ -8,7 +8,7 @@ from rigikit import rigidity as rg
 from rigikit.count_matroid import PebbleState
 from rigikit.exterior import MAX_SAMPLE_RETRIES, KVector, ksubsets
 from rigikit.field import SplitMix64, mod_inv
-from rigikit.graph import Multigraph, VertexKind, build_graph
+from rigikit.graph import Multigraph, VertexKind, build_graph, f_value
 from rigikit.partitions import min_partition_table
 
 MASK64 = (1 << 64) - 1
@@ -204,6 +204,53 @@ def graphic_union_reference(graph, d, rng, p):
     idx = graph.edge_index
     return rg.two_block_matrix(
         graph, D, p, lambda e: (rng.spawn(idx[e.id]).nonzero_vector(D, p),)
+    )
+
+
+def p_components_reference(expanded, cert, prof):
+    """count_matroid.p_components_of_expansion with its components sorted by
+    first edge and each part re-checked as a union of whole copy sets: the
+    reference for the one-pass grouping in edge order."""
+    exp_graph, copies = expanded
+    part_of = {cid: i for i, part in enumerate(cert.parts) for cid in part}
+    result = []
+    members = {}
+    for e, ids in copies.items():
+        idxs = {part_of.get(cid) for cid in ids}
+        if idxs == {None}:
+            result.append((e,))
+        elif len(idxs) != 1:
+            raise RuntimeError("copies of edge %r straddle several M-components" % e)
+        else:
+            members.setdefault(idxs.pop(), []).append(e)
+    for i, es in members.items():
+        if sorted(cert.parts[i]) != sorted(cid for e in es for cid in copies[e]):
+            raise RuntimeError("M-component is not a union of whole copy sets")
+        result.append(tuple(es))
+    position = {e: k for k, e in enumerate(copies)}
+    result.sort(key=lambda c: position[c[0]])
+    dec = cm.Decomposition(kind="P", components=tuple(result))
+    if copies:
+        total = sum(f_value(exp_graph, [copies[e][0] for e in comp], prof)
+                    for comp in dec.components)
+        if total != cert.value:
+            raise RuntimeError(
+                "P-component decomposition is not a minimizer: "
+                "sum f = %d but fhat(E) = %d" % (total, cert.value)
+            )
+    return dec
+
+
+def expand_hinge_reference(graph):
+    """rigidity.expand_hinge's rewrite of a valid body-hinge graph as a fresh
+    build_graph over the same vertices and edges, hinges made rods and the
+    rest bodies: the reference for the kinds swap."""
+    kinds = [
+        VertexKind.ROD if graph.kinds[v] == VertexKind.HINGE else VertexKind.BODY
+        for v in graph.vertex_ids
+    ]
+    return build_graph(
+        list(zip(graph.vertex_ids, kinds)), [(e.u, e.v, e.id) for e in graph.edges]
     )
 
 

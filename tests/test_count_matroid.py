@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from rigikit.count_matroid import (
     BRUTEFORCE_LIMIT,
     PebbleState,
+    RankCertificate,
     _fundamental_circuit_rest,
     certificate,
     fhat,
@@ -28,6 +29,7 @@ from rigikit.count_matroid import (
     rank_value,
     simplify_component,
 )
+from rigikit.analysis import count_side, random_multigraph
 from rigikit.field import SplitMix64
 from rigikit.graph import (
     CountProfile,
@@ -41,6 +43,7 @@ from rigikit.graph import (
 from helpers import (
     cube_graph,
     fundamental_circuit_reference,
+    p_components_reference,
     random_kinded_graph,
     rank_bruteforce_reference,
     sorted_pebble_game,
@@ -103,6 +106,37 @@ def test_hinge_vertex_rejected():
     g = build_graph([("a", "body"), ("h", "hinge")], [("a", "h")])
     with pytest.raises(GraphError, match="hinge"):
         rank_value(g, None, PROF3)
+
+
+def hinged_triangles():
+    """A body triangle beside an isolated hinge, and with a hinge edge."""
+    vs = [("a", "body"), ("b", "body"), ("c", "body"), ("h", "hinge")]
+    tri = [("a", "b"), ("b", "c"), ("c", "a")]
+    return build_graph(vs, tri), build_graph(vs, tri + [("a", "h")])
+
+
+@pytest.mark.parametrize("g", hinged_triangles(), ids=("isolated-hinge", "hinge-edge"))
+def test_every_entry_point_rejects_an_uncountable_vertex(g):
+    # the game's capacities, expand_f's f(e) and the brute force's costs
+    # reject a hinge; simplify_component checks the whole graph, as the
+    # triangle it simplifies never meets the hinge
+    for call in (lambda: rank_value(g, None, PROF3), lambda: fhat(g, None, PROF3),
+                 lambda: p_components(g, PROF3), lambda: fhat_bruteforce(g, None, PROF3),
+                 lambda: rank_bruteforce(g, None, PROF3),
+                 lambda: simplify_component(g, ("e0", "e1", "e2"), PROF3)):
+        with pytest.raises(GraphError, match="not countable"):
+            call()
+
+
+def test_brute_force_size_error_comes_before_the_hinge_error():
+    g = build_graph([("a", "body"), ("b", "body"), ("h", "hinge")],
+                    [("a", "b")] * 12 + [("a", "h")])
+    for oracle in (fhat_bruteforce, rank_bruteforce):
+        with pytest.raises(ValueError, match="limited") as exc:
+            oracle(g, None, PROF3)
+        assert not isinstance(exc.value, GraphError)
+    with pytest.raises(GraphError, match="not countable"):
+        fhat(g, None, PROF3)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +457,47 @@ def test_p_components_match_bruteforce():
         assert sorted(dec.components) == brute_p_components(g, prof)
 
 
+@st.composite
+def expansion_cases(draw):
+    """(graph or None, expand_f's pair, checked certificate, profile) at d = 3, 4:
+    a random kinded graph's f-expansion under either profile, or a
+    body-hinge or direction model's count graph (graph None)."""
+    d = draw(st.integers(3, 4))
+    rng = SplitMix64(draw(st.integers(0, 2**64 - 1)))
+    source = draw(st.sampled_from(("kinded", "body-hinge", "direction")))
+    if source == "kinded":
+        prof = draw(st.sampled_from((CountProfile.body_rod_bar(d), CountProfile.direction(d))))
+        g = random_kinded_graph(rng)
+        expanded = expand_f(g, prof)
+        return g, expanded, rank(expanded[0], None, prof), prof
+    cs = count_side(random_multigraph(rng, source), source, d)
+    return None, (cs.count_graph, cs.copies), certificate(cs.state, None), cs.profile
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(expansion_cases())
+def test_p_components_match_the_sorted_whole_copy_reference(case):
+    g, expanded, cert, prof = case
+    expected = p_components_reference(expanded, cert, prof)
+    assert p_components_of_expansion(expanded, cert, prof) == expected
+    if g is not None:
+        assert p_components(g, prof) == expected
+
+
+def test_straddling_copies_raise_on_a_checked_certificate():
+    # two parallel body-body edges at d = 2 expand to 2 x 3 copies; each
+    # certificate below partitions them and passes its check, yet splits e1
+    prof = CountProfile.body_rod_bar(2)
+    expanded = expand_f(parallel(2, "body", "body"), prof)
+    e0, e1 = expanded[1]["e0"], expanded[1]["e1"]
+    split = (RankCertificate(value=6, free_part=(), parts=(e0 + e1[:1], e1[1:])),
+             RankCertificate(value=4, free_part=e1[2:], parts=(e0 + e1[:2],)))
+    for cert in split:
+        cert.check(expanded[0], prof, None)
+        with pytest.raises(RuntimeError, match="copies of edge 'e1' straddle"):
+            p_components_of_expansion(expanded, cert, prof)
+
+
 def test_cube_all_trivial_d2():
     dec = p_components(cube_graph(VertexKind.ROD), CountProfile.body_rod_bar(2))
     assert len(dec.components) == 12
@@ -592,6 +667,16 @@ def fundamental_circuits(state):
         rest = _fundamental_circuit_rest(state, x, reach)
         out.extend(rest + (y,) for y in [x] + clones)
     return out
+
+
+@AXIOMS
+@given(count_matroids())
+def test_m_components_come_sorted_by_first_edge(case):
+    g, prof, ground = case
+    comps = m_components(g, ground, prof).components
+    assert all(c == g.sorted_edge_ids(c) for c in comps)
+    assert list(comps) == sorted(comps, key=lambda c: g.edge_index[c[0]])
+    assert sorted(e for c in comps for e in c) == sorted(ground)
 
 
 @AXIOMS

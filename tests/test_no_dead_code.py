@@ -5,6 +5,9 @@ referenced by name somewhere in src/ (a Name, an Attribute or an import
 alias), exported in rigikit.__all__, or be a dunder.  A helper that only
 tests read belongs in tests/.  An exemption kept because the benchmark's
 tracer patches the name holds only while perfbench/tracer.py names it.
+
+Every name a module imports is read in that module, except the
+``from __future__`` features and the package's re-exports in __init__.py.
 """
 
 import ast
@@ -96,3 +99,25 @@ def test_tracer_exemptions_follow_the_tracer():
     traced = {qual for qual, reason in EXEMPT.items() if reason.endswith(TRACED)}
     unpinned = sorted(traced - paths)
     assert not unpinned, "exempt for the tracer, which no longer patches: %s" % unpinned
+
+
+def _imported_names(tree):
+    """(bound name, line) of each import in the module, __future__ aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+
+
+def test_every_src_import_is_read_in_its_module():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # its imports are the package's re-exports
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.extend("%s:%d %s" % (path.name, line, name)
+                      for name, line in _imported_names(tree) if name not in read)
+    assert not unused, "imported in src/ but never read there: %s" % ", ".join(unused)

@@ -13,7 +13,9 @@ from rigikit.exterior import (
     wedge_list,
 )
 from rigikit.field import DEFAULT_PRIME, SplitMix64
-from rigikit.graph import CountProfile, GraphError, VertexKind, build_graph, expand_f, f_edge
+from rigikit.graph import (
+    CountProfile, GraphError, Multigraph, VertexKind, build_graph, expand_f, f_edge,
+)
 from rigikit.rigidity import (
     ConfigError,
     RigidityMatrix,
@@ -35,6 +37,7 @@ from rigikit.rigidity import (
 
 from helpers import (
     dense_rows,
+    expand_hinge_reference,
     proportional,
     random_kinded_graph,
     rank_reference,
@@ -319,6 +322,16 @@ def test_expand_hinge_counts():
             assert bars_graph.vertex_ids == counted.vertex_ids
             assert dict(bars_graph.kinds) == dict(counted.kinds)
             assert bars_graph.edges == counted.edges
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 2**64 - 1))
+def test_expand_hinge_swaps_kinds_as_a_rebuild_would(seed):
+    g = random_multigraph(SplitMix64(seed), "body-hinge")
+    swapped, rebuilt = expand_hinge(g), expand_hinge_reference(g)
+    for field in Multigraph._fields:
+        assert getattr(swapped, field) == getattr(rebuilt, field), field
+    assert list(swapped.kinds) == list(rebuilt.kinds)
 
 
 def test_expand_hinge_rejects_nonbipartite():
@@ -753,7 +766,7 @@ def hand_built_normals(draw):
             normals[v] = (0,) * D
         else:
             normals[v] = tuple(draw(st.integers(0, p - 1)) for _ in range(D))
-    return g, RodConfig(d=d, p=p, spans={}, normals=normals), p
+    return g, RodConfig(d=d, spans={}, normals=normals), p
 
 
 @FLATS
@@ -777,7 +790,7 @@ def test_flat_family_rank_of_degenerate_pairs():
         ({"a": n, "b": tuple(P - x for x in n)}, 5),
         ({"a": n, "b": (0, 1, 0, 0, 0, 0)}, 4),
     ):
-        rods = RodConfig(d=3, p=P, spans={}, normals=normals)
+        rods = RodConfig(d=3, spans={}, normals=normals)
         assert flat_ranks(pair, rods, P) == (one_pair,) * 3
         rods = rods._replace(normals={**normals, "c": normals["b"]})
         new, matrix, reference = flat_ranks(triangle, rods, P)

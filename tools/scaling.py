@@ -14,7 +14,10 @@ default prime and trial count.  Per instance the script records:
   The ``rank`` stage is the ``RigidityMatrix.rank`` spans.  The rod models'
   flat-family rank (``rigidity.flat_family_rank``) builds no matrix, so
   since it replaced the edge-flat matrix the stage no longer holds it;
-  runs recorded before that change counted it there;
+  runs recorded before that change counted it there.  The ``p_components``
+  stage times only the bar models' second game, so direction (the
+  ``direction-2d`` family) and body-hinge, which read their P-components
+  off the count matroid's own certificate, read 0 there;
 * the SHA-256 of the canonical JSON report, the bytes that
   ``rigikit analyze`` prints.
 
