@@ -12,7 +12,9 @@ after that is a ConfigError below the prime 2^16; above it analyze reports
 it as agreement false and fuzz and truncate as a disagreement.  A trial whose
 formal trivial motions are not all in the kernel, and in analyze a failed
 count-engine self-check, are disagreements too.  _disagreement builds every
-dump, a document replayable with the seed it carries.
+dump, a document replayable with the seed it carries.  analyze, decompose,
+truncate and fuzz_equivalence check their input with documents.check_model
+and check_graph first; the helpers they call assume it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import NamedTuple, Optional
 
 from . import count_matroid as cm
 from . import rigidity as rg
-from .documents import graph_document
+from .documents import check_graph, check_model, graph_document
 from .field import SplitMix64, check_prime, DEFAULT_PRIME
 from .graph import (
     CountProfile,
@@ -51,36 +53,25 @@ class EngineDisagreement(RuntimeError):
         self.dump = dump
 
 
-def _check_model_dimension(model: str, d: int) -> None:
-    if model in ("rod-bar", "body-rod-bar", "body-hinge") and d < 3:
-        raise ValueError(
-            "model %s needs dimension >= 3; d=2 is supported only for "
-            "body-bar and direction frameworks" % model
-        )
-
-
 def _check_run_settings(model: str, d: int, prime: int, trials: int) -> None:
     check_prime(prime)
-    _check_model_dimension(model, d)
+    check_model(model, d)
     if trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
 
 
 def count_host(graph: Multigraph, model: str, d: int):
-    """(profile, host graph) of the model's count polymatroid.
+    """(profile, host graph) of a checked model's count polymatroid.
 
     Bar and direction models count on the graph itself; body-hinge counts
     on rigidity.expand_hinge's rewrite, each hinge a rod, which also rejects
     an edge that does not join a body to a hinge.
     """
-    _check_model_dimension(model, d)
     if model == "direction":
         return CountProfile.direction(d), graph
-    if model in BAR_MODELS:
-        return CountProfile.body_rod_bar(d), graph
     if model == "body-hinge":
         return CountProfile.body_rod_bar(d), rg.expand_hinge(graph)
-    raise ValueError("unknown model %r" % model)
+    return CountProfile.body_rod_bar(d), graph
 
 
 class CountSide(NamedTuple):
@@ -383,8 +374,7 @@ def analyze(
 ) -> Report:
     """Run both engines on one instance and reconcile them into a Report."""
     _check_run_settings(model, d, prime, trials)
-    if joints is not None and model != "direction":
-        raise ValueError("joints are only meaningful for the direction model")
+    check_graph(graph, model, d, joints)
     D = d * (d + 1) // 2
     cs = count_side(graph, model, d)
     prof = cs.profile
@@ -491,6 +481,8 @@ def _rank_evidence(cs: CountSide, ranks) -> dict:
 def decompose(graph: Multigraph, model: str, d: int, joints=None) -> cm.Decomposition:
     """The P-components of the model's count polymatroid on its host graph;
     a failed count self-check is a disagreement with a seedless dump."""
+    check_model(model, d)
+    check_graph(graph, model, d, joints)
     prof, host = count_host(graph, model, d)
     try:
         return cm.p_components(host, prof)
@@ -523,9 +515,10 @@ def truncate(graph: Multigraph, model: str, d: int, prime: int = DEFAULT_PRIME,
     Generically each rank is its count rank; the trials run through
     _escalate, and a disagreement dumps the steps.
     """
+    _check_run_settings(model, d, prime, trials)
+    check_graph(graph, model, d)
     if model not in BAR_MODELS:
         raise ValueError("truncate needs a %s document, got %s" % (", ".join(BAR_MODELS), model))
-    _check_run_settings(model, d, prime, trials)
     rng = SplitMix64(seed)
     D = d * (d + 1) // 2
     prof = CountProfile.body_rod_bar(d)
@@ -585,9 +578,7 @@ def random_multigraph(
     """
     nv = 2 + rng.below(max_vertices - 1)
     bias_pct = int(rod_bias * 100)
-    if model == "body-bar":
-        kinds = [VertexKind.BODY] * nv
-    elif model == "rod-bar":
+    if model == "rod-bar":
         kinds = [VertexKind.ROD] * nv
     elif model == "body-rod-bar":
         kinds = [
@@ -601,10 +592,8 @@ def random_multigraph(
         ]
         kinds[0] = VertexKind.BODY
         kinds[-1] = VertexKind.HINGE
-    elif model == "direction":
-        kinds = [VertexKind.BODY] * nv
     else:
-        raise ValueError("unknown model %r" % model)
+        kinds = [VertexKind.BODY] * nv
 
     names = ["v%d" % i for i in range(nv)]
     pairs = []

@@ -82,10 +82,7 @@ def _report_text(rep) -> str:
 
 def _cmd_analyze(args) -> int:
     graph, model, d, joints = _load_document(args.file)
-    if args.dim is not None:
-        d = args.dim
-        if joints is not None and any(len(c) != d for c in joints.values()):
-            raise SchemaError("--dim %d conflicts with the joints in the file" % d)
+    d = d if args.dim is None else args.dim
     rep = analyze(
         graph,
         model,
@@ -102,8 +99,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_decompose(args) -> int:
     graph, model, d, joints = _load_document(args.file)
-    if args.dim is not None:
-        d = args.dim
+    d = d if args.dim is None else args.dim
     dec = decompose(graph, model, d, joints)
     payload = {
         "schema": 1,

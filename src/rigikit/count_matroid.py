@@ -171,12 +171,6 @@ class PebbleState:
                 state.try_insert(x)
         return len(state.inserted)
 
-    def check_invariant(self) -> None:
-        for v, peb in self.pebbles.items():
-            cap = self.prof.capacity_of(self.graph, v)
-            if peb < 0 or peb + len(self.out[v]) != cap:
-                raise RuntimeError("pebble invariant broken at vertex %r" % v)
-
 
 def _edge_order(graph: Multigraph, eids: Optional[Iterable[str]]):
     return graph.edge_ids if eids is None else graph.sorted_edge_ids(eids)

@@ -1,19 +1,16 @@
-"""Exterior algebra over W = F^(d+1): wedges, Hodge star, and the pairing.
+"""Exterior algebra over W = F^(d+1): wedges and the Hodge star.
 
 Degree-k elements are coordinate vectors indexed by the lexicographically
 sorted k-subsets of {1..d+1}; decomposable elements carry the k x k minors
 of a spanning matrix (Pluecker coordinates).  Scalars are ints mod the
 element's prime p, as every realization in this package lives over F_p;
-the wedges, the star and the pairing reduce their results into [0, p).
+the wedges and the star reduce their results into [0, p).
 
-The complementary-degree pairing used throughout is
-
-    <x, y> = sum over k-subsets I of (-1)^(k(k+1)/2 + sum I) * x_I * y_{I^c},
-
-which for decomposable arguments is the determinant of their stacked
-spanning vectors, so it vanishes exactly when the two subspaces intersect
-nontrivially.  It agrees with the dot product against the Hodge star up to
-a fixed degree-dependent sign.
+The star maps degree k to the complementary degree d+1-k, so that the dot
+product x . star(y) is, up to a fixed degree-dependent sign, the
+complementary pairing: for decomposable arguments the determinant of their
+stacked spanning vectors, which vanishes exactly when the two subspaces
+intersect nontrivially.
 """
 
 from __future__ import annotations
@@ -33,18 +30,15 @@ def ksubsets(d: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 @cache
-def _complements(d: int, k: int) -> tuple[tuple[int, int, int], ...]:
+def _complements(d: int, k: int) -> tuple[tuple[int, int], ...]:
     """Per k-subset I, in ksubsets order: (index of I^c among the
-    (d+1-k)-subsets, sign of the permutation I + I^c, pairing sign
-    (-1)^(k(k+1)/2 + sum I))."""
+    (d+1-k)-subsets, sign of the permutation I + I^c)."""
     index = {s: i for i, s in enumerate(ksubsets(d, d + 1 - k))}
     universe = set(range(1, d + 2))
-    base = k * (k + 1) // 2
     out = []
     for subset in ksubsets(d, k):
         comp = tuple(sorted(universe - set(subset)))
-        pair_sign = -1 if (base + sum(subset)) % 2 else 1
-        out.append((index[comp], _perm_sign(subset + comp), pair_sign))
+        out.append((index[comp], _perm_sign(subset + comp)))
     return tuple(out)
 
 
@@ -145,45 +139,9 @@ def hodge_star(x: KVector) -> KVector:
     """Linear star map to the complementary degree; involutive up to sign."""
     d, k = x.d, x.k
     out = [0] * len(x.coords)  # C(d+1, k) = C(d+1, d+1-k)
-    for (i, sign, _), c in zip(_complements(d, k), x.coords):
+    for (i, sign), c in zip(_complements(d, k), x.coords):
         out[i] = sign * c % x.p
     return KVector(d=d, k=d + 1 - k, coords=tuple(out), p=x.p)
-
-
-def pairing(x: KVector, y: KVector):
-    """Complementary pairing; equals det of stacked bases for decomposables."""
-    if x.d != y.d or x.k + y.k != x.d + 1:
-        raise ValueError(
-            "pairing needs complementary degrees k and d+1-k, got %d and %d"
-            % (x.k, y.k)
-        )
-    if x.p != y.p:
-        raise ValueError("pairing operands live over different primes")
-    total = 0
-    for (i, _, sign), c in zip(_complements(x.d, x.k), x.coords):
-        total += sign * c * y.coords[i]
-    return total % x.p
-
-
-def grassmann_check(x: KVector) -> bool:
-    """All quadratic Pluecker relations for a degree-2 element.
-
-    x_ij x_kl - x_ik x_jl + x_il x_jk = 0 for every i<j<k<l; for k=2 this
-    characterizes decomposability, and the zero vector passes vacuously.
-    """
-    if x.k != 2:
-        raise ValueError("grassmann_check applies to degree-2 elements")
-    idx = {s: i for i, s in enumerate(ksubsets(x.d, 2))}
-    c = x.coords
-    for i, j, k, l in combinations(range(1, x.d + 2), 4):
-        val = (
-            c[idx[(i, j)]] * c[idx[(k, l)]]
-            - c[idx[(i, k)]] * c[idx[(j, l)]]
-            + c[idx[(i, l)]] * c[idx[(j, k)]]
-        )
-        if val % x.p:
-            return False
-    return True
 
 
 MAX_SAMPLE_RETRIES = 64

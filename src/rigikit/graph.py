@@ -60,11 +60,17 @@ class Multigraph(NamedTuple):
         return tuple(e.id for e in self.edges)
 
     def edge(self, eid: str) -> Edge:
-        return self.edges[self.edge_index[eid]]
+        try:
+            return self.edges[self.edge_index[eid]]
+        except KeyError:
+            raise GraphError("unknown edge id %r" % eid) from None
 
     def sorted_edge_ids(self, eids: Iterable[str]) -> tuple[str, ...]:
         """Edge ids in construction order (the deterministic order everywhere)."""
-        return tuple(sorted(eids, key=self.edge_index.__getitem__))
+        try:
+            return tuple(sorted(eids, key=self.edge_index.__getitem__))
+        except KeyError as exc:
+            raise GraphError("unknown edge id %r" % exc.args[0]) from None
 
 
 def build_graph(vertices: Sequence, edges: Sequence) -> Multigraph:

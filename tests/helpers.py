@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from rigikit import count_matroid as cm
 from rigikit import linalg
 from rigikit import rigidity as rg
@@ -300,6 +302,60 @@ def wedge2_reference(a, b, d, p):
     for i, j in ksubsets(d, 2):
         coords.append((a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1]) % p)
     return KVector(d=d, k=2, coords=tuple(coords), p=p)
+
+
+def pairing(x: KVector, y: KVector):
+    """The complementary pairing of degrees k and d+1-k:
+
+        <x, y> = sum over k-subsets I of (-1)^(k(k+1)/2 + sum I) * x_I * y_{I^c},
+
+    for decomposable arguments the determinant of their stacked spanning
+    vectors.  rigidity reads a rod as its normal, the star of its Pluecker
+    vector, and the tests pin this pairing against that dot product."""
+    if x.d != y.d or x.k + y.k != x.d + 1:
+        raise ValueError(
+            "pairing needs complementary degrees k and d+1-k, got %d and %d"
+            % (x.k, y.k)
+        )
+    if x.p != y.p:
+        raise ValueError("pairing operands live over different primes")
+    index = {s: i for i, s in enumerate(ksubsets(x.d, y.k))}
+    universe = set(range(1, x.d + 2))
+    total = 0
+    for subset, c in zip(ksubsets(x.d, x.k), x.coords):
+        sign = -1 if (x.k * (x.k + 1) // 2 + sum(subset)) % 2 else 1
+        total += sign * c * y.coords[index[tuple(sorted(universe - set(subset)))]]
+    return total % x.p
+
+
+def grassmann_check(x: KVector) -> bool:
+    """All quadratic Pluecker relations for a degree-2 element.
+
+    x_ij x_kl - x_ik x_jl + x_il x_jk = 0 for every i<j<k<l; for k=2 this
+    characterizes decomposability, and the zero vector passes vacuously.
+    """
+    if x.k != 2:
+        raise ValueError("grassmann_check applies to degree-2 elements")
+    idx = {s: i for i, s in enumerate(ksubsets(x.d, 2))}
+    c = x.coords
+    for i, j, k, l in combinations(range(1, x.d + 2), 4):
+        val = (
+            c[idx[(i, j)]] * c[idx[(k, l)]]
+            - c[idx[(i, k)]] * c[idx[(j, l)]]
+            + c[idx[(i, l)]] * c[idx[(j, k)]]
+        )
+        if val % x.p:
+            return False
+    return True
+
+
+def check_pebble_invariant(state: PebbleState) -> None:
+    """pebbles[v] + outdegree(v) == capacity(v), and no negative pebble count,
+    at every vertex of the game."""
+    for v, peb in state.pebbles.items():
+        cap = state.prof.capacity_of(state.graph, v)
+        if peb < 0 or peb + len(state.out[v]) != cap:
+            raise RuntimeError("pebble invariant broken at vertex %r" % v)
 
 
 def bar_config_reference(graph, rods, rng, p):

@@ -41,6 +41,7 @@ from rigikit.graph import (
 )
 
 from helpers import (
+    check_pebble_invariant,
     cube_graph,
     fundamental_circuit_reference,
     p_components_reference,
@@ -128,6 +129,17 @@ def test_every_entry_point_rejects_an_uncountable_vertex(g):
             call()
 
 
+@pytest.mark.parametrize("eids", (["zz"], ["e1", "zz", "e0"]), ids=("alone", "among-known"))
+@pytest.mark.parametrize("entry", (fhat, rank_value, rank, is_independent, m_components,
+                                   fhat_bruteforce, rank_bruteforce, simplify_component,
+                                   f_value), ids=lambda f: f.__name__)
+def test_an_unknown_edge_id_is_a_graph_error_naming_it(entry, eids):
+    g = build_graph([("a", "body"), ("b", "body"), ("r", "rod")],
+                    [("a", "b"), ("b", "r"), ("r", "a")])
+    with pytest.raises(GraphError, match="^unknown edge id 'zz'$"):
+        entry(g, eids, PROF3)
+
+
 def test_brute_force_size_error_comes_before_the_hinge_error():
     g = build_graph([("a", "body"), ("b", "body"), ("h", "hinge")],
                     [("a", "b")] * 12 + [("a", "h")])
@@ -188,19 +200,19 @@ def test_pebble_invariant_held():
         state = PebbleState(g, prof)
         for eid in g.edge_ids:
             state.try_insert(eid)
-            state.check_invariant()
+            check_pebble_invariant(state)
         before = (dict(state.pebbles), {v: dict(a) for v, a in state.out.items()})
         # copies with random subsets released: still valid states, and a
         # retried edge fits exactly when a fresh game over the rest takes it
         for _ in range(4):
             drop = [e for e in state.inserted if sub.below(2)]
             released = state.released(drop)
-            released.check_invariant()
+            check_pebble_invariant(released)
             assert released.inserted == [e for e in state.inserted if e not in drop]
             for x in drop + [x for x, _ in state.rejected]:
                 retry = state.released(drop)
                 fits = retry.try_insert(x)
-                retry.check_invariant()
+                check_pebble_invariant(retry)
                 assert fits == is_independent(g, released.inserted + [x], prof)
         assert (state.pebbles, state.out) == before  # copies leave the state as it was
 

@@ -4,10 +4,8 @@ import pytest
 
 from rigikit.exterior import (
     KVector,
-    grassmann_check,
     hodge_star,
     ksubsets,
-    pairing,
     random_point_in_span,
     sample_span,
     wedge2,
@@ -15,7 +13,7 @@ from rigikit.exterior import (
 )
 from rigikit.field import DEFAULT_PRIME, SplitMix64
 
-from helpers import det_reference, proportional
+from helpers import det_reference, grassmann_check, pairing, proportional
 
 P = DEFAULT_PRIME
 

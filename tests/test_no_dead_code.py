@@ -3,8 +3,9 @@
 A top-level function or class, or a method, of src/rigikit/*.py must be
 referenced by name somewhere in src/ (a Name, an Attribute or an import
 alias), exported in rigikit.__all__, or be a dunder.  A helper that only
-tests read belongs in tests/.  An exemption kept because the benchmark's
-tracer patches the name holds only while perfbench/tracer.py names it.
+tests read belongs in tests/.  The only exemptions are argparse's error
+hook and the names the benchmark's tracer patches; a tracer exemption holds
+only while perfbench/tracer.py names it.
 
 Every name a module imports is read in that module, except the
 ``from __future__`` features and the package's re-exports in __init__.py.
@@ -18,20 +19,14 @@ import rigikit
 SRC = Path(rigikit.__file__).resolve().parent
 TRACER = SRC.parents[1] / "perfbench" / "tracer.py"
 TRACED = "patched by the tracer"  # the reason of an exemption the tracer keeps
+ARGPARSE = "argparse's error hook"
 
-# Read only outside src/, each kept for its reason.
+# Read only outside src/, each kept for its reason: argparse's hook or the tracer.
 EXEMPT = {
     # argparse calls it on a usage error; nothing in src/ names it
-    "_Parser.error": "argparse's error hook",
-    # the pebble game's invariant, which the tests run after every move
-    "PebbleState.check_invariant": "the pebble invariant the tests run",
+    "_Parser.error": ARGPARSE,
     # the brute-force reference the tests compare against; the tracer patches it
     "rank_bruteforce_table": "brute-force reference, " + TRACED,
-    # the decomposability oracle for degree-2 elements
-    "grassmann_check": "the decomposability oracle",
-    # the complementary pairing; src/ reads a rod as its normal, the star
-    # of its Pluecker vector, and the tests pin pairing against that product
-    "pairing": "the exterior pairing the tests check the rod normals against",
     # rows times a dense vector; perfbench/tracer.py patches it by name
     "mat_vec": "sparse product the tests use, " + TRACED,
     # the edge-flat matrix; analysis ranks the family with flat_family_rank,
@@ -80,6 +75,13 @@ def test_every_src_definition_has_a_src_reader():
         and qual not in EXEMPT
     ]
     assert not unread, "defined in src/ but read only outside it: %s" % ", ".join(unread)
+
+
+def test_only_argparse_and_the_tracer_keep_an_exemption():
+    # a reference only the tests read lives in tests/helpers.py
+    other = sorted(q for q, reason in EXEMPT.items()
+                   if reason != ARGPARSE and not reason.endswith(TRACED))
+    assert not other, "exempt for another reason, move it to tests/: %s" % other
 
 
 def _tracer_paths():

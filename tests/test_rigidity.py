@@ -6,7 +6,6 @@ from rigikit import count_matroid as cm
 from rigikit import linalg
 from rigikit.exterior import (
     KVector,
-    grassmann_check,
     hodge_star,
     random_point_in_span,
     wedge2,
@@ -38,6 +37,7 @@ from rigikit.rigidity import (
 from helpers import (
     dense_rows,
     expand_hinge_reference,
+    grassmann_check,
     proportional,
     random_kinded_graph,
     rank_reference,
