@@ -12,17 +12,21 @@ Schema (version 1):
     }
 
 MODELS maps each model to (the vertex kinds its graphs may use, its least
-dimension).  check_model and check_graph state every input rule once, for
-documents (parse_document ends with check_graph) and library graphs alike;
+dimension), and every model's dimension is at most graph.MAX_DIMENSION.
+check_model and check_graph state every input rule once, for documents
+(parse_document ends with check_graph) and library graphs alike;
 rigidity.expand_hinge checks that a body-hinge edge joins a body to a hinge.
-Parsing is strict: unknown keys are tolerated, wrong types are SchemaError.
+The dimension's range is left to check_model, after any --dim.  Parsing is
+strict: unknown keys are tolerated, wrong types are SchemaError.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .graph import GraphError, Multigraph, VertexKind, build_graph
+from .graph import (
+    MAX_DIMENSION, MIN_DIMENSION, GraphError, Multigraph, VertexKind, build_graph,
+)
 
 MODELS = {
     "body-bar": ({VertexKind.BODY}, 2),
@@ -44,12 +48,17 @@ def _rule(model) -> tuple:
 
 
 def check_model(model, d: int) -> None:
-    """Reject an unknown model and a dimension below the model's least."""
+    """Reject an unknown model and a dimension outside [the model's least,
+    MAX_DIMENSION]."""
     least = _rule(model)[1]
     if d < least:
-        d2 = " and ".join(m for m, (_, n) in MODELS.items() if n == 2)
-        raise SchemaError("model %s needs dimension >= %d; d=2 is supported only for %s "
-                          "frameworks" % (model, least, d2))
+        why = ""
+        if least > MIN_DIMENSION:
+            lowest = " and ".join(m for m, (_, n) in MODELS.items() if n == MIN_DIMENSION)
+            why = "; d=%d is supported only for %s frameworks" % (MIN_DIMENSION, lowest)
+        raise SchemaError("model %s needs dimension >= %d%s" % (model, least, why))
+    if d > MAX_DIMENSION:
+        raise SchemaError("model %s needs dimension <= %d" % (model, MAX_DIMENSION))
 
 
 def check_graph(graph: Multigraph, model, d: int, joints=None) -> None:
@@ -85,8 +94,8 @@ def parse_document(doc) -> tuple[Multigraph, str, int, Optional[dict]]:
     model = doc.get("model")
     _rule(model)
     d = doc.get("dimension")
-    if not isinstance(d, int) or not 2 <= d <= 6:
-        raise SchemaError("dimension must be an integer in [2, 6], got %r" % d)
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise SchemaError("dimension must be an integer, got %r" % d)
 
     raw_vertices = doc.get("vertices")
     if not isinstance(raw_vertices, list) or not raw_vertices:

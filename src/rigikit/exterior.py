@@ -1,10 +1,12 @@
 """Exterior algebra over W = F^(d+1): wedges and the Hodge star.
 
-Degree-k elements are coordinate vectors indexed by the lexicographically
-sorted k-subsets of {1..d+1}; decomposable elements carry the k x k minors
-of a spanning matrix (Pluecker coordinates).  Scalars are ints mod the
-element's prime p, as every realization in this package lives over F_p;
-the wedges and the star reduce their results into [0, p).
+A degree-k element is a plain tuple of coordinates indexed by the
+lexicographically sorted k-subsets of {1..d+1}; a decomposable one holds
+the k x k minors of a spanning matrix (Pluecker coordinates).  The tuple
+carries neither d, k nor the prime: each function takes what it needs as
+arguments.  Scalars are ints mod p, as every realization in this package
+lives over F_p; the wedges and the star reduce their results into [0, p),
+so any(x) is the test for a nonzero element.
 
 The star maps degree k to the complementary degree d+1-k, so that the dot
 product x . star(y) is, up to a fixed degree-dependent sign, the
@@ -18,7 +20,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .field import SplitMix64
 
@@ -51,31 +53,6 @@ def _perm_sign(seq: Sequence[int]) -> int:
     return -1 if inv % 2 else 1
 
 
-class _KVectorFields(NamedTuple):
-    d: int
-    k: int
-    coords: tuple
-    p: int
-
-
-class KVector(_KVectorFields):
-    """Element of the degree-k exterior power of F_p^(d+1)."""
-
-    __slots__ = ()
-
-    def __new__(cls, d: int, k: int, coords: tuple, p: int):
-        expected = len(ksubsets(d, k))
-        if len(coords) != expected:
-            raise ValueError(
-                "degree-%d vector over W=F^%d needs %d coordinates, got %d"
-                % (k, d + 1, expected, len(coords))
-            )
-        return tuple.__new__(cls, (d, k, coords, p))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-
 @cache
 def _expansion(d: int, r: int) -> tuple:
     """Per r-subset S of {1..d+1}, in ksubsets order, the terms of the r x r
@@ -91,7 +68,7 @@ def _expansion(d: int, r: int) -> tuple:
     )
 
 
-def wedge_list(vectors, d: int, p: int) -> KVector:
+def wedge_list(vectors, d: int, p: int) -> tuple:
     """v1 ^ ... ^ vk: coordinates are the k x k minors of the stacked matrix.
 
     The minors are built level by level: each r x r minor of v1..vr is its
@@ -118,7 +95,7 @@ def wedge_list(vectors, d: int, p: int) -> KVector:
                 total += sign * v[c] * minors[sub]
             level.append(total % p)
         minors = level
-    return KVector(d=d, k=k, coords=tuple(minors), p=p)
+    return tuple(minors)
 
 
 @cache
@@ -127,28 +104,28 @@ def _pairs(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((i - 1, j - 1) for i, j in ksubsets(d, 2))
 
 
-def wedge2(a, b, d: int, p: int) -> KVector:
+def wedge2(a, b, d: int, p: int) -> tuple:
     """a ^ b via the 2 x 2 coordinate minors; zero iff a, b are dependent."""
     if len(a) != d + 1 or len(b) != d + 1:
         raise ValueError("wedge2 needs two vectors of length %d" % (d + 1))
-    coords = tuple([(a[i] * b[j] - a[j] * b[i]) % p for i, j in _pairs(d)])
-    return tuple.__new__(KVector, (d, 2, coords, p))  # lengths checked: no re-validation
+    return tuple([(a[i] * b[j] - a[j] * b[i]) % p for i, j in _pairs(d)])
 
 
-def hodge_star(x: KVector) -> KVector:
-    """Linear star map to the complementary degree; involutive up to sign."""
-    d, k = x.d, x.k
-    out = [0] * len(x.coords)  # C(d+1, k) = C(d+1, d+1-k)
-    for (i, sign), c in zip(_complements(d, k), x.coords):
-        out[i] = sign * c % x.p
-    return KVector(d=d, k=d + 1 - k, coords=tuple(out), p=x.p)
+def hodge_star(coords, d: int, k: int, p: int) -> tuple:
+    """Linear star map of a degree-k element to the complementary degree
+    d+1-k; involutive up to sign."""
+    out = [0] * len(coords)  # C(d+1, k) = C(d+1, d+1-k)
+    for (i, sign), c in zip(_complements(d, k), coords):
+        out[i] = sign * c % p
+    return tuple(out)
 
 
 MAX_SAMPLE_RETRIES = 64
 
 
 def sample_span(d: int, k: int, rng: SplitMix64, p: int):
-    """k uniformly random independent vectors plus their wedge.
+    """(vectors, minors): k uniformly random independent vectors and the
+    coordinates of their wedge.
 
     Resamples until the wedge is nonzero; over a large prime field a
     dependent draw is vanishingly rare, and the retry cap only guards
@@ -156,9 +133,9 @@ def sample_span(d: int, k: int, rng: SplitMix64, p: int):
     """
     for _ in range(MAX_SAMPLE_RETRIES):
         vectors = tuple(rng.vector(d + 1, p) for _ in range(k))
-        kv = wedge_list(vectors, d, p)
-        if not kv.is_zero():
-            return vectors, kv
+        minors = wedge_list(vectors, d, p)
+        if any(minors):
+            return vectors, minors
     raise ValueError("could not sample %d independent vectors at prime %d" % (k, p))
 
 

@@ -132,6 +132,15 @@ def build_graph(vertices: Sequence, edges: Sequence) -> Multigraph:
 # Counting profiles
 
 
+MIN_DIMENSION, MAX_DIMENSION = 2, 6  # every model's d; documents.MODELS has its least
+
+
+def _check_dimension(d: int) -> None:
+    if not MIN_DIMENSION <= d <= MAX_DIMENSION:
+        raise ValueError("dimension d must be in [%d, %d], got %d"
+                         % (MIN_DIMENSION, MAX_DIMENSION, d))
+
+
 class CountProfile(NamedTuple):
     """Capacity-per-kind count function f(F) = sum(capacity over V(F)) - offset."""
 
@@ -148,8 +157,7 @@ class CountProfile(NamedTuple):
         Hinge vertices are deliberately absent: hinges must be converted to
         rods (see rigidity.expand_hinge) before any counting happens.
         """
-        if not 2 <= d <= 6:
-            raise ValueError("dimension d must be in [2, 6], got %d" % d)
+        _check_dimension(d)
         D = d * (d + 1) // 2
         return cls(
             d=d,
@@ -162,8 +170,7 @@ class CountProfile(NamedTuple):
     @classmethod
     def direction(cls, d: int) -> "CountProfile":
         """Direction-constraint count f'(F) = d*|V(F)| - (d+1), kind-blind."""
-        if not 2 <= d <= 6:
-            raise ValueError("dimension d must be in [2, 6], got %d" % d)
+        _check_dimension(d)
         return cls(
             d=d,
             D=d * (d + 1) // 2,

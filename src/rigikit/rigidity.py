@@ -18,11 +18,13 @@ expand_hinge is the one rewrite of it, shared with the count side, and a
 trial samples the rewrite's f-expansion (D-1 parallel bars per edge, the
 graph count_side counts on) as a body-rod-bar framework.
 
-Configurations are sampled uniformly over F_p.  A rod is its normal in F^D,
-the Hodge star of its Pluecker vector: a bar q meets it exactly when
-q . normal = 0.  Bars are built by the shared-point rule, through a random
-point of each rod endpoint's subspace, so they are decomposable and incident
-at once; the rod spins (trivial_motions) are the one incidence check.
+Configurations are sampled uniformly over F_p.  A bar is the tuple of its
+Pluecker coordinates q, the wedge of two points, and a rod is its normal in
+F^D, the Hodge star of the rod's Pluecker coordinates: a bar q meets it
+exactly when q . normal = 0.  Bars are built by the shared-point rule,
+through a random point of each rod endpoint's subspace, so they are
+decomposable and incident at once; the rod spins (trivial_motions) are the
+one incidence check.
 
 The edge-flat family is ranked without a matrix: flat_family_rank reads
 its rank off the kernel, a small system over the DFS back edges of the
@@ -52,12 +54,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from . import linalg
 from .exterior import (
-    KVector,
-    MAX_SAMPLE_RETRIES,
-    hodge_star,
-    random_point_in_span,
-    sample_span,
-    wedge2,
+    MAX_SAMPLE_RETRIES, hodge_star, random_point_in_span, sample_span, wedge2,
 )
 from .field import SplitMix64, mod_inv
 from .graph import GraphError, Multigraph, VertexKind
@@ -79,7 +76,7 @@ class RodConfig(NamedTuple):
 class BarConfig(NamedTuple):
     d: int
     p: int
-    bars: Mapping[str, KVector]  # edge id -> degree-2 Pluecker vector
+    bars: Mapping[str, tuple[int, ...]]  # edge id -> degree-2 Pluecker coordinates
 
 
 def sample_rod_config(graph: Multigraph, d: int, rng: SplitMix64, p: int) -> RodConfig:
@@ -99,8 +96,8 @@ def sample_rod_config(graph: Multigraph, d: int, rng: SplitMix64, p: int) -> Rod
             continue
         sub = rng.spawn(i)
         for attempt in range(MAX_SAMPLE_RETRIES):
-            vectors, kv = sample_span(d, d - 1, sub, p)
-            normal = hodge_star(kv).coords
+            vectors, minors = sample_span(d, d - 1, sub, p)
+            normal = hodge_star(minors, d, d - 1, p)
             point = linalg.monic(normal, p)
             if point not in taken:
                 break
@@ -122,14 +119,14 @@ def sample_bar_config(
     their wedge; both are redrawn while it is zero.
     """
     d, spans = rods.d, rods.spans
-    bars: dict[str, KVector] = {}
+    bars: dict[str, tuple[int, ...]] = {}
     for idx, e in enumerate(graph.edges):
         sub = rng.spawn(idx)
         for attempt in range(MAX_SAMPLE_RETRIES):
             x, y = [random_point_in_span(spans[v], sub, p) if v in spans
                     else sub.nonzero_vector(d + 1, p) for v in (e.u, e.v)]
             q = wedge2(x, y, d, p)
-            if not q.is_zero():
+            if any(q):
                 bars[e.id] = q
                 break
         else:
@@ -222,7 +219,7 @@ def matrix_body_bar(graph: Multigraph, bars: BarConfig) -> RigidityMatrix:
     Reads no rods: the rod spins check incidence (verify_trivial_motions).
     """
     D = bars.d * (bars.d + 1) // 2
-    return two_block_matrix(graph, D, bars.p, lambda e: (bars.bars[e.id].coords,))
+    return two_block_matrix(graph, D, bars.p, lambda e: (bars.bars[e.id],))
 
 
 def matrix_graphic_union(

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 from rigikit import count_matroid as cm
 from rigikit import linalg
 from rigikit import rigidity as rg
+from rigikit.analysis import FUZZ_MAX_EDGES
 from rigikit.count_matroid import PebbleState
-from rigikit.exterior import MAX_SAMPLE_RETRIES, KVector, ksubsets
+from rigikit.exterior import MAX_SAMPLE_RETRIES, ksubsets
 from rigikit.field import SplitMix64, mod_inv
 from rigikit.graph import Multigraph, VertexKind, build_graph, f_value
 from rigikit.partitions import min_partition_table
@@ -174,12 +175,12 @@ def det_reference(rows, p):
     return total % p
 
 
-def proportional(x, y) -> bool:
-    """Projective equality of two KVectors: all 2 x 2 cross minors vanish."""
-    n = len(x.coords)
+def proportional(x, y, p) -> bool:
+    """Projective equality of two coordinate tuples mod p: all 2 x 2 cross
+    minors vanish."""
+    n = len(x)
     return not any(
-        (x.coords[i] * y.coords[j] - x.coords[j] * y.coords[i]) % x.p
-        for i in range(n) for j in range(i + 1, n)
+        (x[i] * y[j] - x[j] * y[i]) % p for i in range(n) for j in range(i + 1, n)
     )
 
 
@@ -296,55 +297,63 @@ def random_point_in_span_reference(vectors, rng, p):
 
 
 def wedge2_reference(a, b, d, p):
-    """a ^ b one 2 x 2 minor at a time, over the 1-based k-subsets, through
-    KVector's validating constructor."""
-    coords = []
-    for i, j in ksubsets(d, 2):
-        coords.append((a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1]) % p)
-    return KVector(d=d, k=2, coords=tuple(coords), p=p)
+    """a ^ b one 2 x 2 minor at a time, over the 1-based k-subsets."""
+    return tuple(
+        (a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1]) % p for i, j in ksubsets(d, 2)
+    )
 
 
-def pairing(x: KVector, y: KVector):
-    """The complementary pairing of degrees k and d+1-k:
+def check_degree(x, k, d):
+    """Reject coordinates that are not one per k-subset of {1..d+1}."""
+    expected = len(ksubsets(d, k))
+    if len(x) != expected:
+        raise ValueError(
+            "degree-%d vector over W=F^%d needs %d coordinates, got %d"
+            % (k, d + 1, expected, len(x))
+        )
+
+
+def pairing(x, kx, y, ky, d, p):
+    """The complementary pairing of coordinates x of degree kx and y of
+    degree ky = d+1-kx:
 
         <x, y> = sum over k-subsets I of (-1)^(k(k+1)/2 + sum I) * x_I * y_{I^c},
 
     for decomposable arguments the determinant of their stacked spanning
     vectors.  rigidity reads a rod as its normal, the star of its Pluecker
-    vector, and the tests pin this pairing against that dot product."""
-    if x.d != y.d or x.k + y.k != x.d + 1:
+    coordinates, and the tests pin this pairing against that dot product."""
+    if kx + ky != d + 1:
         raise ValueError(
-            "pairing needs complementary degrees k and d+1-k, got %d and %d"
-            % (x.k, y.k)
+            "pairing needs complementary degrees k and d+1-k, got %d and %d" % (kx, ky)
         )
-    if x.p != y.p:
-        raise ValueError("pairing operands live over different primes")
-    index = {s: i for i, s in enumerate(ksubsets(x.d, y.k))}
-    universe = set(range(1, x.d + 2))
+    check_degree(x, kx, d)
+    check_degree(y, ky, d)
+    index = {s: i for i, s in enumerate(ksubsets(d, ky))}
+    universe = set(range(1, d + 2))
     total = 0
-    for subset, c in zip(ksubsets(x.d, x.k), x.coords):
-        sign = -1 if (x.k * (x.k + 1) // 2 + sum(subset)) % 2 else 1
-        total += sign * c * y.coords[index[tuple(sorted(universe - set(subset)))]]
-    return total % x.p
+    for subset, c in zip(ksubsets(d, kx), x):
+        sign = -1 if (kx * (kx + 1) // 2 + sum(subset)) % 2 else 1
+        total += sign * c * y[index[tuple(sorted(universe - set(subset)))]]
+    return total % p
 
 
-def grassmann_check(x: KVector) -> bool:
-    """All quadratic Pluecker relations for a degree-2 element.
+def grassmann_check(x, k, d, p) -> bool:
+    """All quadratic Pluecker relations for coordinates x of degree k = 2.
 
-    x_ij x_kl - x_ik x_jl + x_il x_jk = 0 for every i<j<k<l; for k=2 this
+    x_ij x_mn - x_im x_jn + x_in x_jm = 0 for every i<j<m<n; for k=2 this
     characterizes decomposability, and the zero vector passes vacuously.
     """
-    if x.k != 2:
+    if k != 2:
         raise ValueError("grassmann_check applies to degree-2 elements")
-    idx = {s: i for i, s in enumerate(ksubsets(x.d, 2))}
-    c = x.coords
-    for i, j, k, l in combinations(range(1, x.d + 2), 4):
+    check_degree(x, k, d)
+    idx = {s: i for i, s in enumerate(ksubsets(d, 2))}
+    for i, j, m, n in combinations(range(1, d + 2), 4):
         val = (
-            c[idx[(i, j)]] * c[idx[(k, l)]]
-            - c[idx[(i, k)]] * c[idx[(j, l)]]
-            + c[idx[(i, l)]] * c[idx[(j, k)]]
+            x[idx[(i, j)]] * x[idx[(m, n)]]
+            - x[idx[(i, m)]] * x[idx[(j, n)]]
+            + x[idx[(i, n)]] * x[idx[(j, m)]]
         )
-        if val % x.p:
+        if val % p:
             return False
     return True
 
@@ -373,7 +382,7 @@ def bar_config_reference(graph, rods, rng, p):
                 for v in (e.u, e.v)
             )
             q = wedge2_reference(x, y, d, p)
-            if not q.is_zero():
+            if any(q):
                 bars[e.id] = q
                 break
         else:
@@ -477,3 +486,40 @@ def rank_bruteforce_reference(graph, eids, prof):
         parts=tuple(tuple(order[i] for j, i in enumerate(kept) if part >> j & 1)
                     for part in parts),
     )
+
+
+# ---------------------------------------------------------------------------
+# Every small multigraph, for the bounded-exhaustive tier
+
+
+def small_multigraphs(model, d):
+    """Every multigraph on 2 and 3 vertices of a bar model, up to isomorphism,
+    with at least one edge and at most analysis.FUZZ_MAX_EDGES in all.
+
+    Each vertex pair carries 0..D+1 parallel bars, D = (d+1 choose 2); the
+    kinds run over every mix the model takes (body-rod-bar: 1 to n-1 rods,
+    listed first).  Of the labelled graphs the one kept per class is the
+    least multiplicity tuple over the permutations that fix the kinds.
+    Graphs come in a fixed order: by vertex count, then kind mix, then tuple.
+    """
+    D = d * (d + 1) // 2
+    for n in (2, 3):
+        pairs = list(combinations(range(n), 2))
+        if model == "body-rod-bar":
+            mixes = [["rod"] * r + ["body"] * (n - r) for r in range(1, n)]
+        else:
+            mixes = [[{"body-bar": "body", "rod-bar": "rod"}[model]] * n]
+        for kinds in mixes:
+            relabel = [[pairs.index(tuple(sorted((s[i], s[j])))) for i, j in pairs]
+                       for s in permutations(range(n))
+                       if all(kinds[s[i]] == kinds[i] for i in range(n))]
+            for mult in product(range(D + 2), repeat=len(pairs)):
+                if not 1 <= sum(mult) <= FUZZ_MAX_EDGES:
+                    continue
+                if any(tuple(mult[k] for k in r) < mult for r in relabel):
+                    continue
+                yield build_graph(
+                    [("v%d" % i, k) for i, k in enumerate(kinds)],
+                    [("v%d" % i, "v%d" % j)
+                     for (i, j), m in zip(pairs, mult) for _ in range(m)],
+                )

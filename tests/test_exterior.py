@@ -3,7 +3,6 @@ from itertools import product
 import pytest
 
 from rigikit.exterior import (
-    KVector,
     hodge_star,
     ksubsets,
     random_point_in_span,
@@ -27,8 +26,7 @@ def rand_vec(rng, d, p=P):
 
 
 def test_wedge2_basis_example():
-    v = wedge2((1, 0, 0, 0), (0, 1, 0, 0), 3, P)
-    assert v.coords == (1, 0, 0, 0, 0, 0)
+    assert wedge2((1, 0, 0, 0), (0, 1, 0, 0), 3, P) == (1, 0, 0, 0, 0, 0)
 
 
 def test_wedge2_alternation():
@@ -36,16 +34,16 @@ def test_wedge2_alternation():
     for _ in range(20):
         d = 2 + rng.below(5)
         a, b = rand_vec(rng, d), rand_vec(rng, d)
-        assert wedge2(a, a, d, P).is_zero()
+        assert not any(wedge2(a, a, d, P))
         ab, ba = wedge2(a, b, d, P), wedge2(b, a, d, P)
-        assert all((x + y) % P == 0 for x, y in zip(ab.coords, ba.coords))
+        assert all((x + y) % P == 0 for x, y in zip(ab, ba))
 
 
 def test_wedge2_homogeneous_bar_example():
     # bar through the points (0,0,0) and (1,0,0), homogeneous coordinates
     bar = wedge2((1, 0, 0, 1), (0, 0, 0, 1), 3, P)
-    assert bar.coords == (0, 0, 1, 0, 0, 0)
-    assert grassmann_check(bar)
+    assert bar == (0, 0, 1, 0, 0, 0)
+    assert grassmann_check(bar, 2, 3, P)
 
 
 def test_wedge2_matches_minor_oracle():
@@ -54,7 +52,8 @@ def test_wedge2_matches_minor_oracle():
         d = 2 + rng.below(5)
         a, b = rand_vec(rng, d), rand_vec(rng, d)
         got = wedge2(a, b, d, P)
-        for (i, j), c in zip(ksubsets(d, 2), got.coords):
+        assert len(got) == len(ksubsets(d, 2))
+        for (i, j), c in zip(ksubsets(d, 2), got):
             minor = (a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1]) % P
             assert c == minor
 
@@ -66,10 +65,10 @@ def test_wedge2_length_mismatch():
 
 def test_wedge_list_unit_and_dependent():
     v = wedge_list([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], 3, P)
-    assert v.coords[ksubsets(3, 3).index((1, 2, 3))] == 1
-    assert sum(v.coords) == 1
+    assert v[ksubsets(3, 3).index((1, 2, 3))] == 1
+    assert sum(v) == 1
     dep = wedge_list([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)], 3, P)
-    assert dep.is_zero()
+    assert not any(dep)
 
 
 def test_wedge_list_intersection_pairing():
@@ -77,12 +76,12 @@ def test_wedge_list_intersection_pairing():
     # zero with a vector inside its own span
     rng = SplitMix64(5)
     for _ in range(20):
-        vecs, kv = sample_span(3, 3, rng, P)
+        vecs, minors = sample_span(3, 3, rng, P)
         inside = random_point_in_span(vecs, rng, P)
-        assert pairing(kv, wedge_list([inside], 3, P)) == 0
+        assert pairing(minors, 3, wedge_list([inside], 3, P), 1, 3, P) == 0
         outside = rng.vector(4, P)
         expected = det_reference([list(v) for v in vecs] + [list(outside)], P)
-        assert pairing(kv, wedge_list([outside], 3, P)) == expected
+        assert pairing(minors, 3, wedge_list([outside], 3, P), 1, 3, P) == expected
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, P])
@@ -99,7 +98,7 @@ def test_wedge_list_minors_are_cofactor_determinants(p):
                     det_reference([[v[i - 1] for i in subset] for v in vecs], p)
                     for subset in ksubsets(d, k)
                 )
-                assert wedge_list(vecs, d, p).coords == expected
+                assert wedge_list(vecs, d, p) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +106,12 @@ def test_wedge_list_minors_are_cofactor_determinants(p):
 
 
 def test_hodge_star_d3_tuple():
-    q = KVector(d=3, k=2, coords=(1, 2, 3, 4, 5, 6), p=P)
-    assert hodge_star(q).coords == (6, P - 5, 4, 3, P - 2, 1)
+    assert hodge_star((1, 2, 3, 4, 5, 6), 3, 2, P) == (6, P - 5, 4, 3, P - 2, 1)
 
 
 def test_hodge_star_basis_example():
     e12 = wedge2((1, 0, 0, 0), (0, 1, 0, 0), 3, P)
-    assert hodge_star(e12).coords[ksubsets(3, 2).index((3, 4))] == 1
+    assert hodge_star(e12, 3, 2, P)[ksubsets(3, 2).index((3, 4))] == 1
 
 
 def test_hodge_star_involution_sign():
@@ -123,10 +121,9 @@ def test_hodge_star_involution_sign():
             for i in range(len(subs)):
                 coords = [0] * len(subs)
                 coords[i] = 1
-                v = KVector(d=d, k=k, coords=tuple(coords), p=P)
-                ss = hodge_star(hodge_star(v))
+                ss = hodge_star(hodge_star(coords, d, k, P), d, d + 1 - k, P)
                 sign = (-1) ** (k * (d + 1 - k))
-                assert ss.coords == tuple(sign * c % P for c in v.coords)
+                assert ss == tuple(sign * c % P for c in coords)
 
 
 # ---------------------------------------------------------------------------
@@ -134,31 +131,25 @@ def test_hodge_star_involution_sign():
 
 
 def test_pairing_d3_expansion():
-    a = KVector(d=3, k=2, coords=(1, 2, 3, 4, 5, 6), p=P)
-    b = KVector(d=3, k=2, coords=(7, 11, 13, 17, 19, 23), p=P)
+    a = (1, 2, 3, 4, 5, 6)
+    b = (7, 11, 13, 17, 19, 23)
     manual = 1 * 23 - 2 * 19 + 3 * 17 + 4 * 13 - 5 * 11 + 6 * 7
-    assert pairing(a, b) == manual % P
-
-
-def test_kvector_needs_one_coordinate_per_subset():
-    with pytest.raises(ValueError, match="needs 6 coordinates, got 3"):
-        KVector(d=3, k=2, coords=(1, 2, 3), p=P)
-    assert KVector(3, 1, (1, 2, 3, 4), P).coords == (1, 2, 3, 4)
+    assert pairing(a, 2, b, 2, 3, P) == manual % P
 
 
 def test_pairing_degree_mismatch():
-    a = KVector(d=3, k=2, coords=(1, 0, 0, 0, 0, 0), p=P)
+    a = (1, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError, match="complementary"):
-        pairing(a, KVector(d=3, k=1, coords=(1, 0, 0, 0), p=P))
-    with pytest.raises(ValueError, match="different primes"):
-        pairing(a, KVector(d=3, k=2, coords=(1, 0, 0, 0, 0, 0), p=7))
+        pairing(a, 2, (1, 0, 0, 0), 1, 3, P)
+    with pytest.raises(ValueError, match="needs 6 coordinates, got 4"):
+        pairing(a, 2, (1, 0, 0, 0), 2, 3, P)
 
 
 def test_pairing_shared_vs_complementary_subspaces():
     e12 = wedge2((1, 0, 0, 0), (0, 1, 0, 0), 3, P)
     e34 = wedge2((0, 0, 1, 0), (0, 0, 0, 1), 3, P)
-    assert pairing(e12, e12) == 0  # shared directions
-    assert pairing(e12, e34) in (1, P - 1)  # complementary subspaces
+    assert pairing(e12, 2, e12, 2, 3, P) == 0  # shared directions
+    assert pairing(e12, 2, e34, 2, 3, P) in (1, P - 1)  # complementary subspaces
 
 
 def test_pairing_is_stacked_determinant():
@@ -167,7 +158,7 @@ def test_pairing_is_stacked_determinant():
         d = 2 + rng.below(5)
         x, y = rand_vec(rng, d), rand_vec(rng, d)
         rest = [rand_vec(rng, d) for _ in range(d - 1)]
-        lhs = pairing(wedge2(x, y, d, P), wedge_list(rest, d, P))
+        lhs = pairing(wedge2(x, y, d, P), 2, wedge_list(rest, d, P), d - 1, d, P)
         rhs = det_reference([list(x), list(y)] + [list(r) for r in rest], P)
         assert lhs == rhs
 
@@ -178,11 +169,10 @@ def test_pairing_sign_consistent_with_star():
         for k in range(1, d + 1):
             nx = len(ksubsets(d, k))
             ny = len(ksubsets(d, d + 1 - k))
-            x = KVector(d=d, k=k, coords=rng.vector(nx, P), p=P)
-            y = KVector(d=d, k=d + 1 - k, coords=rng.vector(ny, P), p=P)
+            x, y = rng.vector(nx, P), rng.vector(ny, P)
             sign = (-1) ** (k * (d + 1 - k))
-            dot = sum(a * b for a, b in zip(x.coords, hodge_star(y).coords))
-            assert pairing(x, y) == (sign * dot) % P
+            dot = sum(a * b for a, b in zip(x, hodge_star(y, d, d + 1 - k, P)))
+            assert pairing(x, k, y, d + 1 - k, d, P) == (sign * dot) % P
 
 
 def test_shared_point_pairing_zero():
@@ -193,7 +183,7 @@ def test_shared_point_pairing_zero():
         vecs, rod = sample_span(d, d - 1, rng, P)
         x = random_point_in_span(vecs, rng, P)
         y = rng.nonzero_vector(d + 1, P)
-        assert pairing(wedge2(x, y, d, P), rod) == 0
+        assert pairing(wedge2(x, y, d, P), 2, rod, d - 1, d, P) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -201,27 +191,27 @@ def test_shared_point_pairing_zero():
 
 
 def test_grassmann_examples():
-    assert not grassmann_check(KVector(d=3, k=2, coords=(1, 0, 0, 0, 0, 1), p=P))
-    assert grassmann_check(KVector(d=3, k=2, coords=(0,) * 6, p=P))
+    assert not grassmann_check((1, 0, 0, 0, 0, 1), 2, 3, P)
+    assert grassmann_check((0,) * 6, 2, 3, P)
 
 
 def test_grassmann_on_wedges_exhaustive_grid():
     vals = (-1, 0, 1)
     for a in product(vals, repeat=4):
         for b in product(vals, repeat=4):
-            assert grassmann_check(wedge2(a, b, 3, P))
+            assert grassmann_check(wedge2(a, b, 3, P), 2, 3, P)
 
 
 def test_grassmann_on_random_wedges():
     rng = SplitMix64(9)
     for _ in range(40):
         d = 3 + rng.below(4)
-        assert grassmann_check(wedge2(rand_vec(rng, d), rand_vec(rng, d), d, P))
+        assert grassmann_check(wedge2(rand_vec(rng, d), rand_vec(rng, d), d, P), 2, d, P)
 
 
 def test_grassmann_needs_degree_two():
     with pytest.raises(ValueError):
-        grassmann_check(KVector(d=3, k=1, coords=(1, 0, 0, 0), p=P))
+        grassmann_check((1, 0, 0, 0), 1, 3, P)
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +221,10 @@ def test_grassmann_needs_degree_two():
 def test_sample_grassmannian_properties():
     rng = SplitMix64(10)
     for k in (2, 3):
-        kv = sample_span(3, k, rng, P)[1]
-        assert not kv.is_zero()
+        minors = sample_span(3, k, rng, P)[1]
+        assert any(minors)
         if k == 2:
-            assert grassmann_check(kv)
+            assert grassmann_check(minors, 2, 3, P)
 
 
 def test_rod_star_image_is_decomposable():
@@ -243,12 +233,12 @@ def test_rod_star_image_is_decomposable():
     rng = SplitMix64(12)
     for _ in range(10):
         rod = sample_span(3, 2, rng, P)[1]
-        assert grassmann_check(hodge_star(rod))
+        assert grassmann_check(hodge_star(rod, 3, 2, P), 2, 3, P)
 
 
 def test_proportional():
-    a = KVector(d=3, k=2, coords=(1, 2, 3, 4, 5, 6), p=P)
-    b = KVector(d=3, k=2, coords=tuple(7 * c % P for c in a.coords), p=P)
-    c = KVector(d=3, k=2, coords=(1, 2, 3, 4, 5, 7), p=P)
-    assert proportional(a, b)
-    assert not proportional(a, c)
+    a = (1, 2, 3, 4, 5, 6)
+    b = tuple(7 * c % P for c in a)
+    c = (1, 2, 3, 4, 5, 7)
+    assert proportional(a, b, P)
+    assert not proportional(a, c, P)

@@ -18,7 +18,8 @@ from rigikit.graph import build_graph
 
 SRC = Path(rigikit.__file__).resolve().parent
 RULE_MESSAGES = ("unknown model", "not allowed for model", "needs dimension >=",
-                 "joints are only meaningful", "joints missing", "integer coordinates")
+                 "needs dimension <=", "joints are only meaningful", "joints missing",
+                 "integer coordinates")
 
 TRIANGLE = [["a", "b"], ["b", "c"], ["c", "a"]]
 
@@ -42,13 +43,15 @@ def run(capsys, argv):
 
 
 # rule -> (document, the parser's message, or None where the parser leaves
-# the rule to the run because --dim may still raise the dimension)
+# the rule to the run because --dim may still move the dimension)
 RULES = {
     "unknown model": (
         document("nope", 3, [("a", "body"), ("b", "body")], [["a", "b"]]),
         "unknown model 'nope'"),
     "least dimension": (
         document("rod-bar", 2, [("r1", "rod"), ("r2", "rod")], [["r1", "r2"]] * 4), None),
+    "greatest dimension": (
+        document("body-bar", 7, [("a", "body"), ("b", "body")], [["a", "b"]]), None),
     "kind": (
         document("body-bar", 3, [("r1", "rod"), ("r2", "rod")], [["r1", "r2"]] * 8),
         "vertex 'r1' has kind 'rod', not allowed for model body-bar"),
@@ -130,6 +133,22 @@ def test_dim_raises_a_document_dimension_the_model_needs(tmp_path, capsys):
     assert out == run(capsys, ["analyze", str(pinned), "--seed", "5"])[1]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "8b42e7cee1b23cddc3360536c8cb444998543ff4e3eac62f0f2ec71256538200")
+
+
+def test_dim_outside_the_range_fails_with_the_rule_message(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(
+        document("body-bar", 3, [("a", "body"), ("b", "body")], [["a", "b"]])))
+    above = (1, "", "error: model body-bar needs dimension <= 6\n")
+    for command in ("analyze", "decompose"):
+        assert run(capsys, [command, str(path), "--dim", "7"]) == above, command
+    assert run(capsys, ["fuzz", "--model", "body-bar", "--dim", "7"]) == above
+    # the d=2 clause belongs to models whose least dimension is above 2
+    assert run(capsys, ["fuzz", "--model", "body-bar", "--dim", "1"]) == (
+        1, "", "error: model body-bar needs dimension >= 2\n")
+    assert run(capsys, ["fuzz", "--model", "rod-bar", "--dim", "2"]) == (
+        1, "", "error: model rod-bar needs dimension >= 3; d=2 is supported only for "
+        "body-bar and direction frameworks\n")
 
 
 def test_dim_against_file_joints_names_the_joint(tmp_path, capsys):

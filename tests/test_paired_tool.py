@@ -42,3 +42,17 @@ def test_paired_script_runs_this_checkout_against_itself():
     (name, res), = result["workloads"].items()
     assert name == "mechanisms" and result["seed"] == 1
     assert res["calls"] == 2 and res["a_s"] > 0 and res["b_s"] > 0 and res["b_over_a"] > 0
+
+
+def test_paired_script_is_quiet_when_its_reader_closes_early():
+    # as `tools/paired.py --other . --workload mechanisms --limit 2 | head -1`,
+    # with the pipe closed before the first line is written
+    with subprocess.Popen(
+        [sys.executable, str(ROOT / "tools" / "paired.py"), "--other", ".",
+         "--workload", "mechanisms", "--limit", "2"],
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipe" not in err
