@@ -10,7 +10,7 @@ Two independent engines answer the same question about a framework graph:
 The analysis layer compares them instance by instance; the CLI wraps it.
 """
 
-from .analysis import Report, analyze, fuzz_equivalence
+from .analysis import analyze, fuzz_equivalence
 from .count_matroid import (
     Decomposition,
     RankCertificate,
@@ -45,7 +45,6 @@ __all__ = [
     "GraphError",
     "Multigraph",
     "RankCertificate",
-    "Report",
     "SplitMix64",
     "VertexKind",
     "analyze",

@@ -1,20 +1,22 @@
 """Cross-validation harness: count engine vs exact randomized matrices.
 
-analyze() runs both engines on one graph and fills a Report; fuzz_equivalence()
-hammers the matroid equalities on random graphs, and truncate() runs the
-paper's induction on one bar-model graph: the union of D graphic matroids,
-truncated one rod at a time, has the count rank at every step.  All three
-sample through one trial loop, _escalate, which is also the one place where
-a best rank meets its count: a rank above its count is an immediate
-EngineDisagreement, and a single unlucky sample never fails a run, because a
-rank short of its count escalates the run to 10 trials.  A shortfall left
-after that is a ConfigError below the prime 2^16; above it analyze reports
-it as agreement false and fuzz and truncate as a disagreement.  A trial whose
-formal trivial motions are not all in the kernel, and in analyze a failed
-count-engine self-check, are disagreements too.  _disagreement builds every
-dump, a document replayable with the seed it carries.  analyze, decompose,
-truncate and fuzz_equivalence check their input with documents.check_model
-and check_graph first; the helpers they call assume it.
+analyze() runs both engines on one graph and returns its report, the JSON
+document `rigikit analyze` prints; fuzz_equivalence() compares the ranks and
+fhat of random graphs and returns its fuzz-summary document; truncate() runs
+the paper's induction on one bar-model graph: the union of D graphic
+matroids, truncated one rod at a time, has the count rank at every step.
+All three sample through one trial loop, _escalate, which is also the one
+place where a best rank meets its count: a rank above its count is an
+immediate EngineDisagreement, and a single unlucky sample never fails a run,
+because a rank short of its count escalates the run to 10 trials.  A
+shortfall left after that is a ConfigError below the prime 2^16; above it
+analyze reports it as agreement false and fuzz and truncate as a
+disagreement.  A trial whose formal trivial motions are not all in the
+kernel, and in analyze a failed count-engine self-check, are disagreements
+too.  _disagreement builds every dump, a document replayable with the seed
+it carries.  analyze, decompose, truncate and fuzz_equivalence check their
+input with documents.check_model and check_graph first; the helpers they
+call assume it.
 """
 
 from __future__ import annotations
@@ -193,11 +195,13 @@ def _escalate(trials: int, prime: int, measure, rows, fail) -> tuple:
     returned for the caller to judge.  Why 2^16: a rank falls short only
     where a generically nonzero minor vanishes, a polynomial of degree at
     most 6r in the sampled coordinates (r the rank; an entry has degree at
-    most 6 once denominators are cleared).  By Schwartz-Zippel one trial
-    misses with probability at most 6r / p.  A fuzz case has at most 8
-    blocks of D <= 10 columns at d <= 4, so r <= 80: at p >= 2^16 a trial
-    misses below 1/136 and ten all miss below 10^-21, so a shortfall is an
-    engine's fault.  At the smallest primes the bound exceeds 1: a
+    most 6 once denominators are cleared: a bar's Pluecker coordinates 4,
+    as the wedge of two points of degree at most 2, a rod normal d - 1 <= 5,
+    a direction row 1).  By Schwartz-Zippel one trial misses with
+    probability at most 6r / p.  A fuzz case has at most 8 blocks of
+    D <= 21 columns at d <= MAX_DIMENSION = 6, so r <= 168: at p >= 2^16 a
+    trial misses below 1/65 and ten all miss below 10^-18, so a shortfall
+    is an engine's fault.  At the smallest primes the bound exceeds 1: a
     shortfall blames the field.
     """
     def judged(t):
@@ -282,75 +286,6 @@ def run_trials(
 # Single-instance report
 
 
-class Report(NamedTuple):
-    model: str
-    d: int
-    D: int
-    prime: int
-    seed: int
-    trials_requested: int
-    trials_run: int
-    graph_summary: dict
-    count_rank: int
-    count_target: int
-    certificate_free: tuple
-    certificate_parts: tuple
-    p_components: tuple
-    linear_ranks: tuple
-    max_linear_rank: int
-    flat_ranks: tuple
-    fhat_rank: Optional[int]
-    graphic_union_ranks: tuple
-    kernel_dim: int
-    trivial_motion_count: int
-    trivial_span_dim: int
-    nontrivial_dim: int
-    trivial_checked: int
-    verdict: str
-    minimal: Optional[bool]
-    agreement: bool
-    oracle: Optional[dict] = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": "report",
-            "model": self.model,
-            "dimension": self.d,
-            "D": self.D,
-            "prime": self.prime,
-            "seed": self.seed,
-            "trials": {"requested": self.trials_requested, "run": self.trials_run},
-            "graph": self.graph_summary,
-            "combinatorial": {
-                "rank": self.count_rank,
-                "target": self.count_target,
-                "certificate": {
-                    "free": list(self.certificate_free),
-                    "parts": [list(part) for part in self.certificate_parts],
-                },
-                "p_components": [list(c) for c in self.p_components],
-                "fhat": self.fhat_rank,
-            },
-            "linear": {
-                "ranks": list(self.linear_ranks),
-                "max_rank": self.max_linear_rank,
-                "flat_ranks": list(self.flat_ranks),
-                "graphic_union_ranks": list(self.graphic_union_ranks),
-                "kernel_dim": self.kernel_dim,
-                "trivial_motions": self.trivial_motion_count,
-                "trivial_span_dim": self.trivial_span_dim,
-                "nontrivial_dim": self.nontrivial_dim,
-                "trivial_checked": self.trivial_checked,
-                "trivial_violations": 0,  # a trivial motion outside the kernel fails the run
-            },
-            "verdict": self.verdict,
-            "minimal": self.minimal,
-            "agreement": self.agreement,
-            "oracle": self.oracle,
-        }
-
-
 def _graph_summary(graph: Multigraph) -> dict:
     kinds = [graph.kinds[v] for v in graph.vertex_ids]
     return {
@@ -371,11 +306,11 @@ def analyze(
     trials: int = 3,
     joints=None,
     oracle: bool = False,
-) -> Report:
-    """Run both engines on one instance and reconcile them into a Report."""
+) -> dict:
+    """Run both engines on one instance and reconcile them into its report
+    document, the JSON object `rigikit analyze` prints."""
     _check_run_settings(model, d, prime, trials)
     check_graph(graph, model, d, joints)
-    D = d * (d + 1) // 2
     cs = count_side(graph, model, d)
     prof = cs.profile
     try:  # the count engine re-checks its certificates and raises RuntimeError
@@ -413,39 +348,44 @@ def analyze(
     else:
         verdict = "flexible"
 
-    oracle_result = None
-    if oracle:
-        oracle_result = _run_oracle(graph, model, d, seed, cs, run.ranks, joints)
 
-    return Report(
-        model=model,
-        d=d,
-        D=D,
-        prime=prime,
-        seed=seed,
-        trials_requested=trials,
-        trials_run=len(run.ranks),
-        graph_summary=_graph_summary(graph),
-        count_rank=cs.rank,
-        count_target=cs.target,
-        certificate_free=cert.free_part,
-        certificate_parts=cert.parts,
-        p_components=pdec.components,
-        linear_ranks=tuple(run.ranks),
-        max_linear_rank=max_rank,
-        flat_ranks=tuple(run.flat_ranks),
-        fhat_rank=fhat_rank,
-        graphic_union_ranks=tuple(run.graphic_union_ranks),
-        kernel_dim=basis.kernel_dim,
-        trivial_motion_count=best.trivial.checked,
-        trivial_span_dim=basis.trivial_span_dim,
-        nontrivial_dim=basis.nontrivial_dim,
-        trivial_checked=run.trivial_checked,
-        verdict=verdict,
-        minimal=minimal,
-        agreement=not run.reasons,
-        oracle=oracle_result,
-    )
+    return {
+        "schema": 1,
+        "kind": "report",
+        "model": model,
+        "dimension": d,
+        "D": prof.D,
+        "prime": prime,
+        "seed": seed,
+        "trials": {"requested": trials, "run": len(run.ranks)},
+        "graph": _graph_summary(graph),
+        "combinatorial": {
+            "rank": cs.rank,
+            "target": cs.target,
+            "certificate": {
+                "free": list(cert.free_part),
+                "parts": [list(part) for part in cert.parts],
+            },
+            "p_components": [list(c) for c in pdec.components],
+            "fhat": fhat_rank,
+        },
+        "linear": {
+            "ranks": run.ranks,
+            "max_rank": max_rank,
+            "flat_ranks": run.flat_ranks,
+            "graphic_union_ranks": run.graphic_union_ranks,
+            "kernel_dim": basis.kernel_dim,
+            "trivial_motions": best.trivial.checked,
+            "trivial_span_dim": basis.trivial_span_dim,
+            "nontrivial_dim": basis.nontrivial_dim,
+            "trivial_checked": run.trivial_checked,
+            "trivial_violations": 0,  # a trivial motion outside the kernel fails the run
+        },
+        "verdict": verdict,
+        "minimal": minimal,
+        "agreement": not run.reasons,
+        "oracle": _run_oracle(graph, model, d, seed, cs, run.ranks, joints) if oracle else None,
+    }
 
 
 def _run_oracle(graph, model, d, seed, cs: CountSide, ranks, joints) -> dict:
@@ -619,42 +559,6 @@ def random_multigraph(
 # Fuzz harness
 
 
-class FuzzSummary(NamedTuple):
-    """The counters of one fuzz run, as fuzz_equivalence adds them up."""
-
-    model: str
-    d: int
-    cases: int
-    escalations: int
-    trivial_checked: int
-    subset_checks: int
-    failures: list
-
-    @property
-    def agreements(self) -> int:
-        return self.cases - len(self.failures)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": "fuzz-summary",
-            "model": self.model,
-            "dimension": self.d,
-            "cases": self.cases,
-            "agreements": self.agreements,
-            "escalations": self.escalations,
-            "trivial_checked": self.trivial_checked,
-            "trivial_violations": 0,  # a trivial motion outside the kernel is a failure
-            "subset_checks": self.subset_checks,
-            "failures": self.failures,
-            "ok": self.ok,
-        }
-
-
 def fuzz_case(
     graph: Multigraph,
     model: str,
@@ -714,8 +618,9 @@ def fuzz_equivalence(
     trials: int = 3,
     max_vertices: int = FUZZ_MAX_VERTICES,
     rod_bias: float = 0.5,
-) -> FuzzSummary:
-    """Random-instance equivalence run; see the module docstring for policy.
+) -> dict:
+    """Random-instance equivalence run, as its fuzz-summary document; see the
+    module docstring for policy.
 
     Case i draws its graph and samples from master.spawn(i) alone, so it
     depends only on (seed, i).
@@ -744,6 +649,17 @@ def fuzz_equivalence(
         subset_checks += res["subset_checks"]
         if res["failure"] is not None:
             failures.append({**res["failure"], "case": i})
-    return FuzzSummary(model=model, d=d, cases=cases, escalations=escalations,
-                       trivial_checked=trivial_checked, subset_checks=subset_checks,
-                       failures=failures)
+    return {
+        "schema": 1,
+        "kind": "fuzz-summary",
+        "model": model,
+        "dimension": d,
+        "cases": cases,
+        "agreements": cases - len(failures),
+        "escalations": escalations,
+        "trivial_checked": trivial_checked,
+        "trivial_violations": 0,  # a trivial motion outside the kernel is a failure
+        "subset_checks": subset_checks,
+        "failures": failures,
+        "ok": not failures,
+    }

@@ -29,7 +29,6 @@ from .analysis import (
 )
 from .documents import MODELS, SchemaError, parse_document
 from .field import DEFAULT_PRIME
-from .graph import GraphError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,23 +59,23 @@ def _load_document(path: str):
     return parse_document(doc)
 
 
-def _report_text(rep) -> str:
+def _report_text(rep: dict) -> str:
+    comb, lin = rep["combinatorial"], rep["linear"]
     lines = [
-        "model %s, d=%d (D=%d), prime %d, seed %d"
-        % (rep.model, rep.d, rep.D, rep.prime, rep.seed),
+        "model %(model)s, d=%(dimension)d (D=%(D)d), prime %(prime)d, seed %(seed)d" % rep,
         "graph: %(vertices)d vertices (%(bodies)d bodies, %(rods)d rods, "
-        "%(hinges)d hinges), %(edges)d edges" % rep.graph_summary,
-        "combinatorial rank %d / target %d" % (rep.count_rank, rep.count_target),
+        "%(hinges)d hinges), %(edges)d edges" % rep["graph"],
+        "combinatorial rank %(rank)d / target %(target)d" % comb,
         "linear ranks %s -> max %d (%d trial(s))"
-        % (list(rep.linear_ranks), rep.max_linear_rank, rep.trials_run),
-        "trivial motions: %d tagged, kernel dim %s, nontrivial dim %s"
-        % (rep.trivial_motion_count, rep.kernel_dim, rep.nontrivial_dim),
-        "verdict: %s%s" % (rep.verdict, "" if rep.agreement else
+        % (lin["ranks"], lin["max_rank"], rep["trials"]["run"]),
+        "trivial motions: %(trivial_motions)d tagged, kernel dim %(kernel_dim)s, "
+        "nontrivial dim %(nontrivial_dim)s" % lin,
+        "verdict: %s%s" % (rep["verdict"], "" if rep["agreement"] else
                            "  [ENGINES DISAGREE]"),
-        "P-components: %s" % [list(c) for c in rep.p_components],
+        "P-components: %s" % comb["p_components"],
     ]
-    if rep.oracle is not None:
-        lines.append("oracle: %s" % rep.oracle)
+    if rep["oracle"] is not None:
+        lines.append("oracle: %s" % rep["oracle"])
     return "\n".join(lines) + "\n"
 
 
@@ -93,7 +92,7 @@ def _cmd_analyze(args) -> int:
         joints=joints,
         oracle=args.oracle,
     )
-    _emit(args, rep.to_json_dict(), _report_text(rep))
+    _emit(args, rep, _report_text(rep))
     return 0
 
 
@@ -127,19 +126,15 @@ def _cmd_fuzz(args) -> int:
         max_vertices=args.max_vertices,
         rod_bias=args.rod_bias,
     )
-    text = "%d/%d agree (%d escalated, %d trivial-motion checks, 0 violations)\n" % (
-        summary.agreements,
-        summary.cases,
-        summary.escalations,
-        summary.trivial_checked,
-    )
-    for failure in summary.failures:
+    text = ("%(agreements)d/%(cases)d agree (%(escalations)d escalated, "
+            "%(trivial_checked)d trivial-motion checks, 0 violations)\n" % summary)
+    for failure in summary["failures"]:
         text += "counterexample in case %d: %s\n" % (failure["case"], failure["reason"])
-    _emit(args, summary.to_json_dict(), text)
-    if not summary.ok:
+    _emit(args, summary, text)
+    if not summary["ok"]:
         sys.stderr.write(
             "fuzz: %d disagreement(s); dumps are replayable via `rigikit analyze`\n"
-            % len(summary.failures)
+            % len(summary["failures"])
         )
         return 2
     return 0
@@ -225,7 +220,7 @@ def main(argv=None) -> int:
         args.dim = 3 if args.model != "direction" else 2
     try:
         return args.func(args)
-    except (SchemaError, GraphError, ValueError) as exc:
+    except ValueError as exc:  # SchemaError, GraphError and ConfigError among them
         sys.stderr.write("error: %s\n" % exc)
         return 1
     except EngineDisagreement as exc:

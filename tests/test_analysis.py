@@ -47,13 +47,13 @@ def lying_oracle(monkeypatch):
 
 def test_analyze_minimally_rigid_rod_bar():
     rep = analyze(two_rods(4), "rod-bar", 3, seed=1)
-    assert rep.verdict == "minimally rigid"
-    assert rep.agreement
-    assert rep.count_rank == rep.max_linear_rank == 4
-    assert rep.kernel_dim == 8
-    assert rep.minimal is True
-    assert rep.fhat_rank == 4
-    assert all(r == 4 for r in rep.flat_ranks)
+    assert rep["verdict"] == "minimally rigid"
+    assert rep["agreement"]
+    assert rep["combinatorial"]["rank"] == rep["linear"]["max_rank"] == 4
+    assert rep["linear"]["kernel_dim"] == 8
+    assert rep["minimal"] is True
+    assert rep["combinatorial"]["fhat"] == 4
+    assert all(r == 4 for r in rep["linear"]["flat_ranks"])
 
 
 def test_records_are_read_only():
@@ -75,16 +75,17 @@ def test_records_are_read_only():
 
 def test_analyze_redundantly_rigid_is_rigid_not_minimal():
     rep = analyze(two_rods(5), "rod-bar", 3, seed=1)
-    assert rep.verdict == "rigid"
-    assert rep.minimal is False
-    assert rep.count_rank == 4
+    assert rep["verdict"] == "rigid"
+    assert rep["minimal"] is False
+    assert rep["combinatorial"]["rank"] == 4
 
 
 def test_analyze_body_bar_six_bars():
     g = build_graph([("a", "body"), ("b", "body")], [("a", "b")] * 6)
     rep = analyze(g, "body-bar", 3, seed=2)
-    assert rep.verdict == "minimally rigid"
-    assert rep.graphic_union_ranks and all(r == 6 for r in rep.graphic_union_ranks)
+    assert rep["verdict"] == "minimally rigid"
+    union = rep["linear"]["graphic_union_ranks"]
+    assert union and all(r == 6 for r in union)
 
 
 def test_analyze_direction_path_flexible():
@@ -92,9 +93,9 @@ def test_analyze_direction_path_flexible():
         [("a", "body"), ("b", "body"), ("c", "body")], [("a", "b"), ("b", "c")]
     )
     rep = analyze(g, "direction", 2, seed=3)
-    assert rep.verdict == "flexible"
-    assert rep.count_rank == rep.max_linear_rank == 2
-    assert rep.count_target == 3
+    assert rep["verdict"] == "flexible"
+    assert rep["combinatorial"]["rank"] == rep["linear"]["max_rank"] == 2
+    assert rep["combinatorial"]["target"] == 3
 
 
 def test_analyze_direction_with_fixed_joints():
@@ -104,16 +105,16 @@ def test_analyze_direction_with_fixed_joints():
     )
     joints = {"a": (0, 0), "b": (1, 0), "c": (0, 1)}
     rep = analyze(g, "direction", 2, seed=4, joints=joints)
-    assert rep.verdict == "minimally rigid"
-    assert rep.max_linear_rank == 3
+    assert rep["verdict"] == "minimally rigid"
+    assert rep["linear"]["max_rank"] == 3
 
 
 def test_analyze_single_vertex_trivially_rigid():
     for kinds, model in ((("a", "body"), "body-bar"), (("a", "rod"), "rod-bar")):
         g = build_graph([kinds], [])
         rep = analyze(g, model, 3, seed=5)
-        assert rep.verdict == "trivially rigid"
-        assert rep.count_rank == 0
+        assert rep["verdict"] == "trivially rigid"
+        assert rep["combinatorial"]["rank"] == 0
 
 
 def test_analyze_body_hinge_pair():
@@ -121,10 +122,10 @@ def test_analyze_body_hinge_pair():
         [("b1", "body"), ("b2", "body"), ("h", "hinge")], [("b1", "h"), ("b2", "h")]
     )
     rep = analyze(g, "body-hinge", 3, seed=6)
-    assert rep.verdict == "flexible"
-    assert rep.count_rank == 10 and rep.count_target == 11
-    assert rep.agreement
-    assert rep.trivial_motion_count == 6 + 1
+    assert rep["verdict"] == "flexible"
+    assert rep["combinatorial"]["rank"] == 10 and rep["combinatorial"]["target"] == 11
+    assert rep["agreement"]
+    assert rep["linear"]["trivial_motions"] == 6 + 1
 
 
 @pytest.mark.parametrize("trials", [3, 5])
@@ -151,7 +152,7 @@ def test_body_hinge_rewrites_once_and_realizes_the_count_graph(monkeypatch, tria
         mp.setattr(analysis, "linear_trial", trial)
         rep = analyze(g, "body-hinge", 3, seed=4, trials=trials)
     assert len(rewrites) == 1
-    assert len(realized) == rep.trials_run >= trials
+    assert len(realized) == rep["trials"]["run"] >= trials
     bars = count_side(g, "body-hinge", 3).count_graph
     assert len(bars.edges) == 5 * len(g.edges)  # D - 1 parallel bars per edge
     for t in realized:
@@ -194,12 +195,15 @@ def test_analyze_matches_standalone_count_engine():
             cs = count_side(g, model, d)
             prof, host = count_host(g, model, d)
             cert = cm.rank(cs.count_graph, None, prof)
-            assert (rep.certificate_free, rep.certificate_parts) == (cert.free_part, cert.parts)
-            assert rep.p_components == cm.p_components(host, prof).components
-            firsts = [g.edge_index[c[0]] for c in rep.p_components]
+            comb = rep["combinatorial"]
+            assert comb["certificate"] == {"free": list(cert.free_part),
+                                           "parts": [list(part) for part in cert.parts]}
+            components = cm.p_components(host, prof).components
+            assert comb["p_components"] == [list(c) for c in components]
+            firsts = [g.edge_index[c[0]] for c in comb["p_components"]]
             assert firsts == sorted(firsts)  # the report lists them in edge order
             expected_fhat = cm.fhat(g, None, prof) if model in ROD_MODELS else None
-            assert rep.fhat_rank == expected_fhat
+            assert comb["fhat"] == expected_fhat
 
 
 def test_one_circuit_pass_per_matroid(monkeypatch):
@@ -329,11 +333,11 @@ def test_minimality_of_single_copy_matroids_needs_no_deletion(monkeypatch):
     cases += [("direction", 2, build_graph(bodies4, es), es is not k4) for es in (k4[:5], k4)]
     for model, d, g, minimal in cases:
         rep = analyze(g, model, d, seed=1)
-        assert rep.verdict == ("minimally rigid" if minimal else "rigid"), (model, d)
+        assert rep["verdict"] == ("minimally rigid" if minimal else "rigid"), (model, d)
     assert calls == []
     # where an edge has several copies the deletions still run
     rep = analyze(build_graph(bodies4, k4), "direction", 3, seed=1)
-    assert rep.verdict == "rigid" and calls
+    assert rep["verdict"] == "rigid" and calls
 
 
 def test_rank_without_and_minimality_match_fresh_games():
@@ -356,10 +360,10 @@ def test_rank_without_and_minimality_match_fresh_games():
                     without = {e: fresh(e) for e in g.edge_ids}
                     assert {e: cs.rank_without(e) for e in g.edge_ids} == without
                     rep = analyze(g, model, d, seed=case)
-                    rigid = rep.max_linear_rank == cs.target
+                    rigid = rep["linear"]["max_rank"] == cs.target
                     minimal = rigid and all(r < cs.target for r in without.values())
-                    assert rep.minimal == minimal, (model, d, case)
-                    verdicts.add(rep.verdict)
+                    assert rep["minimal"] == minimal, (model, d, case)
+                    verdicts.add(rep["verdict"])
     assert verdicts == {"flexible", "rigid", "minimally rigid"}
 
 
@@ -367,10 +371,10 @@ def test_analyze_escalates_on_unlucky_samples():
     # tiny field: first three samples miss the generic rank, escalation recovers
     g = build_graph([("a", "body"), ("b", "body")], [("a", "b")] * 3)
     rep = analyze(g, "body-bar", 2, prime=3, seed=22, trials=3)
-    assert rep.trials_run == 10
-    assert rep.linear_ranks[:3] == (2, 2, 2)
-    assert rep.max_linear_rank == 3
-    assert rep.agreement
+    assert rep["trials"]["run"] == 10
+    assert rep["linear"]["ranks"][:3] == [2, 2, 2]
+    assert rep["linear"]["max_rank"] == 3
+    assert rep["agreement"]
 
 
 @pytest.mark.parametrize(
@@ -387,12 +391,12 @@ def test_every_best_rank_decides_agreement(monkeypatch, model, d, field_name):
     g = two_rods(4) if model == "rod-bar" else build_graph(
         [("a", "body"), ("b", "body"), ("c", "body")], [("a", "b"), ("b", "c"), ("c", "a")]
     )
-    assert analyze(g, model, d, seed=3).agreement
+    assert analyze(g, model, d, seed=3)["agreement"]
     monkeypatch.setattr(analysis, "linear_trial", short)
     rep = analyze(g, model, d, seed=3)
-    assert rep.trials_run == 10
-    assert rep.max_linear_rank == rep.count_rank
-    assert not rep.agreement
+    assert rep["trials"]["run"] == 10
+    assert rep["linear"]["max_rank"] == rep["combinatorial"]["rank"]
+    assert not rep["agreement"]
 
 
 def test_graphic_union_rank_above_count_raises_at_once(monkeypatch):
@@ -422,8 +426,8 @@ def test_oracle_disagreement_dumps_a_replayable_document(lying_oracle):
 
     graph, model, d, joints = parse_document(dump["document"])
     rep = analyze(graph, model, d, seed=dump["seed"], joints=joints)
-    assert (model, d, rep.count_rank) == ("rod-bar", 3, dump["count_rank"])
-    assert list(rep.linear_ranks) == dump["linear_ranks"]
+    assert (model, d, rep["combinatorial"]["rank"]) == ("rod-bar", 3, dump["count_rank"])
+    assert rep["linear"]["ranks"] == dump["linear_ranks"]
 
 
 def test_oracle_disagreement_dump_keeps_fixed_joints(lying_oracle):
@@ -442,7 +446,7 @@ def test_oracle_disagreement_dump_keeps_fixed_joints(lying_oracle):
     graph, model, d, joints = parse_document(dump["document"])
     assert joints == fixed
     rep = analyze(graph, model, d, seed=dump["seed"], joints=joints)
-    assert list(rep.linear_ranks) == dump["linear_ranks"]
+    assert rep["linear"]["ranks"] == dump["linear_ranks"]
 
 
 def test_trivial_family_applied_once_per_trial(monkeypatch):
@@ -474,16 +478,17 @@ def test_trivial_family_applied_once_per_trial(monkeypatch):
     for g, model, d, prime, seed in cases:
         passes.clear()
         rep = analyze(g, model, d, prime=prime, seed=seed)
-        assert rep.trivial_motion_count > 0
-        assert len(passes) == rep.trials_run, model
-        assert [c.checked for c in passes] == [rep.trivial_motion_count] * rep.trials_run
-        assert rep.trivial_checked == sum(c.checked for c in passes)
-    assert rep.trials_run == 10
+        lin, trials_run = rep["linear"], rep["trials"]["run"]
+        assert lin["trivial_motions"] > 0
+        assert len(passes) == trials_run, model
+        assert [c.checked for c in passes] == [lin["trivial_motions"]] * trials_run
+        assert lin["trivial_checked"] == sum(c.checked for c in passes)
+    assert rep["trials"]["run"] == 10
 
 
 def test_analyze_oracle_crosscheck():
     rep = analyze(two_rods(4), "rod-bar", 3, seed=7, oracle=True)
-    assert rep.oracle == {"checked": True, "agrees": True, "bruteforce_rank": 4}
+    assert rep["oracle"] == {"checked": True, "agrees": True, "bruteforce_rank": 4}
 
 
 def test_analyze_oracle_size_limited():
@@ -491,12 +496,11 @@ def test_analyze_oracle_size_limited():
         [("a", "body"), ("b", "body")], [("a", "b")] * 14
     )
     rep = analyze(g, "body-bar", 3, seed=8, oracle=True)
-    assert rep.oracle["checked"] is False
+    assert rep["oracle"]["checked"] is False
 
 
 def test_report_json_shape():
-    rep = analyze(two_rods(4), "rod-bar", 3, seed=9)
-    doc = rep.to_json_dict()
+    doc = analyze(two_rods(4), "rod-bar", 3, seed=9)
     assert doc["schema"] == 1
     assert doc["verdict"] == "minimally rigid"
     assert doc["combinatorial"]["rank"] == 4
@@ -583,9 +587,9 @@ def test_count_side_targets():
 
 def test_fuzz_small_runs_agree():
     s = fuzz_equivalence("body-rod-bar", 3, 12, seed=2024)
-    assert s.ok and s.agreements == 12
-    assert s.trivial_checked > 0 and s.to_json_dict()["trivial_violations"] == 0
-    assert s.subset_checks > 0
+    assert s["ok"] and s["agreements"] == 12
+    assert s["trivial_checked"] > 0 and s["trivial_violations"] == 0
+    assert s["subset_checks"] > 0
 
 
 def test_rod_trials_build_no_edge_flat_matrix(monkeypatch):
@@ -603,13 +607,13 @@ def test_rod_trials_build_no_edge_flat_matrix(monkeypatch):
     assert analysis.linear_trial(g, "rod-bar", 3, P, SplitMix64(8)).flat_rank == expected
     for model in ROD_MODELS:
         s = fuzz_equivalence(model, 3, 20, seed=5)
-        assert s.ok and s.agreements == 20
+        assert s["ok"] and s["agreements"] == 20
 
 
 def test_fuzz_deterministic_and_case_independent():
     a = fuzz_equivalence("body-rod-bar", 3, 8, seed=99)
     b = fuzz_equivalence("body-rod-bar", 3, 8, seed=99)
-    assert a.to_json_dict() == b.to_json_dict()
+    assert a == b
     # case i depends only on (seed, i): running the cases backwards adds up
     # to the same summary
     master = SplitMix64(99)
@@ -618,12 +622,12 @@ def test_fuzz_deterministic_and_case_independent():
         case_rng = master.spawn(i)
         g = random_multigraph(case_rng.spawn(10_000), "body-rod-bar")
         results.append(fuzz_case(g, "body-rod-bar", 3, P, case_rng, 3))
-    assert sum(r["failure"] is None for r in results) == a.agreements
-    assert a.to_json_dict()["trivial_violations"] == 0
+    assert sum(r["failure"] is None for r in results) == a["agreements"]
+    assert a["trivial_violations"] == 0
     for key, total in (
-        ("escalated", a.escalations),
-        ("trivial_checked", a.trivial_checked),
-        ("subset_checks", a.subset_checks),
+        ("escalated", a["escalations"]),
+        ("trivial_checked", a["trivial_checked"]),
+        ("subset_checks", a["subset_checks"]),
     ):
         assert sum(r[key] for r in results) == total, key
 
@@ -706,5 +710,5 @@ def test_dump_document_replays_through_analyze(lying_oracle):
     dump = info.value.dump
     graph, model, d, joints = parse_document(dump["document"])
     rep = analyze(graph, model, d, seed=dump["seed"])
-    assert rep.count_rank == dump["count_rank"]
-    assert rep.verdict == "minimally rigid"
+    assert rep["combinatorial"]["rank"] == dump["count_rank"]
+    assert rep["verdict"] == "minimally rigid"

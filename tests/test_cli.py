@@ -102,7 +102,7 @@ def test_report_round_trip(tmp_path, capsys):
     rep = analyze(g, "rod-bar", 3, seed=7)
     path = write_doc(tmp_path, two_rods_doc())
     code, out, _ = run(capsys, ["analyze", path, "--seed", "7"])
-    assert json.loads(out) == rep.to_json_dict()
+    assert json.loads(out) == rep
 
 
 def test_text_format(tmp_path, capsys):
@@ -198,12 +198,13 @@ def test_fuzz_cli(capsys):
 
 def test_fuzz_counterexample_exit_code(capsys, monkeypatch):
     from rigikit import cli
-    from rigikit.analysis import FuzzSummary
 
-    failing = FuzzSummary(
-        model="body-bar", d=3, cases=1, escalations=0, trivial_checked=1, subset_checks=0,
-        failures=[{"case": 0, "reason": "synthetic", "document": {}}],
-    )
+    failing = {
+        "schema": 1, "kind": "fuzz-summary", "model": "body-bar", "dimension": 3, "cases": 1,
+        "agreements": 0, "escalations": 0, "trivial_checked": 1, "trivial_violations": 0,
+        "subset_checks": 0, "failures": [{"case": 0, "reason": "synthetic", "document": {}}],
+        "ok": False,
+    }
     monkeypatch.setattr(cli, "fuzz_equivalence", lambda *a, **k: failing)
     code, out, err = run(capsys, ["fuzz", "--model", "body-bar", "--cases", "1"])
     assert code == 2
@@ -731,6 +732,83 @@ def test_fuzz_stdout_is_pinned(model, expected, capsys):
 )
 def test_decompose_stdout_is_pinned(model, options, expected, tmp_path, capsys):
     argv = ["decompose", write_doc(tmp_path, PINNED_DOCS[model])] + options
+    assert run(capsys, argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "model, options, expected",
+    [
+        ("body-bar", [],
+         "model body-bar, d=2 (D=3), prime 2147483647, seed 5\n"
+         "graph: 3 vertices (3 bodies, 0 rods, 0 hinges), 6 edges\n"
+         "combinatorial rank 6 / target 6\n"
+         "linear ranks [6, 6, 6] -> max 6 (3 trial(s))\n"
+         "trivial motions: 3 tagged, kernel dim 3, nontrivial dim 0\n"
+         "verdict: minimally rigid\n"
+         "P-components: [['e0', 'e1', 'e2', 'e3', 'e4', 'e5']]\n"),
+        ("body-rod-bar", [],
+         "model body-rod-bar, d=3 (D=6), prime 2147483647, seed 5\n"
+         "graph: 3 vertices (1 bodies, 2 rods, 0 hinges), 12 edges\n"
+         "combinatorial rank 10 / target 10\n"
+         "linear ranks [10, 10, 10] -> max 10 (3 trial(s))\n"
+         "trivial motions: 8 tagged, kernel dim 8, nontrivial dim 0\n"
+         "verdict: rigid\n"
+         "P-components: [['e0', 'e1', 'e2', 'e3', 'e4', 'e5', 'e6', 'e7', 'e8', 'e9', 'e10', "
+         "'e11']]\n"),
+        ("body-hinge", [],
+         "model body-hinge, d=3 (D=6), prime 2147483647, seed 5\n"
+         "graph: 4 vertices (2 bodies, 0 rods, 2 hinges), 3 edges\n"
+         "combinatorial rank 15 / target 16\n"
+         "linear ranks [15, 15, 15] -> max 15 (3 trial(s))\n"
+         "trivial motions: 8 tagged, kernel dim 9, nontrivial dim 1\n"
+         "verdict: flexible\n"
+         "P-components: [['e0'], ['e1'], ['e2']]\n"),
+        ("direction", ["--oracle"],
+         "model direction, d=2 (D=3), prime 2147483647, seed 5\n"
+         "graph: 4 vertices (4 bodies, 0 rods, 0 hinges), 5 edges\n"
+         "combinatorial rank 5 / target 5\n"
+         "linear ranks [5, 5, 5] -> max 5 (3 trial(s))\n"
+         "trivial motions: 3 tagged, kernel dim 3, nontrivial dim 0\n"
+         "verdict: minimally rigid\n"
+         "P-components: [['e0'], ['e1'], ['e2'], ['e3'], ['e4']]\n"
+         "oracle: {'checked': True, 'agrees': True, 'bruteforce_rank': 5}\n"),
+    ],
+)
+def test_analyze_text_is_pinned(model, options, expected, tmp_path, capsys):
+    argv = ["analyze", write_doc(tmp_path, PINNED_DOCS[model]), "--seed", "5",
+            "--format", "text"] + options
+    assert run(capsys, argv) == (0, expected, "")
+
+
+def test_fuzz_text_is_pinned(capsys):
+    argv = ["fuzz", "--model", "rod-bar", "--cases", "4", "--seed", "7", "--format", "text"]
+    expected = "4/4 agree (0 escalated, 138 trivial-motion checks, 0 violations)\n"
+    assert run(capsys, argv) == (0, expected, "")
+
+
+def test_fuzz_counterexample_text_is_pinned(capsys, monkeypatch):
+    from rigikit import analysis
+
+    failure = {"reason": "synthetic", "document": {}}
+    monkeypatch.setattr(analysis, "fuzz_case", lambda *a, **k: {
+        "escalated": False, "trivial_checked": 1, "subset_checks": 0, "failure": failure})
+    argv = ["fuzz", "--model", "body-bar", "--cases", "1", "--format", "text"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "0/1 agree (0 escalated, 1 trivial-motion checks, 0 violations)\n"
+                              "counterexample in case 0: synthetic\n")
+    assert err == ("fuzz: 1 disagreement(s); dumps are replayable via `rigikit analyze`\n")
+
+
+def test_decompose_text_is_pinned(tmp_path, capsys):
+    argv = ["decompose", write_doc(tmp_path, PINNED_DOCS["body-hinge"]), "--format", "text"]
+    assert run(capsys, argv) == (0, "P-components (3):\n  ['e0']\n  ['e1']\n  ['e2']\n", "")
+
+
+def test_truncate_text_is_pinned(tmp_path, capsys):
+    argv = ["truncate", write_doc(tmp_path, two_rods_doc()), "--seed", "11", "--format", "text"]
+    expected = ("k=0 rod=-: count rank 4, truncated union 4, Pluecker -\n"
+                "k=1 rod=r1: count rank 4, truncated union 4, Pluecker -\n"
+                "k=2 rod=r2: count rank 4, truncated union 4, Pluecker 4\n")
     assert run(capsys, argv) == (0, expected, "")
 
 

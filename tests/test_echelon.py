@@ -4,7 +4,7 @@
 Gauss-Jordan elimination on dense rows (``helpers.rref_reference``); sparse
 rows are checked against their dense expansion.  ``kernel_basis`` reads the
 motion space's dimensions off the rank by rank-nullity; its dimensions, and
-the ones a Report carries, are compared with an explicit kernel basis
+the ones analyze reports, are compared with an explicit kernel basis
 classified one vector at a time (``helpers.kernel_basis_reference``).
 """
 
@@ -153,8 +153,9 @@ def check_report_dims(monkeypatch, g, model, d, p, seed):
         rep = analysis.analyze(g, model, d, prime=p, seed=seed)
     best = max(trials, key=lambda t: t.rank)  # the first trial of the highest rank
     ref = kernel_basis_reference(best.matrix, best.trivial.motions)
-    assert (rep.kernel_dim, rep.trivial_span_dim, rep.nontrivial_dim) == ref
-    assert rep.trivial_motion_count == len(best.trivial.motions)
+    lin = rep["linear"]
+    assert (lin["kernel_dim"], lin["trivial_span_dim"], lin["nontrivial_dim"]) == ref
+    assert lin["trivial_motions"] == len(best.trivial.motions)
 
 
 @pytest.mark.parametrize("model, d", MODEL_DIMS)

@@ -121,9 +121,9 @@ FAMILIES = {
 }
 
 
-def report_hash(rep) -> str:
+def report_hash(rep: dict) -> str:
     """SHA-256 of the report as ``rigikit analyze`` prints it."""
-    text = json.dumps(rep.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    text = json.dumps(rep, sort_keys=True, separators=(",", ":")) + "\n"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
