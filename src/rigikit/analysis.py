@@ -1,11 +1,12 @@
 """Cross-validation harness: count engine vs exact randomized matrices.
 
-analyze() runs both engines on one graph and returns its report, the JSON
-document `rigikit analyze` prints; fuzz_equivalence() compares the ranks and
-fhat of random graphs and returns its fuzz-summary document; truncate() runs
-the paper's induction on one bar-model graph: the union of D graphic
+Each entry point returns the JSON document its subcommand prints; no other
+module knows the layout of a printed document.  analyze() runs both engines
+on one graph and returns its report; fuzz_equivalence() compares the ranks
+and fhat of random graphs; decompose() lists the P-components; truncate()
+runs the paper's induction on one bar-model graph: the union of D graphic
 matroids, truncated one rod at a time, has the count rank at every step.
-All three sample through one trial loop, _escalate, which is also the one
+All but decompose sample through one trial loop, _escalate, which is the one
 place where a best rank meets its count: a rank above its count is an
 immediate EngineDisagreement, and a single unlucky sample never fails a run,
 because a rank short of its count escalates the run to 10 trials.  A
@@ -418,40 +419,43 @@ def _rank_evidence(cs: CountSide, ranks) -> dict:
     return {"count_rank": cs.rank, "count_target": cs.target, "linear_ranks": list(ranks)}
 
 
-def decompose(graph: Multigraph, model: str, d: int, joints=None) -> cm.Decomposition:
-    """The P-components of the model's count polymatroid on its host graph;
-    a failed count self-check is a disagreement with a seedless dump."""
+def decompose(graph: Multigraph, model: str, d: int, joints=None) -> dict:
+    """The P-components of the model's count polymatroid on its host graph,
+    as the decomposition document `rigikit decompose` prints; a failed count
+    self-check is a disagreement with a seedless dump."""
     check_model(model, d)
     check_graph(graph, model, d, joints)
     prof, host = count_host(graph, model, d)
     try:
-        return cm.p_components(host, prof)
+        dec = cm.p_components(host, prof)
     except RuntimeError as exc:
         raise _disagreement(graph, model, d, None, str(exc), joints)
+    return {
+        "schema": 1,
+        "kind": "decomposition",
+        "model": model,
+        "dimension": d,
+        "components": [list(c) for c in dec.components],
+        "nontrivial": [list(c) for c in dec.nontrivial],
+    }
 
 
 # ---------------------------------------------------------------------------
 # The paper's induction: the graphic union truncated one rod at a time
 
 
-class TruncationStep(NamedTuple):
-    k: int  # the first k rods (vertex order) are truncated, the other rods are bodies
-    rod: Optional[str]  # the k-th rod, None at k = 0
-    count_rank: int
-    best_rank: int  # best truncated-union rank over the trials
-    pluecker_rank: Optional[int] = None  # best body-rod-bar rank, last step only
-
-
 def truncate(graph: Multigraph, model: str, d: int, prime: int = DEFAULT_PRIME,
-             seed: int = 0, trials: int = 3):
-    """(steps, trials run): the paper's induction over a bar-model graph's rods.
+             seed: int = 0, trials: int = 3) -> dict:
+    """The paper's induction over a bar-model graph's rods, as the truncation
+    document `rigikit truncate` prints.
 
     With rng = SplitMix64(seed), rod i (vertex order) gets the normal
-    rng.spawn(1).spawn(i).  Step k = 0..n_r gives the count rank with the
-    first k rods kept and the best rank of matrix_graphic_union with their
-    normals, trial t from rng.spawn(2).spawn(t).  The last step adds the
-    best body-rod-bar (Pluecker) rank of graph, trial t from
-    rng.spawn(3).spawn(t), whose rod spins must lie in its kernel.
+    rng.spawn(1).spawn(i).  Step k = 0..n_r has the first k rods truncated
+    and the other rods made bodies: its count rank, the k-th rod (None at
+    k = 0) and the best rank of matrix_graphic_union with their normals,
+    trial t from rng.spawn(2).spawn(t).  The last step adds the best
+    body-rod-bar (Pluecker) rank of graph, trial t from rng.spawn(3).spawn(t),
+    whose rod spins must lie in its kernel; the other steps' is None.
     Generically each rank is its count rank; the trials run through
     _escalate, and a disagreement dumps the steps.
     """
@@ -470,33 +474,43 @@ def truncate(graph: Multigraph, model: str, d: int, prime: int = DEFAULT_PRIME,
         gk = graph._replace(kinds={
             v: VertexKind.ROD if v in kept else VertexKind.BODY for v in graph.vertex_ids
         })
-        steps.append(TruncationStep(k, rods[k - 1] if k else None, cm.rank_value(gk, None, prof),
-                                    0, 0 if k == len(rods) else None))
+        steps.append({"k": k, "rod": rods[k - 1] if k else None,
+                      "count_rank": cm.rank_value(gk, None, prof), "best_rank": 0,
+                      "pluecker_rank": 0 if k == len(rods) else None})
+    last = steps[-1]
 
     def fail(reason):
-        return _disagreement(graph, model, d, seed, reason, steps=[s._asdict() for s in steps])
+        return _disagreement(graph, model, d, seed, reason, steps=steps)
 
     def measure(t):
-        for k, kept in enumerate(cuts):
+        for step, kept in zip(steps, cuts):
             rank = rg.matrix_graphic_union(graph, d, rng.spawn(2).spawn(t), prime, kept).rank()
-            steps[k] = steps[k]._replace(best_rank=max(steps[k].best_rank, rank))
+            step["best_rank"] = max(step["best_rank"], rank)
         config, m = rg.sample_body_rod_bar(graph, d, rng.spawn(3).spawn(t), prime)
-        steps[-1] = steps[-1]._replace(pluecker_rank=max(steps[-1].pluecker_rank, m.rank()))
+        last["pluecker_rank"] = max(last["pluecker_rank"], m.rank())
         missed = rg.verify_trivial_motions(m, rods=config).missed
         if missed:
             raise fail("truncation step %d: Pluecker %s motion is not in the kernel"
-                       % (steps[-1].k, missed[0]))
+                       % (last["k"], missed[0]))
 
     def rows():
-        last = steps[-1]
-        return [("truncation step %d: best" % s.k, s.best_rank, "count", s.count_rank)
-                for s in steps] + [("truncation step %d: Pluecker" % last.k, last.pluecker_rank,
-                                    "count", last.count_rank)]
+        return [("truncation step %d: best" % s["k"], s["best_rank"], "count", s["count_rank"])
+                for s in steps] + [("truncation step %d: Pluecker" % last["k"],
+                                    last["pluecker_rank"], "count", last["count_rank"])]
 
     n, reasons = _escalate(trials, prime, measure, rows, fail)
     if reasons:
         raise fail(reasons[0])
-    return steps, n
+    return {
+        "schema": 1,
+        "kind": "truncation",
+        "model": model,
+        "dimension": d,
+        "prime": prime,
+        "seed": seed,
+        "trials": {"requested": trials, "run": n},
+        "steps": steps,
+    }
 
 
 # ---------------------------------------------------------------------------

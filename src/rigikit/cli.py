@@ -100,18 +100,10 @@ def _cmd_decompose(args) -> int:
     graph, model, d, joints = _load_document(args.file)
     d = d if args.dim is None else args.dim
     dec = decompose(graph, model, d, joints)
-    payload = {
-        "schema": 1,
-        "kind": "decomposition",
-        "model": model,
-        "dimension": d,
-        "components": [list(c) for c in dec.components],
-        "nontrivial": [list(c) for c in dec.nontrivial],
-    }
-    text = "P-components (%d):\n" % len(dec.components) + "".join(
-        "  %s\n" % list(c) for c in dec.components
+    text = "P-components (%d):\n" % len(dec["components"]) + "".join(
+        "  %s\n" % c for c in dec["components"]
     )
-    _emit(args, payload, text)
+    _emit(args, dec, text)
     return 0
 
 
@@ -142,22 +134,14 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_truncate(args) -> int:
     graph, model, d, _ = _load_document(args.file)
-    steps, trials_run = truncate(
-        graph, model, d, prime=args.prime, seed=args.seed, trials=args.trials
-    )
-    payload = {
-        "schema": 1, "kind": "truncation", "model": model, "dimension": d,
-        "prime": args.prime, "seed": args.seed,
-        "trials": {"requested": args.trials, "run": trials_run},
-        "steps": [s._asdict() for s in steps],
-    }
+    doc = truncate(graph, model, d, prime=args.prime, seed=args.seed, trials=args.trials)
     text = "".join(
         "k=%d rod=%s: count rank %d, truncated union %d, Pluecker %s\n"
-        % (s.k, s.rod or "-", s.count_rank, s.best_rank,
-           "-" if s.pluecker_rank is None else s.pluecker_rank)
-        for s in steps
+        % (s["k"], s["rod"] or "-", s["count_rank"], s["best_rank"],
+           "-" if s["pluecker_rank"] is None else s["pluecker_rank"])
+        for s in doc["steps"]
     )
-    _emit(args, payload, text)
+    _emit(args, doc, text)
     return 0
 
 

@@ -502,7 +502,6 @@ def rank_bruteforce(graph: Multigraph, eids, prof: CountProfile) -> RankCertific
 
 
 def global_count_target(graph: Multigraph, prof: CountProfile) -> int:
-    """Count target over all graph vertices: sum capacity(v) - offset."""
-    return (
-        sum(prof.capacity_of(graph, v) for v in graph.vertex_ids) - prof.offset
-    )
+    """Count target over all graph vertices: sum capacity(v) - offset, at
+    least 0 (a lone rod, hinge once expanded, or direction joint sums to -1)."""
+    return max(0, sum(prof.capacity_of(graph, v) for v in graph.vertex_ids) - prof.offset)

@@ -198,12 +198,13 @@ def test_criterion_7_dilworth_truncation():
         d = 3 + case % 2
         D = d * (d + 1) // 2
         g = random_kinded_graph(sub.spawn(0), max_vertices=4, max_edges=3 * D)
-        steps, trials_run = truncate(g, "body-rod-bar", d, P, sub.seed, 3)
+        doc = truncate(g, "body-rod-bar", d, P, sub.seed, 3)
+        steps = doc["steps"]
         total += len(steps)
-        binding += sum(1 for s in steps if s.count_rank < len(g.edges))
-        if trials_run == 3 and all(s.best_rank == s.count_rank for s in steps) and (
-            steps[-1].pluecker_rank == steps[-1].count_rank
-        ):
+        binding += sum(1 for s in steps if s["count_rank"] < len(g.edges))
+        if doc["trials"]["run"] == 3 and all(
+            s["best_rank"] == s["count_rank"] for s in steps
+        ) and steps[-1]["pluecker_rank"] == steps[-1]["count_rank"]:
             matched += 1
     # genericity matters: two rods on D-1 = 5 parallel edges at d = 3
     g = build_graph([("r1", "rod"), ("r2", "rod")], [("r1", "r2")] * 5)

@@ -8,7 +8,7 @@ import pytest
 
 import rigikit
 from rigikit.cli import main
-from rigikit.documents import graph_document, parse_document
+from rigikit.documents import MODELS, graph_document, parse_document
 from rigikit.graph import build_graph
 
 
@@ -403,12 +403,45 @@ def test_truncate(doc, tmp_path, capsys):
     assert payload["kind"] == "truncation"
     assert payload["trials"] == {"requested": 3, "run": 3}
     g, _, d, _ = parse_document(doc)
-    steps, _ = truncate(g, doc["model"], d, seed=11)
-    assert payload["steps"] == [s._asdict() for s in steps]
+    assert payload["steps"] == truncate(g, doc["model"], d, seed=11)["steps"]
     assert [s["k"] for s in payload["steps"]] == [0, 1, 2]
     assert all(s["best_rank"] == s["count_rank"] for s in payload["steps"])
     assert payload["steps"][-1]["pluecker_rank"] == payload["steps"][-1]["count_rank"]
     assert run(capsys, argv) == (0, out, "")  # the same argv, the same bytes
+
+
+@pytest.mark.parametrize("command", ["analyze", "fuzz", "decompose", "truncate"])
+def test_the_library_returns_the_document_the_cli_prints(command, tmp_path, capsys):
+    from rigikit.analysis import analyze, decompose, fuzz_equivalence, truncate
+
+    doc = body_rod_bar_doc()
+    path = write_doc(tmp_path, doc)
+    g, model, d, _ = parse_document(doc)
+    argv, call = {
+        "analyze": (["analyze", path, "--seed", "5"], lambda: analyze(g, model, d, seed=5)),
+        "fuzz": (["fuzz", "--model", "rod-bar", "--cases", "4", "--seed", "7"],
+                 lambda: fuzz_equivalence("rod-bar", 3, 4, seed=7)),
+        "decompose": (["decompose", path], lambda: decompose(g, model, d)),
+        "truncate": (["truncate", path, "--seed", "11"], lambda: truncate(g, model, d, seed=11)),
+    }[command]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.dumps(call(), sort_keys=True, separators=(",", ":")) + "\n" == out
+
+
+@pytest.mark.parametrize("model, kind", [
+    (model, kind.value) for model, (kinds, _) in MODELS.items()
+    for kind in sorted(kinds, key=lambda k: k.value)
+])
+def test_a_lone_vertex_is_trivially_rigid_with_target_0(model, kind, tmp_path, capsys):
+    # a lone rod, hinge or direction joint used to report target -1
+    doc = {"schema": 1, "model": model, "dimension": MODELS[model][1],
+           "vertices": [{"id": "v", "kind": kind}], "edges": []}
+    code, out, err = run(capsys, ["analyze", write_doc(tmp_path, doc)])
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["combinatorial"]["target"] == rep["linear"]["max_rank"] == 0
+    assert rep["verdict"] == "trivially rigid"
 
 
 def escalating_doc():

@@ -232,7 +232,7 @@ def test_rank_never_exceeds_body_bound():
         g = random_kinded_graph(rng.spawn(case), max_edges=10)
         rods, bars = sampled(g, seed=200 + case)
         m = matrix_body_rod_bar(g, bars)
-        assert m.rank() <= max(0, cm.global_count_target(g, PROF3))
+        assert m.rank() <= cm.global_count_target(g, PROF3)
 
 
 def test_lone_rod_motion_space():

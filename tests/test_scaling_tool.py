@@ -8,6 +8,8 @@ import sys
 import time
 from pathlib import Path
 
+from rigikit.documents import parse_document
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -25,7 +27,8 @@ def test_scaling_script_runs_small(tmp_path, monkeypatch):
     assert run["import_runs"] == 3 and run["import_s"] > 0 and run["raw_import_s"] > 0
     assert 0.1 < run["import_s"] / run["raw_import_s"] < 10
     assert set(run["families"]) == {
-        "rod-bar-ring", "body-bar-ring", "body-rod-bar-tree", "direction-2d"}
+        "rod-bar-ring", "body-bar-ring", "body-rod-bar-tree", "body-hinge-ladder",
+        "direction-2d", "direction-3d"}
     for fam in run["families"].values():
         (inst,) = fam["instances"]
         assert inst["n"] == 8 and inst["analyze_s"] > 0 and inst["raw_analyze_s"] > 0
@@ -33,7 +36,8 @@ def test_scaling_script_runs_small(tmp_path, monkeypatch):
         # reference sample taken beside the run
         assert inst["reference_s"] > 0
         assert 0.1 < inst["analyze_s"] / inst["raw_analyze_s"] < 10
-        assert set(inst["stages_s"]) == {"trivial", "rank", "p_components"}
+        assert set(inst["stages_s"]) == {"trivial", "rank", "p_components", "count_side"}
+        assert 0 < inst["peak_alloc_mb"] < 100
         assert len(inst["report_sha256"]) == 64
         assert fam["exponents"]["analyze"] is None  # one size fits no slope
 
@@ -50,6 +54,14 @@ def test_scaling_script_runs_small(tmp_path, monkeypatch):
     ).stdout
     (ring,) = run["families"]["rod-bar-ring"]["instances"]
     assert hashlib.sha256(printed).hexdigest() == ring["report_sha256"]
+
+    # the new families: n bodies and n - 1 hinges in a path; joint v joined
+    # to min(v, 3) earlier ones
+    ladder = parse_document(scaling.hinge_ladder_document(8))[0]
+    assert [len(ladder.vertex_ids), len(ladder.edges)] == [15, 14]
+    joints = parse_document(scaling.direction_3d_document(8))[0]
+    assert [len(joints.vertex_ids), len(joints.edges)] == [8, 3 * 8 - 6]
+    assert {(e.u, e.v) for e in joints.edges} >= {("j0", "j1"), ("j0", "j2"), ("j1", "j2")}
 
 
 def test_each_import_is_scaled_by_its_own_reference_sample(monkeypatch):

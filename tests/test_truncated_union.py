@@ -30,18 +30,19 @@ TRIALS = 3
 def check_truncation_steps(g, model, d, seed):
     """Truncate g's rods one at a time; at each step the best rank of TRIALS
     samples is the count rank, with no escalation."""
-    steps, trials_run = truncate(g, model, d, P, seed, TRIALS)
-    assert trials_run == TRIALS
+    doc = truncate(g, model, d, P, seed, TRIALS)
+    steps = doc["steps"]
+    assert doc["trials"]["run"] == TRIALS
     rng = SplitMix64(seed)
     for t in range(TRIALS):  # no rod truncated: the plain union of D graphic matroids
         sub = rng.spawn(2).spawn(t)
         assert (rg.matrix_graphic_union(g, d, sub, P, normals={}).rows
                 == graphic_union_reference(g, d, sub, P).rows)
     for step in steps:
-        k, best, count = step.k, step.best_rank, step.count_rank
+        k, best, count = step["k"], step["best_rank"], step["count_rank"]
         assert best == count, (k, best, count)
         if k == len(steps) - 1:
-            assert best == step.pluecker_rank
+            assert best == step["pluecker_rank"]
 
 
 GATE = settings(derandomize=True, max_examples=100, deadline=None, database=None)

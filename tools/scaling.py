@@ -10,14 +10,19 @@ default prime and trial count.  Per instance the script records:
 * the median ``analyze`` time of ``--runs`` untraced runs, raw
   (``raw_analyze_s``) and calibrated (``analyze_s``);
 * the stage spans of one more run under ``perfbench/tracer.py``: the
-  trivial-motion check, the matrix ranks and the P-components, calibrated.
+  trivial-motion check, the matrix ranks, the P-components and the count
+  side (``analysis.count_side``, where hinge and direction models play
+  the f-expansion game), calibrated.
   The ``rank`` stage is the ``RigidityMatrix.rank`` spans.  The rod models'
   flat-family rank (``rigidity.flat_family_rank``) builds no matrix, so
   since it replaced the edge-flat matrix the stage no longer holds it;
   runs recorded before that change counted it there.  The ``p_components``
-  stage times only the bar models' second game, so direction (the
-  ``direction-2d`` family) and body-hinge, which read their P-components
-  off the count matroid's own certificate, read 0 there;
+  stage times only the bar models' second game, so the direction and
+  body-hinge families, which read their P-components off the count
+  matroid's own certificate, read 0 there;
+* ``peak_alloc_mb``, the peak of Python allocations over one more
+  untimed run under ``tracemalloc``, so that a change which keeps more
+  matrices alive shows;
 * the SHA-256 of the canonical JSON report, the bytes that
   ``rigikit analyze`` prints.
 
@@ -39,14 +44,18 @@ keeps one run per ``--label``; a run replaces the one of its label and
 leaves the others as they are, so the same file can hold the runs of two
 commits side by side.
 
-Families (d = 3 except the direction frameworks, which are 2-D):
+Families (d = 3 except ``direction-2d``):
 
 * ``rod-bar-ring``, ``body-bar-ring``: n vertices on a cycle, two bars to
   the next vertex and one to the one after, all rods or all bodies;
 * ``body-rod-bar-tree``: ``workloads.mechanism_document(n, 3, Random(n))``,
   a random tree of rods and bodies with three extra bars;
+* ``body-hinge-ladder``: n bodies in a path, each consecutive pair sharing
+  one hinge;
 * ``direction-2d``: ``workloads.braced_document(n, 0, Random(n))``, a
-  minimally rigid framework built by Henneberg moves.
+  minimally rigid framework built by Henneberg moves;
+* ``direction-3d``: n joints added one at a time, each joined to three
+  earlier ones (all of them while fewer exist) drawn from ``Random(n)``.
 
 rigikit is imported from the ``src`` directory beside this file's parent,
 and the generators, the tracer and the reference loop from its
@@ -65,6 +74,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -96,6 +106,7 @@ STAGES = {
     "trivial": ("rigidity.verify_trivial_motions",),
     "rank": ("rigidity.matrix_rank",),
     "p_components": ("count_matroid.p_components",),
+    "count_side": ("analysis.count_side",),
 }
 
 
@@ -113,11 +124,41 @@ def ring_document(n: int, kind: str, model: str) -> dict:
     }
 
 
+def hinge_ladder_document(n: int) -> dict:
+    """n bodies in a path, each consecutive pair sharing one hinge."""
+    edges = [pair for i in range(n - 1) for pair in (["b%d" % i, "h%d" % i],
+                                                      ["h%d" % i, "b%d" % (i + 1)])]
+    return {
+        "schema": 1,
+        "model": "body-hinge",
+        "dimension": 3,
+        "vertices": [{"id": "b%d" % i, "kind": "body"} for i in range(n)]
+        + [{"id": "h%d" % i, "kind": "hinge"} for i in range(n - 1)],
+        "edges": edges,
+    }
+
+
+def direction_3d_document(n: int) -> dict:
+    """n joints added one at a time, each joined to three earlier ones."""
+    rng = random.Random(n)
+    edges = [["j%d" % u, "j%d" % v]
+             for v in range(1, n) for u in rng.sample(range(v), min(v, 3))]
+    return {
+        "schema": 1,
+        "model": "direction",
+        "dimension": 3,
+        "vertices": [{"id": "j%d" % i, "kind": "body"} for i in range(n)],
+        "edges": edges,
+    }
+
+
 FAMILIES = {
     "rod-bar-ring": lambda n: ring_document(n, "rod", "rod-bar"),
     "body-bar-ring": lambda n: ring_document(n, "body", "body-bar"),
     "body-rod-bar-tree": lambda n: wl.mechanism_document(n, 3, random.Random(n)),
+    "body-hinge-ladder": hinge_ladder_document,
     "direction-2d": lambda n: wl.braced_document(n, 0, random.Random(n)),
+    "direction-3d": direction_3d_document,
 }
 
 
@@ -129,7 +170,7 @@ def report_hash(rep: dict) -> str:
 
 def measure(doc: dict, runs: int) -> dict:
     """One instance: median untraced time, raw and calibrated; calibrated
-    traced stage spans; report hash."""
+    traced stage spans; peak traced allocation; report hash."""
     graph, model, d, joints = parse_document(doc)
 
     def once():
@@ -149,9 +190,15 @@ def measure(doc: dict, runs: int) -> dict:
         traced = once()
     finally:
         uninstall()
+    tracemalloc.start()
+    try:
+        allocated = once()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     digest = report_hash(rep)
-    if report_hash(traced) != digest:
-        raise RuntimeError("the traced report differs from the untraced one")
+    if report_hash(traced) != digest or report_hash(allocated) != digest:
+        raise RuntimeError("a traced report differs from the untraced one")
     scale = worker.calibration(samples[-1:])
     return {
         "edges": len(graph.edges),
@@ -162,6 +209,7 @@ def measure(doc: dict, runs: int) -> dict:
             stage: round(tr.group_total(tracer.spans, names) * scale, 4)
             for stage, names in STAGES.items()
         },
+        "peak_alloc_mb": round(peak / 2**20, 3),
         "report_sha256": digest,
     }
 
@@ -200,10 +248,10 @@ def run(sizes, runs: int) -> dict:
         for n in sizes:
             inst = {"n": n, **measure(FAMILIES[name](n), runs)}
             instances.append(inst)
-            print("%-18s n=%-4d analyze %.4f s (raw %.4f)  %s" % (
+            print("%-18s n=%-4d analyze %.4f s (raw %.4f)  %s  peak %.3f MB" % (
                 name, n, inst["analyze_s"], inst["raw_analyze_s"],
-                "  ".join("%s %.4f" % kv for kv in inst["stages_s"].items())),
-                file=sys.stderr)
+                "  ".join("%s %.4f" % kv for kv in inst["stages_s"].items()),
+                inst["peak_alloc_mb"]), file=sys.stderr)
         exponents = {"analyze": growth_exponent(sizes, [i["analyze_s"] for i in instances])}
         for stage in STAGES:
             exponents[stage] = growth_exponent(
