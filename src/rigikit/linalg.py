@@ -4,21 +4,24 @@ A row is a tuple of (column, value) pairs in increasing column order, with
 every value in [1, p); the zero row is the empty tuple.  ``sparse`` turns a
 dense vector into a row and ``dense`` turns it back.  One primitive,
 ``Echelon``, answers every question: it grows a row echelon form one row
-at a time.  Each stored row is monic at its pivot (its first pair), has no
-pair left of it, and none at the pivot of any row stored before it, so
-``reduce`` clears the pivot columns in insertion order and only touches
-each stored row's own pairs.
+at a time, in a table keyed by pivot column.  A stored row is monic at
+its pivot, its highest column.  ``reduce`` copies a row into a dense list
+and walks down from its highest column: at a pivot it subtracts the pivot's
+row, which reaches only further left, lowering the walk's floor where fill
+appears, and it stops at the first nonzero column that is no pivot.  So a
+two-block row pivots in its later vertex block, and a rigidity matrix is
+eliminated vertex by vertex in reverse block order.
 
-``rank`` is plain forward elimination, with no caller-specific shortcut:
-a builder that would repeat rows (parallel edge flats) emits them once.
-``rref`` takes and returns dense rows: it adds one back-substitution and
-sorts the rows by pivot.  It and ``nullspace`` serve small dense systems:
-the at most two constraints that cut out an edge's flat in a truncated
-graphic union, or a bar flat of the edge-flat reference matrix; the
-flat-family rank needs no nullspace.  The reduced row-echelon form of a
-row space is unique, so ``rref`` and ``nullspace`` do not depend on the
-order in which rows are given, and results are deterministic for
-deterministic inputs.
+``rank`` is plain elimination, with no caller-specific shortcut: a builder
+that would repeat rows (parallel edge flats) emits them once.  ``rref``
+takes and returns dense rows: it feeds the echelon its rows column-mirrored,
+so each pivot is its row's first column, then clears each pivot from the
+other rows.  It and ``nullspace`` serve small dense systems: the at most two
+constraints that cut out an edge's flat in a truncated graphic union, or a
+bar flat of the edge-flat reference matrix; the flat-family rank needs no
+nullspace.  The reduced row-echelon form of a row space is unique, so
+``rref`` and ``nullspace`` do not depend on the order in which rows are
+given, and results are deterministic for deterministic inputs.
 """
 
 from __future__ import annotations
@@ -49,45 +52,63 @@ def monic(vec, p: int):
 
 
 class Echelon:
-    """A row echelon basis over F_p, grown one row at a time."""
+    """A row echelon basis over F_p, grown one row at a time.
 
-    __slots__ = ("p", "rows", "pivots")
+    table maps each pivot column to its stored row, in the order the rows
+    were stored; a stored row ends in (pivot, 1).
+    """
+
+    __slots__ = ("p", "table")
 
     def __init__(self, p: int):
         self.p = p
-        self.rows: list[tuple] = []
-        self.pivots: list[int] = []
+        self.table: dict[int, tuple] = {}
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.table)
 
-    def reduce(self, row) -> dict:
-        """row with every pivot column cleared, as {column: value}; empty iff in the span."""
+    @property
+    def rows(self) -> list[tuple]:
+        return list(self.table.values())
+
+    @property
+    def pivots(self) -> list[int]:
+        return list(self.table)
+
+    def reduce(self, row) -> tuple:
+        """row less pivot rows until its highest column is no pivot; empty iff in the span."""
+        if not row:
+            return ()
         p = self.p
-        v = dict(row)
-        get = v.get
-        for c, stored in zip(self.pivots, self.rows):
-            m = get(c)
+        get = self.table.get
+        c = row[-1][0]
+        v = [0] * (c + 1)
+        for k, x in row:
+            v[k] = x
+        floor = row[0][0]
+        while c >= floor:
+            m = v[c]
             if m:
+                stored = get(c)
+                if stored is None:
+                    return tuple([(k, v[k]) for k in range(floor, c + 1) if v[k]])
                 for k, b in stored:
-                    x = (get(k, 0) - m * b) % p
-                    if x:
-                        v[k] = x
-                    else:
-                        del v[k]
-        return v
+                    v[k] = (v[k] - m * b) % p
+                if stored[0][0] < floor:
+                    floor = stored[0][0]
+            c -= 1
+        return ()
 
     def add(self, row) -> bool:
-        """Store row's residual if it is nonzero; True iff the rank grew."""
+        """Store row's residual, scaled to end in 1, if it is nonzero; True iff the rank grew."""
         v = self.reduce(row)
         if not v:
             return False
         p = self.p
-        items = sorted(v.items())
-        inv = mod_inv(items[0][1], p)
-        self.rows.append(tuple([(k, x * inv % p) for k, x in items]))
-        self.pivots.append(items[0][0])
+        c, lead = v[-1]
+        inv = mod_inv(lead, p)
+        self.table[c] = tuple([(k, x * inv % p) for k, x in v])
         return True
 
 
@@ -106,16 +127,20 @@ def rref(rows, p: int):
     """
     ech = Echelon(p)
     for row in rows:
-        ech.add(sparse(row, p))
-    # Back-substitution: re-adding the rows from the last pivot to the first
-    # clears every later pivot column from each row.
-    back = Echelon(p)
-    for i in sorted(range(ech.rank), key=ech.pivots.__getitem__, reverse=True):
-        back.add(ech.rows[i])
+        ech.add(sparse(row[::-1], p))  # mirrored: each pivot is its row's lowest column
     ncols = len(rows[0]) if rows else 0
-    R = [dense(row, ncols) for row in back.rows[::-1]]
+    mirrored = sorted(ech.table, reverse=True)
+    R = [dense(ech.table[c], ncols)[::-1] for c in mirrored]
+    pivots = [ncols - 1 - c for c in mirrored]
+    # Clearing the pivots in increasing order: row j is zero left of its
+    # pivot, so it cannot bring back a pivot cleared before.
+    for j, pc in enumerate(pivots):
+        for i in range(j):
+            m = R[i][pc]
+            if m:
+                R[i] = [(a - m * b) % p for a, b in zip(R[i], R[j])]
     R.extend([0] * ncols for _ in range(len(rows) - len(R)))
-    return R, back.pivots[::-1]
+    return R, pivots
 
 
 def nullspace(rows, ncols: int, p: int):

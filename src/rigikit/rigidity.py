@@ -168,7 +168,10 @@ class RigidityMatrix(NamedTuple):
         columns are minus the sum of the others', and deleting them keeps
         the rank at every sample and prime.  The block met by the most rows
         (the first on a tie) goes; its rows, now single-block, are offered
-        first, then the rest in row order.  Any other matrix is ranked whole.
+        first, then the rest in row order.  The echelon pivots each row at
+        its highest column, so a two-block row pivots in its later vertex's
+        block: the blocks are eliminated in reverse order.  Any other
+        matrix is ranked whole.
         """
         if not (self.two_block and self.rows):
             return linalg.rank(self.rows, self.p)

@@ -69,11 +69,11 @@ def test_add_is_false_exactly_on_the_span(case, data):
     ech = linalg.Echelon(p)
     for row in rows:
         ech.add(linalg.sparse(row, p))
-    for k, (row, c) in enumerate(zip(ech.rows, ech.pivots)):
+    assert len(set(ech.pivots)) == ech.rank
+    for row, c in zip(ech.rows, ech.pivots):
         cols = [col for col, _ in row]
-        assert row[0] == (c, 1)  # monic at the pivot, nothing left of it
+        assert row[-1] == (c, 1)  # monic at the pivot, everything else left of it
         assert cols == sorted(set(cols)) and all(0 < x < p for _, x in row)
-        assert not set(cols) & set(ech.pivots[:k])
     if rows and data.draw(st.booleans()):
         vec = rows[data.draw(st.integers(0, len(rows) - 1))]
     else:
@@ -81,7 +81,10 @@ def test_add_is_false_exactly_on_the_span(case, data):
     in_span = rank_reference(rows + [vec], p) == rank_reference(rows, p)
     before = (list(ech.rows), list(ech.pivots))
     arg = linalg.sparse(vec, p)
-    assert (not ech.reduce(arg)) == in_span
+    residual = ech.reduce(arg)
+    assert (not residual) == in_span
+    if residual:
+        assert residual[-1][0] not in ech.pivots
     grew = ech.add(arg)
     assert grew == (not in_span)
     if in_span:
@@ -121,6 +124,54 @@ def test_sparse_rows_match_their_dense_expansion(case, data):
     assert linalg.rank(rows, p) == rank_reference(dense, p)
     vec = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
     assert linalg.mat_vec(m.rows, vec, p) == mat_vec_reference(dense, vec, p)
+
+
+def rod_ring(n):
+    """n rods on a cycle, 5 bars each: two to the next rod, two to the one after, one beyond.
+
+    That is 5n bars against a rank of at most 5n - 6, so the last rows are
+    dependent and their walks run back across the ring.
+    """
+    edges = []
+    for i in range(n):
+        for hop in (1, 1, 2, 2, 3):
+            edges.append(("r%d" % i, "r%d" % ((i + hop) % n)))
+    return build_graph([("r%d" % i, "rod") for i in range(n)], edges)
+
+
+def henneberg_2d(n, braces):
+    """A 2-D direction framework: each new joint joins two earlier ones, then
+    braces from the first joints to the last, each of them dependent."""
+    rng = SplitMix64(n)
+    edges = [("j0", "j1")]
+    for v in range(2, n):
+        a = rng.below(v)
+        b = (a + 1 + rng.below(v - 1)) % v
+        edges += [("j%d" % a, "j%d" % v), ("j%d" % b, "j%d" % v)]
+    edges += [("j%d" % i, "j%d" % (n - 1 - i)) for i in range(braces)]
+    return build_graph([("j%d" % i, "body") for i in range(n)], edges)
+
+
+def closed_hinge_ladder(n):
+    """n bodies on a cycle, each consecutive pair sharing one hinge."""
+    vertices = [("b%d" % i, "body") for i in range(n)] + [("h%d" % i, "hinge") for i in range(n)]
+    edges = [e for i in range(n) for e in (("b%d" % i, "h%d" % i), ("h%d" % i, "b%d" % ((i + 1) % n)))]
+    return build_graph(vertices, edges)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 7])
+@pytest.mark.parametrize("model, d, graph", [
+    ("rod-bar", 3, rod_ring(24)),
+    ("direction", 2, henneberg_2d(24, 3)),
+    ("body-hinge", 3, closed_hinge_ladder(12)),
+])
+def test_rank_of_long_fill_chains_matches_reference(model, d, graph, p):
+    # each graph closes a long cycle, so some row's walk meets pivots many
+    # blocks left of its own lowest column; the hypothesis matrices above
+    # are too small for that
+    realized = graph if model == "direction" else count_side(graph, model, d).count_graph
+    m = linear_trial(realized, model, d, p, SplitMix64(34)).matrix
+    assert m.rank() == rank_reference(dense_rows(m), p)
 
 
 # ---------------------------------------------------------------------------
