@@ -6,18 +6,18 @@ on one graph and returns its report; fuzz_equivalence() compares the ranks
 and fhat of random graphs; decompose() lists the P-components; truncate()
 runs the paper's induction on one bar-model graph: the union of D graphic
 matroids, truncated one rod at a time, has the count rank at every step.
-All but decompose sample through one trial loop, _escalate, which is the one
-place where a best rank meets its count: a rank above its count is an
-immediate EngineDisagreement, and a single unlucky sample never fails a run,
-because a rank short of its count escalates the run to 10 trials.  A
-shortfall left after that is a ConfigError below the prime 2^16; above it
-analyze reports it as agreement false and fuzz and truncate as a
-disagreement.  A trial whose formal trivial motions are not all in the
-kernel, and in analyze a failed count-engine self-check, are disagreements
-too.  _disagreement builds every dump, a document replayable with the seed
-it carries.  analyze, decompose, truncate and fuzz_equivalence check their
-input with documents.check_model and check_graph first; the helpers they
-call assume it.
+All but decompose sample through one trial loop, _escalate, which keeps
+every trial's ranks and is the one place they are judged: a trial whose
+formal trivial motions are not all in the kernel, or a best rank above its
+count, is an immediate EngineDisagreement, and a single unlucky sample never
+fails a run, because a rank short of its count escalates the run to 10
+trials.  A shortfall left after that is a ConfigError below the prime 2^16;
+above it analyze reports it as agreement false and fuzz and truncate as a
+disagreement.  In analyze a failed count-engine self-check is a
+disagreement too.  _disagreement builds every dump, a document replayable
+with the seed it carries.  analyze, decompose, truncate and
+fuzz_equivalence check their input with documents.check_model and
+check_graph first; the helpers they call assume it.
 """
 
 from __future__ import annotations
@@ -169,47 +169,46 @@ def linear_trial(
     )
 
 
-class TrialRun:
-    """The linear trials of one instance, as run_trials leaves them."""
+def _escalate(trials: int, prime: int, measure, counts: dict, fail) -> tuple:
+    """The one trial loop, ledger and verdict: (trials run, ranks per label,
+    shortfall reasons).
 
-    __slots__ = ("ranks", "flat_ranks", "graphic_union_ranks", "trivial_checked", "best",
-                 "reasons")
-
-    def __init__(self):
-        self.ranks: list = []
-        self.flat_ranks: list = []
-        self.graphic_union_ranks: list = []
-        self.trivial_checked = 0
-        self.best: Optional[LinearTrial] = None  # first trial of the highest rank
-        self.reasons: list = []  # a best rank short of its count, one reason each
-
-
-def _escalate(trials: int, prime: int, measure, rows, fail) -> tuple:
-    """The one trial loop and rank verdict: (trials run, shortfall reasons).
-
-    measure(t) samples trial t from its own spawn; rows() then lists
-    (label, best rank, count label, count) per best rank so far.  A best
-    rank above its count raises fail(reason) at once.  If a best rank falls
-    short of its count after the requested trials, the run goes on at trial
-    `trials` to ESCALATED_TRIALS.  A shortfall left after that raises
-    ConfigError below GENERIC_PRIME_FLOOR; above it the reasons are
-    returned for the caller to judge.  Why 2^16: a rank falls short only
-    where a generically nonzero minor vanishes, a polynomial of degree at
-    most 6r in the sampled coordinates (r the rank; an entry has degree at
-    most 6 once denominators are cleared: a bar's Pluecker coordinates 4,
-    as the wedge of two points of degree at most 2, a rod normal d - 1 <= 5,
-    a direction row 1).  By Schwartz-Zippel one trial misses with
-    probability at most 6r / p.  A fuzz case has at most 8 blocks of
-    D <= 21 columns at d <= MAX_DIMENSION = 6, so r <= 168: at p >= 2^16 a
-    trial misses below 1/65 and ten all miss below 10^-18, so a shortfall
-    is an engine's fault.  At the smallest primes the bound exceeds 1: a
-    shortfall blames the field.
+    counts maps each label to (count label, count), in row order.
+    measure(t) samples trial t from its own spawn and returns its rank per
+    label, leaving out a label it did not measure, and the reason if a
+    formal trivial motion missed the kernel, else None.  The ranks are
+    appended first; then a miss, or a best rank above its count, raises
+    fail(reason, ranks) at once.  If a best rank falls short of its count
+    after the requested trials, the run goes on at trial `trials` to
+    ESCALATED_TRIALS.  A shortfall left after that raises ConfigError below
+    GENERIC_PRIME_FLOOR; above it the reasons are returned for the caller
+    to judge.  Why 2^16: a rank falls short only where a generically
+    nonzero minor vanishes, a polynomial of degree at most 6r in the
+    sampled coordinates (r the rank; an entry has degree at most 6 once
+    denominators are cleared: a bar's Pluecker coordinates 4, as the wedge
+    of two points of degree at most 2, a rod normal d - 1 <= 5, a direction
+    row 1).  By Schwartz-Zippel one trial misses with probability at most
+    6r / p.  A fuzz case has at most 8 blocks of D <= 21 columns at
+    d <= MAX_DIMENSION = 6, so r <= 168: at p >= 2^16 a trial misses below
+    1/65 and ten all miss below 10^-18, so a shortfall is an engine's
+    fault.  At the smallest primes the bound exceeds 1: a shortfall blames
+    the field.
     """
+    ranks = {label: [] for label in counts}
+
+    def rows():  # (label, best rank, count label, count) per label measured so far
+        return [(label, max(ranks[label]), what, count)
+                for label, (what, count) in counts.items() if ranks[label]]
+
     def judged(t):
-        measure(t)
+        measured, missed = measure(t)
+        for label, rank in measured.items():
+            ranks[label].append(rank)
+        if missed:
+            raise fail(missed, ranks)
         for label, best, what, count in rows():
             if best > count:
-                raise fail("%s rank %d exceeds %s rank %d" % (label, best, what, count))
+                raise fail("%s rank %d exceeds %s rank %d" % (label, best, what, count), ranks)
 
     def shortfalls():
         return ["%s rank %d != %s rank %d" % (label, best, what, count)
@@ -226,7 +225,7 @@ def _escalate(trials: int, prime: int, measure, rows, fail) -> tuple:
             "prime %d is too small for generic samples: %s after %d trials; "
             "use a prime of at least 2^16" % (prime, short[0], n)
         )
-    return n, short
+    return n, ranks, short
 
 
 def run_trials(
@@ -239,48 +238,42 @@ def run_trials(
     cs: CountSide,
     fhat_rank: Optional[int],
     joints=None,
-) -> TrialRun:
-    """Run and judge the linear trials of one instance through _escalate.
+) -> tuple:
+    """Run and judge the linear trials of one instance through _escalate:
+    (ranks per label, best trial, shortfall reasons).
 
-    The max linear rank and the graphic-union rank (D graphic matroids unite
-    to the body-bar count) meet the combinatorial rank, the flat-family rank
-    meets fhat.  A trial with a formal trivial motion outside the kernel is
-    a disagreement at once.  Body models realize cs.count_graph, direction
-    the document's graph.
+    The max linear rank and the graphic-union rank (D graphic matroids
+    unite to the body-bar count) meet the combinatorial rank, the
+    flat-family rank meets fhat; a label the model does not measure keeps
+    no ranks.  Only the best trial, the first of the highest linear rank,
+    is kept.  Body models realize cs.count_graph, direction the document's
+    graph.
     """
     realized = graph if model == "direction" else cs.count_graph
-    run = TrialRun()
+    best = None
 
-    def fail(reason):
+    def fail(reason, ranks):
         return _disagreement(graph, model, d, rng.seed, reason, joints,
-                             **_rank_evidence(cs, run.ranks))
+                             **_rank_evidence(cs, ranks["max linear"]))
 
     def measure(t):
+        nonlocal best
         trial = linear_trial(realized, model, d, prime, rng.spawn(t), joints=joints)
-        run.trivial_checked += trial.trivial.checked
-        run.ranks.append(trial.rank)
-        if trial.trivial.missed:
-            raise fail("%s motion is not in the kernel" % trial.trivial.missed[0])
+        if best is None or trial.rank > best.rank:
+            best = trial
+        measured = {"max linear": trial.rank}
         if trial.flat_rank is not None:
-            run.flat_ranks.append(trial.flat_rank)
+            measured["flat-family"] = trial.flat_rank
         if trial.graphic_union_rank is not None:
-            run.graphic_union_ranks.append(trial.graphic_union_rank)
-        if run.best is None or trial.rank > run.best.rank:
-            run.best = trial
+            measured["graphic-union"] = trial.graphic_union_rank
+        missed = trial.trivial.missed
+        return measured, "%s motion is not in the kernel" % missed[0] if missed else None
 
-    def rows():
-        return [
-            (what, max(ranks), count, bound)
-            for what, ranks, count, bound in (
-                ("max linear", run.ranks, "combinatorial", cs.rank),
-                ("flat-family", run.flat_ranks, "polymatroid", fhat_rank),
-                ("graphic-union", run.graphic_union_ranks, "combinatorial", cs.rank),
-            )
-            if ranks
-        ]
-
-    _, run.reasons = _escalate(trials, prime, measure, rows, fail)
-    return run
+    counts = {"max linear": ("combinatorial", cs.rank),
+              "flat-family": ("polymatroid", fhat_rank),
+              "graphic-union": ("combinatorial", cs.rank)}
+    _, ranks, reasons = _escalate(trials, prime, measure, counts, fail)
+    return ranks, best, reasons
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +323,11 @@ def analyze(
     if model in ROD_MODELS:
         fhat_rank = sum(f_value(graph, c, prof) for c in pdec.components)
 
-    run = run_trials(
+    ranks, best, reasons = run_trials(
         graph, model, d, prime, SplitMix64(seed), trials, cs, fhat_rank, joints=joints
     )
-    max_rank = max(run.ranks)
-    best = run.best
+    linear = ranks["max linear"]
+    max_rank = max(linear)
     basis = rg.kernel_basis(best.matrix, best.rank, best.trivial)
 
     nv = len(graph.vertex_ids)
@@ -349,7 +342,6 @@ def analyze(
     else:
         verdict = "flexible"
 
-
     return {
         "schema": 1,
         "kind": "report",
@@ -358,7 +350,7 @@ def analyze(
         "D": prof.D,
         "prime": prime,
         "seed": seed,
-        "trials": {"requested": trials, "run": len(run.ranks)},
+        "trials": {"requested": trials, "run": len(linear)},
         "graph": _graph_summary(graph),
         "combinatorial": {
             "rank": cs.rank,
@@ -371,21 +363,21 @@ def analyze(
             "fhat": fhat_rank,
         },
         "linear": {
-            "ranks": run.ranks,
+            "ranks": linear,
             "max_rank": max_rank,
-            "flat_ranks": run.flat_ranks,
-            "graphic_union_ranks": run.graphic_union_ranks,
+            "flat_ranks": ranks["flat-family"],
+            "graphic_union_ranks": ranks["graphic-union"],
             "kernel_dim": basis.kernel_dim,
             "trivial_motions": best.trivial.checked,
             "trivial_span_dim": basis.trivial_span_dim,
             "nontrivial_dim": basis.nontrivial_dim,
-            "trivial_checked": run.trivial_checked,
+            "trivial_checked": len(linear) * best.trivial.checked,
             "trivial_violations": 0,  # a trivial motion outside the kernel fails the run
         },
         "verdict": verdict,
         "minimal": minimal,
-        "agreement": not run.reasons,
-        "oracle": _run_oracle(graph, model, d, seed, cs, run.ranks, joints) if oracle else None,
+        "agreement": not reasons,
+        "oracle": _run_oracle(graph, model, d, seed, cs, linear, joints) if oracle else None,
     }
 
 
@@ -469,38 +461,39 @@ def truncate(graph: Multigraph, model: str, d: int, prime: int = DEFAULT_PRIME,
     rods = [v for v in graph.vertex_ids if graph.kinds[v] == VertexKind.ROD]
     normals = {v: rng.spawn(1).spawn(i).nonzero_vector(D, prime) for i, v in enumerate(rods)}
     cuts = [{v: normals[v] for v in rods[:k]} for k in range(len(rods) + 1)]
-    steps = []
-    for k, kept in enumerate(cuts):  # the matrices need only the normals, the counts the kinds
+    labels = ["truncation step %d: best" % k for k in range(len(cuts))]
+    pluecker = "truncation step %d: Pluecker" % len(rods)
+    counts = {}
+    for label, kept in zip(labels, cuts):  # matrices need only the normals, counts the kinds
         gk = graph._replace(kinds={
             v: VertexKind.ROD if v in kept else VertexKind.BODY for v in graph.vertex_ids
         })
-        steps.append({"k": k, "rod": rods[k - 1] if k else None,
-                      "count_rank": cm.rank_value(gk, None, prof), "best_rank": 0,
-                      "pluecker_rank": 0 if k == len(rods) else None})
-    last = steps[-1]
+        counts[label] = ("count", cm.rank_value(gk, None, prof))
+    counts[pluecker] = counts[labels[-1]]
 
-    def fail(reason):
-        return _disagreement(graph, model, d, seed, reason, steps=steps)
+    def steps(ranks):
+        return [{"k": k, "rod": rods[k - 1] if k else None, "count_rank": counts[label][1],
+                 "best_rank": max(ranks[label]),
+                 "pluecker_rank": max(ranks[pluecker]) if k == len(rods) else None}
+                for k, label in enumerate(labels)]
+
+    def fail(reason, ranks):
+        return _disagreement(graph, model, d, seed, reason, steps=steps(ranks))
 
     def measure(t):
-        for step, kept in zip(steps, cuts):
-            rank = rg.matrix_graphic_union(graph, d, rng.spawn(2).spawn(t), prime, kept).rank()
-            step["best_rank"] = max(step["best_rank"], rank)
+        measured = {
+            label: rg.matrix_graphic_union(graph, d, rng.spawn(2).spawn(t), prime, kept).rank()
+            for label, kept in zip(labels, cuts)
+        }
         config, m = rg.sample_body_rod_bar(graph, d, rng.spawn(3).spawn(t), prime)
-        last["pluecker_rank"] = max(last["pluecker_rank"], m.rank())
+        measured[pluecker] = m.rank()
         missed = rg.verify_trivial_motions(m, rods=config).missed
-        if missed:
-            raise fail("truncation step %d: Pluecker %s motion is not in the kernel"
-                       % (last["k"], missed[0]))
+        return measured, ("truncation step %d: Pluecker %s motion is not in the kernel"
+                          % (len(rods), missed[0]) if missed else None)
 
-    def rows():
-        return [("truncation step %d: best" % s["k"], s["best_rank"], "count", s["count_rank"])
-                for s in steps] + [("truncation step %d: Pluecker" % last["k"],
-                                    last["pluecker_rank"], "count", last["count_rank"])]
-
-    n, reasons = _escalate(trials, prime, measure, rows, fail)
+    n, ranks, reasons = _escalate(trials, prime, measure, counts, fail)
     if reasons:
-        raise fail(reasons[0])
+        raise fail(reasons[0], ranks)
     return {
         "schema": 1,
         "kind": "truncation",
@@ -509,7 +502,7 @@ def truncate(graph: Multigraph, model: str, d: int, prime: int = DEFAULT_PRIME,
         "prime": prime,
         "seed": seed,
         "trials": {"requested": trials, "run": n},
-        "steps": steps,
+        "steps": steps(ranks),
     }
 
 
@@ -602,12 +595,14 @@ def fuzz_case(
     elif model in ROD_MODELS:
         fhat_total = cm.fhat(graph, None, prof)
     try:
-        run = run_trials(graph, model, d, prime, case_rng, trials, cs, fhat_total)
-        out["escalated"] = len(run.ranks) > trials
-        out["trivial_checked"] = run.trivial_checked
-        if run.reasons:
-            raise _disagreement(graph, model, d, case_rng.seed, "; ".join(run.reasons),
-                                **_rank_evidence(cs, run.ranks))
+        ranks, best, reasons = run_trials(graph, model, d, prime, case_rng, trials, cs,
+                                          fhat_total)
+        linear = ranks["max linear"]
+        out["escalated"] = len(linear) > trials
+        out["trivial_checked"] = len(linear) * best.trivial.checked
+        if reasons:
+            raise _disagreement(graph, model, d, case_rng.seed, "; ".join(reasons),
+                                **_rank_evidence(cs, linear))
         if games is not None:  # each subset's game against the partition oracle, in mask order
             order, _, brute = cm.bruteforce_tables(graph, None, prof)
             for mask in range(1, len(brute)):
@@ -617,7 +612,7 @@ def fuzz_case(
                     F = [e for i, e in enumerate(order) if mask >> i & 1]
                     raise _disagreement(graph, model, d, case_rng.seed,
                                         "fhat(%r) = %d != brute force %d" % (F, lhs, rhs),
-                                        **_rank_evidence(cs, run.ranks))
+                                        **_rank_evidence(cs, linear))
     except EngineDisagreement as exc:
         out["failure"] = exc.dump
     return out

@@ -68,14 +68,6 @@ class Echelon:
     def rank(self) -> int:
         return len(self.table)
 
-    @property
-    def rows(self) -> list[tuple]:
-        return list(self.table.values())
-
-    @property
-    def pivots(self) -> list[int]:
-        return list(self.table)
-
     def reduce(self, row) -> tuple:
         """row less pivot rows until its highest column is no pivot; empty iff in the span."""
         if not row:

@@ -263,6 +263,32 @@ def test_trivial_motion_outside_the_kernel_fails_fuzz(trial, kernel_miss_on_tria
     assert parse_document(dump["document"])[1:3] == ("rod-bar", 3)
 
 
+def truncation_steps(best, pluecker):
+    """two_rods_doc's truncation steps with these best ranks, the last step's Pluecker rank."""
+    return [{"k": k, "rod": rod, "count_rank": 4, "best_rank": rank,
+             "pluecker_rank": pluecker if k == 2 else None}
+            for k, (rod, rank) in enumerate(zip((None, "r1", "r2"), best))]
+
+
+@pytest.mark.parametrize(
+    "trial, steps",
+    # over F_3 at seed 5 trial 0 falls short at steps 1 and 2 and trial 1 does
+    # not: the dump's steps carry the best ranks of trials 0..t
+    [(0, truncation_steps((4, 3, 2), 4)), (1, truncation_steps((4, 4, 4), 4))],
+    ids=["0", "1"],
+)
+def test_trivial_motion_outside_the_kernel_fails_truncate(trial, steps, kernel_miss_on_trial,
+                                                          tmp_path, capsys):
+    path = write_doc(tmp_path, two_rods_doc())
+    kernel_miss_on_trial(trial)
+    code, out, err = run(capsys, ["truncate", path, "--prime", "3", "--seed", "5"])
+    assert code == 2 and out == ""
+    reason = "truncation step 2: Pluecker rod-spin motion is not in the kernel"
+    assert err.startswith("engine disagreement: %s\n" % reason)
+    dump = json.loads(err.splitlines()[1])
+    assert dump == {"document": two_rods_doc(), "seed": 5, "reason": reason, "steps": steps}
+
+
 @pytest.fixture
 def bar_off_its_rod(monkeypatch):
     """sample_bar_config with the first bar at a rod replaced by a bar through

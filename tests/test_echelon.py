@@ -69,8 +69,8 @@ def test_add_is_false_exactly_on_the_span(case, data):
     ech = linalg.Echelon(p)
     for row in rows:
         ech.add(linalg.sparse(row, p))
-    assert len(set(ech.pivots)) == ech.rank
-    for row, c in zip(ech.rows, ech.pivots):
+    assert len(set(ech.table)) == ech.rank
+    for c, row in ech.table.items():
         cols = [col for col, _ in row]
         assert row[-1] == (c, 1)  # monic at the pivot, everything else left of it
         assert cols == sorted(set(cols)) and all(0 < x < p for _, x in row)
@@ -79,16 +79,16 @@ def test_add_is_false_exactly_on_the_span(case, data):
     else:
         vec = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
     in_span = rank_reference(rows + [vec], p) == rank_reference(rows, p)
-    before = (list(ech.rows), list(ech.pivots))
+    before = (list(ech.table.values()), list(ech.table))
     arg = linalg.sparse(vec, p)
     residual = ech.reduce(arg)
     assert (not residual) == in_span
     if residual:
-        assert residual[-1][0] not in ech.pivots
+        assert residual[-1][0] not in ech.table
     grew = ech.add(arg)
     assert grew == (not in_span)
     if in_span:
-        assert (ech.rows, ech.pivots) == before
+        assert (list(ech.table.values()), list(ech.table)) == before
     else:
         assert ech.rank == len(before[0]) + 1
         assert not ech.reduce(arg)

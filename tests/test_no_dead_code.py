@@ -1,8 +1,10 @@
 """src/ defines only what it runs: every definition has a reader in src/.
 
-A top-level function or class, or a method, of src/rigikit/*.py must be
-referenced by name somewhere in src/ (a Name, an Attribute or an import
-alias), exported in rigikit.__all__, or be a dunder.  A helper that only
+A top-level function or class of src/rigikit/*.py must be referenced by
+name somewhere in src/ (a Name, an Attribute or an import alias), and a
+method or property must be read as an attribute (``x.name``): a bare local
+of the same name does not count.  Either may instead be exported in
+rigikit.__all__, or be a dunder.  A helper that only
 tests read belongs in tests/.  The only exemptions are argparse's error
 hook and the names the benchmark's tracer patches; a tracer exemption holds
 only while perfbench/tracer.py names it.
@@ -46,22 +48,23 @@ def _definitions(tree):
                     yield "%s.%s" % (node.name, item.name), item.name
 
 
-def _references(tree):
+def _references(tree, bare, attributes):
+    """Add the names tree reads bare or imports to bare, those it reads as x.name to attributes."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1]
+            bare.add(node.name.rsplit(".", 1)[-1])
 
 
 def test_every_src_definition_has_a_src_reader():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    referenced = set()
+    bare, attributes = set(), set()
     defined = set()
     for tree in trees.values():
-        referenced.update(_references(tree))
+        _references(tree, bare, attributes)
         defined.update(qual for qual, _ in _definitions(tree))
     assert set(EXEMPT) <= defined, "stale exemptions: %s" % sorted(set(EXEMPT) - defined)
     exported = set(rigikit.__all__)
@@ -70,7 +73,8 @@ def test_every_src_definition_has_a_src_reader():
         for fname, tree in trees.items()
         for qual, name in _definitions(tree)
         if not (name.startswith("__") and name.endswith("__"))
-        and name not in referenced
+        and name not in attributes
+        and ("." in qual or name not in bare)
         and name not in exported
         and qual not in EXEMPT
     ]

@@ -616,8 +616,9 @@ def small_frameworks(draw):
 
 
 def every_builder(d, p, seed, g):
-    """The matrices of all six builders on g (hinge: rods read as hinges, and
-    the body-hinge edges kept); a sampler out of retries skips its builder."""
+    """The matrices of all six builders on g (the graphic union both whole and
+    truncated at every rod; hinge: rods read as hinges, and the body-hinge
+    edges kept); a sampler out of retries skips its builder."""
     rng = SplitMix64(seed)
     hinged = build_graph(
         [(v, "hinge" if g.kinds[v] == VertexKind.ROD else "body") for v in g.vertex_ids],
@@ -637,6 +638,7 @@ def every_builder(d, p, seed, g):
             lambda: matrix_body_bar(g, bars),
             lambda: matrix_body_rod_bar(g, bars),
             lambda: matrix_edge_flats(g, rods, p),
+            lambda: matrix_graphic_union(g, d, rng.spawn(3), p, rods.normals),
         ]
 
     def hinge():
