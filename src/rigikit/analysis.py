@@ -13,11 +13,14 @@ count, is an immediate EngineDisagreement, and a single unlucky sample never
 fails a run, because a rank short of its count escalates the run to 10
 trials.  A shortfall left after that is a ConfigError below the prime 2^16;
 above it analyze reports it as agreement false and fuzz and truncate as a
-disagreement.  In analyze a failed count-engine self-check is a
-disagreement too.  _disagreement builds every dump, a document replayable
-with the seed it carries.  analyze, decompose, truncate and
-fuzz_equivalence check their input with documents.check_model and
-check_graph first; the helpers they call assume it.
+disagreement.  count_side plays the one game per model that analyze,
+decompose and fuzz_case read, and _certified re-checks its rank
+certificate for all three (and the P-components for the first two); a
+failed count-engine self-check is a disagreement too.  _disagreement
+builds every dump, a document replayable with the seed it carries.
+analyze, decompose, truncate and fuzz_equivalence check their input with
+documents.check_model and check_graph first; the helpers they call assume
+it.
 """
 
 from __future__ import annotations
@@ -63,20 +66,6 @@ def _check_run_settings(model: str, d: int, prime: int, trials: int) -> None:
         raise ValueError("trials must be at least 1, got %d" % trials)
 
 
-def count_host(graph: Multigraph, model: str, d: int):
-    """(profile, host graph) of a checked model's count polymatroid.
-
-    Bar and direction models count on the graph itself; body-hinge counts
-    on rigidity.expand_hinge's rewrite, each hinge a rod, which also rejects
-    an edge that does not join a body to a hinge.
-    """
-    if model == "direction":
-        return CountProfile.direction(d), graph
-    if model == "body-hinge":
-        return CountProfile.body_rod_bar(d), rg.expand_hinge(graph)
-    return CountProfile.body_rod_bar(d), graph
-
-
 class CountSide(NamedTuple):
     """Combinatorial side of one instance, normalized across models."""
 
@@ -109,8 +98,19 @@ def _every_edge_needed(graph: Multigraph, cs: CountSide) -> bool:
 
 
 def count_side(graph: Multigraph, model: str, d: int) -> CountSide:
-    """The model's count matroid: on the host graph for bar models, else on its f-expansion."""
-    prof, host = count_host(graph, model, d)
+    """The count matroid of a checked model, the one place that chooses its
+    profile, host graph and count graph.
+
+    Bar and direction models count on the graph itself; body-hinge counts on
+    rigidity.expand_hinge's rewrite, each hinge a rod, which also rejects an
+    edge that does not join a body to a hinge.  Bar models play the game on
+    the host graph, the others on its f-expansion.
+    """
+    if model == "direction":
+        prof, host = CountProfile.direction(d), graph
+    else:
+        prof = CountProfile.body_rod_bar(d)
+        host = rg.expand_hinge(graph) if model == "body-hinge" else graph
     count_graph, copies = (host, None) if model in BAR_MODELS else expand_f(host, prof)
     state = cm.pebble_game(count_graph, None, prof)
     return CountSide(
@@ -121,6 +121,27 @@ def count_side(graph: Multigraph, model: str, d: int) -> CountSide:
         target=cm.global_count_target(host, prof),
         state=state,
     )
+
+
+def _certified(cs: CountSide, fail, components: bool = True) -> tuple:
+    """(rank certificate, P-components) of a count side, each re-checked by
+    the count engine; a failed check (a RuntimeError) raises fail(reason).
+
+    The P-components (None unless components) take one path per model.  On
+    bar models they live on the host graph's expansion, a second matroid,
+    and p_components certifies fhat(E) as their sum of f.  Otherwise the
+    count matroid is the expansion itself, and the certificate's
+    M-components pull back to them.
+    """
+    try:
+        cert = cm.certificate(cs.state, None)
+        if not components:
+            return cert, None
+        if cs.copies is None:
+            return cert, cm.p_components(cs.count_graph, cs.profile)
+        return cert, cm.p_components_of_expansion((cs.count_graph, cs.copies), cert, cs.profile)
+    except RuntimeError as exc:
+        raise fail(str(exc))
 
 
 class LinearTrial(NamedTuple):
@@ -307,18 +328,8 @@ def analyze(
     check_graph(graph, model, d, joints)
     cs = count_side(graph, model, d)
     prof = cs.profile
-    try:  # the count engine re-checks its certificates and raises RuntimeError
-        cert = cm.certificate(cs.state, None)
-        if cs.copies is None:
-            # bar models: the P-components live on the graph's expansion, a
-            # second matroid, and p_components certifies fhat(E) as their sum of f
-            pdec = cm.p_components(graph, prof)
-        else:
-            # the count matroid is the expansion itself: its certificate's
-            # M-components pull back to the P-components
-            pdec = cm.p_components_of_expansion((cs.count_graph, cs.copies), cert, prof)
-    except RuntimeError as exc:
-        raise _disagreement(graph, model, d, seed, str(exc), joints, **_rank_evidence(cs, ()))
+    cert, pdec = _certified(cs, lambda reason: _disagreement(
+        graph, model, d, seed, reason, joints, **_rank_evidence(cs, ())))
     fhat_rank = None
     if model in ROD_MODELS:
         fhat_rank = sum(f_value(graph, c, prof) for c in pdec.components)
@@ -412,16 +423,14 @@ def _rank_evidence(cs: CountSide, ranks) -> dict:
 
 
 def decompose(graph: Multigraph, model: str, d: int, joints=None) -> dict:
-    """The P-components of the model's count polymatroid on its host graph,
-    as the decomposition document `rigikit decompose` prints; a failed count
-    self-check is a disagreement with a seedless dump."""
+    """The P-components of the model's count polymatroid, read off its count
+    side as analyze reads them, as the decomposition document `rigikit
+    decompose` prints; a failed count self-check is a disagreement with a
+    seedless dump."""
     check_model(model, d)
     check_graph(graph, model, d, joints)
-    prof, host = count_host(graph, model, d)
-    try:
-        dec = cm.p_components(host, prof)
-    except RuntimeError as exc:
-        raise _disagreement(graph, model, d, None, str(exc), joints)
+    cs = count_side(graph, model, d)
+    _, dec = _certified(cs, lambda reason: _disagreement(graph, model, d, None, reason, joints))
     return {
         "schema": 1,
         "kind": "decomposition",
@@ -515,30 +524,21 @@ def random_multigraph(
     model: str,
     max_vertices: int = FUZZ_MAX_VERTICES,
     max_edges: int = FUZZ_MAX_EDGES,
-    rod_bias: float = 0.5,
 ) -> Multigraph:
     """Erdos-Renyi base plus parallel-edge injection (probability 0.3).
 
-    Vertex kinds are i.i.d. with the given rod (or hinge) bias; simple
-    graphs for the direction model; bipartite body-hinge for the hinge
-    model.  At least one edge is always present.
+    Vertex kinds of the mixed models are i.i.d., a rod (or hinge) with
+    probability 1/2; simple graphs for the direction model; bipartite
+    body-hinge for the hinge model.  At least one edge is always present.
     """
     nv = 2 + rng.below(max_vertices - 1)
-    bias_pct = int(rod_bias * 100)
     if model == "rod-bar":
         kinds = [VertexKind.ROD] * nv
-    elif model == "body-rod-bar":
-        kinds = [
-            VertexKind.ROD if rng.below(100) < bias_pct else VertexKind.BODY
-            for _ in range(nv)
-        ]
-    elif model == "body-hinge":
-        kinds = [
-            VertexKind.HINGE if rng.below(100) < bias_pct else VertexKind.BODY
-            for _ in range(nv)
-        ]
-        kinds[0] = VertexKind.BODY
-        kinds[-1] = VertexKind.HINGE
+    elif model in ("body-rod-bar", "body-hinge"):
+        mixed = VertexKind.ROD if model == "body-rod-bar" else VertexKind.HINGE
+        kinds = [mixed if rng.below(100) < 50 else VertexKind.BODY for _ in range(nv)]
+        if model == "body-hinge":
+            kinds[0], kinds[-1] = VertexKind.BODY, VertexKind.HINGE
     else:
         kinds = [VertexKind.BODY] * nv
 
@@ -594,7 +594,9 @@ def fuzz_case(
         fhat_total = len(games[-1].inserted)
     elif model in ROD_MODELS:
         fhat_total = cm.fhat(graph, None, prof)
-    try:
+    try:  # the rank certificate only: no P-components, minimality or kernel basis
+        _certified(cs, lambda reason: _disagreement(
+            graph, model, d, case_rng.seed, reason, **_rank_evidence(cs, ())), components=False)
         ranks, best, reasons = run_trials(graph, model, d, prime, case_rng, trials, cs,
                                           fhat_total)
         linear = ranks["max linear"]
@@ -626,7 +628,6 @@ def fuzz_equivalence(
     prime: int = DEFAULT_PRIME,
     trials: int = 3,
     max_vertices: int = FUZZ_MAX_VERTICES,
-    rod_bias: float = 0.5,
 ) -> dict:
     """Random-instance equivalence run, as its fuzz-summary document; see the
     module docstring for policy.
@@ -642,16 +643,12 @@ def fuzz_equivalence(
             "fuzz is desk-scale: max_vertices must be in [2, %d], got %d"
             % (FUZZ_MAX_VERTICES, max_vertices)
         )
-    if not 0 <= rod_bias <= 1:
-        raise ValueError("rod_bias must be in [0, 1], got %r" % rod_bias)
     master = SplitMix64(seed)
     escalations = trivial_checked = subset_checks = 0
     failures = []
     for i in range(cases):
         case_rng = master.spawn(i)
-        graph = random_multigraph(
-            case_rng.spawn(10_000), model, max_vertices=max_vertices, rod_bias=rod_bias
-        )
+        graph = random_multigraph(case_rng.spawn(10_000), model, max_vertices=max_vertices)
         res = fuzz_case(graph, model, d, prime, case_rng, trials)
         escalations += res["escalated"]
         trivial_checked += res["trivial_checked"]

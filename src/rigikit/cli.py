@@ -116,7 +116,6 @@ def _cmd_fuzz(args) -> int:
         prime=args.prime,
         trials=args.trials,
         max_vertices=args.max_vertices,
-        rod_bias=args.rod_bias,
     )
     text = ("%(agreements)d/%(cases)d agree (%(escalations)d escalated, "
             "%(trivial_checked)d trivial-motion checks, 0 violations)\n" % summary)
@@ -183,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dim", type=int, default=None)
     sp.add_argument("--cases", type=int, default=100)
     sp.add_argument("--max-vertices", type=int, default=8)
-    sp.add_argument("--rod-bias", type=float, default=0.5,
-                    help="probability a vertex is a rod/hinge (default 0.5)")
     common(sp)
     sp.set_defaults(func=_cmd_fuzz)
 

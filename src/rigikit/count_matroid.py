@@ -223,7 +223,6 @@ class RankCertificate(NamedTuple):
 
 
 class Decomposition(NamedTuple):
-    kind: str  # "M" or "P"
     components: tuple[tuple[str, ...], ...]
 
     @property
@@ -289,7 +288,7 @@ def _components_via_circuits(state: PebbleState):
 def m_components(graph: Multigraph, eids, prof: CountProfile) -> Decomposition:
     """Partition of the edge set into M-connected components of the count matroid."""
     comps = _components_via_circuits(pebble_game(graph, eids, prof))
-    return Decomposition(kind="M", components=comps)
+    return Decomposition(components=comps)
 
 
 def rank(graph: Multigraph, eids, prof: CountProfile) -> RankCertificate:
@@ -353,7 +352,7 @@ def p_components_of_expansion(expanded, cert: RankCertificate, prof: CountProfil
             raise RuntimeError("copies of edge %r straddle several M-components" % e)
         i = idxs.pop()
         groups.setdefault(e if i is None else i, []).append(e)
-    dec = Decomposition(kind="P", components=tuple(tuple(c) for c in groups.values()))
+    dec = Decomposition(components=tuple(tuple(c) for c in groups.values()))
 
     total = sum(f_value(exp_graph, [copies[e][0] for e in comp], prof)
                 for comp in dec.components)

@@ -232,7 +232,7 @@ def p_components_reference(expanded, cert, prof):
         result.append(tuple(es))
     position = {e: k for k, e in enumerate(copies)}
     result.sort(key=lambda c: position[c[0]])
-    dec = cm.Decomposition(kind="P", components=tuple(result))
+    dec = cm.Decomposition(components=tuple(result))
     if copies:
         total = sum(f_value(exp_graph, [copies[e][0] for e in comp], prof)
                     for comp in dec.components)

@@ -9,8 +9,8 @@ from rigikit.analysis import (
     CountSide,
     ROD_MODELS,
     analyze,
-    count_host,
     count_side,
+    decompose,
     fuzz_case,
     fuzz_equivalence,
     random_multigraph,
@@ -193,7 +193,8 @@ def test_analyze_matches_standalone_count_engine():
             g = random_multigraph(rng.spawn(case).spawn(len(model)), model, max_vertices=5)
             rep = analyze(g, model, d, seed=case)
             cs = count_side(g, model, d)
-            prof, host = count_host(g, model, d)
+            prof = cs.profile
+            host = rg.expand_hinge(g) if model == "body-hinge" else g
             cert = cm.rank(cs.count_graph, None, prof)
             comb = rep["combinatorial"]
             assert comb["certificate"] == {"free": list(cert.free_part),
@@ -244,8 +245,16 @@ def test_one_circuit_pass_per_matroid(monkeypatch):
         assert len(games) == len(calls), model
         assert rank_value_calls == [], model
         calls.clear()
+        games.clear()
+        decompose(g, model, 3)
+        # decompose reads the same count side as analyze, so the same games
+        assert len(calls) == (2 if model in BAR_MODELS else 1), model
+        assert len(games) == len(calls), model
+        calls.clear()
         fuzz_equivalence(model, 3, 2, seed=1)
-        assert calls == []  # fuzz runs no circuit extraction
+        # one circuit pass per case: the rank certificate of its count side;
+        # fuzz reads no P-components
+        assert len(calls) == 2, model
 
 
 def braced(g, model, copies):

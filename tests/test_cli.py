@@ -173,7 +173,7 @@ def test_usage_errors_exit_1(argv, capsys):
         (["fuzz", "--model", "body-bar", "--trials", "0"], "trials must be at least 1"),
         (["fuzz", "--model", "body-bar", "--cases", "-3"], "cases must be >= 0"),
         (["fuzz", "--model", "body-bar", "--max-vertices", "1"], "max_vertices"),
-        (["fuzz", "--model", "body-bar", "--rod-bias", "7"], "rod_bias"),
+        (["fuzz", "--model", "body-bar", "--max-vertices", "99"], "max_vertices"),
         (["truncate", "DOC", "--trials", "0"], "trials must be at least 1"),
         (["truncate", "DOC", "--trials", "-2"], "trials must be at least 1"),
     ],
@@ -384,6 +384,31 @@ def test_failed_count_self_check_exits_2_with_a_dump(tmp_path, capsys, monkeypat
     assert dump == {"document": two_rods_doc(), "seed": 3,
                     "reason": "certificate value mismatch: 5 != 4",
                     "count_rank": 4, "count_target": 4, "linear_ranks": []}
+
+
+def test_failed_count_self_check_in_fuzz_exits_2_with_a_dump(tmp_path, capsys, monkeypatch):
+    from rigikit import count_matroid as cm
+
+    def broken(*args):
+        raise RuntimeError("certificate value mismatch: 12 != 7")
+
+    monkeypatch.setattr(cm.RankCertificate, "check", broken)
+    code, out, err = run(capsys, ["fuzz", "--model", "body-bar", "--cases", "2", "--seed", "4"])
+    assert code == 2
+    assert err.startswith("fuzz: 2 disagreement(s)")
+    failures = json.loads(out)["failures"]
+    assert [f["case"] for f in failures] == [0, 1]
+    for failure in failures:
+        # checked before any trial is drawn: the count ranks and no linear rank
+        assert failure["reason"] == "certificate value mismatch: 12 != 7"
+        assert failure["linear_ranks"] == []
+        assert {"count_rank", "count_target"} <= set(failure)
+        # the dump analyze builds for the same document and seed
+        path = write_doc(tmp_path, failure["document"])
+        code, _, err = run(capsys, ["analyze", path, "--seed", str(failure["seed"])])
+        assert code == 2
+        dump = {k: v for k, v in failure.items() if k != "case"}
+        assert json.loads(err.splitlines()[1]) == dump
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,9 @@
 
 A top-level function or class of src/rigikit/*.py must be referenced by
 name somewhere in src/ (a Name, an Attribute or an import alias), and a
-method or property must be read as an attribute (``x.name``): a bare local
-of the same name does not count.  Either may instead be exported in
+method, property or typing.NamedTuple field must be read as an attribute
+(``x.name``): a bare local of the same name, a constructor keyword or a
+``_replace`` does not count.  Either may instead be exported in
 rigikit.__all__, or be a dunder.  A helper that only
 tests read belongs in tests/.  The only exemptions are argparse's error
 hook and the names the benchmark's tracer patches; a tracer exemption holds
@@ -79,6 +80,29 @@ def test_every_src_definition_has_a_src_reader():
         and qual not in EXEMPT
     ]
     assert not unread, "defined in src/ but read only outside it: %s" % ", ".join(unread)
+
+
+def _namedtuple_fields(tree):
+    """(class, field) of each field a typing.NamedTuple class of the module declares."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+                for base in node.bases):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def test_every_namedtuple_field_is_read_in_src():
+    # a field only written (a constructor keyword, _replace) is a dead field
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    attributes = set()
+    for tree in trees:
+        _references(tree, set(), attributes)
+    fields = [pair for tree in trees for pair in _namedtuple_fields(tree)]
+    assert fields, "no NamedTuple field found under %s" % SRC
+    unread = ["%s.%s" % pair for pair in fields if pair[1] not in attributes]
+    assert not unread, "NamedTuple fields src/ never reads as x.field: %s" % ", ".join(unread)
 
 
 def test_only_argparse_and_the_tracer_keep_an_exemption():

@@ -21,8 +21,9 @@ default prime and trial count.  Per instance the script records:
   body-hinge families, which read their P-components off the count
   matroid's own certificate, read 0 there;
 * ``peak_alloc_mb``, the peak of Python allocations over one more
-  untimed run under ``tracemalloc``, so that a change which keeps more
-  matrices alive shows;
+  untimed run under ``tracemalloc``, started after a ``gc.collect()`` so
+  that the figure does not depend on what ran before it in the process,
+  and so that a change which keeps more matrices alive shows;
 * the SHA-256 of the canonical JSON report, the bytes that
   ``rigikit analyze`` prints.
 
@@ -65,6 +66,7 @@ and the generators, the tracer and the reference loop from its
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -190,6 +192,7 @@ def measure(doc: dict, runs: int) -> dict:
         traced = once()
     finally:
         uninstall()
+    gc.collect()  # no earlier run's garbage, so the peak depends on the instance alone
     tracemalloc.start()
     try:
         allocated = once()
