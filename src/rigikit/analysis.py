@@ -6,21 +6,21 @@ on one graph and returns its report; fuzz_equivalence() compares the ranks
 and fhat of random graphs; decompose() lists the P-components; truncate()
 runs the paper's induction on one bar-model graph: the union of D graphic
 matroids, truncated one rod at a time, has the count rank at every step.
-All but decompose sample through one trial loop, _escalate, which keeps
-every trial's ranks and is the one place they are judged: a trial whose
-formal trivial motions are not all in the kernel, or a best rank above its
-count, is an immediate EngineDisagreement, and a single unlucky sample never
-fails a run, because a rank short of its count escalates the run to 10
-trials.  A shortfall left after that is a ConfigError below the prime 2^16;
-above it analyze reports it as agreement false and fuzz and truncate as a
-disagreement.  count_side plays the one game per model that analyze,
-decompose and fuzz_case read, and _certified re-checks its rank
-certificate for all three (and the P-components for the first two); a
-failed count-engine self-check is a disagreement too.  _disagreement
-builds every dump, a document replayable with the seed it carries.
-analyze, decompose, truncate and fuzz_equivalence check their input with
-documents.check_model and check_graph first; the helpers they call assume
-it.
+All but decompose sample through one realization, linear_trial, and one
+trial loop, _escalate, which keeps every trial's ranks and is the one place
+they are judged: a trial whose formal trivial motions are not all in the
+kernel, or a best rank above its count, is an immediate EngineDisagreement,
+and a single unlucky sample never fails a run, because a rank short of its
+count escalates the run to 10 trials.  A shortfall left after that is a
+ConfigError below the prime 2^16; above it analyze reports it as agreement
+false and fuzz and truncate as a disagreement.  count_side plays the one
+game per model that analyze, decompose and fuzz_case read, and _certified
+re-checks its rank certificate for all three (and the P-components for the
+first two); a failed count-engine self-check is a disagreement too.
+_disagreement builds every dump, a document replayable with the seed it
+carries.  analyze, decompose, truncate and fuzz_equivalence check their
+input with documents.check_model and check_graph first; the helpers they
+call assume it.
 """
 
 from __future__ import annotations
@@ -148,8 +148,7 @@ class LinearTrial(NamedTuple):
     rank: int
     trivial: rg.TrivialCheck
     matrix: rg.RigidityMatrix
-    flat_rank: Optional[int] = None
-    graphic_union_rank: Optional[int] = None
+    rods: Optional[rg.RodConfig]  # None for a direction trial
 
 
 def linear_trial(
@@ -160,12 +159,17 @@ def linear_trial(
     rng: SplitMix64,
     joints=None,
 ) -> LinearTrial:
-    """Sample one configuration of graph and measure the matrix ranks for it.
+    """The one sampled realization of graph: sample it, rank its matrix and
+    check its formal trivial motions against the kernel.
 
-    A direction trial realizes the document's graph.  Every body model
-    realizes the graph its count side counts on (CountSide.count_graph):
-    the document's graph for bar models, and for body-hinge the bar graph
-    with D-1 parallel bars per edge.
+    A direction trial places graph on joints, drawn from rng.spawn(2) unless
+    fixed.  Every body model realizes graph as a body-rod-bar (Pluecker)
+    framework from sample_body_rod_bar(rng), and the trial keeps its rods.
+    analyze and fuzz pass direction the document's graph and a body model
+    the graph its count side counts on (CountSide.count_graph: the
+    document's graph for bar models, and for body-hinge the bar graph with
+    D-1 parallel bars per edge); truncate's last step passes its bar-model
+    graph.
     """
     rods = None
     if model == "direction":
@@ -174,20 +178,7 @@ def linear_trial(
         m = rg.matrix_direction(graph, joints, d, p)
     else:
         rods, m = rg.sample_body_rod_bar(graph, d, rng, p)
-    rank = m.rank()
-    trivial = rg.verify_trivial_motions(m, rods=rods, joints=joints)
-    flat_rank = graphic_union_rank = None
-    if model in ROD_MODELS:
-        flat_rank = rg.flat_family_rank(graph, rods, p)
-    elif model == "body-bar":
-        graphic_union_rank = rg.matrix_graphic_union(graph, d, rng.spawn(3), p).rank()
-    return LinearTrial(
-        rank=rank,
-        trivial=trivial,
-        matrix=m,
-        flat_rank=flat_rank,
-        graphic_union_rank=graphic_union_rank,
-    )
+    return LinearTrial(m.rank(), rg.verify_trivial_motions(m, rods=rods, joints=joints), m, rods)
 
 
 def _escalate(trials: int, prime: int, measure, counts: dict, fail) -> tuple:
@@ -212,8 +203,10 @@ def _escalate(trials: int, prime: int, measure, counts: dict, fail) -> tuple:
     6r / p.  A fuzz case has at most 8 blocks of D <= 21 columns at
     d <= MAX_DIMENSION = 6, so r <= 168: at p >= 2^16 a trial misses below
     1/65 and ten all miss below 10^-18, so a shortfall is an engine's
-    fault.  At the smallest primes the bound exceeds 1: a shortfall blames
-    the field.
+    fault.  That argument covers fuzz-sized instances; at the default prime
+    2^31-1 the ten-trial bound (6r/p)^10 stays below 10^-18 up to r of about
+    5.6 million.  At the smallest primes the bound exceeds 1: a shortfall
+    blames the field.
     """
     ranks = {label: [] for label in counts}
 
@@ -266,9 +259,11 @@ def run_trials(
     The max linear rank and the graphic-union rank (D graphic matroids
     unite to the body-bar count) meet the combinatorial rank, the
     flat-family rank meets fhat; a label the model does not measure keeps
-    no ranks.  Only the best trial, the first of the highest linear rank,
-    is kept.  Body models realize cs.count_graph, direction the document's
-    graph.
+    no ranks.  Trial t samples from rng.spawn(t); its flat-family rank is
+    read from the trial's rods, its graphic-union rank from a matrix drawn
+    from rng.spawn(t).spawn(3).  Only the best trial, the first of the
+    highest linear rank, is kept.  Body models realize cs.count_graph,
+    direction the document's graph.
     """
     realized = graph if model == "direction" else cs.count_graph
     best = None
@@ -279,14 +274,16 @@ def run_trials(
 
     def measure(t):
         nonlocal best
-        trial = linear_trial(realized, model, d, prime, rng.spawn(t), joints=joints)
+        trial_rng = rng.spawn(t)
+        trial = linear_trial(realized, model, d, prime, trial_rng, joints=joints)
         if best is None or trial.rank > best.rank:
             best = trial
         measured = {"max linear": trial.rank}
-        if trial.flat_rank is not None:
-            measured["flat-family"] = trial.flat_rank
-        if trial.graphic_union_rank is not None:
-            measured["graphic-union"] = trial.graphic_union_rank
+        if model in ROD_MODELS:
+            measured["flat-family"] = rg.flat_family_rank(realized, trial.rods, prime)
+        elif model == "body-bar":
+            measured["graphic-union"] = rg.matrix_graphic_union(
+                realized, d, trial_rng.spawn(3), prime).rank()
         missed = trial.trivial.missed
         return measured, "%s motion is not in the kernel" % missed[0] if missed else None
 
@@ -454,11 +451,13 @@ def truncate(graph: Multigraph, model: str, d: int, prime: int = DEFAULT_PRIME,
     rng.spawn(1).spawn(i).  Step k = 0..n_r has the first k rods truncated
     and the other rods made bodies: its count rank, the k-th rod (None at
     k = 0) and the best rank of matrix_graphic_union with their normals,
-    trial t from rng.spawn(2).spawn(t).  The last step adds the best
-    body-rod-bar (Pluecker) rank of graph, trial t from rng.spawn(3).spawn(t),
-    whose rod spins must lie in its kernel; the other steps' is None.
-    Generically each rank is its count rank; the trials run through
-    _escalate, and a disagreement dumps the steps.
+    trial t from rng.spawn(2).spawn(t).  The last step adds the best rank
+    of graph's body-rod-bar (Pluecker) realization: trial t is
+    linear_trial(graph, model, d, prime, rng.spawn(3).spawn(t)), the trial
+    analyze runs, whose formal trivial motions, the rod spins among them,
+    must lie in its kernel; the other steps' is None.  Generically each
+    rank is its count rank; the trials run through _escalate, and a
+    disagreement dumps the steps.
     """
     _check_run_settings(model, d, prime, trials)
     check_graph(graph, model, d)
@@ -494,9 +493,9 @@ def truncate(graph: Multigraph, model: str, d: int, prime: int = DEFAULT_PRIME,
             label: rg.matrix_graphic_union(graph, d, rng.spawn(2).spawn(t), prime, kept).rank()
             for label, kept in zip(labels, cuts)
         }
-        config, m = rg.sample_body_rod_bar(graph, d, rng.spawn(3).spawn(t), prime)
-        measured[pluecker] = m.rank()
-        missed = rg.verify_trivial_motions(m, rods=config).missed
+        trial = linear_trial(graph, model, d, prime, rng.spawn(3).spawn(t))
+        measured[pluecker] = trial.rank
+        missed = trial.trivial.missed
         return measured, ("truncation step %d: Pluecker %s motion is not in the kernel"
                           % (len(rods), missed[0]) if missed else None)
 
@@ -627,28 +626,22 @@ def fuzz_equivalence(
     seed: int = 0,
     prime: int = DEFAULT_PRIME,
     trials: int = 3,
-    max_vertices: int = FUZZ_MAX_VERTICES,
 ) -> dict:
     """Random-instance equivalence run, as its fuzz-summary document; see the
     module docstring for policy.
 
-    Case i draws its graph and samples from master.spawn(i) alone, so it
-    depends only on (seed, i).
+    Case i draws its graph, of at most FUZZ_MAX_VERTICES vertices, and its
+    samples from master.spawn(i) alone, so it depends only on (seed, i).
     """
     _check_run_settings(model, d, prime, trials)
     if cases < 0:
         raise ValueError("cases must be >= 0, got %d" % cases)
-    if not 2 <= max_vertices <= FUZZ_MAX_VERTICES:
-        raise ValueError(
-            "fuzz is desk-scale: max_vertices must be in [2, %d], got %d"
-            % (FUZZ_MAX_VERTICES, max_vertices)
-        )
     master = SplitMix64(seed)
     escalations = trivial_checked = subset_checks = 0
     failures = []
     for i in range(cases):
         case_rng = master.spawn(i)
-        graph = random_multigraph(case_rng.spawn(10_000), model, max_vertices=max_vertices)
+        graph = random_multigraph(case_rng.spawn(10_000), model)
         res = fuzz_case(graph, model, d, prime, case_rng, trials)
         escalations += res["escalated"]
         trivial_checked += res["trivial_checked"]

@@ -115,7 +115,6 @@ def _cmd_fuzz(args) -> int:
         seed=args.seed,
         prime=args.prime,
         trials=args.trials,
-        max_vertices=args.max_vertices,
     )
     text = ("%(agreements)d/%(cases)d agree (%(escalations)d escalated, "
             "%(trivial_checked)d trivial-motion checks, 0 violations)\n" % summary)
@@ -181,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", choices=MODELS, required=True)
     sp.add_argument("--dim", type=int, default=None)
     sp.add_argument("--cases", type=int, default=100)
-    sp.add_argument("--max-vertices", type=int, default=8)
     common(sp)
     sp.set_defaults(func=_cmd_fuzz)
 

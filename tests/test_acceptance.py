@@ -46,8 +46,8 @@ def report(n, ok, detail):
 def body_rod_bar_runs():
     t0 = time.monotonic()
     runs = [
-        fuzz_equivalence("body-rod-bar", 3, 100, seed=30_001, max_vertices=7),
-        fuzz_equivalence("body-rod-bar", 4, 100, seed=30_002, max_vertices=7),
+        fuzz_equivalence("body-rod-bar", 3, 100, seed=30_001),
+        fuzz_equivalence("body-rod-bar", 4, 100, seed=30_002),
     ]
     return runs, time.monotonic() - t0
 
@@ -104,7 +104,7 @@ def test_criterion_1_count_engine_soundness():
 
 
 def test_criterion_2_body_bar_three_matroids_agree():
-    summary = fuzz_equivalence("body-bar", 3, 100, seed=20_001, max_vertices=7)
+    summary = fuzz_equivalence("body-bar", 3, 100, seed=20_001)
     ok = summary["ok"] and summary["agreements"] == 100
     report(
         2,
@@ -170,8 +170,8 @@ def test_criterion_5_hinge_verdicts_match(hinge_cases):
 
 
 def test_criterion_6_direction_equivalence():
-    s2 = fuzz_equivalence("direction", 2, 50, seed=60_001, max_vertices=7)
-    s3 = fuzz_equivalence("direction", 3, 50, seed=60_002, max_vertices=7)
+    s2 = fuzz_equivalence("direction", 2, 50, seed=60_001)
+    s3 = fuzz_equivalence("direction", 3, 50, seed=60_002)
     k3 = build_graph(
         [("a", "body"), ("b", "body"), ("c", "body")],
         [("a", "b"), ("b", "c"), ("c", "a")],

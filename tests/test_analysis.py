@@ -1,3 +1,7 @@
+import ast
+import types
+from pathlib import Path
+
 import pytest
 
 from rigikit import analysis
@@ -56,13 +60,31 @@ def test_analyze_minimally_rigid_rod_bar():
     assert all(r == 4 for r in rep["linear"]["flat_ranks"])
 
 
+def test_only_linear_trial_samples_a_realization():
+    """analysis.py samples, ranks and checks a realization in one place: no
+    function but linear_trial names a sampler, the direction matrix or the
+    trivial-motion check."""
+    realization = {"sample_body_rod_bar", "sample_joints", "matrix_direction",
+                   "verify_trivial_motions"}
+    found = []
+    for top in ast.parse(Path(analysis.__file__).read_text()).body:
+        if isinstance(top, ast.FunctionDef) and top.name == "linear_trial":
+            continue
+        found.extend(
+            "%s:%d" % (getattr(top, "name", "module"), node.lineno)
+            for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr in realization
+            or isinstance(node, ast.Name) and node.id in realization)
+    assert not found, "a realization sampled outside linear_trial: %s" % ", ".join(found)
+
+
 def test_records_are_read_only():
     g = two_rods(4)
     trial = analysis.linear_trial(g, "rod-bar", 3, P, SplitMix64(1))
     records = [
         (analyze(g, "rod-bar", 3, seed=1), "verdict"),
         (count_side(g, "rod-bar", 3), "rank"),
-        (trial, "flat_rank"),
+        (trial, "rods"),
         (trial.matrix, "rows"),
         (trial.trivial, "missed"),
         (g, "edges"),
@@ -386,22 +408,28 @@ def test_analyze_escalates_on_unlucky_samples():
     assert rep["agreement"]
 
 
-@pytest.mark.parametrize(
-    "model, d, field_name",
-    [("rod-bar", 3, "flat_rank"), ("body-bar", 2, "graphic_union_rank")],
-)
-def test_every_best_rank_decides_agreement(monkeypatch, model, d, field_name):
-    # the max linear rank still meets the count; a second rank falls one short
-    def short(*args, **kwargs):
-        trial = real(*args, **kwargs)
-        return trial._replace(**{field_name: getattr(trial, field_name) - 1})
+def shift_rank(monkeypatch, name, delta):
+    """rg.flat_family_rank, or the rank of rg.matrix_graphic_union's matrix,
+    reads delta off the true rank."""
+    real = getattr(rg, name)
+    if name == "flat_family_rank":
+        monkeypatch.setattr(rg, name, lambda *args: real(*args) + delta)
+    else:
+        monkeypatch.setattr(rg, name, lambda *args: types.SimpleNamespace(
+            rank=lambda: real(*args).rank() + delta))
 
-    real = analysis.linear_trial
+
+@pytest.mark.parametrize(
+    "model, d, ranked",
+    [("rod-bar", 3, "flat_family_rank"), ("body-bar", 2, "matrix_graphic_union")],
+)
+def test_every_best_rank_decides_agreement(monkeypatch, model, d, ranked):
+    # the max linear rank still meets the count; a second rank falls one short
     g = two_rods(4) if model == "rod-bar" else build_graph(
         [("a", "body"), ("b", "body"), ("c", "body")], [("a", "b"), ("b", "c"), ("c", "a")]
     )
     assert analyze(g, model, d, seed=3)["agreement"]
-    monkeypatch.setattr(analysis, "linear_trial", short)
+    shift_rank(monkeypatch, ranked, -1)
     rep = analyze(g, model, d, seed=3)
     assert rep["trials"]["run"] == 10
     assert rep["linear"]["max_rank"] == rep["combinatorial"]["rank"]
@@ -411,15 +439,10 @@ def test_every_best_rank_decides_agreement(monkeypatch, model, d, field_name):
 def test_graphic_union_rank_above_count_raises_at_once(monkeypatch):
     # the union of D graphic matroids has the body-bar count's rank, so no
     # sample can exceed it: the first such trial is a disagreement
-    def over(*args, **kwargs):
-        trial = real(*args, **kwargs)
-        return trial._replace(graphic_union_rank=trial.graphic_union_rank + 1)
-
-    real = analysis.linear_trial
     g = build_graph(
         [("a", "body"), ("b", "body"), ("c", "body")], [("a", "b"), ("b", "c"), ("c", "a")]
     )
-    monkeypatch.setattr(analysis, "linear_trial", over)
+    shift_rank(monkeypatch, "matrix_graphic_union", 1)
     with pytest.raises(analysis.EngineDisagreement) as info:
         analyze(g, "body-bar", 2, seed=3)
     assert str(info.value) == "graphic-union rank 4 exceeds combinatorial rank 3"
@@ -605,18 +628,22 @@ def test_rod_trials_build_no_edge_flat_matrix(monkeypatch):
     # the flat rank is read off the kernel: a rod trial, and a fuzz run of
     # them, never builds the edge-flat matrix or solves for a nullspace
     g = random_multigraph(SplitMix64(7), "rod-bar", max_vertices=6)
-    rods = rg.sample_body_rod_bar(g, 3, SplitMix64(8), P)[0]
-    expected = rg.matrix_edge_flats(g, rods, P).rank()
+    real, ranked = rg.flat_family_rank, []
+    monkeypatch.setattr(rg, "flat_family_rank", lambda *args: ranked.append(args) or real(*args))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a rod trial built the edge-flat matrix")
 
-    monkeypatch.setattr(rg, "matrix_edge_flats", forbidden)
-    monkeypatch.setattr(linalg, "nullspace", forbidden)
-    assert analysis.linear_trial(g, "rod-bar", 3, P, SplitMix64(8)).flat_rank == expected
-    for model in ROD_MODELS:
-        s = fuzz_equivalence(model, 3, 20, seed=5)
-        assert s["ok"] and s["agreements"] == 20
+    with monkeypatch.context() as mp:
+        mp.setattr(rg, "matrix_edge_flats", forbidden)
+        mp.setattr(linalg, "nullspace", forbidden)
+        flat_ranks = analyze(g, "rod-bar", 3, seed=8)["linear"]["flat_ranks"]
+        for model in ROD_MODELS:
+            s = fuzz_equivalence(model, 3, 20, seed=5)
+            assert s["ok"] and s["agreements"] == 20
+    # each trial's flat rank is the edge-flat matrix's rank on its own rods
+    expected = [rg.matrix_edge_flats(*args).rank() for args in ranked[:len(flat_ranks)]]
+    assert flat_ranks == expected
 
 
 def test_fuzz_deterministic_and_case_independent():
@@ -701,11 +728,6 @@ def test_fuzz_case_takes_small_fhat_from_its_subset_tree(monkeypatch, model, n, 
     assert len(calls) == fhat_calls
     assert (out["subset_checks"], out["failure"]) == (checks, None)
     assert checks == (2**n - 1 if n <= 6 else 0)
-
-
-def test_fuzz_desk_scale_guard():
-    with pytest.raises(ValueError, match="desk-scale"):
-        fuzz_equivalence("body-bar", 3, 1, max_vertices=50)
 
 
 def test_dump_document_replays_through_analyze(lying_oracle):

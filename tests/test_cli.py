@@ -155,6 +155,8 @@ def test_decompose_checks_model_dimension(tmp_path, capsys):
         [],
         ["decompose", "graph.json", "--seed", "0"],  # decompose samples nothing
         ["decompose", "graph.json", "--prime", "3"],
+        ["fuzz", "--model", "body-bar", "--max-vertices", "1"],  # gone: fuzz draws <= 8 vertices
+        ["fuzz", "--model", "body-bar", "--max-vertices", "99"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):
@@ -172,8 +174,8 @@ def test_usage_errors_exit_1(argv, capsys):
         (["analyze", "DOC", "--trials", "-2"], "trials must be at least 1"),
         (["fuzz", "--model", "body-bar", "--trials", "0"], "trials must be at least 1"),
         (["fuzz", "--model", "body-bar", "--cases", "-3"], "cases must be >= 0"),
-        (["fuzz", "--model", "body-bar", "--max-vertices", "1"], "max_vertices"),
-        (["fuzz", "--model", "body-bar", "--max-vertices", "99"], "max_vertices"),
+        (["fuzz", "--model", "body-bar", "--prime", "91"], "modulus 91 is not prime"),
+        (["truncate", "DOC", "--prime", "91"], "modulus 91 is not prime"),
         (["truncate", "DOC", "--trials", "0"], "trials must be at least 1"),
         (["truncate", "DOC", "--trials", "-2"], "trials must be at least 1"),
     ],
@@ -644,6 +646,27 @@ def test_fixed_joints_draw_nothing_at_a_prime_above_2_64(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["prime"] == PRIME_ABOVE_2_64 and rep["verdict"] == "minimally rigid"
+
+
+def test_collinear_fixed_joints_report_a_shortfall(tmp_path, capsys):
+    # fixed joints are one realization, not a generic sample, so a shortfall
+    # on them is reported (agreement false, exit 0), not an engine's fault
+    doc = {
+        "schema": 1,
+        "model": "direction",
+        "dimension": 2,
+        "vertices": [{"id": "a"}, {"id": "b"}, {"id": "c"}],
+        "edges": [["a", "b"], ["b", "c"], ["c", "a"]],
+        "joints": {"a": [0, 0], "b": [1, 0], "c": [2, 0]},
+    }
+    path = write_doc(tmp_path, doc)
+    code, out, _ = run(capsys, ["analyze", path])
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["agreement"], rep["verdict"], rep["trials"]["run"]) == (False, "flexible", 10)
+    assert rep["linear"]["ranks"] == [2] * 10 and rep["combinatorial"]["rank"] == 3
+    code, out, _ = run(capsys, ["analyze", path, "--format", "text"])
+    assert code == 0 and "verdict: flexible  [ENGINES DISAGREE]\n" in out
 
 
 def test_rank_above_count_exits_2_even_at_a_tiny_prime(tmp_path, capsys, monkeypatch):
