@@ -210,6 +210,18 @@ def graphic_union_reference(graph, d, rng, p):
     )
 
 
+def direction_reference(graph, joints, d, p):
+    """The direction matrix with each edge's rows the basis linalg.nullspace
+    gives for its one row delta = p(u) - p(v), placed by
+    rigidity.two_block_matrix; the reference for matrix_direction's span."""
+
+    def complement(e):
+        delta = [(a - b) % p for a, b in zip(joints[e.u], joints[e.v])]
+        return linalg.nullspace([delta], d, p)
+
+    return rg.two_block_matrix(graph, d, p, complement)
+
+
 def p_components_reference(expanded, cert, prof):
     """count_matroid.p_components_of_expansion with its components sorted by
     first edge and each part re-checked as a union of whole copy sets: the

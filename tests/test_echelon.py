@@ -70,10 +70,12 @@ def test_add_is_false_exactly_on_the_span(case, data):
     for row in rows:
         ech.add(linalg.sparse(row, p))
     assert len(set(ech.table)) == ech.rank
+    assert set(ech.inverse) == set(ech.table)
     for c, row in ech.table.items():
         cols = [col for col, _ in row]
-        assert row[-1] == (c, 1)  # monic at the pivot, everything else left of it
+        assert row[-1][0] == c  # unscaled, ending at the pivot: everything else left of it
         assert cols == sorted(set(cols)) and all(0 < x < p for _, x in row)
+        assert ech.inverse[c] * row[-1][1] % p == 1
     if rows and data.draw(st.booleans()):
         vec = rows[data.draw(st.integers(0, len(rows) - 1))]
     else:
@@ -92,6 +94,22 @@ def test_add_is_false_exactly_on_the_span(case, data):
     else:
         assert ech.rank == len(before[0]) + 1
         assert not ech.reduce(arg)
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_a_row_past_every_pivot_is_stored_as_given(case, data):
+    p, n, rows = case
+    ech = linalg.Echelon(p)
+    for row in rows:
+        ech.add(linalg.sparse(row, p))
+    top = data.draw(st.sampled_from([c for c in range(n + 1) if c not in ech.table]))
+    below = data.draw(st.lists(st.integers(1, p - 1), min_size=top, max_size=top))
+    row = tuple((c, x) for c, x in enumerate(below) if data.draw(st.booleans()))
+    row += ((top, data.draw(st.integers(1, p - 1))),)
+    assert ech.reduce(row) is row
+    assert ech.add(row)
+    assert ech.table[top] is row
 
 
 @st.composite

@@ -44,6 +44,20 @@ def test_paired_script_runs_this_checkout_against_itself():
     assert res["calls"] == 2 and res["a_s"] > 0 and res["b_s"] > 0 and res["b_over_a"] > 0
 
 
+def test_paired_script_repeats_rounds_and_reports_their_median():
+    printed = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "paired.py"), "--other", str(ROOT),
+         "--workload", "mechanisms", "--limit", "1", "--rounds", "3"],
+        check=True, capture_output=True, text=True, timeout=60,
+    ).stdout
+    lines = printed.splitlines()
+    assert [line.split()[2] for line in lines[:3]] == ["1/3", "2/3", "3/3"]
+    res = json.loads(lines[-1])["workloads"]["mechanisms"]
+    assert res["calls"] == 1 and len(res["rounds"]) == 3 and all(r > 0 for r in res["rounds"])
+    assert res["b_over_a"] == sorted(res["rounds"])[1]
+    assert "median B/A %.4f over 3 rounds" % res["b_over_a"] in lines[3]
+
+
 def test_paired_script_is_quiet_when_its_reader_closes_early():
     # as `tools/paired.py --other . --workload mechanisms --limit 2 | head -1`,
     # with the pipe closed before the first line is written

@@ -35,6 +35,7 @@ from rigikit.rigidity import (
 
 from helpers import (
     dense_rows,
+    direction_reference,
     expand_hinge_reference,
     grassmann_check,
     proportional,
@@ -537,6 +538,29 @@ def test_direction_coincident_joints_rejected():
     g = build_graph([("a", "body"), ("b", "body")], [("a", "b")])
     with pytest.raises(ConfigError, match="coincident"):
         matrix_direction(g, {"a": (1, 1), "b": (1, 1)}, 2, P)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.integers(2, 4), st.sampled_from((2, 3, 7, P)), st.integers(0, 2**32 - 1))
+def test_direction_rows_span_the_complement_of_delta(d, p, seed):
+    # each edge's d-1 rows are a basis of delta's orthogonal complement,
+    # written without an inverse: the matrix ranks as the nullspace rows do
+    rng = SplitMix64(seed)
+    g = random_multigraph(rng.spawn(0), "direction", max_vertices=5, max_edges=8)
+    try:
+        joints = sample_joints(g, d, rng.spawn(1), p)
+    except ConfigError:
+        reject()
+    m = matrix_direction(g, joints, d, p)
+    rows = dense_rows(m)
+    assert len(rows) == (d - 1) * len(g.edges)
+    for i, e in enumerate(g.edges):
+        delta = [(a - b) % p for a, b in zip(joints[e.u], joints[e.v])]
+        u = m.vertex_order.index(e.u) * d
+        alphas = [row[u:u + d] for row in rows[i * (d - 1):(i + 1) * (d - 1)]]
+        assert all(dot(alpha, delta, p) == 0 for alpha in alphas)
+        assert rank_reference(alphas, p) == d - 1
+    assert m.rank() == direction_reference(g, joints, d, p).rank()
 
 
 def test_sample_joints_distinct():

@@ -2,6 +2,7 @@
 
     python3 tools/paired.py --other ../parent --workload fuzz_mix
     python3 tools/paired.py --other ../parent --workload all --seed 7 --limit 24
+    python3 tools/paired.py --other ../parent --workload braced --rounds 3
 
 Side A is the ``src/rigikit`` of the checkout named by ``--other``, imported
 as the package ``rigikit_a``; side B is this checkout's, imported as
@@ -16,8 +17,10 @@ difference raises.  One untimed call per side warms both up first.
 A shared machine's speed drifts 20-40% from minute to minute, so two
 single runs, even calibrated ones, differ by that much.  Here both sides of
 every call run under the same drift, and the alternation cancels the cost
-of going first, so B/A holds where single runs do not.  The report gives,
-per workload, the call count, each side's CPU seconds and B/A.
+of going first, so B/A holds where single runs do not.  ``--rounds N``
+repeats the alternated run N times per workload, one line per round.  The
+report gives, per workload, the call count of one round, each side's CPU
+seconds over all rounds, every round's B/A and their median as B/A.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import importlib.util
 import io
 import json
 import os
+import statistics
 import sys
 import tempfile
 from pathlib import Path
@@ -108,19 +112,37 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=wl.DEFAULT_SEED)
     ap.add_argument("--limit", type=int, default=None,
                     help="run only the first LIMIT items of each workload")
+    ap.add_argument("--rounds", type=int, default=1,
+                    help="repeat the alternated run ROUNDS times per workload")
     args = ap.parse_args(argv)
     if args.limit is not None and args.limit < 1:
         ap.error("--limit must be at least 1")
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
     cli_a = load_cli(args.other.resolve() / "src", "rigikit_a")
     cli_b = load_cli(ROOT / "src", "rigikit_b")
     names = wl.WORKLOADS if args.workload == "all" else (args.workload,)
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
-            res = compare(cli_a, cli_b, workload_argvs(name, args.seed, Path(tmp), args.limit))
-            results[name] = res
-            print("%-10s calls %4d  A %8.3f s  B %8.3f s  B/A %.4f"
-                  % (name, res["calls"], res["a_s"], res["b_s"], res["b_over_a"]))
+            argvs = workload_argvs(name, args.seed, Path(tmp), args.limit)
+            rounds = []
+            for r in range(args.rounds):
+                res = compare(cli_a, cli_b, argvs)
+                rounds.append(res)
+                print("%-10s round %d/%d  calls %4d  A %8.3f s  B %8.3f s  B/A %.4f"
+                      % (name, r + 1, args.rounds, res["calls"], res["a_s"], res["b_s"],
+                         res["b_over_a"]))
+            ratios = [res["b_over_a"] for res in rounds]
+            results[name] = {
+                "calls": len(argvs),
+                "a_s": round(sum(res["a_s"] for res in rounds), 3),
+                "b_s": round(sum(res["b_s"] for res in rounds), 3),
+                "rounds": ratios,
+                "b_over_a": statistics.median(ratios),
+            }
+            print("%-10s median B/A %.4f over %d rounds" % (name, results[name]["b_over_a"],
+                                                             args.rounds))
     print(json.dumps({"seed": args.seed, "workloads": results}, sort_keys=True))
     return 0
 
