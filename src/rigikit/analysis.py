@@ -4,8 +4,9 @@ Each entry point returns the JSON document its subcommand prints; no other
 module knows the layout of a printed document.  analyze() runs both engines
 on one graph and returns its report; fuzz_equivalence() compares the ranks
 and fhat of random graphs; decompose() lists the P-components; truncate()
-runs the paper's induction on one bar-model graph: the union of D graphic
-matroids, truncated one rod at a time, has the count rank at every step.
+runs the paper's induction on one body-model graph's count graph: the
+union of D graphic matroids, truncated one rod (or hinge) at a time, has
+the count rank at every step.
 All but decompose sample through one realization, linear_trial, and one
 trial loop, _escalate, which keeps every trial's ranks and is the one place
 they are judged: a trial whose formal trivial motions are not all in the
@@ -14,9 +15,9 @@ and a single unlucky sample never fails a run, because a rank short of its
 count escalates the run to 10 trials.  A shortfall left after that is a
 ConfigError below the prime 2^16; above it analyze reports it as agreement
 false and fuzz and truncate as a disagreement.  count_side plays the one
-game per model that analyze, decompose and fuzz_case read, and _certified
-re-checks its rank certificate for all three (and the P-components for the
-first two); a failed count-engine self-check is a disagreement too.
+game per model that all four read, and _certified re-checks its rank
+certificate for each (and the P-components for analyze and decompose); a
+failed count-engine self-check is a disagreement too.
 _disagreement builds every dump, a document replayable with the seed it
 carries.  analyze, decompose, truncate and fuzz_equivalence check their
 input with documents.check_model and check_graph first; the helpers they
@@ -168,8 +169,7 @@ def linear_trial(
     analyze and fuzz pass direction the document's graph and a body model
     the graph its count side counts on (CountSide.count_graph: the
     document's graph for bar models, and for body-hinge the bar graph with
-    D-1 parallel bars per edge); truncate's last step passes its bar-model
-    graph.
+    D-1 parallel bars per edge), and so does truncate's last step.
     """
     rods = None
     if model == "direction":
@@ -444,40 +444,46 @@ def decompose(graph: Multigraph, model: str, d: int, joints=None) -> dict:
 
 def truncate(graph: Multigraph, model: str, d: int, prime: int = DEFAULT_PRIME,
              seed: int = 0, trials: int = 3) -> dict:
-    """The paper's induction over a bar-model graph's rods, as the truncation
-    document `rigikit truncate` prints.
+    """The paper's induction over the rods of graph's count side, as the
+    truncation document `rigikit truncate` prints.
 
-    With rng = SplitMix64(seed), rod i (vertex order) gets the normal
+    It re-checks the rank certificate of cs = count_side(graph, model, d)
+    and runs on cs.count_graph, the bar graph analyze realizes (a body-hinge
+    graph's hinges are its rods); direction is not the paper's model.  With
+    rng = SplitMix64(seed), rod i (vertex order) gets the normal
     rng.spawn(1).spawn(i).  Step k = 0..n_r has the first k rods truncated
-    and the other rods made bodies: its count rank, the k-th rod (None at
-    k = 0) and the best rank of matrix_graphic_union with their normals,
-    trial t from rng.spawn(2).spawn(t).  The last step adds the best rank
-    of graph's body-rod-bar (Pluecker) realization: trial t is
-    linear_trial(graph, model, d, prime, rng.spawn(3).spawn(t)), the trial
-    analyze runs, whose formal trivial motions, the rod spins among them,
-    must lie in its kernel; the other steps' is None.  Generically each
-    rank is its count rank; the trials run through _escalate, and a
-    disagreement dumps the steps.
+    and the other rods made bodies: its count rank (cs.rank at k = n_r),
+    the k-th rod (None at k = 0) and the best rank of matrix_graphic_union
+    with their normals, trial t from rng.spawn(2).spawn(t).  The last step
+    adds the best Pluecker rank: trial t is linear_trial(cs.count_graph,
+    model, d, prime, rng.spawn(3).spawn(t)), the trial analyze runs, whose
+    formal trivial motions, the rod spins among them, must lie in its
+    kernel; the other steps' is None.  Generically each rank is its count
+    rank; the trials run through _escalate, and a disagreement dumps the
+    steps.
     """
     _check_run_settings(model, d, prime, trials)
     check_graph(graph, model, d)
-    if model not in BAR_MODELS:
-        raise ValueError("truncate needs a %s document, got %s" % (", ".join(BAR_MODELS), model))
-    rng = SplitMix64(seed)
-    D = d * (d + 1) // 2
-    prof = CountProfile.body_rod_bar(d)
-    rods = [v for v in graph.vertex_ids if graph.kinds[v] == VertexKind.ROD]
-    normals = {v: rng.spawn(1).spawn(i).nonzero_vector(D, prime) for i, v in enumerate(rods)}
+    if model == "direction":
+        raise ValueError("truncate needs a body-bar, rod-bar, body-rod-bar or body-hinge "
+                         "document, got direction")
+    cs = count_side(graph, model, d)
+    _certified(cs, lambda reason: _disagreement(
+        graph, model, d, seed, reason, **_rank_evidence(cs, ())), components=False)
+    bars, rng = cs.count_graph, SplitMix64(seed)
+    rods = [v for v in bars.vertex_ids if bars.kinds[v] == VertexKind.ROD]
+    normals = {v: rng.spawn(1).spawn(i).nonzero_vector(cs.profile.D, prime)
+               for i, v in enumerate(rods)}
     cuts = [{v: normals[v] for v in rods[:k]} for k in range(len(rods) + 1)]
     labels = ["truncation step %d: best" % k for k in range(len(cuts))]
     pluecker = "truncation step %d: Pluecker" % len(rods)
     counts = {}
-    for label, kept in zip(labels, cuts):  # matrices need only the normals, counts the kinds
-        gk = graph._replace(kinds={
-            v: VertexKind.ROD if v in kept else VertexKind.BODY for v in graph.vertex_ids
+    for label, kept in zip(labels[:-1], cuts):  # matrices need only the normals, counts the kinds
+        gk = bars._replace(kinds={
+            v: VertexKind.ROD if v in kept else VertexKind.BODY for v in bars.vertex_ids
         })
-        counts[label] = ("count", cm.rank_value(gk, None, prof))
-    counts[pluecker] = counts[labels[-1]]
+        counts[label] = ("count", cm.rank_value(gk, None, cs.profile))
+    counts[labels[-1]] = counts[pluecker] = ("count", cs.rank)  # every rod kept: cs's own game
 
     def steps(ranks):
         return [{"k": k, "rod": rods[k - 1] if k else None, "count_rank": counts[label][1],
@@ -490,10 +496,10 @@ def truncate(graph: Multigraph, model: str, d: int, prime: int = DEFAULT_PRIME,
 
     def measure(t):
         measured = {
-            label: rg.matrix_graphic_union(graph, d, rng.spawn(2).spawn(t), prime, kept).rank()
+            label: rg.matrix_graphic_union(bars, d, rng.spawn(2).spawn(t), prime, kept).rank()
             for label, kept in zip(labels, cuts)
         }
-        trial = linear_trial(graph, model, d, prime, rng.spawn(3).spawn(t))
+        trial = linear_trial(bars, model, d, prime, rng.spawn(3).spawn(t))
         measured[pluecker] = trial.rank
         missed = trial.trivial.missed
         return measured, ("truncation step %d: Pluecker %s motion is not in the kernel"

@@ -5,7 +5,7 @@ Subcommands:
   fuzz              random-instance equivalence run (exit 2 on disagreement)
   decompose FILE    P-connected components of the document's count polymatroid
   truncate FILE     per k rods truncated, the count rank and the rank of the
-                    union of D graphic matroids cut at them (bar models)
+                    union of D graphic matroids cut at them (body models)
 
 Reports go to stdout, diagnostics to stderr.  JSON output is canonical
 (sorted keys, fixed separators): identical argv, including --seed, gives
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=_cmd_fuzz)
 
-    sp = sub.add_parser("truncate", help="the rods of a bar-model document "
+    sp = sub.add_parser("truncate", help="the rods (or hinges) of a body-model document "
                         "truncated one at a time")
     sp.add_argument("file")
     common(sp)

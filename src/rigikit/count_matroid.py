@@ -368,12 +368,12 @@ def simplify_component(
     graph: Multigraph,
     component: Iterable[str],
     prof: CountProfile,
-    center_id: Optional[str] = None,
 ) -> Multigraph:
     """Replace a nontrivial P-connected edge set by a star on a new body.
 
-    The component's edges are removed, a fresh body vertex is added, and
-    one edge joins it to every vertex the component spanned.
+    The component's edges are removed, a fresh body vertex (the first of
+    vc, vc1, vc2, ... the graph does not use) is added, and one edge joins
+    it to every vertex the component spanned.
     """
     for v in graph.vertex_ids:  # the whole graph, not just the component's subgraph
         prof.capacity_of(graph, v)  # raises GraphError on a vertex it cannot count
@@ -392,13 +392,10 @@ def simplify_component(
     if len(dec.components) != 1:
         raise ValueError("edge set is not P-connected; cannot simplify")
 
-    if center_id is None:
-        center_id = "vc"
-        taken = set(graph.vertex_ids)
-        k = 0
-        while center_id in taken:
-            k += 1
-            center_id = "vc%d" % k
+    center_id, k = "vc", 0
+    while center_id in graph.kinds:
+        k += 1
+        center_id = "vc%d" % k
     comp_set = set(comp)
     vertices = [(v, graph.kinds[v]) for v in graph.vertex_ids]
     vertices.append((center_id, VertexKind.BODY))

@@ -78,6 +78,22 @@ def test_only_linear_trial_samples_a_realization():
     assert not found, "a realization sampled outside linear_trial: %s" % ", ".join(found)
 
 
+def test_only_count_side_picks_a_count_graph():
+    """analysis.py picks a model's profile and host graph in one place: no
+    function but count_side names CountProfile or expand_hinge."""
+    picks = {"CountProfile", "expand_hinge"}
+    found = [
+        "%s:%d" % (top.name, node.lineno)
+        for top in ast.parse(Path(analysis.__file__).read_text()).body
+        if isinstance(top, ast.FunctionDef) and top.name != "count_side"
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr in picks
+        or isinstance(node, ast.Name) and node.id in picks
+    ]
+    assert not found, "a count profile or host graph picked outside count_side: %s" % (
+        ", ".join(found))
+
+
 def test_records_are_read_only():
     g = two_rods(4)
     trial = analysis.linear_trial(g, "rod-bar", 3, P, SplitMix64(1))

@@ -444,8 +444,21 @@ def body_rod_bar_doc():
     }
 
 
-@pytest.mark.parametrize("doc", [two_rods_doc(), body_rod_bar_doc()],
-                         ids=["rod-bar", "body-rod-bar"])
+def hinge_doc():
+    """Three bodies and two hinges at d = 3: the count graph has 25 bars, D-1 = 5 per edge."""
+    return {
+        "schema": 1,
+        "model": "body-hinge",
+        "dimension": 3,
+        "vertices": [{"id": "b0", "kind": "body"}, {"id": "b1", "kind": "body"},
+                     {"id": "b2", "kind": "body"}, {"id": "h0", "kind": "hinge"},
+                     {"id": "h1", "kind": "hinge"}],
+        "edges": [["b0", "h0"], ["h0", "b1"], ["b1", "h1"], ["h1", "b2"], ["b0", "h1"]],
+    }
+
+
+@pytest.mark.parametrize("doc", [two_rods_doc(), body_rod_bar_doc(), hinge_doc()],
+                         ids=["rod-bar", "body-rod-bar", "body-hinge"])
 def test_truncate(doc, tmp_path, capsys):
     from rigikit.analysis import truncate
 
@@ -557,14 +570,11 @@ def test_escalated_truncate_measures_each_trial_once(tmp_path, capsys, monkeypat
         ({"schema": 1, "model": "direction", "dimension": 2,
           "vertices": [{"id": "a"}, {"id": "b"}], "edges": [["a", "b"]]},
          "got direction"),
-        ({"schema": 1, "model": "body-hinge", "dimension": 3,
-          "vertices": [{"id": "a", "kind": "body"}, {"id": "h", "kind": "hinge"}],
-          "edges": [["a", "h"]]},
-         "got body-hinge"),
     ],
-    ids=["direction", "body-hinge"],
+    ids=["direction"],
 )
 def test_truncate_rejects_other_models(doc, message, tmp_path, capsys):
+    # direction is not the paper's model; every body model truncates
     code, out, err = run(capsys, ["truncate", write_doc(tmp_path, doc)])
     assert code == 1 and out == ""
     assert err.startswith("error: truncate needs a body-bar, rod-bar, body-rod-bar")
@@ -708,6 +718,57 @@ def test_truncate_mismatch_exits_2_with_a_replayable_dump(tmp_path, capsys, monk
     assert dump["document"] == two_rods_doc() and dump["seed"] == 4
     assert dump["reason"] == "truncation step 0: best rank 3 != count rank 4"
     assert [s["best_rank"] for s in dump["steps"]] == [3, 4, 4]
+
+
+def test_body_hinge_truncate_mismatch_exits_2_with_a_replayable_dump(tmp_path, capsys,
+                                                                      monkeypatch):
+    # the steps run on the count graph, 5 bars per hinge edge at d = 3; the
+    # dump carries the hinge document, which replays to the same dump
+    from rigikit import rigidity as rg
+
+    def short(graph, d, rng, p, normals=None):
+        m = real(graph, d, rng, p, normals)
+        return m._replace(rows=m.rows[4:]) if len(normals) == 1 else m  # step 1 loses 4 rows
+
+    real = rg.matrix_graphic_union
+    monkeypatch.setattr(rg, "matrix_graphic_union", short)
+    code, out, err = run(capsys, ["truncate", write_doc(tmp_path, hinge_doc()), "--seed", "6"])
+    assert code == 2 and out == ""
+    dump = json.loads(err.splitlines()[1])
+    assert dump["document"] == hinge_doc() and dump["seed"] == 6
+    assert dump["reason"] == "truncation step 1: best rank 21 != count rank 22"
+    assert [(s["rod"], s["count_rank"], s["best_rank"]) for s in dump["steps"]] == [
+        (None, 23, 23), ("h0", 22, 21), ("h1", 21, 21)]
+    path = write_doc(tmp_path, dump["document"], "dump.json")
+    code, _, again = run(capsys, ["truncate", path, "--seed", str(dump["seed"])])
+    assert code == 2 and json.loads(again.splitlines()[1]) == dump
+
+
+def test_failed_count_self_check_in_truncate_exits_2_with_a_dump(tmp_path, capsys,
+                                                                 monkeypatch):
+    from rigikit import count_matroid as cm
+    from rigikit import rigidity as rg
+
+    def broken(*args):
+        raise RuntimeError("certificate value mismatch: 22 != 21")
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("a matrix built before the count self-check")
+
+    monkeypatch.setattr(cm.RankCertificate, "check", broken)
+    monkeypatch.setattr(rg, "matrix_graphic_union", drawn)
+    monkeypatch.setattr(rg, "sample_body_rod_bar", drawn)
+    path = write_doc(tmp_path, hinge_doc())
+    code, out, err = run(capsys, ["truncate", path, "--seed", "3"])
+    assert code == 2 and out == ""
+    assert err.startswith("engine disagreement: certificate value mismatch: 22 != 21\n")
+    assert "Traceback" not in err
+    dump = json.loads(err.splitlines()[1])  # checked before any trial: no linear rank
+    assert dump == {"document": hinge_doc(), "seed": 3,
+                    "reason": "certificate value mismatch: 22 != 21",
+                    "count_rank": 21, "count_target": 22, "linear_ranks": []}
+    code, _, err = run(capsys, ["analyze", path, "--seed", "3"])  # the dump analyze builds
+    assert code == 2 and json.loads(err.splitlines()[1]) == dump
 
 
 PINNED_DOCS = {
@@ -917,6 +978,18 @@ def test_truncate_text_is_pinned(tmp_path, capsys):
                 "k=1 rod=r1: count rank 4, truncated union 4, Pluecker -\n"
                 "k=2 rod=r2: count rank 4, truncated union 4, Pluecker 4\n")
     assert run(capsys, argv) == (0, expected, "")
+
+
+def test_body_hinge_truncate_text_is_pinned(tmp_path, capsys):
+    # each hinge truncated as a rod; the last step's Pluecker rank is
+    # analyze's combinatorial rank, 21
+    argv = ["truncate", write_doc(tmp_path, hinge_doc()), "--seed", "11", "--format", "text"]
+    expected = ("k=0 rod=-: count rank 23, truncated union 23, Pluecker -\n"
+                "k=1 rod=h0: count rank 22, truncated union 22, Pluecker -\n"
+                "k=2 rod=h1: count rank 21, truncated union 21, Pluecker 21\n")
+    assert run(capsys, argv) == (0, expected, "")
+    code, out, _ = run(capsys, ["analyze", argv[1], "--seed", "11"])
+    assert code == 0 and json.loads(out)["combinatorial"]["rank"] == 21
 
 
 def test_import_builds_no_dataclass():

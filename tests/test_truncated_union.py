@@ -7,7 +7,10 @@ edge one random vector in its rod endpoints' hyperplanes.  Truncating the
 rods one at a time, as the paper's induction does, the generic rank after k
 of them is the count rank of the graph whose first k rods are rods and
 whose other rods are bodies; after the last one it is the rank of the
-Pluecker realization, so decomposable bars and rods lose no rank.
+Pluecker realization, so decomposable bars and rods lose no rank.  A
+body-hinge graph runs the same induction on its count side's bar graph,
+D-1 bars per edge and each hinge a rod (Tay's identified body-hinge
+theorem).
 """
 
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 from rigikit import count_matroid as cm
 from rigikit import linalg
 from rigikit import rigidity as rg
-from rigikit.analysis import random_multigraph, truncate
+from rigikit.analysis import EngineDisagreement, count_side, random_multigraph, truncate
 from rigikit.field import DEFAULT_PRIME, SplitMix64
 from rigikit.graph import CountProfile, build_graph
 
@@ -100,3 +103,34 @@ def test_genericity_matters_two_rods_sharing_a_normal(d):
     for row in distinct.rows:  # alpha in r1's block lies in both rods' hyperplanes
         alpha = linalg.dense(row, 2 * D)[:D]
         assert all(sum(a * x for a, x in zip(alpha, n)) % P == 0 for n in (n1, n2))
+
+
+# graphs, steps, binding steps, count-rank drops, rigid graphs
+HINGE_TRUNCATION_COUNTS = (100, 363, 52, 25, 12)
+
+
+def test_random_body_hinge_graphs_truncate_to_their_count_rank():
+    # Tay's identified body-hinge theorem through the same induction: the
+    # steps run on count_side's bar graph (D-1 bars per edge, each hinge a
+    # rod), and the last step's count and Pluecker ranks are cs.rank.  A
+    # step binds when its count rank is below the count graph's edge count.
+    graphs = steps = binding = drops = rigid = 0
+    failures = []
+    for i in range(100):
+        g = random_multigraph(SplitMix64(i), "body-hinge")
+        cs = count_side(g, "body-hinge", 3)
+        graphs += 1
+        try:
+            doc = truncate(g, "body-hinge", 3, P, i, TRIALS)
+        except EngineDisagreement as exc:
+            failures.append(exc.dump)
+            continue
+        assert all(s["best_rank"] == s["count_rank"] for s in doc["steps"]), i
+        assert doc["steps"][-1]["pluecker_rank"] == cs.rank, i
+        ranks = [s["count_rank"] for s in doc["steps"]]
+        steps += len(ranks)
+        binding += sum(rank < len(cs.count_graph.edges) for rank in ranks)
+        drops += sum(b < a for a, b in zip(ranks, ranks[1:]))
+        rigid += ranks[-1] == cs.target
+    assert failures == []
+    assert (graphs, steps, binding, drops, rigid) == HINGE_TRUNCATION_COUNTS
