@@ -22,7 +22,6 @@ from .count_matroid import (
     rank,
     rank_bruteforce,
     rank_value,
-    simplify_component,
 )
 from .field import DEFAULT_PRIME, SplitMix64
 from .graph import (
@@ -33,7 +32,6 @@ from .graph import (
     build_graph,
     expand_f,
     f_value,
-    vertex_counts,
 )
 
 __version__ = "0.1.0"
@@ -60,6 +58,4 @@ __all__ = [
     "rank",
     "rank_bruteforce",
     "rank_value",
-    "simplify_component",
-    "vertex_counts",
 ]

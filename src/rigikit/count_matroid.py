@@ -34,8 +34,6 @@ from typing import Iterable, NamedTuple, Optional
 from .graph import (
     CountProfile,
     Multigraph,
-    VertexKind,
-    build_graph,
     expand_f,
     f_value,
 )
@@ -93,24 +91,24 @@ class PebbleState:
         first.  Returns (True, visited) on success, (False, visited) when
         no free pebble is reachable; visited is the reach region.
         """
+        out, pebbles = self.out, self.pebbles
         visited = {u, v}
         parent: dict[str, tuple[str, int]] = {}
         for root in (u, v):
-            frames = [(root, iter(self.out[root]))]
+            frames = [(root, iter(out[root].items()))]
             while frames:
                 a, arcs = frames[-1]
-                for eidx in arcs:
-                    b = self.out[a][eidx]
+                for eidx, b in arcs:
                     if b in visited:
                         continue
                     visited.add(b)
                     parent[b] = (a, eidx)
-                    if self.pebbles[b] > 0:
+                    if pebbles[b] > 0:
                         got = self._reverse_path(b, parent)
-                        self.pebbles[b] -= 1
-                        self.pebbles[got] += 1
+                        pebbles[b] -= 1
+                        pebbles[got] += 1
                         return True, visited
-                    frames.append((b, iter(self.out[b])))
+                    frames.append((b, iter(out[b].items())))
                     break
                 else:
                     frames.pop()
@@ -118,20 +116,26 @@ class PebbleState:
 
     def try_insert(self, eid: str) -> bool:
         """Insert eid if independent of the inserted set; report success."""
-        key = self.graph.first_parallel[eid]
+        graph = self.graph
+        key = graph.first_parallel[eid]
         if key in self.dead:
             self.rejected.append((eid, None))
             return False
-        e = self.graph.edge(eid)
-        while self.pebbles[e.u] + self.pebbles[e.v] < self.need:
-            found, visited = self._find_pebble(e.u, e.v)
+        idx = graph.edge_index[eid]
+        _, u, v = graph.edges[idx]
+        pebbles = self.pebbles
+        while pebbles[u] + pebbles[v] < self.need:
+            found, visited = self._find_pebble(u, v)
             if not found:
                 self.dead.add(key)
                 self.rejected.append((eid, frozenset(visited)))
                 return False
-        tail = e.u if self.pebbles[e.u] > 0 else e.v
-        self.pebbles[tail] -= 1
-        self.out[tail][self.graph.edge_index[eid]] = e.other(tail)
+        if pebbles[u] > 0:
+            pebbles[u] -= 1
+            self.out[u][idx] = v
+        else:
+            pebbles[v] -= 1
+            self.out[v][idx] = u
         self.inserted.append(eid)
         return True
 
@@ -362,48 +366,6 @@ def p_components_of_expansion(expanded, cert: RankCertificate, prof: CountProfil
             "sum f = %d but fhat(E) = %d" % (total, cert.value)
         )
     return dec
-
-
-def simplify_component(
-    graph: Multigraph,
-    component: Iterable[str],
-    prof: CountProfile,
-) -> Multigraph:
-    """Replace a nontrivial P-connected edge set by a star on a new body.
-
-    The component's edges are removed, a fresh body vertex (the first of
-    vc, vc1, vc2, ... the graph does not use) is added, and one edge joins
-    it to every vertex the component spanned.
-    """
-    for v in graph.vertex_ids:  # the whole graph, not just the component's subgraph
-        prof.capacity_of(graph, v)  # raises GraphError on a vertex it cannot count
-    comp = _edge_order(graph, component)
-    if len(comp) < 2:
-        raise ValueError("only nontrivial P-connected components are simplified")
-    sub_vertices = sorted(
-        {w for e in comp for w in (graph.edge(e).u, graph.edge(e).v)},
-        key=graph.vertex_ids.index,
-    )
-    sub = build_graph(
-        [(v, graph.kinds[v]) for v in sub_vertices],
-        [(graph.edge(e).u, graph.edge(e).v, e) for e in comp],
-    )
-    dec = p_components(sub, prof)
-    if len(dec.components) != 1:
-        raise ValueError("edge set is not P-connected; cannot simplify")
-
-    center_id, k = "vc", 0
-    while center_id in graph.kinds:
-        k += 1
-        center_id = "vc%d" % k
-    comp_set = set(comp)
-    vertices = [(v, graph.kinds[v]) for v in graph.vertex_ids]
-    vertices.append((center_id, VertexKind.BODY))
-    edges = [
-        (e.u, e.v, e.id) for e in graph.edges if e.id not in comp_set
-    ]
-    edges.extend((center_id, w, "s:%s" % w) for w in sub_vertices)
-    return build_graph(vertices, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -28,18 +28,35 @@ def mod_inv(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
+# The first 13 primes, and the least odd strong pseudoprime to the first k
+# of them for k = 1..13 (OEIS A014233): n below the k-th is prime exactly
+# when it passes Miller-Rabin at the first k bases.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSEUDOPRIMES = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3317044064679887385961981."""
+    """Deterministic Miller-Rabin, exact for n < 3317044064679887385961981.
+
+    n is tried at the first k prime bases for the least k whose pseudoprime
+    bound exceeds n (4 for the default prime), and at all 13 above the last
+    bound, where a pass means only a strong probable prime.
+    """
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    k = next((k for k, bound in enumerate(_PSEUDOPRIMES, 1) if n < bound), len(_BASES))
+    for a in _BASES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

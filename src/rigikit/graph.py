@@ -37,9 +37,6 @@ class Edge(NamedTuple):
     u: str
     v: str
 
-    def other(self, w: str) -> str:
-        return self.v if w == self.u else self.u
-
 
 class Multigraph(NamedTuple):
     """Immutable loopless multigraph with kinded vertices.
@@ -192,18 +189,6 @@ class CountProfile(NamedTuple):
         return self.capacity(graph.kinds[vid])
 
 
-def vertex_counts(graph: Multigraph, eids: Iterable[str]):
-    """(|V(F)|, |B(F)|, |R(F)|) for the vertices spanned by the edge set."""
-    spanned: set[str] = set()
-    for eid in eids:
-        e = graph.edge(eid)
-        spanned.add(e.u)
-        spanned.add(e.v)
-    nb = sum(1 for v in spanned if graph.kinds[v] == VertexKind.BODY)
-    nr = sum(1 for v in spanned if graph.kinds[v] == VertexKind.ROD)
-    return len(spanned), nb, nr
-
-
 def f_value(graph: Multigraph, eids: Iterable[str], prof: CountProfile) -> int:
     """Count value of a nonempty edge set; rejects the empty set."""
     spanned: set[str] = set()
@@ -216,28 +201,43 @@ def f_value(graph: Multigraph, eids: Iterable[str], prof: CountProfile) -> int:
     return sum(prof.capacity_of(graph, v) for v in spanned) - prof.offset
 
 
-def f_edge(graph: Multigraph, eid: str, prof: CountProfile) -> int:
-    e = graph.edge(eid)
-    return prof.capacity_of(graph, e.u) + prof.capacity_of(graph, e.v) - prof.offset
-
-
 def expand_f(graph: Multigraph, prof: CountProfile):
     """Replace each edge e by f(e) parallel copies.
 
     Returns (expanded graph, map edge id -> tuple of copy ids).  Copy ids are
     "<eid>~<k>".  Requires f(e) >= 1 for every edge, which holds for every
     profile this package builds when d >= 2.
+
+    One pass over the checked graph writes the copies with their
+    edge_index and first_parallel, and the vertices and kinds are the
+    graph's own: the result is what build_graph would return for the same
+    vertices and copy edges, with nothing re-validated.  The copy ids are
+    distinct because the edge ids are, and copies share endpoints exactly
+    when their edges do, so a copy's first parallel is the first copy of
+    its edge's first parallel.
     """
-    new_edges: list[tuple[str, str, str]] = []
+    capacity, offset = prof.capacity, prof.offset
+    kinds, first = graph.kinds, graph.first_parallel
+    edges: list[Edge] = []
+    edge_index: dict[str, int] = {}
+    first_parallel: dict[str, str] = {}
     copies: dict[str, tuple[str, ...]] = {}
     for e in graph.edges:
-        m = f_edge(graph, e.id, prof)
+        eid, u, v = e
+        m = capacity(kinds[u]) + capacity(kinds[v]) - offset
         if m < 1:
-            raise GraphError("edge %r has f(e) = %d < 1; cannot expand" % (e.id, m))
-        ids = tuple("%s~%d" % (e.id, k) for k in range(m))
-        copies[e.id] = ids
-        new_edges.extend((e.u, e.v, cid) for cid in ids)
-    expanded = build_graph(
-        [(v, graph.kinds[v]) for v in graph.vertex_ids], new_edges
+            raise GraphError("edge %r has f(e) = %d < 1; cannot expand" % (eid, m))
+        ids = copies[eid] = tuple(["%s~%d" % (eid, k) for k in range(m)])
+        head = copies[first[eid]][0]
+        for cid in ids:
+            edge_index[cid] = len(edges)
+            edges.append(Edge(cid, u, v))
+            first_parallel[cid] = head
+    expanded = Multigraph(
+        vertex_ids=graph.vertex_ids,
+        kinds=kinds,
+        edges=tuple(edges),
+        edge_index=edge_index,
+        first_parallel=first_parallel,
     )
     return expanded, copies

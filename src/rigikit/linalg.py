@@ -16,7 +16,9 @@ its later vertex block, and a rigidity matrix is eliminated vertex by
 vertex in reverse block order.
 
 ``rank`` is plain elimination, with no caller-specific shortcut: a builder
-that would repeat rows (parallel edge flats) emits them once.  ``rref``
+that would repeat rows (parallel edge flats) emits them once.  A two-block
+rigidity matrix grows an ``Echelon`` itself, dropping the columns its
+trivial motions make redundant, and stops at full column rank.  ``rref``
 takes and returns dense rows: it feeds the echelon its rows column-mirrored,
 so each pivot is its row's first column, scales each stored row to 1 at its
 pivot, then clears each pivot from the other rows.  It and ``nullspace``

@@ -1,13 +1,14 @@
 """Exact prime-field rigidity matrices for each structural model.
 
 Every matrix is a graph plus a map from edge to vectors: two_block_matrix
-turns each vector alpha of an edge e = uv into one row with alpha in the
-column block of u and -alpha in the block of v.  The builders differ only
-in the vectors they contribute per edge: a D-vector, free or in the flat
-its rod endpoints' normals cut out (truncated graphic union), the bar's
-degree-2 Pluecker coordinates q_e (body-bar, body-rod-bar), a basis of the
-bar flat on an endpoint pair's first edge (edge flats), or a basis of
-(p(u) - p(v))^perp (direction; block width d, else D = (d+1 choose 2)).
+turns each vector alpha of an edge e = uv, a sparse row over one block,
+into one row with alpha in the column block of u and -alpha in the block
+of v.  The builders differ only in the vectors they contribute per edge:
+a D-vector, free or in the flat its rod endpoints' normals cut out
+(truncated graphic union), the bar's degree-2 Pluecker coordinates q_e
+(body-bar, body-rod-bar), a basis of the bar flat on an endpoint pair's
+first edge (edge flats), or a basis of (p(u) - p(v))^perp (direction;
+block width d, else D = (d+1 choose 2)).
 Column blocks hold motion vectors in the star-identified coordinates, so a
 block vector x_v represents the degree-(d-1) motion whose star image is
 x_v; under that identification row-times-motion is exactly the
@@ -35,8 +36,11 @@ two_block_matrix is the only constructor of a RigidityMatrix in this
 package and marks what it builds two_block: every row is +alpha in one
 block and -alpha in another, so the columns j of all the blocks sum to
 zero, the D constant motions lie in every kernel, and rank() grounds one
-body (drops its block's columns) without changing the rank.  A matrix
-built by hand is unmarked and ranked whole.
+body (drops its block's columns) without changing the rank.  A direction
+matrix also records its joints, and rank() grounds its dilation too: one
+more column.  A two-block rank stops offering rows once the echelon holds
+a pivot per kept column.  A matrix built by hand is unmarked and ranked
+whole.
 
 The formal trivial motions are sparse rows in linalg's format, written
 only where they are nonzero: a constant motion meets every block, a rod
@@ -146,15 +150,17 @@ def sample_body_rod_bar(graph: Multigraph, d: int, rng: SplitMix64, p: int):
 
 
 class RigidityMatrix(NamedTuple):
-    """Row matrix over F_p with sparse rows (linalg's format).  two_block is
-    set only by two_block_matrix: every row of edge uv is then +alpha in u's
-    block and -alpha in v's, which rank() relies on."""
+    """Row matrix over F_p with sparse rows (linalg's format).  two_block and
+    joints are set only by two_block_matrix: every row of edge uv is then
+    +alpha in u's block and -alpha in v's, and a direction matrix's rows
+    annihilate the dilation of its joints, which rank() relies on."""
 
     p: int
     block: int
     vertex_order: tuple[str, ...]
     rows: tuple  # sparse rows: tuples of (column, value) pairs
     two_block: bool = False
+    joints: Optional[Mapping] = None  # a direction matrix's joints
 
     @property
     def ncols(self) -> int:
@@ -166,53 +172,79 @@ class RigidityMatrix(NamedTuple):
         Each row is +alpha in one block and -alpha in another, so for every
         j the columns j of all the blocks sum to zero, any one block's
         columns are minus the sum of the others', and deleting them keeps
-        the rank at every sample and prime.  The block met by the most rows
-        (the first on a tie) goes; its rows, now single-block, are offered
-        first, then the rest in row order.  The echelon pivots each row at
-        its highest column, so a two-block row pivots in its later vertex's
-        block: the blocks are eliminated in reverse order.  Any other
-        matrix is ranked whole.
+        the rank at every sample and prime.  The block g met by the most
+        rows (the first on a tie) goes.  A direction matrix's rows also
+        annihilate the dilation m(v) = p(v), so, less the translation by
+        p(g), they annihilate m(v) = p(v) - p(g), zero on g: one column
+        (w, j) where that motion is nonzero, the first in column order, is
+        minus a combination of the other kept columns and goes too.  The
+        grounded rows, now single-block, are offered first, then the rest
+        in row order, until the echelon holds as many pivots as there are
+        kept columns.  The echelon pivots each row at its highest column,
+        so a two-block row pivots in its later vertex's block: the blocks
+        are eliminated in reverse order.  Any other matrix is ranked whole.
         """
         if not (self.two_block and self.rows):
             return linalg.rank(self.rows, self.p)
-        B = self.block
+        B, p = self.block, self.p
         met = [0] * len(self.vertex_order)
         for row in self.rows:
             if row:  # a row's pairs lie in its lower block, then its upper
                 met[row[0][0] // B] += 1
                 met[row[-1][0] // B] += 1
-        lo = met.index(max(met)) * B
-        hi = lo + B
+        g = met.index(max(met))
+        lo, hi = g * B, g * B + B
+        kept = self.ncols - B
+        drop = wlo = whi = -1  # the dilation's column and its block
+        if self.joints is not None:
+            base = self.joints[self.vertex_order[g]]
+            drop = next((w * B + j for w, v in enumerate(self.vertex_order)
+                         for j, (a, b) in enumerate(zip(self.joints[v], base))
+                         if (a - b) % p), -1)
+            if drop >= 0:
+                kept -= 1
+                wlo = drop - drop % B
+                whi = wlo + B
         grounded, rest = [], []
         for row in self.rows:
             if row and (lo <= row[0][0] < hi or lo <= row[-1][0] < hi):
-                grounded.append(tuple(pr for pr in row if not lo <= pr[0] < hi))
+                grounded.append(tuple([pr for pr in row
+                                       if not lo <= pr[0] < hi and pr[0] != drop]))
+            elif row and (wlo <= row[0][0] < whi or wlo <= row[-1][0] < whi):
+                rest.append(tuple([pr for pr in row if pr[0] != drop]))
             else:
                 rest.append(row)
-        return linalg.rank(grounded + rest, self.p)
+        ech = linalg.Echelon(p)
+        for row in grounded + rest:
+            if ech.add(row) and ech.rank == kept:
+                break
+        return ech.rank
 
 
 def two_block_matrix(
-    graph: Multigraph, block: int, p: int, vectors_of
+    graph: Multigraph, block: int, p: int, vectors_of, joints: Optional[Mapping] = None
 ) -> RigidityMatrix:
     """One row per vector alpha of each edge uv: +alpha in u's block, -alpha in v's.
 
-    vectors_of(e) gives the edge's vectors (each of length block); rows come
-    in edge order, then vector order.  Each row is sparse: alpha's nonzero
-    entries in both blocks, the lower block first.
+    vectors_of(e) gives the edge's vectors, each a row in linalg's format
+    over one block: (offset, value) pairs with offsets ascending in
+    [0, block) and values in [1, p).  Rows come in edge order, then vector
+    order; each is alpha's pairs in both blocks, the lower block first,
+    where the negated block holds p - x for each value x.  A direction
+    matrix passes its joints, which the matrix records for rank().
     """
     order = graph.vertex_ids
     pos = {v: i * block for i, v in enumerate(order)}
     rows = []
     for e in graph.edges:
-        lo, hi, sign = pos[e.u], pos[e.v], 1
-        if lo > hi:  # v's block is the lower one: it holds -alpha
-            lo, hi, sign = hi, lo, -1
+        su, sv = pos[e.u], pos[e.v]
         for alpha in vectors_of(e):
-            low = [(lo + k, sign * c % p) for k, c in enumerate(alpha) if c % p]
-            rows.append(tuple(low + [(c + hi - lo, p - x) for c, x in low]))
+            plus = [(su + k, x) for k, x in alpha]
+            minus = [(sv + k, p - x) for k, x in alpha]
+            rows.append(tuple(plus + minus if su < sv else minus + plus))
     return RigidityMatrix(
-        p=p, block=block, vertex_order=order, rows=tuple(rows), two_block=True
+        p=p, block=block, vertex_order=order, rows=tuple(rows), two_block=True,
+        joints=joints,
     )
 
 
@@ -221,8 +253,8 @@ def matrix_body_bar(graph: Multigraph, bars: BarConfig) -> RigidityMatrix:
 
     Reads no rods: the rod spins check incidence (verify_trivial_motions).
     """
-    D = bars.d * (bars.d + 1) // 2
-    return two_block_matrix(graph, D, bars.p, lambda e: (bars.bars[e.id],))
+    D, p = bars.d * (bars.d + 1) // 2, bars.p
+    return two_block_matrix(graph, D, p, lambda e: (linalg.sparse(bars.bars[e.id], p),))
 
 
 def matrix_graphic_union(
@@ -245,8 +277,8 @@ def matrix_graphic_union(
         sub = rng.spawn(idx[e.id])
         cut = [normals[v] for v in (e.u, e.v) if v in normals]
         if not cut:
-            return (sub.nonzero_vector(D, p),)
-        return (random_point_in_span(linalg.nullspace(cut, D, p), sub, p),)
+            return (linalg.sparse(sub.nonzero_vector(D, p), p),)
+        return (linalg.sparse(random_point_in_span(linalg.nullspace(cut, D, p), sub, p), p),)
 
     return two_block_matrix(graph, D, p, point)
 
@@ -272,7 +304,7 @@ def matrix_edge_flats(graph: Multigraph, rods: RodConfig, p: int) -> RigidityMat
         if graph.first_parallel[e.id] != e.id:
             return ()
         normals = [rods.normals[v] for v in (e.u, e.v) if v in rods.normals]
-        return linalg.nullspace(normals, D, p)
+        return [linalg.sparse(vec, p) for vec in linalg.nullspace(normals, D, p)]
 
     return two_block_matrix(graph, D, p, flat_basis)
 
@@ -387,9 +419,10 @@ def matrix_direction(graph: Multigraph, joints, d: int, p: int) -> RigidityMatri
     Each row places a basis vector of the orthogonal complement of
     delta = p(u) - p(v) in block u and its negative in block v.  With c the
     first nonzero column of delta, column j != c gives
-    delta_c e_j - delta_j e_c: each annihilates delta, and their values at
-    the columns j are independent, so the d-1 of them span the complement
-    with no inverse taken.
+    delta_c e_j - delta_j e_c, written as its at most two pairs: each
+    annihilates delta, and their values at the columns j are independent,
+    so the d-1 of them span the complement with no inverse taken.  The
+    matrix records the joints, so rank() grounds the dilation too.
     """
 
     def complement(e):
@@ -399,16 +432,12 @@ def matrix_direction(graph: Multigraph, joints, d: int, p: int) -> RigidityMatri
             raise ConfigError(
                 "edge %r has coincident joints at %r and %r" % (e.id, e.u, e.v)
             )
-        basis = []
-        for j in range(d):
-            if j != c:
-                vec = [0] * d
-                vec[j] = delta[c]
-                vec[c] = -delta[j] % p
-                basis.append(vec)
-        return basis
+        lead = delta[c]
+        # delta_j = 0 leaves one pair; otherwise c < j, c being the first nonzero
+        return [((c, p - delta[j]), (j, lead)) if delta[j] else ((j, lead),)
+                for j in range(d) if j != c]
 
-    return two_block_matrix(graph, d, p, complement)
+    return two_block_matrix(graph, d, p, complement, joints)
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def graphic_union_reference(graph, d, rng, p):
     D = d * (d + 1) // 2
     idx = graph.edge_index
     return rg.two_block_matrix(
-        graph, D, p, lambda e: (rng.spawn(idx[e.id]).nonzero_vector(D, p),)
+        graph, D, p, lambda e: (linalg.sparse(rng.spawn(idx[e.id]).nonzero_vector(D, p), p),)
     )
 
 
@@ -217,7 +217,7 @@ def direction_reference(graph, joints, d, p):
 
     def complement(e):
         delta = [(a - b) % p for a, b in zip(joints[e.u], joints[e.v])]
-        return linalg.nullspace([delta], d, p)
+        return [linalg.sparse(vec, p) for vec in linalg.nullspace([delta], d, p)]
 
     return rg.two_block_matrix(graph, d, p, complement)
 
@@ -267,6 +267,19 @@ def expand_hinge_reference(graph):
     return build_graph(
         list(zip(graph.vertex_ids, kinds)), [(e.u, e.v, e.id) for e in graph.edges]
     )
+
+
+def expand_f_reference(graph, prof):
+    """graph.expand_f as a fresh build_graph over the same vertices and the
+    copy edges "<eid>~<k>", f(e) of them per edge in edge order: the
+    reference for the one-pass expansion."""
+    copies = {e.id: tuple("%s~%d" % (e.id, k) for k in range(f_value(graph, [e.id], prof)))
+              for e in graph.edges}
+    rebuilt = build_graph(
+        [(v, graph.kinds[v]) for v in graph.vertex_ids],
+        [(e.u, e.v, cid) for e in graph.edges for cid in copies[e.id]],
+    )
+    return rebuilt, copies
 
 
 # ---------------------------------------------------------------------------

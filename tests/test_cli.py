@@ -178,6 +178,9 @@ def test_usage_errors_exit_1(argv, capsys):
         (["truncate", "DOC", "--prime", "91"], "modulus 91 is not prime"),
         (["truncate", "DOC", "--trials", "0"], "trials must be at least 1"),
         (["truncate", "DOC", "--trials", "-2"], "trials must be at least 1"),
+        # the least strong pseudoprime to the bases 2..37 (OEIS A014233)
+        (["analyze", "DOC", "--prime", "318665857834031151167461"],
+         "modulus 318665857834031151167461 is not prime"),
     ],
 )
 def test_malformed_settings_exit_1(argv, message, tmp_path, capsys):

@@ -27,7 +27,6 @@ from rigikit.count_matroid import (
     rank_bruteforce,
     rank_bruteforce_table,
     rank_value,
-    simplify_component,
 )
 from rigikit.analysis import count_side, random_multigraph
 from rigikit.field import SplitMix64
@@ -119,20 +118,18 @@ def hinged_triangles():
 @pytest.mark.parametrize("g", hinged_triangles(), ids=("isolated-hinge", "hinge-edge"))
 def test_every_entry_point_rejects_an_uncountable_vertex(g):
     # the game's capacities, expand_f's f(e) and the brute force's costs
-    # reject a hinge; simplify_component checks the whole graph, as the
-    # triangle it simplifies never meets the hinge
+    # reject a hinge
     for call in (lambda: rank_value(g, None, PROF3), lambda: fhat(g, None, PROF3),
                  lambda: p_components(g, PROF3), lambda: fhat_bruteforce(g, None, PROF3),
-                 lambda: rank_bruteforce(g, None, PROF3),
-                 lambda: simplify_component(g, ("e0", "e1", "e2"), PROF3)):
+                 lambda: rank_bruteforce(g, None, PROF3)):
         with pytest.raises(GraphError, match="not countable"):
             call()
 
 
 @pytest.mark.parametrize("eids", (["zz"], ["e1", "zz", "e0"]), ids=("alone", "among-known"))
 @pytest.mark.parametrize("entry", (fhat, rank_value, rank, is_independent, m_components,
-                                   fhat_bruteforce, rank_bruteforce, simplify_component,
-                                   f_value), ids=lambda f: f.__name__)
+                                   fhat_bruteforce, rank_bruteforce, f_value),
+                         ids=lambda f: f.__name__)
 def test_an_unknown_edge_id_is_a_graph_error_naming_it(entry, eids):
     g = build_graph([("a", "body"), ("b", "body"), ("r", "rod")],
                     [("a", "b"), ("b", "r"), ("r", "a")])
@@ -514,63 +511,6 @@ def test_cube_all_trivial_d2():
     dec = p_components(cube_graph(VertexKind.ROD), CountProfile.body_rod_bar(2))
     assert len(dec.components) == 12
     assert all(len(c) == 1 for c in dec.components)
-
-
-# ---------------------------------------------------------------------------
-# Simplification
-
-
-def test_simplify_triangle_to_star():
-    tri = build_graph(
-        [("a", "body"), ("b", "body"), ("c", "body")],
-        [("a", "b"), ("b", "c"), ("c", "a")],
-    )
-    g2 = simplify_component(tri, tri.edge_ids, PROF3)
-    assert len(g2.vertex_ids) == 4
-    assert len(g2.edges) == 3
-    center = [v for v in g2.vertex_ids if v not in tri.vertex_ids]
-    assert len(center) == 1 and g2.kinds[center[0]] == VertexKind.BODY
-    for e in g2.edges:
-        assert center[0] in (e.u, e.v)
-
-
-def test_simplify_rejects_singleton():
-    g = parallel(1)
-    with pytest.raises(ValueError, match="nontrivial"):
-        simplify_component(g, ["e0"], PROF3)
-
-
-def test_simplify_rejects_disconnected():
-    g = build_graph(
-        [("a", "body"), ("b", "body"), ("c", "body"), ("d", "body")],
-        [("a", "b"), ("c", "d")],
-    )
-    with pytest.raises(ValueError, match="not P-connected"):
-        simplify_component(g, None, PROF3)
-
-
-def test_simplified_star_copies_are_coloops():
-    # each expanded copy of a new star edge is in every base
-    rng = SplitMix64(94)
-    done = 0
-    for case in range(30):
-        sub = rng.spawn(case)
-        g = random_kinded_graph(sub, max_vertices=5, max_edges=7)
-        comps = p_components(g, PROF3).nontrivial
-        if not comps:
-            continue
-        done += 1
-        g2 = simplify_component(g, comps[0], PROF3)
-        exp, copies = expand_f(g2, PROF3)
-        total = rank_value(exp, None, PROF3)
-        star_edges = [e for e in g2.edge_ids if e.startswith("s:")]
-        for se in star_edges:
-            for cid in copies[se]:
-                keep = [x for x in exp.edge_ids if x != cid]
-                assert rank_value(exp, keep, PROF3) == total - 1
-        if done >= 5:
-            break
-    assert done >= 3
 
 
 def test_rank_capped_by_size_and_f():

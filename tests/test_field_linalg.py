@@ -1,3 +1,5 @@
+from math import isqrt, prod
+
 import pytest
 
 from rigikit import linalg
@@ -19,6 +21,36 @@ def test_is_prime_small():
     assert is_prime(1_000_003)
     with pytest.raises(ValueError):
         check_prime(2**31 - 2)
+
+
+# OEIS A014233 below its last entry, 3317044064679887385961981: the least
+# odd strong pseudoprime to the first k prime bases, k = 1..12, each with a
+# factorization
+PSEUDOPRIMES = {
+    2047: (23, 89),
+    1373653: (829, 1657),
+    25326001: (2251, 11251),
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+    318665857834031151167461: (399165290221, 798330580441),
+}
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(10**5):
+        assert is_prime(n) == (n > 1 and all(n % q for q in range(2, isqrt(n) + 1))), n
+
+
+@pytest.mark.parametrize("n", sorted(PSEUDOPRIMES))
+def test_is_prime_rejects_every_strong_pseudoprime_below_its_bound(n):
+    factors = PSEUDOPRIMES[n]
+    assert prod(factors) == n and min(factors) > 1
+    assert not is_prime(n)
+    with pytest.raises(ValueError, match="modulus %d is not prime" % n):
+        check_prime(n)
 
 
 def test_mod_inv():

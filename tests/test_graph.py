@@ -1,18 +1,21 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rigikit.analysis import random_multigraph
 from rigikit.field import SplitMix64
 from rigikit.graph import (
     CountProfile,
     GraphError,
+    Multigraph,
     VertexKind,
     build_graph,
     expand_f,
-    f_edge,
     f_value,
-    vertex_counts,
 )
+from rigikit.rigidity import expand_hinge
 
-from helpers import random_kinded_graph, subsets_of
+from helpers import expand_f_reference, random_kinded_graph, subsets_of
 
 
 def test_minimal_graph():
@@ -118,17 +121,6 @@ def test_f_empty_rejected():
         f_value(g, [], prof)
 
 
-def test_vertex_counts():
-    g = build_graph(
-        [("a", "body"), ("b", "rod"), ("c", "rod")],
-        [("a", "b"), ("b", "c")],
-    )
-    assert vertex_counts(g, []) == (0, 0, 0)
-    assert vertex_counts(g, ["e0"]) == (2, 1, 1)
-    # shared rod counted once
-    assert vertex_counts(g, ["e0", "e1"]) == (3, 1, 2)
-
-
 def test_expand_f_copy_counts():
     prof = CountProfile.body_rod_bar(3)
     g = build_graph(
@@ -162,7 +154,30 @@ def test_expand_f_partitions_edges():
         seen = [cid for e in g.edge_ids for cid in copies[e]]
         assert sorted(seen) == sorted(exp.edge_ids)
         assert len(seen) == len(set(seen))
-        assert len(seen) == sum(f_edge(g, e, prof) for e in g.edge_ids)
+        assert len(seen) == sum(f_value(g, [e], prof) for e in g.edge_ids)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.sampled_from(("body-bar", "rod-bar", "body-rod-bar", "body-hinge", "direction",
+                        "either-way")),
+       st.integers(2, 4), st.integers(0, 2**64 - 1))
+def test_expand_f_equals_a_rebuild(model, d, seed):
+    # the one-pass expansion writes what build_graph would build from the
+    # same vertices and copy edges, parallel classes included; "either-way"
+    # draws parallels with their endpoints in both orders
+    if model == "either-way":
+        g = random_kinded_graph(SplitMix64(seed), max_vertices=4, max_edges=10)
+    else:
+        g = random_multigraph(SplitMix64(seed), model)
+    if model == "body-hinge":
+        g = expand_hinge(g)
+    prof = CountProfile.direction(d) if model == "direction" else CountProfile.body_rod_bar(d)
+    (expanded, copies), (rebuilt, ref_copies) = expand_f(g, prof), expand_f_reference(g, prof)
+    for field in Multigraph._fields:
+        assert getattr(expanded, field) == getattr(rebuilt, field), field
+    assert list(expanded.kinds) == list(rebuilt.kinds)
+    assert list(expanded.edge_index) == list(rebuilt.edge_index)
+    assert copies == ref_copies and list(copies) == list(ref_copies)
 
 
 def test_f_of_expansion_equals_f():

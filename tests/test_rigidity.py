@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from rigikit import count_matroid as cm
 from rigikit import linalg
+from rigikit import rigidity as rg
 from rigikit.exterior import (
     hodge_star,
     random_point_in_span,
@@ -12,7 +16,7 @@ from rigikit.exterior import (
 )
 from rigikit.field import DEFAULT_PRIME, SplitMix64
 from rigikit.graph import (
-    CountProfile, GraphError, Multigraph, VertexKind, build_graph, expand_f, f_edge,
+    CountProfile, GraphError, Multigraph, VertexKind, build_graph, expand_f, f_value,
 )
 from rigikit.rigidity import (
     ConfigError,
@@ -167,7 +171,7 @@ def test_row_pattern_two_opposite_blocks():
             (matrix_graphic_union(g, 3, rng.spawn(100 + case), P), lambda e: 1),
             (
                 matrix_edge_flats(g, rods, P),
-                lambda e: f_edge(g, e.id, PROF3) if g.first_parallel[e.id] == e.id else 0,
+                lambda e: f_value(g, [e.id], PROF3) if g.first_parallel[e.id] == e.id else 0,
             ),
             (matrix_direction(g, joints, 3, P), lambda e: 2),
         ]
@@ -685,50 +689,183 @@ def test_grounded_rank_equals_the_full_rank(case):
         assert m.rank() == rank_reference(dense_rows(m), m.p)
 
 
-def test_rank_never_offers_the_grounded_block(monkeypatch):
-    # RigidityMatrix.rank drops the columns of the block met by the most rows
-    # (the first in vertex order on a tie): every row reaches the echelon
-    # with that block's pairs removed and no row is lost
-    offered = []
-    ranking = []
-    real_rank, real_linalg_rank = RigidityMatrix.rank, linalg.rank
+def spy_on_rank(monkeypatch):
+    """A list that gets, per call of RigidityMatrix.rank, [matrix, the rows it
+    offers the echelon in order, the rank it returns]."""
+    calls, ranking = [], []
+    real_rank, real_echelon = RigidityMatrix.rank, linalg.Echelon
+
+    class Echelon(real_echelon):
+        def add(self, row):
+            if ranking:
+                ranking[-1][1].append(row)
+            return super().add(row)
 
     def rank(self):
-        ranking.append(self)
+        ranking.append([self, [], None])
         try:
-            return real_rank(self)
+            ranking[-1][2] = real_rank(self)
+            return ranking[-1][2]
         finally:
-            ranking.pop()
-
-    def linalg_rank(rows, p):
-        if ranking:
-            offered.append((ranking[-1], list(rows)))
-        return real_linalg_rank(rows, p)
+            calls.append(ranking.pop())
 
     monkeypatch.setattr(RigidityMatrix, "rank", rank)
-    monkeypatch.setattr(linalg, "rank", linalg_rank)
+    monkeypatch.setattr(linalg, "Echelon", Echelon)
+    return calls
+
+
+def grounded_columns(m):
+    """(ground block, dilation column or None) as RigidityMatrix.rank picks
+    them: the block met by the most rows, the first on a tie, and for a
+    direction matrix the first column (w, j) where p(w)_j != p(ground)_j."""
+    met = [0] * len(m.vertex_order)
+    for row in m.rows:
+        for b in {c // m.block for c, _ in row}:
+            met[b] += 1
+    ground = met.index(max(met))
+    if m.joints is None:
+        return ground, None
+    base = m.joints[m.vertex_order[ground]]
+    return ground, next((w * m.block + j for w, v in enumerate(m.vertex_order)
+                         for j in range(m.block) if (m.joints[v][j] - base[j]) % m.p), None)
+
+
+def check_offered(m, rows, rank):
+    """rank() offers m's rows with the ground block's and the dilation's
+    columns removed, the rows meeting the ground block first, then the rest
+    in row order, and stops only when it holds a pivot per kept column."""
+    ground, dilation = grounded_columns(m)
+    assert all(c // m.block != ground and c != dilation for row in rows for c, _ in row)
+    meets = [any(c // m.block == ground for c, _ in row) for row in m.rows]
+    order = [row for row, hit in zip(m.rows, meets) if hit]
+    order += [row for row, hit in zip(m.rows, meets) if not hit]
+    expected = [tuple(pr for pr in row if pr[0] // m.block != ground and pr[0] != dilation)
+                for row in order]
+    assert rows == expected[:len(rows)]
+    kept = m.ncols - m.block - (dilation is not None)
+    assert len(rows) == len(expected) or rank == kept
+    assert rank == rank_reference(dense_rows(m), m.p)
+
+
+def test_rank_never_offers_the_grounded_block(monkeypatch):
+    # RigidityMatrix.rank drops the columns of the block met by the most rows
+    # and, in a direction matrix, one column of the dilation less the ground's
+    # translation: no offered row reaches either, and no row is lost before
+    # the echelon is full
+    calls = spy_on_rank(monkeypatch)
     rng = SplitMix64(808)
-    seen = set()
+    seen, dilated = set(), 0
     for i, model in enumerate(MODELS):
         for d in (2, 3, 4):
-            before = len(offered)
+            before = len(calls)
             g = random_multigraph(rng.spawn(10 * i + d), model, max_vertices=5)
             if model == "body-hinge":  # a trial realizes the rewrite's bar graph
                 g = expand_f(expand_hinge(g), CountProfile.body_rod_bar(d))[0]
             linear_trial(g, model, d, P, rng.spawn(100 + 10 * i + d))
-            if len(offered) > before:
+            if any(m.rows for m, _, _ in calls[before:]):
                 seen.add(model)
     assert seen == set(MODELS)
-    for m, rows in offered:
-        met = [0] * len(m.vertex_order)
-        for row in m.rows:
-            for b in {c // m.block for c, _ in row}:
-                met[b] += 1
-        ground = met.index(max(met))
-        assert all(c // m.block != ground for row in rows for c, _ in row)
-        assert sorted(rows) == sorted(
-            tuple(pr for pr in row if pr[0] // m.block != ground) for row in m.rows
-        )
+    for m, rows, rank in calls:
+        if m.rows:
+            check_offered(m, rows, rank)
+            dilated += grounded_columns(m)[1] is not None
+    assert dilated > 0
+
+
+@pytest.mark.parametrize("p", (7, P))
+@pytest.mark.parametrize("d", (2, 3))
+def test_dilation_column_lies_past_joints_shared_with_the_ground(d, p, monkeypatch):
+    # x repeats the ground g's joint and a shares g's first coordinate, so
+    # the dilation column is a's second; the rank is the full matrix's
+    calls = spy_on_rank(monkeypatch)
+    g = build_graph([(v, "body") for v in "xgabc"],
+                    [("g", "a"), ("g", "b"), ("g", "c"), ("x", "a")])
+    joints = {"x": (1, 2, 3), "g": (1, 2, 3), "a": (1, 5, 4), "b": (2, 6, 1), "c": (4, 1, 6)}
+    joints = {v: q[:d] for v, q in joints.items()}
+    m = matrix_direction(g, joints, d, p)
+    assert m.joints is joints
+    assert grounded_columns(m) == (1, 2 * d + 1)
+    m.rank()
+    check_offered(*calls[-1])
+
+
+@GROUNDED
+@given(small_frameworks(), st.data())
+def test_dilation_grounded_rank_equals_the_full_rank(case, data):
+    # joints with coordinates in {0, 1, 2} often share coordinates, or whole
+    # points, with the ground's, and tiny primes make rank drops common
+    d, p, _, g = case
+    coordinates = st.lists(st.integers(0, 2), min_size=d, max_size=d).map(tuple)
+    joints = {v: data.draw(coordinates) for v in g.vertex_ids}
+    try:
+        m = matrix_direction(g, joints, d, p)
+    except ConfigError:  # an edge with coincident joints
+        return
+    assert m.rank() == rank_reference(dense_rows(m), p)
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_overbraced_rigid_direction_rank_stops_at_full_column_rank(d, monkeypatch):
+    # K5 is rigid with (d-1) * 10 rows, more than its rank d*5 - d - 1: the
+    # rank stops offering rows once it holds a pivot per kept column
+    calls = spy_on_rank(monkeypatch)
+    g = build_graph([("v%d" % i, "body") for i in range(5)],
+                    [("v%d" % u, "v%d" % v) for u in range(5) for v in range(u + 1, 5)])
+    m = matrix_direction(g, sample_joints(g, d, SplitMix64(d), P), d, P)
+    assert m.rank() == rank_reference(dense_rows(m), P) == d * 5 - d - 1
+    m, rows, _ = calls[-1]
+    assert len(rows) < len(m.rows)
+    check_offered(*calls[-1])
+
+
+@pytest.mark.parametrize("p", (7, P))
+def test_every_builder_hands_the_assembler_rows_over_one_block(p, monkeypatch):
+    # each edge vector is a row in linalg's format over one block: offsets
+    # ascending in [0, block), values in [1, p), as two_block_matrix writes
+    # them without reducing mod p
+    real = rg.two_block_matrix
+    builders = set()
+
+    def assembler(graph, block, p, vectors_of, joints=None):
+        def checked(e):
+            vectors = list(vectors_of(e))
+            for alpha in vectors:
+                offsets = [k for k, _ in alpha]
+                assert offsets == sorted(set(offsets)) and 0 <= offsets[0] <= offsets[-1] < block
+                assert all(0 < x < p for _, x in alpha)
+            builders.add(vectors_of.__qualname__.split(".")[0])
+            return vectors
+
+        return real(graph, block, p, checked, joints)
+
+    monkeypatch.setattr(rg, "two_block_matrix", assembler)
+    rng = SplitMix64(36)
+    for case in range(12):
+        g = random_kinded_graph(rng.spawn(case), max_vertices=5, max_edges=8)
+        every_builder(2 + case % 3, p, case, g)
+    assert builders == {"matrix_body_bar", "matrix_graphic_union", "matrix_edge_flats",
+                        "matrix_direction"}
+
+
+def test_only_two_block_matrix_constructs_a_rigidity_matrix():
+    # one assembler: a builder that wrote its own rows (a direction fast
+    # path, say) would construct a RigidityMatrix somewhere else
+    callers = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "RigidityMatrix"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "RigidityMatrix"
+        ):
+            callers.append("%s:%s" % (path.stem, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in sorted(Path(rg.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), "<module>")
+    assert callers == ["rigidity:two_block_matrix"]
 
 
 def test_hand_built_matrix_is_ranked_whole():
