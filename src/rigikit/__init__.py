@@ -10,52 +10,17 @@ Two independent engines answer the same question about a framework graph:
 The analysis layer compares them instance by instance; the CLI wraps it.
 """
 
-from .analysis import analyze, fuzz_equivalence
-from .count_matroid import (
-    Decomposition,
-    RankCertificate,
-    fhat,
-    fhat_bruteforce,
-    is_independent,
-    m_components,
-    p_components,
-    rank,
-    rank_bruteforce,
-    rank_value,
-)
-from .field import DEFAULT_PRIME, SplitMix64
-from .graph import (
-    CountProfile,
-    GraphError,
-    Multigraph,
-    VertexKind,
-    build_graph,
-    expand_f,
-    f_value,
-)
+from .analysis import analyze, decompose, fuzz_equivalence, truncate
+from .graph import GraphError, build_graph
 
 __version__ = "0.1.0"
 
+# the public names, each described in README.md's "Library sketch"
 __all__ = [
-    "DEFAULT_PRIME",
-    "CountProfile",
-    "Decomposition",
     "GraphError",
-    "Multigraph",
-    "RankCertificate",
-    "SplitMix64",
-    "VertexKind",
     "analyze",
     "build_graph",
-    "expand_f",
-    "f_value",
-    "fhat",
-    "fhat_bruteforce",
+    "decompose",
     "fuzz_equivalence",
-    "is_independent",
-    "m_components",
-    "p_components",
-    "rank",
-    "rank_bruteforce",
-    "rank_value",
+    "truncate",
 ]

@@ -149,7 +149,6 @@ class LinearTrial(NamedTuple):
     rank: int
     trivial: rg.TrivialCheck
     matrix: rg.RigidityMatrix
-    rods: Optional[rg.RodConfig]  # None for a direction trial
 
 
 def linear_trial(
@@ -161,24 +160,24 @@ def linear_trial(
     joints=None,
 ) -> LinearTrial:
     """The one sampled realization of graph: sample it, rank its matrix and
-    check its formal trivial motions against the kernel.
+    check its formal trivial motions, which the matrix records, against the
+    kernel.
 
     A direction trial places graph on joints, drawn from rng.spawn(2) unless
     fixed.  Every body model realizes graph as a body-rod-bar (Pluecker)
-    framework from sample_body_rod_bar(rng), and the trial keeps its rods.
+    framework from sample_body_rod_bar(rng), whose matrix records its rods.
     analyze and fuzz pass direction the document's graph and a body model
     the graph its count side counts on (CountSide.count_graph: the
     document's graph for bar models, and for body-hinge the bar graph with
     D-1 parallel bars per edge), and so does truncate's last step.
     """
-    rods = None
     if model == "direction":
         if joints is None:
             joints = rg.sample_joints(graph, d, rng.spawn(2), p)
         m = rg.matrix_direction(graph, joints, d, p)
     else:
-        rods, m = rg.sample_body_rod_bar(graph, d, rng, p)
-    return LinearTrial(m.rank(), rg.verify_trivial_motions(m, rods=rods, joints=joints), m, rods)
+        m = rg.sample_body_rod_bar(graph, d, rng, p)
+    return LinearTrial(m.rank(), rg.verify_trivial_motions(m), m)
 
 
 def _escalate(trials: int, prime: int, measure, counts: dict, fail) -> tuple:
@@ -260,10 +259,10 @@ def run_trials(
     unite to the body-bar count) meet the combinatorial rank, the
     flat-family rank meets fhat; a label the model does not measure keeps
     no ranks.  Trial t samples from rng.spawn(t); its flat-family rank is
-    read from the trial's rods, its graphic-union rank from a matrix drawn
-    from rng.spawn(t).spawn(3).  Only the best trial, the first of the
-    highest linear rank, is kept.  Body models realize cs.count_graph,
-    direction the document's graph.
+    read from the rods its matrix records, its graphic-union rank from a
+    matrix drawn from rng.spawn(t).spawn(3).  Only the best trial, the
+    first of the highest linear rank, is kept.  Body models realize
+    cs.count_graph, direction the document's graph.
     """
     realized = graph if model == "direction" else cs.count_graph
     best = None
@@ -280,7 +279,7 @@ def run_trials(
             best = trial
         measured = {"max linear": trial.rank}
         if model in ROD_MODELS:
-            measured["flat-family"] = rg.flat_family_rank(realized, trial.rods, prime)
+            measured["flat-family"] = rg.flat_family_rank(realized, trial.matrix)
         elif model == "body-bar":
             measured["graphic-union"] = rg.matrix_graphic_union(
                 realized, d, trial_rng.spawn(3), prime).rank()

@@ -33,18 +33,19 @@ endpoint pairs, and matrix_edge_flats, the family as a matrix, is its
 reference.
 
 two_block_matrix is the only constructor of a RigidityMatrix in this
-package and marks what it builds two_block: every row is +alpha in one
-block and -alpha in another, so the columns j of all the blocks sum to
-zero, the D constant motions lie in every kernel, and rank() grounds one
-body (drops its block's columns) without changing the rank.  A direction
-matrix also records its joints, and rank() grounds its dilation too: one
-more column.  A two-block rank stops offering rows once the echelon holds
-a pivot per kept column.  A matrix built by hand is unmarked and ranked
-whole.
+package, so every row is +alpha in one block and -alpha in another: the
+columns j of all the blocks sum to zero, the D constant motions lie in
+every kernel, and rank() grounds one body (drops its block's columns)
+without changing the rank.  A matrix is its whole realization: a
+body-rod-bar matrix records its rods' normals and a direction matrix its
+joints, and rank() grounds the dilation of those joints too, one more
+column.  The rank stops offering rows once the echelon holds a pivot per
+kept column.
 
-The formal trivial motions are sparse rows in linalg's format, written
-only where they are nonzero: a constant motion meets every block, a rod
-spin its rod's block alone.  verify_trivial_motions checks them against
+The formal trivial motions are read off the same record, as sparse rows in
+linalg's format written only where they are nonzero: a constant motion
+meets every block, a rod spin its rod's block alone, the dilation every
+block with a nonzero joint.  verify_trivial_motions checks them against
 every row in one pass over the rows, so its cost grows with the matrix's
 pairs, not with rows times motions.  The motion space is read off the
 rank by rank-nullity: kernel_basis gives its dimension, ncols - rank, and
@@ -138,11 +139,10 @@ def sample_bar_config(
     return BarConfig(d=d, p=p, bars=bars)
 
 
-def sample_body_rod_bar(graph: Multigraph, d: int, rng: SplitMix64, p: int):
-    """(rods, matrix) of a body-rod-bar framework: rods from rng.spawn(0), bars from spawn(1)."""
+def sample_body_rod_bar(graph: Multigraph, d: int, rng: SplitMix64, p: int) -> RigidityMatrix:
+    """The matrix of a body-rod-bar framework: rods from rng.spawn(0), bars from spawn(1)."""
     rods = sample_rod_config(graph, d, rng.spawn(0), p)
-    bars = sample_bar_config(graph, rods, rng.spawn(1), p)
-    return rods, matrix_body_rod_bar(graph, bars)
+    return matrix_body_rod_bar(graph, rods, sample_bar_config(graph, rods, rng.spawn(1), p))
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +150,17 @@ def sample_body_rod_bar(graph: Multigraph, d: int, rng: SplitMix64, p: int):
 
 
 class RigidityMatrix(NamedTuple):
-    """Row matrix over F_p with sparse rows (linalg's format).  two_block and
-    joints are set only by two_block_matrix: every row of edge uv is then
-    +alpha in u's block and -alpha in v's, and a direction matrix's rows
-    annihilate the dilation of its joints, which rank() relies on."""
+    """Row matrix over F_p with sparse rows (linalg's format), built by
+    two_block_matrix: every row of edge uv is +alpha in u's block and -alpha
+    in v's.  A body-rod-bar matrix records its rods' normals, a direction
+    matrix its joints: the realization's trivial motions, which rank() and
+    verify_trivial_motions read."""
 
     p: int
     block: int
     vertex_order: tuple[str, ...]
     rows: tuple  # sparse rows: tuples of (column, value) pairs
-    two_block: bool = False
+    normals: Optional[Mapping] = None  # a body-rod-bar matrix's rods -> normals
     joints: Optional[Mapping] = None  # a direction matrix's joints
 
     @property
@@ -167,7 +168,7 @@ class RigidityMatrix(NamedTuple):
         return self.block * len(self.vertex_order)
 
     def rank(self) -> int:
-        """The rank; a two-block matrix is ranked with one body grounded.
+        """The rank, with one body grounded.
 
         Each row is +alpha in one block and -alpha in another, so for every
         j the columns j of all the blocks sum to zero, any one block's
@@ -182,10 +183,10 @@ class RigidityMatrix(NamedTuple):
         in row order, until the echelon holds as many pivots as there are
         kept columns.  The echelon pivots each row at its highest column,
         so a two-block row pivots in its later vertex's block: the blocks
-        are eliminated in reverse order.  Any other matrix is ranked whole.
+        are eliminated in reverse order.
         """
-        if not (self.two_block and self.rows):
-            return linalg.rank(self.rows, self.p)
+        if not self.rows:
+            return 0
         B, p = self.block, self.p
         met = [0] * len(self.vertex_order)
         for row in self.rows:
@@ -222,7 +223,8 @@ class RigidityMatrix(NamedTuple):
 
 
 def two_block_matrix(
-    graph: Multigraph, block: int, p: int, vectors_of, joints: Optional[Mapping] = None
+    graph: Multigraph, block: int, p: int, vectors_of,
+    normals: Optional[Mapping] = None, joints: Optional[Mapping] = None,
 ) -> RigidityMatrix:
     """One row per vector alpha of each edge uv: +alpha in u's block, -alpha in v's.
 
@@ -230,8 +232,9 @@ def two_block_matrix(
     over one block: (offset, value) pairs with offsets ascending in
     [0, block) and values in [1, p).  Rows come in edge order, then vector
     order; each is alpha's pairs in both blocks, the lower block first,
-    where the negated block holds p - x for each value x.  A direction
-    matrix passes its joints, which the matrix records for rank().
+    where the negated block holds p - x for each value x.  A body-rod-bar
+    matrix passes its rods' normals and a direction matrix its joints, which
+    the matrix records.
     """
     order = graph.vertex_ids
     pos = {v: i * block for i, v in enumerate(order)}
@@ -243,18 +246,20 @@ def two_block_matrix(
             minus = [(sv + k, p - x) for k, x in alpha]
             rows.append(tuple(plus + minus if su < sv else minus + plus))
     return RigidityMatrix(
-        p=p, block=block, vertex_order=order, rows=tuple(rows), two_block=True,
-        joints=joints,
+        p=p, block=block, vertex_order=order, rows=tuple(rows), normals=normals, joints=joints,
     )
 
 
-def matrix_body_bar(graph: Multigraph, bars: BarConfig) -> RigidityMatrix:
+def matrix_body_bar(
+    graph: Multigraph, bars: BarConfig, normals: Optional[Mapping] = None
+) -> RigidityMatrix:
     """|E| x D|V| matrix: one row per bar, its Pluecker vector q_e.
 
-    Reads no rods: the rod spins check incidence (verify_trivial_motions).
+    Reads no rods: it records the normals it is given, whose spins check
+    incidence (verify_trivial_motions).
     """
     D, p = bars.d * (bars.d + 1) // 2, bars.p
-    return two_block_matrix(graph, D, p, lambda e: (linalg.sparse(bars.bars[e.id], p),))
+    return two_block_matrix(graph, D, p, lambda e: (linalg.sparse(bars.bars[e.id], p),), normals)
 
 
 def matrix_graphic_union(
@@ -283,9 +288,9 @@ def matrix_graphic_union(
     return two_block_matrix(graph, D, p, point)
 
 
-def matrix_body_rod_bar(graph: Multigraph, bars: BarConfig) -> RigidityMatrix:
-    """Body-rod-bar matrix: the body-bar rows of a bar config sampled at rods."""
-    return matrix_body_bar(graph, bars)
+def matrix_body_rod_bar(graph: Multigraph, rods: RodConfig, bars: BarConfig) -> RigidityMatrix:
+    """Body-rod-bar matrix: the body-bar rows of bars sampled at rods, and the rods' normals."""
+    return matrix_body_bar(graph, bars, rods.normals)
 
 
 def matrix_edge_flats(graph: Multigraph, rods: RodConfig, p: int) -> RigidityMatrix:
@@ -309,8 +314,10 @@ def matrix_edge_flats(graph: Multigraph, rods: RodConfig, p: int) -> RigidityMat
     return two_block_matrix(graph, D, p, flat_basis)
 
 
-def flat_family_rank(graph: Multigraph, rods: RodConfig, p: int) -> int:
-    """The rank of matrix_edge_flats(graph, rods, p), read off its kernel K.
+def flat_family_rank(graph: Multigraph, m: RigidityMatrix) -> int:
+    """The rank of the edge-flat family of graph at the rods of m, a
+    body-rod-bar matrix of graph: matrix_edge_flats with m's normals and
+    prime, read off its kernel K.
 
     x lies in K exactly when x_u - x_v lies in S_uv, the span of the normals
     of uv's rod ends, for every endpoint pair uv.  Write x_u - x_v as a sum
@@ -322,8 +329,8 @@ def flat_family_rank(graph: Multigraph, rods: RodConfig, p: int) -> int:
     sum to zero: D rows over the lams.  With R their rank and c components,
     isolated vertices included, dim K = D*c + L - R.
     """
-    D = rods.d * (rods.d + 1) // 2
-    scaled = {v: linalg.monic(normal, p) for v, normal in rods.normals.items()}
+    D, p = m.block, m.p
+    scaled = {v: linalg.monic(normal, p) for v, normal in m.normals.items()}
     adj = {v: [] for v in graph.vertex_ids}
     pairs = []  # (u, v, the scaled normals of its rod ends)
     for e in graph.edges:
@@ -437,7 +444,7 @@ def matrix_direction(graph: Multigraph, joints, d: int, p: int) -> RigidityMatri
         return [((c, p - delta[j]), (j, lead)) if delta[j] else ((j, lead),)
                 for j in range(d) if j != c]
 
-    return two_block_matrix(graph, d, p, complement, joints)
+    return two_block_matrix(graph, d, p, complement, joints=joints)
 
 
 # ---------------------------------------------------------------------------
@@ -455,34 +462,30 @@ class MotionBasis(NamedTuple):
         return self.kernel_dim - self.trivial_span_dim
 
 
-def trivial_motions(
-    m: RigidityMatrix,
-    rods: Optional[RodConfig] = None,
-    joints: Optional[Mapping] = None,
-):
-    """The formal trivial family for the matrix's model, as (kind, row) pairs.
+def trivial_motions(m: RigidityMatrix):
+    """The formal trivial family of the realization m records, as (kind, row) pairs.
 
     Each motion is a sparse row in linalg's format, written where it is
-    nonzero.  Body models: the block-constant motions, one per coordinate j
-    of the block, 1 at column j of every block; and one spin per rod, the
-    rod's normal in the rod's block alone, annihilated by a bar's row
-    exactly when the bar meets the rod.
-    Direction model: the d translations plus the dilation m(v) = p(v), in
-    every block where the joint is nonzero.
+    nonzero.  Every matrix: the block-constant motions, one per coordinate j
+    of the block, 1 at column j of every block.  A body-rod-bar matrix: one
+    spin per recorded rod, the rod's normal in the rod's block alone,
+    annihilated by a bar's row exactly when the bar meets the rod.  A
+    direction matrix: the dilation m(v) = p(v) of its recorded joints, in
+    every block where the joint is nonzero, after the d translations.
     """
     p, B = m.p, m.block
     starts = range(0, m.ncols, B)
     out = [("constant", tuple((s + j, 1) for s in starts)) for j in range(B)]
-    if rods is not None:
+    if m.normals:
         for s, v in zip(starts, m.vertex_order):
-            if v in rods.normals:
-                spin = tuple((s + j, c) for j, c in enumerate(rods.normals[v]) if c)
+            if v in m.normals:
+                spin = tuple((s + j, c) for j, c in enumerate(m.normals[v]) if c)
                 out.append(("rod-spin", spin))
-    if joints is not None:
+    if m.joints is not None:
         dilation = tuple(
             (s + j, c % p)
             for s, v in zip(starts, m.vertex_order)
-            for j, c in enumerate(joints[v])
+            for j, c in enumerate(m.joints[v])
             if c % p
         )
         out.append(("dilation", dilation))
@@ -500,21 +503,17 @@ class TrivialCheck(NamedTuple):
         return len(self.motions)
 
 
-def verify_trivial_motions(
-    m: RigidityMatrix,
-    rods: Optional[RodConfig] = None,
-    joints: Optional[Mapping] = None,
-) -> TrivialCheck:
+def verify_trivial_motions(m: RigidityMatrix) -> TrivialCheck:
     """Every row of m against every formal trivial motion, in one pass over the rows.
 
-    The motions are indexed by column first.  Each row then sums b * x over
-    its pairs (c, b) and the motions' values x at c, one sum per motion that
-    meets the row; a sum nonzero mod p puts that motion in check.missed, in
-    family order.  A valid configuration misses none.  The sums are the
-    row-times-motion products, so the check holds for any matrix, two-block
-    or not.
+    The motions are trivial_motions(m), read off the normals and joints m
+    records, the joints rank() grounds the dilation from.  They are indexed
+    by column first.  Each row then sums b * x over its pairs (c, b) and the
+    motions' values x at c, one sum per motion that meets the row; a sum
+    nonzero mod p puts that motion in check.missed, in family order.  A
+    valid configuration misses none.
     """
-    motions = tuple(trivial_motions(m, rods=rods, joints=joints))
+    motions = tuple(trivial_motions(m))
     at = [[] for _ in range(m.ncols)]  # column -> (motion index, value) pairs
     for i, (_, motion) in enumerate(motions):
         for c, x in motion:
@@ -544,8 +543,6 @@ def kernel_basis(m: RigidityMatrix, rank: int, check: TrivialCheck) -> MotionBas
     """
     if check.missed:
         raise ConfigError("%s motion is not in the kernel" % check.missed[0])
-    span = linalg.Echelon(m.p)
-    for _, motion in check.motions:
-        span.add(motion)
-    return MotionBasis(kernel_dim=m.ncols - rank, trivial_span_dim=span.rank)
+    return MotionBasis(kernel_dim=m.ncols - rank,
+                       trivial_span_dim=linalg.rank([row for _, row in check.motions], m.p))
 

@@ -503,8 +503,8 @@ def test_trivial_family_applied_once_per_trial(monkeypatch):
     passes = []
     real_check, real_kernel = rg.verify_trivial_motions, rg.kernel_basis
 
-    def counted(m, rods=None, joints=None):
-        passes.append(real_check(m, rods=rods, joints=joints))
+    def counted(m):
+        passes.append(real_check(m))
         return passes[-1]
 
     def no_second_pass(*args):
@@ -581,12 +581,12 @@ def test_coloop_deletion_drops_both_ranks_by_one():
         for t in range(3):
             rods = sample_rod_config(g, 3, r.spawn(t), P)
             bars = sample_bar_config(g, rods, r.spawn(100 + t), P)
-            best_full = max(best_full, matrix_body_rod_bar(g, bars).rank())
+            best_full = max(best_full, matrix_body_rod_bar(g, rods, bars).rank())
             sub_bars_src = {eid: bars.bars[eid] for eid in keep}
             from rigikit.rigidity import BarConfig
 
             sub_bars = BarConfig(d=3, p=P, bars=sub_bars_src)
-            best_sub = max(best_sub, matrix_body_rod_bar(sub, sub_bars).rank())
+            best_sub = max(best_sub, matrix_body_rod_bar(sub, rods, sub_bars).rank())
         assert best_full == full
         assert best_sub == full - 1
         tested += 1
@@ -658,7 +658,8 @@ def test_rod_trials_build_no_edge_flat_matrix(monkeypatch):
             s = fuzz_equivalence(model, 3, 20, seed=5)
             assert s["ok"] and s["agreements"] == 20
     # each trial's flat rank is the edge-flat matrix's rank on its own rods
-    expected = [rg.matrix_edge_flats(*args).rank() for args in ranked[:len(flat_ranks)]]
+    expected = [rg.matrix_edge_flats(graph, rg.RodConfig(3, {}, m.normals), m.p).rank()
+                for graph, m in ranked[:len(flat_ranks)]]
     assert flat_ranks == expected
 
 

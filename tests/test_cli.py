@@ -684,11 +684,15 @@ def test_collinear_fixed_joints_report_a_shortfall(tmp_path, capsys):
 
 def test_rank_above_count_exits_2_even_at_a_tiny_prime(tmp_path, capsys, monkeypatch):
     # no sample lifts a rank above its count, so over F_3 too it is a disagreement
+    from rigikit import linalg
     from rigikit import rigidity as rg
 
     def over(graph, d, rng, p, normals=None):
-        m = real(graph, d, rng, p, normals)  # plus e_0, which no two-block row space holds
-        return m._replace(rows=m.rows + (((0, 1),),), two_block=False)
+        m = real(graph, d, rng, p, normals)  # plus a two-block row outside its row space
+        rank, B = linalg.rank(m.rows, p), m.block
+        extra = next((row for row in (((j, 1), (B + j, p - 1)) for j in range(B))
+                      if linalg.rank(m.rows + (row,), p) > rank), ())
+        return m._replace(rows=m.rows + (extra,))
 
     real = rg.matrix_graphic_union
     monkeypatch.setattr(rg, "matrix_graphic_union", over)

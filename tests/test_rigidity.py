@@ -58,9 +58,9 @@ def two_rods(n_bars):
     return build_graph([("r1", "rod"), ("r2", "rod")], [("r1", "r2")] * n_bars)
 
 
-def motion_space(m, rods=None, joints=None):
+def motion_space(m):
     """kernel_basis as a standalone caller runs it: m's rank and trivial check."""
-    return kernel_basis(m, m.rank(), verify_trivial_motions(m, rods=rods, joints=joints))
+    return kernel_basis(m, m.rank(), verify_trivial_motions(m))
 
 
 def sampled(graph, d=3, seed=1):
@@ -125,7 +125,7 @@ def test_bar_config_incidence_by_construction():
     assert dot(q2, rods.normals["r2"]) == 0
     for q in bars.bars.values():
         assert grassmann_check(q, 2, 3, P)
-    assert verify_trivial_motions(matrix_body_rod_bar(g, bars), rods=rods).missed == ()
+    assert verify_trivial_motions(matrix_body_rod_bar(g, rods, bars)).missed == ()
 
 
 def test_incidence_violation_named():
@@ -135,10 +135,11 @@ def test_incidence_violation_named():
     rods, bars = sampled(g, seed=4)
     other = two_rods(1)
     bad_rods = sample_rod_config(other, 3, SplitMix64(55), P)
-    m = matrix_body_rod_bar(g, bars)
+    m = matrix_body_rod_bar(g, rods, bars)
     assert all(dot(bars.bars["e0"], bad_rods.normals[v]) for v in ("r1", "r2"))
-    assert verify_trivial_motions(m, rods=bad_rods).missed == ("rod-spin", "rod-spin")
-    assert verify_trivial_motions(m, rods=rods).missed == ()
+    bad = m._replace(normals=bad_rods.normals)
+    assert verify_trivial_motions(bad).missed == ("rod-spin", "rod-spin")
+    assert verify_trivial_motions(m).missed == ()
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +168,7 @@ def test_row_pattern_two_opposite_blocks():
         joints = sample_joints(g, 3, rng.spawn(50 + case), P)
         builds = [
             (matrix_body_bar(g, bars), lambda e: 1),
-            (matrix_body_rod_bar(g, bars), lambda e: 1),
+            (matrix_body_rod_bar(g, rods, bars), lambda e: 1),
             (matrix_graphic_union(g, 3, rng.spawn(100 + case), P), lambda e: 1),
             (
                 matrix_edge_flats(g, rods, P),
@@ -220,13 +221,13 @@ def test_constant_motions_in_kernel():
 def test_body_rod_bar_rank_bound_and_kernel():
     g = two_rods(4)
     rods, bars = sampled(g, seed=9)
-    m = matrix_body_rod_bar(g, bars)
+    m = matrix_body_rod_bar(g, rods, bars)
     assert m.rank() == 4 == cm.global_count_target(g, PROF3)
-    basis = motion_space(m, rods=rods)
+    basis = motion_space(m)
     assert basis.kernel_dim == 8  # D + |R| exactly
     assert basis.trivial_span_dim == 8
     assert basis.nontrivial_dim == 0
-    kinds = [k for k, _ in verify_trivial_motions(m, rods=rods).motions]
+    kinds = [k for k, _ in verify_trivial_motions(m).motions]
     assert kinds.count("constant") == 6
     assert kinds.count("rod-spin") == 2
 
@@ -236,18 +237,18 @@ def test_rank_never_exceeds_body_bound():
     for case in range(10):
         g = random_kinded_graph(rng.spawn(case), max_edges=10)
         rods, bars = sampled(g, seed=200 + case)
-        m = matrix_body_rod_bar(g, bars)
+        m = matrix_body_rod_bar(g, rods, bars)
         assert m.rank() <= cm.global_count_target(g, PROF3)
 
 
 def test_lone_rod_motion_space():
     g = build_graph([("r", "rod")], [])
     rods, bars = sampled(g, seed=11)
-    m = matrix_body_rod_bar(g, bars)
+    m = matrix_body_rod_bar(g, rods, bars)
     assert len(m.rows) == 0
-    basis = motion_space(m, rods=rods)
+    basis = motion_space(m)
     assert basis.kernel_dim == 6  # whole block space
-    kinds = [k for k, _ in verify_trivial_motions(m, rods=rods).motions]
+    kinds = [k for k, _ in verify_trivial_motions(m).motions]
     assert kinds == ["constant"] * 6 + ["rod-spin"]  # formal list keeps D + |R| entries
     assert basis.trivial_span_dim == 6  # the spin lies inside the constants here
 
@@ -297,8 +298,8 @@ def test_graphic_union_rank():
 
 def test_matrix_determinism():
     g = two_rods(3)
-    m1 = matrix_body_rod_bar(g, sampled(g, seed=14)[1])
-    m2 = matrix_body_rod_bar(g, sampled(g, seed=14)[1])
+    m1 = matrix_body_rod_bar(g, *sampled(g, seed=14))
+    m2 = matrix_body_rod_bar(g, *sampled(g, seed=14))
     assert m1.rows == m2.rows
 
 
@@ -315,7 +316,7 @@ def test_expand_hinge_counts():
     assert len(bars_graph.edges) == 5  # D - 1 parallel bars
     assert bars_graph.edge_ids == tuple("e0~%d" % k for k in range(5))
     assert tuple(rods.normals) == ("h",)
-    assert verify_trivial_motions(matrix_body_rod_bar(bars_graph, bars), rods=rods).missed == ()
+    assert verify_trivial_motions(matrix_body_rod_bar(bars_graph, rods, bars)).missed == ()
     # the linear side realizes exactly the graph the count side counts on
     rng = SplitMix64(18)
     for d in (3, 4):
@@ -353,11 +354,11 @@ def test_kernel_basis_rejects_trivial_motions_outside_the_kernel():
     rods, bars = sampled(g, seed=4)
     bad_rods = sample_rod_config(two_rods(1), 3, SplitMix64(55), P)
     m = matrix_body_bar(g, bars)
-    check = verify_trivial_motions(m, rods=bad_rods)
+    check = verify_trivial_motions(m._replace(normals=bad_rods.normals))
     assert check.missed == ("rod-spin", "rod-spin")
     with pytest.raises(ConfigError, match="rod-spin motion is not in the kernel"):
         kernel_basis(m, m.rank(), check)
-    good = verify_trivial_motions(m, rods=rods)
+    good = verify_trivial_motions(m._replace(normals=rods.normals))
     assert good.missed == ()
     assert kernel_basis(m, m.rank(), good).kernel_dim == m.ncols - m.rank()
 
@@ -370,9 +371,11 @@ TRIVIAL_PROPERTY = settings(derandomize=True, max_examples=80, deadline=None, da
 
 
 def checked_against_reference(m, rods=None, joints=None):
-    """verify_trivial_motions's one pass, asserted equal to one dense product per motion."""
-    check = verify_trivial_motions(m, rods=rods, joints=joints)
-    assert check.motions == tuple(trivial_motions(m, rods=rods, joints=joints))
+    """verify_trivial_motions's one pass on m recording rods' normals and
+    joints, asserted equal to one dense product per motion."""
+    m = m._replace(normals=rods.normals if rods else None, joints=joints)
+    check = verify_trivial_motions(m)
+    assert check.motions == tuple(trivial_motions(m))
     assert check.missed == trivial_missed_reference(m, check.motions)
     return check
 
@@ -393,9 +396,9 @@ def perturbed(m, rng):
 @TRIVIAL_PROPERTY
 @given(st.sampled_from(TRIVIAL_CASES), st.sampled_from((5, 7, P)), st.integers(0, 2**32 - 1))
 def test_one_pass_trivial_check_matches_per_motion_products(case, p, seed):
-    # every builder, the same rows unmarked, a perturbed row, and the wrong
-    # configuration: the one pass misses exactly the motions the dense
-    # per-motion products miss, in family order
+    # every builder, a perturbed row, and the wrong configuration recorded:
+    # the one pass misses exactly the motions the dense per-motion products
+    # miss, in family order
     model, d = case
     rng = SplitMix64(seed)
     g = random_multigraph(rng.spawn(0), model, max_vertices=6, max_edges=10)
@@ -406,14 +409,14 @@ def test_one_pass_trivial_check_matches_per_motion_products(case, p, seed):
             wrong = (None, sample_joints(g, d, rng.spawn(2), p))
         elif model == "body-hinge":
             bars_graph, rods, bars = hinge_framework(g, d, rng.spawn(1), p)
-            m = matrix_body_rod_bar(bars_graph, bars)
+            m = matrix_body_rod_bar(bars_graph, rods, bars)
             built = [(m, rods, None, True)]
             wrong = (None, None)  # the constants alone
         else:
             rods = sample_rod_config(g, d, rng.spawn(1), p)
             bars = sample_bar_config(g, rods, rng.spawn(2), p)
             built = [
-                (matrix_body_rod_bar(g, bars), rods, None, True),
+                (matrix_body_rod_bar(g, rods, bars), rods, None, True),
                 (matrix_edge_flats(g, rods, p), rods, None, True),
                 (matrix_graphic_union(g, d, rng.spawn(3), p), rods, None, not rods.normals),
             ]
@@ -423,8 +426,6 @@ def test_one_pass_trivial_check_matches_per_motion_products(case, p, seed):
     for m, rods, joints, valid in built:
         check = checked_against_reference(m, rods=rods, joints=joints)
         assert check.missed == () or not valid
-        unmarked = checked_against_reference(m._replace(two_block=False), rods=rods, joints=joints)
-        assert unmarked == check
         checked_against_reference(perturbed(m, rng.spawn(5)), rods=rods, joints=joints)
         checked_against_reference(m, rods=wrong[0], joints=wrong[1])
 
@@ -459,6 +460,30 @@ def test_one_pass_trivial_check_matches_on_hand_built_matrices(case):
     checked_against_reference(m)
 
 
+@pytest.mark.parametrize("p", (7, P))
+def test_the_trivial_check_reads_the_record_rank_grounds_from(p):
+    # the check takes the matrix alone and reads the joints and normals it
+    # records: recorded joints off the rows' joints miss the dilation, and
+    # one recorded normal swapped misses that rod's spin
+    triangle = build_graph([("a", "body"), ("b", "body"), ("c", "body")],
+                           [("a", "b"), ("b", "c"), ("c", "a")])
+    m = matrix_direction(triangle, {"a": (0, 0), "b": (1, 0), "c": (0, 1)}, 2, p)
+    assert verify_trivial_motions(m).missed == ()
+    moved = m._replace(joints={**m.joints, "a": (1, 1)})  # a - b turns from (-1, 0) to (0, 1)
+    assert verify_trivial_motions(moved).missed == ("dilation",)
+    g = build_graph([("r1", "rod"), ("r2", "rod"), ("b", "body")],
+                    [("r1", "b"), ("r1", "b"), ("r2", "b"), ("r1", "r2")])
+    rng = SplitMix64(37)
+    rods = sample_rod_config(g, 3, rng.spawn(0), p)
+    bars = sample_bar_config(g, rods, rng.spawn(1), p)
+    m = matrix_body_rod_bar(g, rods, bars)
+    assert verify_trivial_motions(m).missed == ()
+    k = next(j for j, x in enumerate(bars.bars["e0"]) if x)
+    e_k = tuple(int(j == k) for j in range(6))  # e0's bar q at r1 has q . e_k = q_k != 0
+    swapped = m._replace(normals={**m.normals, "r1": e_k})
+    assert verify_trivial_motions(swapped).missed == ("rod-spin",)
+
+
 @TRIVIAL_PROPERTY
 @given(st.sampled_from(("rod-bar", "body-rod-bar")), st.sampled_from((3, 4)),
        st.integers(0, 2**32 - 1), st.booleans())
@@ -471,7 +496,7 @@ def test_rod_spins_are_the_bar_rod_incidence_check(model, d, seed, both_ends):
     g = random_multigraph(rng.spawn(0), model, max_vertices=6, max_edges=10)
     rods = sample_rod_config(g, d, rng.spawn(1), P)
     bars = sample_bar_config(g, rods, rng.spawn(2), P)
-    assert verify_trivial_motions(matrix_body_rod_bar(g, bars), rods=rods).missed == ()
+    assert verify_trivial_motions(matrix_body_rod_bar(g, rods, bars)).missed == ()
     at_rods = [e for e in g.edges if e.u in rods.normals or e.v in rods.normals]
     if not at_rods:
         reject()
@@ -491,7 +516,7 @@ def test_rod_spins_are_the_bar_rod_incidence_check(model, d, seed, both_ends):
     if not both_ends:
         assert left == [leave]
     moved = bars._replace(bars={**bars.bars, e.id: q})
-    missed = verify_trivial_motions(matrix_body_rod_bar(g, moved), rods=rods).missed
+    missed = verify_trivial_motions(matrix_body_rod_bar(g, rods, moved)).missed
     assert missed == ("rod-spin",) * len(left)
 
 
@@ -503,9 +528,9 @@ def test_hinge_motion_constraint_equivalence():
         [("u", "w"), ("v", "w")],
     )
     bars_graph, rods, bars = hinge_framework(g, 3, SplitMix64(17), P)
-    m = matrix_body_rod_bar(bars_graph, bars)
+    m = matrix_body_rod_bar(bars_graph, rods, bars)
     kern = linalg.nullspace(dense_rows(m), m.ncols, P)
-    assert len(kern) == motion_space(m, rods=rods).kernel_dim
+    assert len(kern) == motion_space(m).kernel_dim
     spin = list(rods.normals["w"])
     bu, bv = (m.vertex_order.index(v) * m.block for v in ("u", "v"))
     for vec in kern:
@@ -533,8 +558,8 @@ def test_direction_triangle_rigid():
     joints = {"a": (0, 0), "b": (1, 0), "c": (0, 1)}
     m = matrix_direction(g, joints, 2, P)
     assert m.rank() == 3 == cm.global_count_target(g, CountProfile.direction(2))
-    assert motion_space(m, joints=joints).kernel_dim == 3
-    kinds = [k for k, _ in verify_trivial_motions(m, joints=joints).motions]
+    assert motion_space(m).kernel_dim == 3
+    kinds = [k for k, _ in verify_trivial_motions(m).motions]
     assert kinds == ["constant"] * 2 + ["dilation"]
 
 
@@ -590,8 +615,8 @@ def test_kernel_dim_at_least_trivial_count():
     for case in range(10):
         g = random_kinded_graph(rng.spawn(case), max_edges=10)
         rods, bars = sampled(g, seed=300 + case)
-        m = matrix_body_rod_bar(g, bars)
-        basis = motion_space(m, rods=rods)
+        m = matrix_body_rod_bar(g, rods, bars)
+        basis = motion_space(m)
         assert basis.kernel_dim >= basis.trivial_span_dim == 6 + len(rods.normals)
 
 
@@ -664,14 +689,13 @@ def every_builder(d, p, seed, g):
     else:
         builds += [
             lambda: matrix_body_bar(g, bars),
-            lambda: matrix_body_rod_bar(g, bars),
+            lambda: matrix_body_rod_bar(g, rods, bars),
             lambda: matrix_edge_flats(g, rods, p),
             lambda: matrix_graphic_union(g, d, rng.spawn(3), p, rods.normals),
         ]
 
     def hinge():
-        bars_graph, _, hinge_bars = hinge_framework(hinged, d, rng.spawn(4), p)
-        return matrix_body_rod_bar(bars_graph, hinge_bars)
+        return matrix_body_rod_bar(*hinge_framework(hinged, d, rng.spawn(4), p))
 
     out = []
     for build in builds + [hinge]:
@@ -826,7 +850,7 @@ def test_every_builder_hands_the_assembler_rows_over_one_block(p, monkeypatch):
     real = rg.two_block_matrix
     builders = set()
 
-    def assembler(graph, block, p, vectors_of, joints=None):
+    def assembler(graph, block, p, vectors_of, normals=None, joints=None):
         def checked(e):
             vectors = list(vectors_of(e))
             for alpha in vectors:
@@ -836,7 +860,7 @@ def test_every_builder_hands_the_assembler_rows_over_one_block(p, monkeypatch):
             builders.add(vectors_of.__qualname__.split(".")[0])
             return vectors
 
-        return real(graph, block, p, checked, joints)
+        return real(graph, block, p, checked, normals, joints)
 
     monkeypatch.setattr(rg, "two_block_matrix", assembler)
     rng = SplitMix64(36)
@@ -868,19 +892,6 @@ def test_only_two_block_matrix_constructs_a_rigidity_matrix():
     assert callers == ["rigidity:two_block_matrix"]
 
 
-def test_hand_built_matrix_is_ranked_whole():
-    # one row in one block: grounding the block it meets would read rank 0;
-    # only two_block_matrix marks a matrix safe to ground
-    m = RigidityMatrix(
-        p=P, block=1, vertex_order=("a", "b"), rows=(((0, 1),),)
-    )
-    assert not m.two_block
-    assert m.rank() == rank_reference(dense_rows(m), P) == 1
-    assert m._replace(two_block=True).rank() == 0
-    g = build_graph([("a", "body"), ("b", "body")], [("a", "b")])
-    assert matrix_graphic_union(g, 2, SplitMix64(1), P).two_block
-
-
 # ---------------------------------------------------------------------------
 # Flat-family rank
 
@@ -891,7 +902,8 @@ def flat_ranks(g, rods, p):
     """flat_family_rank beside its references: the edge-flat matrix's rank and
     the textbook rank of that matrix's dense rows."""
     m = matrix_edge_flats(g, rods, p)
-    return flat_family_rank(g, rods, p), m.rank(), rank_reference(dense_rows(m), p)
+    return (flat_family_rank(g, m._replace(normals=rods.normals)), m.rank(),
+            rank_reference(dense_rows(m), p))
 
 
 @FLATS
@@ -987,4 +999,5 @@ def test_flat_family_rank_on_the_scaling_families(family, monkeypatch):
 
     g, _, d, _ = parse_document(scaling.FAMILIES[family](64))
     rods = sample_rod_config(g, d, SplitMix64(1), P)
-    assert flat_family_rank(g, rods, P) == matrix_edge_flats(g, rods, P).rank()
+    m = matrix_edge_flats(g, rods, P)
+    assert flat_family_rank(g, m._replace(normals=rods.normals)) == m.rank()
